@@ -47,6 +47,15 @@ class SizeCapExceeded(RuntimeError):
     """A construction would exceed its configured size cap."""
 
 
+def _capped_power(u: int, n: int, cap: int) -> int:
+    """u**n when it is at most cap, otherwise some value above cap.  The
+    power is formed only when the lower bound 2**((bits(u) - 1) * n) does
+    not pass cap, so it is never much wider than cap."""
+    if u > 1 and (u.bit_length() - 1) * n > cap.bit_length():
+        return cap + 1
+    return u**n
+
+
 def _rank_unchecked(s: Seq, u: int) -> SpaceRank:
     r = 0
     for e in s:
@@ -71,7 +80,7 @@ class Carrier:
         self.n = n
         self.u = u
         self.members: tuple[SpaceRank, ...] = tuple(members)
-        total = u**n
+        total = _capped_power(u, n, max(self.members, default=0))
         prev = -1
         for r in self.members:
             if r <= prev:
@@ -137,9 +146,9 @@ class Carrier:
 def full_carrier(n: int, u: int, *, max_members: int | None = None) -> Carrier:
     """The whole space ^n u as a carrier (always permutable)."""
     cap = MAX_CARRIER_MEMBERS if max_members is None else max_members
-    count = u**n
+    count = _capped_power(u, n, cap)
     if count > cap:
-        raise SizeCapExceeded(f"full carrier would have {count} members, cap is {cap}")
+        raise SizeCapExceeded(f"full carrier of ^{n} {u} would exceed the cap of {cap} members")
     c = Carrier(n, u, range(count))
     c._permutable = True
     return c
@@ -216,9 +225,9 @@ def permutable_closure(D: Carrier, *, max_members: int | None = None) -> Carrier
 def permutable_subsets(n: int, u: int, *, max_subsets: int = 1 << 16) -> list[Carrier]:
     """All permutable subsets of ^n u, i.e. all unions of coordinate-swap
     orbits.  Exponential in the orbit count, so guarded by a cap."""
-    count = u**n
+    count = _capped_power(u, n, MAX_CARRIER_MEMBERS)
     if count > MAX_CARRIER_MEMBERS:
-        raise SizeCapExceeded(f"space has {count} sequences, cap is {MAX_CARRIER_MEMBERS}")
+        raise SizeCapExceeded(f"space ^{n} {u} exceeds the cap of {MAX_CARRIER_MEMBERS} sequences")
     orbits: list[tuple[SpaceRank, ...]] = []
     claimed: set[SpaceRank] = set()
     for r in range(count):

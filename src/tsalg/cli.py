@@ -9,9 +9,11 @@ Subcommands::
     tsalg closure               --spec F
     tsalg ultraproduct          --spec F [--spec F ...] [--index I]
 
-Common flags: --exhaustive | --random TRIALS, --seed S, --workers N,
---json.  The environment variable TRA_BUDGET overrides the default
-ceiling on exhaustive enumeration.
+Common flags: --exhaustive | --random TRIALS, --seed S, --json
+(closure takes no mode or seed flags; ultraproduct takes --seed only).
+Without --exhaustive or --random a check enumerates when its work fits
+the budget and samples otherwise.  The environment variable TRA_BUDGET
+overrides the default ceiling on exhaustive enumeration.
 
 Exit codes: 0 when every checked assertion holds, 1 when a checked
 property fails (the witness is printed), 2 on usage, parse, or input
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import json
 import os
 import sys
@@ -40,12 +43,13 @@ from dataclasses import dataclass
 from .algebra import (
     Carrier,
     Elem,
+    SmallAlgebra,
     carrier_from_seqs,
     full_carrier,
     is_permutable,
     permutable_closure,
 )
-from .seqspace import Seq, fmt_seq
+from .seqspace import Perm, Seq, fmt_seq
 from .termlang import (
     DEFAULT_ASSIGNMENT_BUDGET,
     DEFAULT_SEED,
@@ -56,17 +60,15 @@ from .termlang import (
     Verdict,
     check_equation,
     check_quasi,
+    equation_vars,
     parse_equation,
     parse_quasi,
     print_equation,
     print_quasi,
+    quasi_vars,
+    resolve_mode,
 )
 from .theorems import (
-    CounterexampleReport,
-    EscapeReport,
-    HomReport,
-    SigmaSmallReport,
-    UltraproductReport,
     backward_cycle,
     build_counterexample,
     decompose_small,
@@ -94,14 +96,6 @@ class AlgebraSpec:
         if self.carrier == "full":
             return full_carrier(self.n, self.base)
         return carrier_from_seqs(self.n, self.base, self.carrier)
-
-    def describe(self) -> dict:
-        d = {"n": self.n, "base": self.base}
-        if self.carrier == "full":
-            d["carrier"] = "full"
-        else:
-            d["carrier"] = [list(s) for s in self.carrier]
-        return d
 
 
 def parse_algebra_spec(text: str, source: str = "<spec>") -> AlgebraSpec:
@@ -200,7 +194,11 @@ def load_algebra_spec(path: str) -> AlgebraSpec:
 
 @dataclass
 class RunReport:
-    """Everything one invocation did: echoed inputs, verdict, counts."""
+    """Everything one invocation did: echoed inputs, verdict, counts.
+
+    Fields may hold library objects (carriers, elements, report
+    dataclasses); _encode turns them into JSON data.
+    """
 
     command: str
     inputs: dict
@@ -210,41 +208,67 @@ class RunReport:
     seed: int | None
     counts: dict
     witness: dict | None
-    details: dict
+    details: object
     wall_time_s: float
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outcome": self.outcome,
-            "passed": self.passed,
-            "mode": self.mode,
-            "seed": self.seed,
-            "counts": self.counts,
-            "witness": self.witness,
-            "details": self.details,
-            "wall_time_s": self.wall_time_s,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(_encode(self), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
+        r = _encode(self)
         lines = [f"command: {self.command}"]
-        for k, v in self.inputs.items():
+        for k, v in r["inputs"].items():
             lines.append(f"  {k}: {_fmt_value(v)}")
         lines.append(f"mode: {self.mode}" + (f"  seed: {self.seed}" if self.seed is not None else ""))
         for k, v in self.counts.items():
             lines.append(f"  {k}: {v}")
-        if self.details:
-            lines.extend(_render(self.details, 0))
+        if r["details"]:
+            lines.extend(_render(r["details"], 0))
         lines.append(f"outcome: {self.outcome}")
-        if self.witness:
-            for name, seqs in sorted(self.witness.items()):
+        if r["witness"]:
+            for name, seqs in sorted(r["witness"].items()):
                 lines.append(f"witness: {name} = {_fmt_seq_set(seqs)}")
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}  ({self.wall_time_s:.3f}s)")
         return "\n".join(lines)
+
+
+def _encode(value: object) -> object:
+    """JSON data for a report value: dataclasses give their fields (under
+    the field's metadata "key" when set) then their public properties;
+    carriers, elements, permutations, small algebras and verdicts have
+    fixed forms."""
+    if isinstance(value, Carrier):
+        d: dict = {"n": value.n, "base": value.u, "size": value.size}
+        if value.size <= 64:
+            d["members"] = [list(s) for s in value.seqs]
+        return d
+    if isinstance(value, Elem):
+        return [list(s) for s in value.seqs()]
+    if isinstance(value, Perm):
+        return list(value.images)
+    if isinstance(value, SmallAlgebra):
+        return {"n": value.n, "k": value.k}
+    if isinstance(value, Verdict):
+        d = {"outcome": value.outcome, "assignments_tested": value.assignments_tested}
+        if value.trials is not None:
+            d["trials"] = value.trials
+        if value.seed is not None:
+            d["seed"] = value.seed
+        if value.witness is not None:
+            d["witness"] = _encode(dict(sorted(value.witness.items())))
+        return d
+    if dataclasses.is_dataclass(value):
+        d = {f.metadata.get("key", f.name): _encode(getattr(value, f.name))
+             for f in dataclasses.fields(value)}
+        for name, attr in vars(type(value)).items():
+            if isinstance(attr, property) and not name.startswith("_"):
+                d[name] = _encode(getattr(value, name))
+        return d
+    if isinstance(value, dict):
+        return {str(k): _encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
 
 
 def _fmt_seq_set(seqs: list) -> str:
@@ -279,110 +303,6 @@ def _render(value: object, depth: int) -> list[str]:
     return out
 
 
-def _carrier_dict(c: Carrier) -> dict:
-    d: dict = {"n": c.n, "base": c.u, "size": c.size}
-    if c.size <= 64:
-        d["members"] = [list(s) for s in c.seqs]
-    return d
-
-
-def _elem_seqs(e: Elem) -> list:
-    return [list(s) for s in e.seqs()]
-
-
-def _verdict_dict(v: Verdict) -> dict:
-    d: dict = {"outcome": v.outcome, "assignments_tested": v.assignments_tested}
-    if v.trials is not None:
-        d["trials"] = v.trials
-    if v.seed is not None:
-        d["seed"] = v.seed
-    if v.witness is not None:
-        d["witness"] = {nm: _elem_seqs(e) for nm, e in sorted(v.witness.items())}
-    return d
-
-
-def _hom_dict(r: HomReport) -> dict:
-    return {
-        "big": _carrier_dict(r.big),
-        "sub": _carrier_dict(r.sub),
-        "ops_checked": list(r.ops_checked),
-        "mode": r.mode,
-        "seed": r.seed,
-        "elements_tested": r.elements_tested,
-        "pairs_tested": r.pairs_tested,
-        "violation": r.violation,
-        "passed": r.passed,
-    }
-
-
-def _sigma_small_dict(r: SigmaSmallReport) -> dict:
-    return {
-        "n": r.n,
-        "k": r.k,
-        "pairs_mode": r.pairs_mode,
-        "pairs_checked": r.pairs_checked,
-        "certificate_holds": r.certificate_holds,
-        "constants_checked": r.constants_checked,
-        "perms_checked": r.perms_checked,
-        "brute_ran": r.brute_ran,
-        "brute_mode": r.brute_mode,
-        "brute_seed": r.brute_seed,
-        "brute_holds": r.brute_holds,
-        "assignments_tested": r.assignments_tested,
-        "counterexample": r.counterexample,
-        "agree": r.agree,
-        "holds": r.holds,
-        "note": r.note,
-    }
-
-
-def _counterexample_dict(r: CounterexampleReport) -> dict:
-    return {
-        "n": r.n,
-        "carrier": _carrier_dict(r.carrier),
-        "f": list(r.f.images),
-        "g": list(r.g.images),
-        "x": _elem_seqs(r.x),
-        "permutable": r.permutable,
-        "union_is_complement": r.union_is_complement,
-        "complement_is_even_units": r.complement_is_even_units,
-        "carrier_nonempty": r.carrier_nonempty,
-        "named_witness_falsifies": r.named_witness_falsifies,
-        "verdict": _verdict_dict(r.verdict),
-        "witness_is_named": r.witness_is_named,
-        "passed": r.passed,
-    }
-
-
-def _escape_dict(r: EscapeReport) -> dict:
-    return {
-        "n": r.n,
-        "hom": _hom_dict(r.hom),
-        "surjective": r.surjective,
-        "sigma_big": _sigma_small_dict(r.sigma_big),
-        "sigma_sub": _verdict_dict(r.sigma_sub),
-        "sub_nondegenerate": r.sub_nondegenerate,
-        "passed": r.passed,
-    }
-
-
-def _ultra_dict(r: UltraproductReport) -> dict:
-    return {
-        "factor_count": r.factor_count,
-        "index": r.index,
-        "classes_tested": r.classes_tested,
-        "lift_pairs_tested": r.lift_pairs_tested,
-        "projection_agrees": r.projection_agrees,
-        "well_defined": r.well_defined,
-        "preserves_ops": r.preserves_ops,
-        "injective": r.injective,
-        "mode": r.mode,
-        "seed": r.seed,
-        "violation": r.violation,
-        "passed": r.passed,
-    }
-
-
 # --- argument handling ---------------------------------------------------
 
 
@@ -397,13 +317,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, sampling: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, seed: bool = True, modes: bool = True) -> None:
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallelism degree to forward to checkers (currently serial)")
-        if sampling:
+        if seed:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                            help=f"seed for sampled checks (default {DEFAULT_SEED})")
+        if modes:
             grp = p.add_mutually_exclusive_group()
             grp.add_argument("--exhaustive", action="store_true",
                              help="force exhaustive enumeration (errors if over budget)")
@@ -436,14 +355,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="smallest permutable carrier containing the given one")
     p.add_argument("--spec", required=True, help="path to an .alg file")
-    common(p, sampling=False)
+    common(p, seed=False, modes=False)
 
     p = sub.add_parser("ultraproduct",
                        help="ultraproduct of full algebras by a principal ultrafilter")
     p.add_argument("--spec", action="append", required=True,
                    help="factor .alg file (repeat per factor)")
     p.add_argument("--index", type=int, default=0, help="principal index i0 (default 0)")
-    common(p)
+    common(p, modes=False)
 
     return parser
 
@@ -461,23 +380,14 @@ def _budget_from_env() -> int:
     return value
 
 
-def _mode_from_args(args: argparse.Namespace, budget: int):
-    if getattr(args, "exhaustive", False):
-        return Exhaustive(budget)
-    trials = getattr(args, "random", None)
-    if trials is not None:
-        if trials <= 0:
+def _mode_from_args(args: argparse.Namespace) -> Exhaustive | Random | None:
+    if args.exhaustive:
+        return Exhaustive()
+    if args.random is not None:
+        if args.random <= 0:
             raise UsageError("--random needs a positive trial count")
-        return Random(trials, args.seed)
-    return None  # auto: exhaustive when it fits the budget, sampled otherwise
-
-
-def _mode_string(mode, budget: int) -> str:
-    if isinstance(mode, Exhaustive):
-        return "exhaustive"
-    if isinstance(mode, Random):
-        return f"random({mode.trials})"
-    return f"auto(budget={budget})"
+        return Random(args.random, args.seed)
+    return None  # auto: resolve_mode picks with the run's budget
 
 
 # --- subcommands ---------------------------------------------------------
@@ -487,33 +397,27 @@ def _cmd_sigma_demo(args: argparse.Namespace, budget: int) -> tuple[RunReport, i
     n = args.n
     if not 2 <= n <= 6:
         raise UsageError(f"sigma-demo supports 2 <= n <= 6, got {n}")
+    mode = _mode_from_args(args)
     counter = build_counterexample(n)
     escape = verify_h_escape(n, budget=budget, seed=args.seed) if n <= 4 else None
     pairs = "all" if args.all_perm_pairs else (forward_cycle(n), backward_cycle(n))
-    small = sigma_holds_small(n, 2, pairs=pairs, mode=_mode_from_args(args, budget),
-                              budget=budget, seed=args.seed)
+    small = sigma_holds_small(n, 2, pairs=pairs, mode=mode, budget=budget, seed=args.seed)
     passed = counter.passed and small.holds and small.agree and (escape is None or escape.passed)
-    details = {
-        "counterexample": _counterexample_dict(counter),
-        "sigma_small_base_2": _sigma_small_dict(small),
-    }
-    if escape is not None:
-        details["escape"] = _escape_dict(escape)
-    else:
-        details["escape"] = f"skipped (runs for n <= 4, n = {n})"
     report = RunReport(
         command="sigma-demo",
-        inputs={"n": n, "all_perm_pairs": args.all_perm_pairs, "workers": args.workers,
-                "budget": budget},
+        inputs={"n": n, "all_perm_pairs": args.all_perm_pairs, "budget": budget},
         outcome="all assertions reproduced" if passed else "an assertion failed",
         passed=passed,
-        mode=_mode_string(_mode_from_args(args, budget), budget),
+        mode=f"auto(budget={budget})" if mode is None else mode.label,
         seed=args.seed,
         counts={"counterexample_assignments": counter.verdict.assignments_tested,
                 "sigma_small_assignments": small.assignments_tested},
-        witness={nm: _elem_seqs(e) for nm, e in sorted(counter.verdict.witness.items())}
-        if counter.verdict.witness else None,
-        details=details,
+        witness=counter.verdict.witness or None,
+        details={
+            "counterexample": counter,
+            "sigma_small_base_2": small,
+            "escape": escape or f"skipped (runs for n <= 4, n = {n})",
+        },
         wall_time_s=0.0,
     )
     return report, 0 if passed else 1
@@ -522,31 +426,28 @@ def _cmd_sigma_demo(args: argparse.Namespace, budget: int) -> tuple[RunReport, i
 def _cmd_check(args: argparse.Namespace, budget: int) -> tuple[RunReport, int]:
     spec = load_algebra_spec(args.spec)
     carrier = spec.to_carrier()
-    mode = _mode_from_args(args, budget) or Exhaustive(budget)
     if args.eq is not None:
-        formula: Equation | QuasiEquation = parse_equation(args.eq)
-        canonical = print_equation(formula)
-        verdict = check_equation(carrier, formula, mode)
-        kind = "eq"
-        text = args.eq
+        kind, text = "eq", args.eq
+        formula: Equation | QuasiEquation = parse_equation(text)
+        canonical, names, check = print_equation(formula), equation_vars(formula), check_equation
     else:
-        formula = parse_quasi(args.quasi)
-        canonical = print_quasi(formula)
-        verdict = check_quasi(carrier, formula, mode)
-        kind = "quasi"
-        text = args.quasi
+        kind, text = "quasi", args.quasi
+        formula = parse_quasi(text)
+        canonical, names, check = print_quasi(formula), quasi_vars(formula), check_quasi
+    # resolved here, with the run's budget and seed, so the report names the mode
+    mode = resolve_mode(1 << (carrier.size * len(names)), _mode_from_args(args),
+                        budget, args.seed)
+    verdict = check(carrier, formula, mode)
     report = RunReport(
         command="check",
-        inputs={"spec": spec.describe(), kind: text, "canonical": canonical,
-                "workers": args.workers, "budget": budget},
+        inputs={"spec": spec, kind: text, "canonical": canonical, "budget": budget},
         outcome=verdict.outcome,
         passed=verdict.holds,
-        mode=_mode_string(mode, budget),
+        mode=mode.label,
         seed=verdict.seed,
         counts={"assignments_tested": verdict.assignments_tested,
                 "carrier_size": carrier.size},
-        witness={nm: _elem_seqs(e) for nm, e in sorted(verdict.witness.items())}
-        if verdict.witness else None,
+        witness=verdict.witness or None,
         details={},
         wall_time_s=0.0,
     )
@@ -556,19 +457,18 @@ def _cmd_check(args: argparse.Namespace, budget: int) -> tuple[RunReport, int]:
 def _cmd_verify_relativization(args: argparse.Namespace, budget: int) -> tuple[RunReport, int]:
     big = load_algebra_spec(args.big).to_carrier()
     sub = load_algebra_spec(args.sub).to_carrier()
-    mode = _mode_from_args(args, budget)
-    hom = verify_relativization(big, sub, mode=mode, budget=budget, seed=args.seed)
+    hom = verify_relativization(big, sub, mode=_mode_from_args(args), budget=budget,
+                                seed=args.seed)
     report = RunReport(
         command="verify-relativization",
-        inputs={"big": _carrier_dict(big), "sub": _carrier_dict(sub),
-                "workers": args.workers, "budget": budget},
+        inputs={"big": big, "sub": sub, "budget": budget},
         outcome="homomorphism verified" if hom.passed else f"violation in {hom.violation['op']}",
         passed=hom.passed,
         mode=hom.mode,
         seed=hom.seed,
         counts={"elements_tested": hom.elements_tested, "pairs_tested": hom.pairs_tested},
         witness=None,
-        details=_hom_dict(hom),
+        details=hom,
         wall_time_s=0.0,
     )
     return report, 0 if hom.passed else 1
@@ -577,13 +477,12 @@ def _cmd_verify_relativization(args: argparse.Namespace, budget: int) -> tuple[R
 def _cmd_decompose(args: argparse.Namespace, budget: int) -> tuple[RunReport, int]:
     if args.n < 0 or args.k < 0:
         raise UsageError("--n and --k must be naturals")
-    mode = _mode_from_args(args, budget)
-    records, sep = decompose_small(args.n, args.k, mode=mode, budget=budget, seed=args.seed)
-    all_nonzero = all(r.image_nonzero for r in records)
-    passed = all_nonzero and sep.separated
+    records, sep = decompose_small(args.n, args.k, mode=_mode_from_args(args),
+                                   budget=budget, seed=args.seed)
+    passed = all(r.image_nonzero for r in records) and sep.separated
     report = RunReport(
         command="decompose",
-        inputs={"n": args.n, "k": args.k, "workers": args.workers, "budget": budget},
+        inputs={"n": args.n, "k": args.k, "budget": budget},
         outcome="atoms map faithfully and separate" if passed else "decomposition failed",
         passed=passed,
         mode=sep.mode,
@@ -591,22 +490,8 @@ def _cmd_decompose(args: argparse.Namespace, budget: int) -> tuple[RunReport, in
         counts={"atoms": len(records), "elements": sep.elements,
                 "pairs_tested": sep.pairs_tested},
         witness=None,
-        details={
-            "records": [
-                {
-                    "atom": list(r.atom_seq) if r.atom_seq is not None else None,
-                    "base_used": list(r.base_used),
-                    "k": r.k,
-                    "renaming": {str(a): b for a, b in sorted(r.renaming.items())},
-                    "target": {"n": r.target.n, "k": r.target.k},
-                    "image_nonzero": r.image_nonzero,
-                    "degenerate": r.degenerate,
-                }
-                for r in records
-            ],
-            "separated": sep.separated,
-            "separation_failure": sep.failure,
-        },
+        details={"records": records, "separated": sep.separated,
+                 "separation_failure": sep.failure},
         wall_time_s=0.0,
     )
     return report, 0 if passed else 1
@@ -620,14 +505,14 @@ def _cmd_closure(args: argparse.Namespace, budget: int) -> tuple[RunReport, int]
     verified = is_permutable(Carrier(closed.n, closed.u, closed.members))
     report = RunReport(
         command="closure",
-        inputs={"spec": spec.describe(), "workers": args.workers},
+        inputs={"spec": spec},
         outcome="closure computed",
         passed=verified,
         mode="exhaustive",
         seed=None,
         counts={"input_size": carrier.size, "closure_size": closed.size},
         witness=None,
-        details={"closure": _carrier_dict(closed), "permutable": verified},
+        details={"closure": closed, "permutable": verified},
         wall_time_s=0.0,
     )
     return report, 0 if verified else 1
@@ -638,8 +523,7 @@ def _cmd_ultraproduct(args: argparse.Namespace, budget: int) -> tuple[RunReport,
     result = principal_ultraproduct(factors, args.index, seed=args.seed)
     report = RunReport(
         command="ultraproduct",
-        inputs={"factors": [_carrier_dict(c) for c in factors], "index": args.index,
-                "workers": args.workers},
+        inputs={"factors": factors, "index": args.index},
         outcome="ultraproduct collapses to the indexed factor" if result.passed
         else "ultraproduct check failed",
         passed=result.passed,
@@ -648,7 +532,7 @@ def _cmd_ultraproduct(args: argparse.Namespace, budget: int) -> tuple[RunReport,
         counts={"classes_tested": result.classes_tested,
                 "lift_pairs_tested": result.lift_pairs_tested},
         witness=None,
-        details=_ultra_dict(result),
+        details=result,
         wall_time_s=0.0,
     )
     return report, 0 if result.passed else 1
@@ -674,8 +558,6 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         budget = _budget_from_env()
-        if args.workers < 1:
-            raise UsageError("--workers must be at least 1")
         report, code = _HANDLERS[args.command](args, budget)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,9 +42,23 @@ DEFAULT_SEED = 1729
 #: exhaustive check is allowed to enumerate.
 DEFAULT_ASSIGNMENT_BUDGET = 1 << 20
 
+#: Default sample size when a check degrades from exhaustive to random.
+DEFAULT_TRIALS = 2000
+
+
+def fmt_count(k: int) -> str:
+    """k in decimal, or as a power-of-two lower bound when too wide to read
+    (str() refuses integers past 4300 digits)."""
+    return str(k) if k.bit_length() <= 256 else f"at least 2^{k.bit_length() - 1}"
+
 
 class BudgetExceeded(RuntimeError):
     """An exhaustive enumeration would overrun its configured budget."""
+
+    def __init__(self, work: int, budget: int):
+        super().__init__(f"exhaustive check needs {fmt_count(work)} evaluations, budget is {budget}")
+        self.work = work
+        self.budget = budget
 
 
 class EvalError(ValueError):
@@ -447,6 +461,10 @@ class Exhaustive:
 
     budget: int | None = None
 
+    @property
+    def label(self) -> str:
+        return "exhaustive"
+
 
 @dataclass(frozen=True)
 class Random:
@@ -455,8 +473,37 @@ class Random:
     trials: int
     seed: int = DEFAULT_SEED
 
+    @property
+    def label(self) -> str:
+        return f"random({self.trials})"
+
 
 Mode = Union[Exhaustive, Random]
+
+
+def resolve_mode(work: int, mode: Mode | None, budget: int | None = None,
+                 seed: int = DEFAULT_SEED) -> Mode:
+    """The one mode policy shared by every checker and verifier.
+
+    work is what an exhaustive run would enumerate.  Auto mode (None)
+    enumerates when work fits the budget and otherwise samples
+    DEFAULT_TRIALS with the given seed.  An explicit Exhaustive over its
+    budget raises BudgetExceeded; its own budget, when set, wins over the
+    budget argument, which defaults to DEFAULT_ASSIGNMENT_BUDGET.  Random
+    passes through.  The result is always concrete.
+    """
+    if isinstance(mode, Random):
+        return mode
+    cap = DEFAULT_ASSIGNMENT_BUDGET if budget is None else budget
+    if mode is None:
+        return Exhaustive(cap) if work <= cap else Random(DEFAULT_TRIALS, seed)
+    if not isinstance(mode, Exhaustive):
+        raise TypeError(f"unknown checking mode: {mode!r}")
+    if mode.budget is not None:
+        cap = mode.budget
+    if work > cap:
+        raise BudgetExceeded(work, cap)
+    return Exhaustive(cap)
 
 
 @dataclass(frozen=True)
@@ -480,23 +527,14 @@ class Verdict:
 
 
 def _assignments(names: list[str], D: Carrier, mode: Mode) -> Iterator[dict[str, Elem]]:
-    space = 1 << D.size
     if isinstance(mode, Exhaustive):
-        budget = DEFAULT_ASSIGNMENT_BUDGET if mode.budget is None else mode.budget
-        total = space ** len(names)
-        if total > budget:
-            raise BudgetExceeded(
-                f"exhaustive check needs {total} assignments, budget is {budget}"
-            )
-        for combo in itertools.product(range(space), repeat=len(names)):
+        for combo in itertools.product(range(1 << D.size), repeat=len(names)):
             yield {nm: Elem(D, b) for nm, b in zip(names, combo)}
-    elif isinstance(mode, Random):
+    else:
         rng = _random.Random(mode.seed)
         size = D.size
         for _ in range(mode.trials):
             yield {nm: Elem(D, rng.getrandbits(size) if size else 0) for nm in names}
-    else:
-        raise TypeError(f"unknown checking mode: {mode!r}")
 
 
 def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Verdict:
@@ -507,19 +545,15 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     violating assignment.
     """
     names = sorted(quasi_vars(qe))
+    mode = resolve_mode(1 << (D.size * len(names)), mode)
+    sampled = {"trials": mode.trials, "seed": mode.seed} if isinstance(mode, Random) else {}
     tested = 0
     for assignment in _assignments(names, D, mode):
         tested += 1
         if quasi_violated(D, qe, assignment):
-            if isinstance(mode, Random):
-                return Verdict(
-                    "fails", witness=assignment, trials=mode.trials, seed=mode.seed,
-                    assignments_tested=tested,
-                )
-            return Verdict("fails", witness=assignment, assignments_tested=tested)
-    if isinstance(mode, Random):
-        return Verdict("holds-sampled", trials=mode.trials, seed=mode.seed, assignments_tested=tested)
-    return Verdict("holds-exhaustive", assignments_tested=tested)
+            return Verdict("fails", witness=assignment, assignments_tested=tested, **sampled)
+    outcome = "holds-sampled" if sampled else "holds-exhaustive"
+    return Verdict(outcome, assignments_tested=tested, **sampled)
 
 
 def check_equation(D: Carrier, eq: Equation, mode: Mode = Exhaustive()) -> Verdict:

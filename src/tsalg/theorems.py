@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random as _random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import (
     Carrier,
@@ -57,7 +57,6 @@ from .seqspace import (
     unit_seq,
 )
 from .termlang import (
-    DEFAULT_ASSIGNMENT_BUDGET,
     DEFAULT_SEED,
     BudgetExceeded,
     Exhaustive,
@@ -65,12 +64,11 @@ from .termlang import (
     Random,
     Verdict,
     check_quasi,
+    fmt_count,
     quasi_violated,
+    resolve_mode,
     sigma,
 )
-
-#: Default sample size when a verifier degrades from exhaustive to random.
-DEFAULT_TRIALS = 2000
 
 
 def forward_cycle(n: int) -> Perm:
@@ -92,10 +90,6 @@ def unit_carrier(n: int, u: int = 2) -> Carrier:
 
 def _transpositions(n: int) -> list[Perm]:
     return [transposition(n, i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _resolve_budget(budget: int | None) -> int:
-    return DEFAULT_ASSIGNMENT_BUDGET if budget is None else budget
 
 
 # --- relativization ----------------------------------------------------
@@ -137,12 +131,10 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
     if not is_permutable(G):
         raise ValueError("sub-carrier is not permutable; relativization needs permutability")
 
-    budget = _resolve_budget(budget)
     space = 1 << E.size
     # the meet check is pairwise, so budget the dominant quadratic cost
     work = space * (space + 1) // 2
-    if mode is None:
-        mode = Exhaustive(budget) if work <= budget else Random(DEFAULT_TRIALS, seed)
+    mode = resolve_mode(work, mode, budget, seed)
     ts = _transpositions(E.n)
     ops = ("meet", "complement", "subst")
     violation: dict | None = None
@@ -151,9 +143,6 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
         return [list(s) for s in Elem(carrier, bits).seqs()]
 
     if isinstance(mode, Exhaustive):
-        eff = budget if mode.budget is None else mode.budget
-        if work > eff:
-            raise BudgetExceeded(f"{work} element pairs exceed budget {eff}")
         H = [relativize(Elem(E, b), G).bits for b in range(space)]
         full_e = space - 1
         full_g = (1 << G.size) - 1
@@ -175,7 +164,7 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
         if violation is None:
             # meet is bitwise AND on both sides, so the pair sweep can run
             # on the precomputed tables
-            pairs = space * (space + 1) // 2
+            pairs = work
             for x in range(space):
                 hx = H[x]
                 for y in range(x, space):
@@ -185,7 +174,7 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
                         break
                 if violation is not None:
                     break
-        return HomReport(E, G, ops, "exhaustive", None, space, pairs, violation)
+        return HomReport(E, G, ops, mode.label, None, space, pairs, violation)
 
     rng = _random.Random(mode.seed)
     size = E.size
@@ -210,8 +199,7 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
                 break
         if stop:
             break
-    return HomReport(E, G, ops, f"random({mode.trials})", mode.seed,
-                     mode.trials, mode.trials, violation)
+    return HomReport(E, G, ops, mode.label, mode.seed, mode.trials, mode.trials, violation)
 
 
 # --- decomposition into small algebras ---------------------------------
@@ -222,7 +210,7 @@ class DecompositionRecord:
     """One atom's route into a small algebra: restrict to the sequences
     over the base values the atom actually uses, then relabel that base."""
 
-    atom_seq: Seq | None
+    atom_seq: Seq | None = field(metadata={"key": "atom"})
     base_used: tuple[int, ...]
     k: int
     renaming: dict[int, int]
@@ -268,12 +256,9 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
         )
         sub_carriers.append(gq)
 
-    budget = _resolve_budget(budget)
     space = 1 << A.size
     # separation is checked pairwise, so budget the quadratic cost
-    work = space * (space - 1) // 2
-    if mode is None:
-        mode = Exhaustive(budget) if work <= budget else Random(DEFAULT_TRIALS, seed)
+    mode = resolve_mode(space * (space - 1) // 2, mode, budget, seed)
 
     def h_table(gq: Carrier) -> list[int]:
         return [relativize(Elem(A, b), gq).bits for b in range(space)]
@@ -287,9 +272,6 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
 
     violation: dict | None = None
     if isinstance(mode, Exhaustive):
-        eff = budget if mode.budget is None else mode.budget
-        if work > eff:
-            raise BudgetExceeded(f"{work} element pairs exceed budget {eff}")
         tables = [h_table(gq) for gq in sub_carriers]
         pairs = 0
         for x in range(space):
@@ -301,7 +283,7 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
                     break
             if violation is not None:
                 break
-        sep = SeparationReport(space, pairs, "exhaustive", None, violation is None, violation)
+        sep = SeparationReport(space, pairs, mode.label, None, violation is None, violation)
     else:
         rng = _random.Random(mode.seed)
         tables = [h_table(gq) for gq in sub_carriers] if space <= 1 << 12 else None
@@ -323,8 +305,7 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
                 violation = {"x": [list(s) for s in Elem(A, x).seqs()],
                              "y": [list(s) for s in Elem(A, y).seqs()]}
                 break
-        sep = SeparationReport(space, pairs, f"random({mode.trials})", mode.seed,
-                               violation is None, violation)
+        sep = SeparationReport(space, pairs, mode.label, mode.seed, violation is None, violation)
     return records, sep
 
 
@@ -400,28 +381,21 @@ def sigma_holds_small(n: int, k: int, pairs: str | tuple[Perm, Perm] = "all",
     fixed = all(compose_right(q, p) == q for q in constants for p in scope)
     certificate = fixed and (D.size == 0 or bool(constants))
 
-    budget = _resolve_budget(budget)
-    space = 1 << D.size
-    total = space * len(pair_list)
-    if mode is None:
-        mode = Exhaustive(budget) if total <= budget else Random(DEFAULT_TRIALS, seed)
-
     note = ""
-    skipped = False
-    if isinstance(mode, Exhaustive):
-        eff = budget if mode.budget is None else mode.budget
-        if total > eff:
-            skipped = True
-            note = (f"brute enumeration needs {total} evaluations, over budget {eff}; "
-                    "only the constant-fixpoint certificate ran")
+    try:
+        brute: Mode | None = resolve_mode((1 << D.size) * len(pair_list), mode, budget, seed)
+    except BudgetExceeded as over:
+        brute = None
+        note = (f"brute enumeration needs {fmt_count(over.work)} evaluations, over budget "
+                f"{over.budget}; only the constant-fixpoint certificate ran")
 
     brute_holds: bool | None = None
     counterexample: dict | None = None
     tested = 0
-    if not skipped:
+    if brute is not None:
         brute_holds = True
         for f, g in pair_list:
-            v = check_quasi(D, sigma(n, f, g), mode)
+            v = check_quasi(D, sigma(n, f, g), brute)
             tested += v.assignments_tested
             if not v.holds:
                 brute_holds = False
@@ -436,13 +410,13 @@ def sigma_holds_small(n: int, k: int, pairs: str | tuple[Perm, Perm] = "all",
         n=n,
         k=k,
         pairs_mode=pairs_mode,
-        pairs_checked=len(pair_list) if not skipped else 0,
+        pairs_checked=0 if brute is None else len(pair_list),
         certificate_holds=certificate,
         constants_checked=len(constants),
         perms_checked=len(scope),
-        brute_ran=not skipped,
-        brute_mode=None if skipped else ("exhaustive" if isinstance(mode, Exhaustive) else f"random({mode.trials})"),
-        brute_seed=mode.seed if isinstance(mode, Random) and not skipped else None,
+        brute_ran=brute is not None,
+        brute_mode=None if brute is None else brute.label,
+        brute_seed=brute.seed if isinstance(brute, Random) else None,
         brute_holds=brute_holds,
         assignments_tested=tested,
         counterexample=counterexample,

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -105,6 +106,8 @@ def test_usage_errors_exit_two(full22, units3, capsys):
         ["sigma-demo", "--n", "1"],
         ["verify-relativization", "--big", full22, "--sub", units3],  # space mismatch
         ["ultraproduct", "--spec", full22, "--index", "3"],
+        ["ultraproduct", "--spec", full22, "--random", "5"],  # no mode flags here
+        ["ultraproduct", "--spec", full22, "--exhaustive"],
         ["decompose", "--n", "-1", "--k", "0"],
         ["nonsense"],
         [],
@@ -228,6 +231,30 @@ def test_budget_env_is_honored(full22, capsys, monkeypatch):
     assert "positive integer" in capsys.readouterr().err
 
 
+def test_check_without_mode_flag_samples_over_budget(tmp_path, capsys):
+    spec = tmp_path / "full42.alg"
+    spec.write_text("n = 4\nbase = 2\ncarrier = full\n")
+    argv = ["check", "--spec", str(spec), "--eq", "x & y = y & x", "--seed", "11", "--json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mode"] == "random(2000)" and report["seed"] == 11
+    assert report["outcome"] == "holds-sampled"
+    assert report["counts"]["assignments_tested"] == 2000
+
+
+def test_size_guards_do_not_build_the_size(tmp_path, capsys):
+    huge = tmp_path / "huge.alg"
+    huge.write_text("n = 3000000\nbase = 1000\ncarrier = full\n")
+    started = time.perf_counter()
+    assert main(["closure", "--spec", str(huge)]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert "exceed the cap of 1048576 members" in capsys.readouterr().err
+    wide = tmp_path / "full142.alg"
+    wide.write_text("n = 14\nbase = 2\ncarrier = full\n")
+    assert main(["check", "--spec", str(wide), "--eq", "x = x", "--exhaustive"]) == 2
+    assert "budget is 1048576" in capsys.readouterr().err
+
+
 def test_sigma_demo_json_replay(capsys):
     argv = ["sigma-demo", "--n", "3", "--json"]
     assert main(argv) == 0
@@ -250,7 +277,3 @@ def test_sigma_demo_json_replay(capsys):
 
     assert quasi_violated(G, sigma(3, f, g), witness)
 
-
-def test_workers_flag_is_echoed(full22, capsys):
-    assert main(["check", "--spec", full22, "--eq", "x = x", "--workers", "4"]) == 0
-    assert "workers: 4" in capsys.readouterr().out
