@@ -25,11 +25,14 @@ import random as _random
 from dataclasses import dataclass, field
 
 from .algebra import (
+    MAX_SUBALGEBRA_ELEMS,
     Carrier,
     Elem,
     ProductAlgebra,
     ProductElem,
+    SizeCapExceeded,
     SmallAlgebra,
+    _capped_power,
     atom,
     carrier_from_seqs,
     complement,
@@ -235,26 +238,33 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
     'relativize to ^n range(q), then relabel the base'; check each atom
     survives its own map, and that the maps jointly separate elements.
     """
+    if _capped_power(k, n, MAX_SUBALGEBRA_ELEMS) > MAX_SUBALGEBRA_ELEMS:
+        raise SizeCapExceeded(
+            f"decomposition of ^{n} {k} would exceed the cap of {MAX_SUBALGEBRA_ELEMS} atoms"
+        )
     A = full_carrier(n, k)
     if A.size == 0:
         # no atoms; the algebra is already the one-element small algebra
         rec = DecompositionRecord(None, (), 0, {}, SmallAlgebra(n, 0), True, degenerate=True)
         return [rec], SeparationReport(1, 0, "exhaustive", None, True, None)
 
+    # atoms over the same base values share their route: at most 2**k - 1
+    routes: dict[tuple[int, ...], tuple[Carrier, Carrier, dict[int, int], SmallAlgebra]] = {}
     records: list[DecompositionRecord] = []
-    sub_carriers: list[Carrier] = []
     for q in A.seqs:
         base_used = tuple(sorted(set(q)))
-        gq = carrier_from_seqs(n, k, itertools.product(base_used, repeat=n))
-        canon, renaming = canonicalize_base(gq)
-        target = SmallAlgebra(n, len(base_used))
-        assert canon == target.carrier  # increasing relabel of a full sub-base space
+        if base_used not in routes:
+            gq = carrier_from_seqs(n, k, itertools.product(base_used, repeat=n))
+            canon, renaming = canonicalize_base(gq)
+            target = SmallAlgebra(n, len(base_used))
+            assert canon == target.carrier  # increasing relabel of a full sub-base space
+            routes[base_used] = (gq, canon, renaming, target)
+        gq, canon, renaming, target = routes[base_used]
         image = Elem(canon, relativize(atom(A, q), gq).bits)
         records.append(
             DecompositionRecord(q, base_used, len(base_used), renaming, target,
                                 not is_zero(image))
         )
-        sub_carriers.append(gq)
 
     space = 1 << A.size
     # separation is checked pairwise, so budget the quadratic cost
@@ -263,21 +273,25 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
     def h_table(gq: Carrier) -> list[int]:
         return [relativize(Elem(A, b), gq).bits for b in range(space)]
 
-    def separated_by_some(tables: list[list[int]], x: int, y: int) -> bool:
+    def tables() -> dict[tuple[int, ...], list[int]]:
+        return {base: h_table(gq) for base, (gq, *_) in routes.items()}
+
+    def separated_by_some(by_base: dict[tuple[int, ...], list[int]], x: int, y: int) -> bool:
         # directed candidate: the atom at a position where x and y differ
         p = ((x ^ y) & -(x ^ y)).bit_length() - 1
-        if tables[p][x] != tables[p][y]:
+        t = by_base[records[p].base_used]
+        if t[x] != t[y]:
             return True
-        return any(t[x] != t[y] for t in tables)
+        return any(t[x] != t[y] for t in by_base.values())
 
     violation: dict | None = None
     if isinstance(mode, Exhaustive):
-        tables = [h_table(gq) for gq in sub_carriers]
+        by_base = tables()
         pairs = 0
         for x in range(space):
             for y in range(x + 1, space):
                 pairs += 1
-                if not separated_by_some(tables, x, y):
+                if not separated_by_some(by_base, x, y):
                     violation = {"x": [list(s) for s in Elem(A, x).seqs()],
                                  "y": [list(s) for s in Elem(A, y).seqs()]}
                     break
@@ -286,7 +300,7 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
         sep = SeparationReport(space, pairs, mode.label, None, violation is None, violation)
     else:
         rng = _random.Random(mode.seed)
-        tables = [h_table(gq) for gq in sub_carriers] if space <= 1 << 12 else None
+        by_base = tables() if space <= 1 << 12 else None
         pairs = 0
         for _ in range(mode.trials):
             x = rng.getrandbits(A.size)
@@ -294,12 +308,12 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
             if x == y:
                 continue
             pairs += 1
-            if tables is not None:
-                ok = separated_by_some(tables, x, y)
+            if by_base is not None:
+                ok = separated_by_some(by_base, x, y)
             else:
                 ok = any(
                     relativize(Elem(A, x), gq) != relativize(Elem(A, y), gq)
-                    for gq in sub_carriers
+                    for gq, *_ in routes.values()
                 )
             if not ok:
                 violation = {"x": [list(s) for s in Elem(A, x).seqs()],

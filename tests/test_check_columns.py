@@ -1,0 +1,262 @@
+"""check_quasi's column evaluator against one-assignment-at-a-time
+references: the package's own tree walk (quasi_violated) in canonical or
+sampled order, and the frozenset oracle built on oracles.brute_subst."""
+
+import itertools
+import random
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
+import hypothesis
+import hypothesis.strategies as strat
+import pytest
+
+from tsalg.algebra import Elem, carrier_from_seqs, full_carrier
+from tsalg.cli import main
+from tsalg import termlang
+from tsalg.seqspace import DimensionMismatch
+from tsalg.termlang import (
+    SAMPLE_CHUNK,
+    SAMPLE_CHUNK_BITS,
+    And,
+    Equation,
+    Exhaustive,
+    Images,
+    Not,
+    One,
+    Or,
+    QuasiEquation,
+    Random,
+    Subst,
+    Transposition,
+    Var,
+    Zero,
+    check_equation,
+    check_quasi,
+    parse_equation,
+    parse_quasi,
+    quasi_vars,
+    quasi_violated,
+)
+
+from oracles import brute_subst, lex_sequences, swap_images
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# --- references -------------------------------------------------------------
+
+
+def oracle_value(t, n, members, env):
+    """Value of t as a frozenset of member tuples, from the definitions."""
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Zero):
+        return frozenset()
+    if isinstance(t, One):
+        return frozenset(members)
+    if isinstance(t, Not):
+        return frozenset(members) - oracle_value(t.arg, n, members, env)
+    if isinstance(t, And):
+        return oracle_value(t.left, n, members, env) & oracle_value(t.right, n, members, env)
+    if isinstance(t, Or):
+        return oracle_value(t.left, n, members, env) | oracle_value(t.right, n, members, env)
+    if isinstance(t.perm, Transposition):
+        images = swap_images(n, t.perm.i, t.perm.j)
+    else:
+        images = t.perm.images
+    return brute_subst(members, images, oracle_value(t.arg, n, members, env))
+
+
+def oracle_violated(qe, n, members, env):
+    def differs(eq):
+        return oracle_value(eq.lhs, n, members, env) != oracle_value(eq.rhs, n, members, env)
+
+    return not any(differs(h) for h in qe.hypotheses) and differs(qe.conclusion)
+
+
+def tree_walk(D, qe, assignments, outcome):
+    """(outcome, witness, assignments tested) of a one-at-a-time scan, with
+    the oracle asked about every assignment on the way."""
+    tested = 0
+    for env in assignments:
+        tested += 1
+        violated = quasi_violated(D, qe, env)
+        sets = {nm: frozenset(e.seqs()) for nm, e in env.items()}
+        assert oracle_violated(qe, D.n, D.seqs, sets) == violated, env
+        if violated:
+            return "fails", env, tested
+    return outcome, None, tested
+
+
+def canonical(D, names):
+    for combo in itertools.product(range(1 << D.size), repeat=len(names)):
+        yield {nm: Elem(D, b) for nm, b in zip(names, combo)}
+
+
+def row_wise(D, names, trials, seed):
+    rng = random.Random(seed)
+    for _ in range(trials):
+        yield {nm: Elem(D, rng.getrandbits(D.size) if D.size else 0) for nm in names}
+
+
+def same_verdict(verdict, expected):
+    outcome, witness, tested = expected
+    assert (verdict.outcome, verdict.witness, verdict.assignments_tested) == (outcome, witness, tested)
+
+
+# --- random carriers and quasi-equations ------------------------------------
+
+
+@strat.composite
+def instances(draw):
+    n = draw(strat.integers(2, 3))
+    u = draw(strat.integers(1, 3))
+    space = lex_sequences(n, u)
+    picks = draw(strat.lists(strat.sampled_from(space), max_size=6, unique=True))
+    D = carrier_from_seqs(n, u, picks)
+    names = ["x", "y"][: draw(strat.integers(1, 2))]
+    specs = strat.one_of(
+        strat.tuples(strat.integers(0, n - 1), strat.integers(0, n - 1))
+        .filter(lambda ij: ij[0] != ij[1])
+        .map(lambda ij: Transposition(*ij)),
+        strat.permutations(range(n)).map(lambda p: Images(tuple(p))),
+    )
+    leaves = strat.sampled_from([Zero(), One(), *map(Var, names)])
+
+    def extend(children):
+        return strat.one_of(
+            strat.tuples(children, children).map(lambda p: And(*p)),
+            strat.tuples(children, children).map(lambda p: Or(*p)),
+            children.map(Not),
+            strat.tuples(specs, children).map(lambda p: Subst(*p)),
+        )
+
+    terms = strat.recursive(leaves, extend, max_leaves=8)
+    equations = strat.builds(Equation, terms, terms)
+    hypotheses = draw(strat.lists(equations, max_size=2))
+    return D, QuasiEquation(tuple(hypotheses), draw(equations))
+
+
+@hypothesis.settings(deadline=None, max_examples=60)
+@hypothesis.given(instances())
+def test_exhaustive_matches_canonical_tree_walk(instance):
+    D, qe = instance
+    names = sorted(quasi_vars(qe))
+    expected = tree_walk(D, qe, canonical(D, names), "holds-exhaustive")
+    same_verdict(check_quasi(D, qe, Exhaustive()), expected)
+    # chunks of 8 assignments: most instances span several
+    with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 3):
+        same_verdict(check_quasi(D, qe, Exhaustive()), expected)
+
+
+@hypothesis.settings(deadline=None, max_examples=60)
+@hypothesis.given(instances(), strat.integers(1, 60), strat.integers(0, 1 << 31))
+def test_sampled_matches_row_wise_tree_walk(instance, trials, seed):
+    D, qe = instance
+    names = sorted(quasi_vars(qe))
+    expected = tree_walk(D, qe, row_wise(D, names, trials, seed), "holds-sampled")
+    verdict = check_quasi(D, qe, Random(trials, seed))
+    assert (verdict.trials, verdict.seed) == (trials, seed)
+    same_verdict(verdict, expected)
+    # chunks of at most 7 trials, and of 8 // |D| on carriers of 2 or more
+    with mock.patch.object(termlang, "SAMPLE_CHUNK", 7), \
+            mock.patch.object(termlang, "SAMPLE_CHUNK_BITS", 8):
+        same_verdict(check_quasi(D, qe, Random(trials, seed)), expected)
+
+
+# --- chunk boundaries --------------------------------------------------------
+
+
+def test_exhaustive_least_witness_past_the_first_chunk():
+    D = full_carrier(3, 2)
+    v = check_equation(D, parse_equation("x & y & z = 0"), Exhaustive(1 << 24))
+    # x is the most significant name: no violation while x = 0, so the
+    # least one is x = y = z = {(0,0,0)} at index 2**16 + 2**8 + 1
+    assert v.outcome == "fails"
+    assert {nm: e.bits for nm, e in v.witness.items()} == {"x": 1, "y": 1, "z": 1}
+    assert v.assignments_tested == 65_793 + 1
+
+
+def test_sampled_failure_first_hit_in_the_second_chunk():
+    # violated only by x = 1, which a 12-member carrier draws once in 4096;
+    # the s_f keeps the check on columns
+    D = carrier_from_seqs(2, 4, lex_sequences(2, 4)[:12])
+    qe = parse_quasi("x = 1 => s[0,1] 0 = 1")
+
+    def first_hit(seed):
+        rng = random.Random(seed)
+        return next(t for t in itertools.count(1) if rng.getrandbits(12) == 4095)
+
+    seed = next(s for s in itertools.count() if first_hit(s) > SAMPLE_CHUNK)
+    trials = 3 * SAMPLE_CHUNK
+    expected = tree_walk(D, qe, row_wise(D, ["x"], trials, seed), "holds-sampled")
+    assert expected[0] == "fails" and SAMPLE_CHUNK < expected[2] <= trials
+    same_verdict(check_quasi(D, qe, Random(trials, seed)), expected)
+
+
+def test_sampled_chunks_narrow_on_wide_carriers():
+    size = SAMPLE_CHUNK_BITS // 100
+    chunks = termlang._sampled_chunks(size, 1, 1000, 1)
+    assert [width for _, width, _ in chunks] == [100] * 10
+
+
+@pytest.mark.parametrize("text", ["x & y = y & x", "x & y = x", "x = ~y => x | y = 0"])
+def test_sampled_laws_without_subst_go_row_by_row(text):
+    D = full_carrier(10, 2)
+    qe = parse_quasi(text) if "=>" in text else QuasiEquation((), parse_equation(text))
+    expected = tree_walk(D, qe, row_wise(D, ["x", "y"], 20, 3), "holds-sampled")
+    with mock.patch.object(termlang, "_sampled_chunks", side_effect=AssertionError("columns built")):
+        same_verdict(check_quasi(D, qe, Random(20, 3)), expected)
+
+
+def test_sampled_holds_across_a_partial_last_chunk():
+    D = full_carrier(2, 2)
+    v = check_quasi(D, parse_quasi("x = y => s[0,1] x = s[0,1] y"), Random(SAMPLE_CHUNK + 7, 5))
+    assert v.outcome == "holds-sampled" and v.assignments_tested == SAMPLE_CHUNK + 7
+
+
+# --- operator specs are resolved before enumeration ---------------------------
+
+# the hypotheses contradict each other, so no assignment reaches the
+# conclusion, whose operator does not fit dimension 2
+UNREACHED = "x = 0, x = 1 => s[0,5] x = x"
+
+
+def test_unfit_spec_in_unreached_conclusion_raises():
+    D = full_carrier(2, 2)
+    qe = parse_quasi(UNREACHED)
+    assert not any(quasi_violated(D, qe, env) for env in canonical(D, ["x"]))
+    for mode in (Exhaustive(), Random(10, 1)):
+        with pytest.raises(DimensionMismatch):
+            check_quasi(D, qe, mode)
+
+
+def test_unfit_spec_in_unreached_conclusion_exits_two(tmp_path, capsys):
+    spec = tmp_path / "full22.alg"
+    spec.write_text("n = 2\nbase = 2\ncarrier = full\n")
+    assert main(["check", "--spec", str(spec), "--quasi", UNREACHED]) == 2
+    assert "does not fit dimension 2" in capsys.readouterr().err
+
+
+# --- re-imports --------------------------------------------------------------
+
+
+def test_reimports_release_earlier_modules():
+    # runs in a child process: re-importing here would hand later tests
+    # new classes
+    script = f"""
+import gc, importlib, sys
+sys.path.insert(0, {str(SRC)!r})
+for _ in range(50):
+    for name in [m for m in sys.modules if m == "tsalg" or m.startswith("tsalg.")]:
+        del sys.modules[name]
+    importlib.import_module("tsalg")
+gc.collect()
+print(sum(1 for o in gc.get_objects() if isinstance(o, type) and o.__name__ == "Carrier"))
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert int(done.stdout) <= 2

@@ -161,6 +161,15 @@ def test_decompose_cli(capsys):
     assert "atoms map faithfully and separate" in out
 
 
+def test_decompose_over_the_atom_cap_exits_two_at_once(capsys):
+    # 2**20 atoms fit the member cap but not the atom cap, which must be
+    # checked before any per-atom carrier is built
+    start = time.perf_counter()
+    assert main(["decompose", "--n", "20", "--k", "2"]) == 2
+    assert time.perf_counter() - start < 2
+    assert "exceed the cap of 65536 atoms" in capsys.readouterr().err
+
+
 def test_closure_cli(tmp_path, capsys):
     spec = tmp_path / "seed.alg"
     spec.write_text("n = 3\nbase = 3\ncarrier = [[0,1,2]]\n")

@@ -203,6 +203,16 @@ def test_decompose_big_base_lands_in_small_targets():
     assert sep.separated
 
 
+def test_decompose_shares_one_route_per_base():
+    records, sep = decompose_small(3, 3, mode=Random(trials=20, seed=1))
+    first = {}
+    for r in records:
+        route = first.setdefault(r.base_used, r)
+        assert r.target is route.target and r.renaming is route.renaming
+    assert len(first) == 2**3 - 1
+    assert all(r.image_nonzero for r in records) and sep.separated
+
+
 def test_decompose_auto_mode_degrades_on_pairwise_work():
     # 2**16 elements means ~2e9 separation pairs: auto must go random
     _, sep = decompose_small(2, 4, seed=6)
