@@ -5,8 +5,11 @@ the powerset of D: elements are subsets stored as bit vectors indexed by
 *position in D* (not by rank in the ambient space), so relativized
 carriers stay dense.  The substitution operator for a permutation f sends
 X to {q in D : q . f in X}; per (carrier, permutation) this is compiled
-once into bit masks and then applied to any element by OR-ing masks over
-the set bits.
+once into a gather, one entry per member: the position of q . f, or None
+when q . f is outside D.  Relativizing to a sub-carrier G is a gather as
+well, G's member p reading position gather[p] of the super-carrier.  Both
+subst and relativize apply the cached list, and so does the column
+evaluator in termlang.
 
 A carrier is *permutable* when it is closed under swapping any two
 coordinates of its members (hence under every coordinate permutation).
@@ -69,10 +72,10 @@ class Carrier:
     members holds ranks in strictly increasing order, so position in the
     carrier is itself a canonical order.  Structurally equal carriers
     (same n, u, members) are interchangeable; the permutability flag and
-    the compiled substitution masks are write-once caches.
+    the compiled gathers are write-once caches.
     """
 
-    __slots__ = ("n", "u", "members", "member_index", "_seqs", "_permutable", "_subst_masks")
+    __slots__ = ("n", "u", "members", "member_index", "_seqs", "_permutable", "_gathers", "_hash")
 
     def __init__(self, n: int, u: int, members: Iterable[SpaceRank]):
         if n < 0 or u < 0:
@@ -91,7 +94,12 @@ class Carrier:
         self.member_index: dict[SpaceRank, int] = {r: p for p, r in enumerate(self.members)}
         self._seqs: tuple[Seq, ...] | None = None
         self._permutable: bool | None = None
-        self._subst_masks: dict[tuple[int, ...], list[int]] = {}
+        # keyed by permutation images (see _gather_for) or by a super-carrier
+        # (see _gather_from)
+        self._gathers: dict[object, list] = {}
+        # cached: a carrier keys its sub-carriers' gather caches, looked up
+        # on every relativize
+        self._hash = hash((n, u, self.members))
 
     @property
     def size(self) -> int:
@@ -112,7 +120,7 @@ class Carrier:
         return (self.n, self.u, self.members) == (other.n, other.u, other.members)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.u, self.members))
+        return self._hash
 
     def __repr__(self) -> str:
         if self.size <= 8:
@@ -121,26 +129,35 @@ class Carrier:
             body = f"{self.size} sequences"
         return f"Carrier(n={self.n}, u={self.u}, {body})"
 
-    def _masks_for(self, f: Perm) -> list[int]:
-        """Compiled substitution masks for f: masks[src] is the bit set of
-        positions p whose member composes into member src."""
+    def _gather_for(self, f: Perm) -> list[int | None]:
+        """s_f compiled as a gather: entry p is the position of the member
+        p . f, or None when that composite is outside the carrier."""
         key = f.images
-        masks = self._subst_masks.get(key)
-        if masks is None:
+        gather = self._gathers.get(key)
+        if gather is None:
             if f.n != self.n:
                 raise DimensionMismatch(
                     f"permutation of dimension {f.n} on a carrier of dimension {self.n}"
                 )
-            masks = [0] * self.size
             idx = self.member_index
             u = self.u
-            for p, s in enumerate(self.seqs):
-                r = _rank_unchecked(tuple(s[v] for v in key), u)
-                tp = idx.get(r)
-                if tp is not None:
-                    masks[tp] |= 1 << p
-            self._subst_masks[key] = masks
-        return masks
+            gather = [idx.get(_rank_unchecked(tuple(s[v] for v in key), u)) for s in self.seqs]
+            self._gathers[key] = gather
+        return gather
+
+    def _gather_from(self, E: "Carrier") -> list[int]:
+        """x -> x ∩ self for x over the super-carrier E, compiled as a
+        gather: entry p is the position in E of this carrier's member p."""
+        gather = self._gathers.get(E)
+        if gather is None:
+            if (E.n, E.u) != (self.n, self.u):
+                raise ValueError("sub-carrier lives in a different sequence space")
+            eidx = E.member_index
+            gather = [eidx.get(r) for r in self.members]
+            if None in gather:
+                raise ValueError("not a sub-carrier of the bigger carrier")
+            self._gathers[E] = gather
+        return gather
 
 
 def full_carrier(n: int, u: int, *, max_members: int | None = None) -> Carrier:
@@ -338,13 +355,11 @@ def elem_from_seqs(D: Carrier, seqs: Iterable[Seq]) -> Elem:
     return Elem(D, bits)
 
 
-def _apply_masks(masks: list[int], bits: int) -> int:
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= masks[low.bit_length() - 1]
-        bits ^= low
-    return out
+def _apply_gather(gather: list[int | None], bits: int, size: int) -> int:
+    """Bit p of the result is bit gather[p] of bits, a vector over size
+    positions, or 0 where gather[p] is None."""
+    text = format(bits, f"0{size}b")[::-1]  # text[i] is bit i
+    return int("0" + "".join(["0" if src is None else text[src] for src in reversed(gather)]), 2)
 
 
 def subst(D: Carrier, f: Perm, x: Elem) -> Elem:
@@ -354,7 +369,7 @@ def subst(D: Carrier, f: Perm, x: Elem) -> Elem:
     enter the result.
     """
     _owned(D, x)
-    return Elem(D, _apply_masks(D._masks_for(f), x.bits))
+    return Elem(D, _apply_gather(D._gather_for(f), x.bits, D.size))
 
 
 def generate_subalgebra(D: Carrier, generators: Iterable[Elem], *, max_elems: int | None = None) -> list[Elem]:
@@ -366,8 +381,8 @@ def generate_subalgebra(D: Carrier, generators: Iterable[Elem], *, max_elems: in
     """
     cap = MAX_SUBALGEBRA_ELEMS if max_elems is None else max_elems
     full = (1 << D.size) - 1
-    tmasks = [
-        D._masks_for(transposition(D.n, i, j))
+    tgathers = [
+        D._gather_for(transposition(D.n, i, j))
         for i in range(D.n)
         for j in range(i + 1, D.n)
     ]
@@ -389,8 +404,8 @@ def generate_subalgebra(D: Carrier, generators: Iterable[Elem], *, max_elems: in
     while pending:
         b = pending.pop()
         add(full ^ b)
-        for m in tmasks:
-            add(_apply_masks(m, b))
+        for g in tgathers:
+            add(_apply_gather(g, b, D.size))
         for c in list(elems):
             add(b & c)
     return [Elem(D, b) for b in sorted(elems)]
@@ -406,18 +421,7 @@ def relativize(x: Elem, G: Carrier) -> Elem:
     E = x.carrier
     if E is G or E == G:
         return Elem(G, x.bits)
-    if (E.n, E.u) != (G.n, G.u):
-        raise ValueError("carriers live in different sequence spaces")
-    eidx = E.member_index
-    xb = x.bits
-    out = 0
-    for p, r in enumerate(G.members):
-        ep = eidx.get(r)
-        if ep is None:
-            raise ValueError("not a sub-carrier of the element's carrier")
-        if xb >> ep & 1:
-            out |= 1 << p
-    return Elem(G, out)
+    return Elem(G, _apply_gather(G._gather_from(E), x.bits, E.size))
 
 
 def canonicalize_base(D: Carrier) -> tuple[Carrier, dict[int, int]]:

@@ -27,13 +27,16 @@ order, and always reports the seed it used.
 
 check_quasi evaluates by columns rather than one assignment at a time.
 It takes assignments in chunks (2**16 in canonical order, or up to 4096
-sampled trials) and gives each carrier position one int whose bit a says whether
-that position is in the value under assignment a of the chunk.  '~', '&'
-and '|' act on whole columns, and s_f gathers columns through the carrier's
-compiled substitution masks, resolved once per check.  The assignments
-that meet every hypothesis and break the conclusion form one bit set;
-its lowest bit is the least (or first sampled) violation, so verdicts,
-witnesses and counts are those of the one-at-a-time scan.  eval_term and
+sampled trials) and gives each carrier position one int whose bit a says
+whether that position is in the value under assignment a of the chunk.
+'~', '&' and '|' act on whole columns, and s_f gathers columns through
+the table the carrier compiles once per operator.  The assignments that
+meet every hypothesis and break the conclusion form one bit set; its
+lowest bit is the least (or first sampled) violation, so verdicts,
+witnesses and counts are those of the one-at-a-time scan.  This chunk
+loop (_chunks) is the one assignment source of every law check: the
+relativization and separation laws in theorems run through it as well,
+relativizing to a sub-carrier being one more gather.  eval_term and
 quasi_violated walk the tree for a single assignment and re-check every
 witness.  A sampled check of a quasi-equation without s_f walks the tree
 once per trial instead: there '~', '&' and '|' on one bit vector already
@@ -52,7 +55,6 @@ from .algebra import (
     Carrier,
     CarrierMismatch,
     Elem,
-    _bit_positions,
     complement,
     join,
     meet,
@@ -569,23 +571,24 @@ SAMPLE_CHUNK = 4096
 SAMPLE_CHUNK_BITS = 1 << 21
 
 
-def _gather(D: Carrier, f: Perm) -> list[int | None]:
-    """gather[p] is the position of the member that member p composes into
-    under f, or None when that composite is outside D."""
-    out: list[int | None] = [None] * D.size
-    for src, mask in enumerate(D._masks_for(f)):
-        for p in _bit_positions(mask):
-            out[p] = src
-    return out
+class _Program(list):
+    """A straight-line program over columns.  Ops: ("var", j), ("zero",
+    size), ("one", size), ("not", a), ("and", a, b), ("or", a, b) and
+    ("gather", a, table): column p of a gather is column table[p] of slot
+    a, or 0 where table[p] is None (algebra.Carrier._gather_for/_from)."""
+
+    def emit(self, *op) -> int:
+        self.append(op)
+        return len(self) - 1
 
 
-def _compile(qe: QuasiEquation, D: Carrier, names: list[str]) -> tuple[list[tuple], list[tuple[int, int]]]:
-    """qe as a straight-line program over columns, equal subterms shared,
-    plus the (lhs, rhs) slots of each hypothesis and then the conclusion.
+def _compile(qe: QuasiEquation, D: Carrier, names: list[str]) -> tuple[_Program, list[tuple[int, int]]]:
+    """qe as a program, equal subterms shared, plus the (lhs, rhs) slots of
+    each hypothesis and then the conclusion.
 
     Every operator spec is resolved here, once, so a spec that does not
     fit D raises DimensionMismatch before any assignment is tried."""
-    program: list[tuple] = []
+    program = _Program()
     slots: dict[Term, int] = {}
     gathers: dict[PermSpec, list[int | None]] = {}
 
@@ -596,9 +599,9 @@ def _compile(qe: QuasiEquation, D: Carrier, names: list[str]) -> tuple[list[tupl
         if isinstance(t, Var):
             op: tuple = ("var", names.index(t.name))
         elif isinstance(t, Zero):
-            op = ("zero",)
+            op = ("zero", D.size)
         elif isinstance(t, One):
-            op = ("one",)
+            op = ("one", D.size)
         elif isinstance(t, Not):
             op = ("not", emit(t.arg))
         elif isinstance(t, And):
@@ -607,31 +610,28 @@ def _compile(qe: QuasiEquation, D: Carrier, names: list[str]) -> tuple[list[tupl
             op = ("or", emit(t.left), emit(t.right))
         elif isinstance(t, Subst):
             if t.perm not in gathers:
-                gathers[t.perm] = _gather(D, spec_perm(t.perm, D.n))
-            op = ("subst", emit(t.arg), gathers[t.perm])
+                gathers[t.perm] = D._gather_for(spec_perm(t.perm, D.n))
+            op = ("gather", emit(t.arg), gathers[t.perm])
         else:
             raise TypeError(f"not a term node: {t!r}")
-        program.append(op)
-        slots[t] = len(program) - 1
+        slots[t] = program.emit(*op)
         return slots[t]
 
     equations = [(emit(eq.lhs), emit(eq.rhs)) for eq in (*qe.hypotheses, qe.conclusion)]
     return program, equations
 
 
-def _violations(program: list[tuple], equations: list[tuple[int, int]],
-                var_columns: list[list[int]], size: int, full: int) -> int:
-    """Bit set of the chunk's assignments that satisfy every hypothesis but
-    not the conclusion; full has one bit per assignment of the chunk."""
+def _run(program: _Program, var_columns: list[list[int]], full: int) -> list[list[int]]:
+    """Every slot's columns for one chunk; full has one bit per assignment."""
     vals: list[list[int]] = []
     for op in program:
         kind = op[0]
         if kind == "var":
             col = var_columns[op[1]]
         elif kind == "zero":
-            col = [0] * size
+            col = [0] * op[1]
         elif kind == "one":
-            col = [full] * size
+            col = [full] * op[1]
         elif kind == "not":
             col = [c ^ full for c in vals[op[1]]]
         elif kind == "and":
@@ -642,14 +642,22 @@ def _violations(program: list[tuple], equations: list[tuple[int, int]],
             arg = vals[op[1]]
             col = [0 if src is None else arg[src] for src in op[2]]
         vals.append(col)
-    *hypotheses, conclusion = [
-        functools.reduce(operator.or_, map(operator.xor, vals[lhs], vals[rhs]), 0)
-        for lhs, rhs in equations
-    ]
+    return vals
+
+
+def _differs(vals: list[list[int]], lhs: int, rhs: int) -> int:
+    """Bit set of the chunk's assignments under which slots lhs and rhs differ."""
+    return functools.reduce(operator.or_, map(operator.xor, vals[lhs], vals[rhs]), 0)
+
+
+def _violations(vals: list[list[int]], equations: list[tuple[int, int]], full: int) -> int:
+    """Bit set of the chunk's assignments that satisfy every hypothesis but
+    not the conclusion (the last pair of equations)."""
+    *hypotheses, conclusion = equations
     live = full
-    for differs in hypotheses:
-        live &= ~differs
-    return live & conclusion
+    for lhs, rhs in hypotheses:
+        live &= ~_differs(vals, lhs, rhs)
+    return live & _differs(vals, *conclusion)
 
 
 def _exhaustive_chunks(size: int, nvars: int) -> Iterator[tuple[int, int, list[list[int]]]]:
@@ -717,6 +725,20 @@ def _check_rows(D: Carrier, qe: QuasiEquation, names: list[str], mode: Random) -
     return Verdict("holds-sampled", trials=mode.trials, seed=mode.seed, assignments_tested=mode.trials)
 
 
+def _chunks(program: _Program, size: int, nvars: int,
+            mode: Mode) -> Iterator[tuple[int, int, list[list[int]], list[list[int]]]]:
+    """The one assignment source of every column check: for each chunk of
+    mode's assignments to nvars variables over a carrier of size members,
+    (index of its first assignment, its width, each variable's columns,
+    each program slot's columns)."""
+    if isinstance(mode, Random):
+        chunks = _sampled_chunks(size, nvars, mode.trials, mode.seed)
+    else:
+        chunks = _exhaustive_chunks(size, nvars)
+    for start, width, columns in chunks:
+        yield start, width, columns, _run(program, columns, (1 << width) - 1)
+
+
 def _row(columns: list[int], a: int) -> int:
     """The bit vector that columns give assignment a of their chunk."""
     return sum((col >> a & 1) << p for p, col in enumerate(columns))
@@ -735,17 +757,12 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     names = sorted(quasi_vars(qe))
     mode = resolve_mode(1 << (D.size * len(names)), mode)
     program, equations = _compile(qe, D, names)
-    if isinstance(mode, Random):
-        if not any(op[0] == "subst" for op in program):
-            return _check_rows(D, qe, names, mode)
-        sampled = {"trials": mode.trials, "seed": mode.seed}
-        chunks = _sampled_chunks(D.size, len(names), mode.trials, mode.seed)
-    else:
-        sampled = {}
-        chunks = _exhaustive_chunks(D.size, len(names))
+    if isinstance(mode, Random) and not any(op[0] == "gather" for op in program):
+        return _check_rows(D, qe, names, mode)
+    sampled = {"trials": mode.trials, "seed": mode.seed} if isinstance(mode, Random) else {}
     tested = 0
-    for start, width, columns in chunks:
-        bad = _violations(program, equations, columns, D.size, (1 << width) - 1)
+    for start, width, columns, vals in _chunks(program, D.size, len(names), mode):
+        bad = _violations(vals, equations, (1 << width) - 1)
         if bad:
             a = (bad & -bad).bit_length() - 1
             witness = {nm: Elem(D, _row(cols, a)) for nm, cols in zip(names, columns)}

@@ -16,11 +16,18 @@ was enumerated, in which mode, and where the first violation sits:
   under products and subalgebras but not homomorphic images is essential;
 * the ultraproduct by a principal ultrafilter collapses to a factor
   projection.
+
+The relativization and separation laws range over pairs of elements; both
+run through termlang's column loop (termlang._chunks), exhaustively or on
+the seeded sample stream, and every violation found there is re-checked
+through relativize, subst, meet and complement.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random as _random
 from dataclasses import dataclass, field
 
@@ -66,6 +73,11 @@ from .termlang import (
     Mode,
     Random,
     Verdict,
+    _chunks,
+    _differs,
+    _Program,
+    _row,
+    _violations,
     check_quasi,
     fmt_count,
     quasi_violated,
@@ -100,7 +112,12 @@ def _transpositions(n: int) -> list[Perm]:
 
 @dataclass
 class HomReport:
-    """Outcome of checking that an intersection map is a homomorphism."""
+    """Outcome of checking that an intersection map is a homomorphism.
+
+    On a pass the counts are 2**|E| elements and the budgeted pairs
+    (exhaustive), or the trials (sampled).  On a fail they count the x
+    values and the (x, y) assignments tried, up to and including the
+    witness."""
 
     big: Carrier
     sub: Carrier
@@ -118,91 +135,70 @@ class HomReport:
 
 def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
                           budget: int | None = None, seed: int = DEFAULT_SEED) -> HomReport:
-    """Check that x -> x ∩ G is a homomorphism from the algebra over E onto
-    the algebra over G: it must commute with meet (all pairs), complement,
-    and every transposition's substitution operator.
+    """Check that h: x -> x ∩ G is a homomorphism from the algebra over E
+    onto the algebra over G.  Over x, y in 2**E it checks the laws
+    h(x & y) = h x & h y, h(~x) = ~h x and h(s_t x) = s_t h x for every
+    transposition t, as one column program (termlang._chunks) whose h is
+    the gather relativize applies.  The least (or first sampled) violating
+    assignment is reported with its first failing law, after a re-check
+    through relativize, subst, meet and complement.
 
     G must be a permutable sub-carrier of E — that is a precondition, not
     a checked property, so a non-permutable G raises instead of failing.
-    Exhaustive when 2**|E| fits the budget, otherwise sampled.
+    Exhaustive when the pairs x <= y fit the budget, otherwise sampled
+    (x, then y, per trial).
     """
-    if (G.n, G.u) != (E.n, E.u):
-        raise ValueError("sub-carrier lives in a different sequence space")
-    for r in G.members:
-        if r not in E.member_index:
-            raise ValueError("sub is not a sub-carrier of big")
+    to_g = G._gather_from(E)  # raises unless G is a sub-carrier of E
     if not is_permutable(G):
         raise ValueError("sub-carrier is not permutable; relativization needs permutability")
 
     space = 1 << E.size
-    # the meet check is pairwise, so budget the dominant quadratic cost
+    # the meet law is pairwise, so budget the dominant quadratic cost
     work = space * (space + 1) // 2
     mode = resolve_mode(work, mode, budget, seed)
-    ts = _transpositions(E.n)
-    ops = ("meet", "complement", "subst")
+
+    h = functools.partial(relativize, G=G)
+    prog = _Program()
+    x, y = prog.emit("var", 0), prog.emit("var", 1)
+    hx = prog.emit("gather", x, to_g)
+    # each law: its violation record, its two sides as slots, and the same
+    # law on elements for the re-check
+    laws = [
+        ({"op": "meet"}, prog.emit("gather", prog.emit("and", x, y), to_g),
+         prog.emit("and", hx, prog.emit("gather", y, to_g)),
+         lambda X, Y: h(meet(X, Y)) == meet(h(X), h(Y))),
+        ({"op": "complement"}, prog.emit("gather", prog.emit("not", x), to_g), prog.emit("not", hx),
+         lambda X, Y: h(complement(X)) == complement(h(X))),
+    ]
+    for t in _transpositions(E.n):
+        laws.append(({"op": "subst", "perm": list(t.images)},
+                     prog.emit("gather", prog.emit("gather", x, E._gather_for(t)), to_g),
+                     prog.emit("gather", hx, G._gather_for(t)),
+                     lambda X, Y, t=t: h(subst(E, t, X)) == subst(G, t, h(X))))
+
+    elements, pairs = (mode.trials,) * 2 if isinstance(mode, Random) else (space, work)
     violation: dict | None = None
-
-    def seq_set(bits: int, carrier: Carrier) -> list:
-        return [list(s) for s in Elem(carrier, bits).seqs()]
-
-    if isinstance(mode, Exhaustive):
-        H = [relativize(Elem(E, b), G).bits for b in range(space)]
-        full_e = space - 1
-        full_g = (1 << G.size) - 1
-        for b in range(space):
-            if H[full_e ^ b] != full_g ^ H[b]:
-                violation = {"op": "complement", "x": seq_set(b, E)}
-                break
-        if violation is None:
-            for t in ts:
-                for b in range(space):
-                    lhs = relativize(subst(E, t, Elem(E, b)), G)
-                    rhs = subst(G, t, Elem(G, H[b]))
-                    if lhs != rhs:
-                        violation = {"op": "subst", "perm": list(t.images), "x": seq_set(b, E)}
-                        break
-                if violation is not None:
-                    break
-        pairs = 0
-        if violation is None:
-            # meet is bitwise AND on both sides, so the pair sweep can run
-            # on the precomputed tables
-            pairs = work
-            for x in range(space):
-                hx = H[x]
-                for y in range(x, space):
-                    if H[x & y] != hx & H[y]:
-                        violation = {"op": "meet", "x": seq_set(x, E), "y": seq_set(y, E)}
-                        pairs = x * space - x * (x - 1) // 2 + (y - x + 1)
-                        break
-                if violation is not None:
-                    break
-        return HomReport(E, G, ops, mode.label, None, space, pairs, violation)
-
-    rng = _random.Random(mode.seed)
-    size = E.size
-    for _ in range(mode.trials):
-        xb = rng.getrandbits(size) if size else 0
-        yb = rng.getrandbits(size) if size else 0
-        x = Elem(E, xb)
-        y = Elem(E, yb)
-        hx = relativize(x, G)
-        hy = relativize(y, G)
-        if relativize(meet(x, y), G) != meet(hx, hy):
-            violation = {"op": "meet", "x": seq_set(xb, E), "y": seq_set(yb, E)}
+    for start, width, (xcols, ycols), vals in _chunks(prog, E.size, 2, mode):
+        broken = [_differs(vals, lhs, rhs) for _, lhs, rhs, _ in laws]
+        bad = functools.reduce(operator.or_, broken, 0)
+        if bad:
+            a = (bad & -bad).bit_length() - 1
+            X, Y = Elem(E, _row(xcols, a)), Elem(E, _row(ycols, a))
+            record, *_, holds = laws[next(k for k, b in enumerate(broken) if b >> a & 1)]
+            if holds(X, Y):
+                raise RuntimeError("column evaluation and relativize disagree on a witness")
+            violation = dict(record, x=_seq_lists(X))
+            if record["op"] == "meet":
+                violation["y"] = _seq_lists(Y)
+            pairs = start + a + 1
+            elements = pairs if isinstance(mode, Random) else X.bits + 1
             break
-        if relativize(complement(x), G) != complement(hx):
-            violation = {"op": "complement", "x": seq_set(xb, E)}
-            break
-        stop = False
-        for t in ts:
-            if relativize(subst(E, t, x), G) != subst(G, t, hx):
-                violation = {"op": "subst", "perm": list(t.images), "x": seq_set(xb, E)}
-                stop = True
-                break
-        if stop:
-            break
-    return HomReport(E, G, ops, mode.label, mode.seed, mode.trials, mode.trials, violation)
+    return HomReport(E, G, ("meet", "complement", "subst"), mode.label,
+                     mode.seed if isinstance(mode, Random) else None, elements, pairs, violation)
+
+
+def _seq_lists(X: Elem) -> list[list[int]]:
+    return [list(s) for s in X.seqs()]
 
 
 # --- decomposition into small algebras ---------------------------------
@@ -269,57 +265,34 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
     space = 1 << A.size
     # separation is checked pairwise, so budget the quadratic cost
     mode = resolve_mode(space * (space - 1) // 2, mode, budget, seed)
+    # separation as a quasi-equation over x, y in 2**A:
+    # h_b x = h_b y for every route b  =>  x = y
+    prog = _Program()
+    x, y = prog.emit("var", 0), prog.emit("var", 1)
+    tables = [gq._gather_from(A) for gq, *_ in routes.values()]
+    equations = [(prog.emit("gather", x, t), prog.emit("gather", y, t)) for t in tables] + [(x, y)]
 
-    def h_table(gq: Carrier) -> list[int]:
-        return [relativize(Elem(A, b), gq).bits for b in range(space)]
-
-    def tables() -> dict[tuple[int, ...], list[int]]:
-        return {base: h_table(gq) for base, (gq, *_) in routes.items()}
-
-    def separated_by_some(by_base: dict[tuple[int, ...], list[int]], x: int, y: int) -> bool:
-        # directed candidate: the atom at a position where x and y differ
-        p = ((x ^ y) & -(x ^ y)).bit_length() - 1
-        t = by_base[records[p].base_used]
-        if t[x] != t[y]:
-            return True
-        return any(t[x] != t[y] for t in by_base.values())
-
+    # pairs_tested counts the pairs x < y of the x-major order when
+    # exhaustive, and the trials that drew x != y when sampled
+    pairs = space * (space - 1) // 2 if isinstance(mode, Exhaustive) else 0
     violation: dict | None = None
-    if isinstance(mode, Exhaustive):
-        by_base = tables()
-        pairs = 0
-        for x in range(space):
-            for y in range(x + 1, space):
-                pairs += 1
-                if not separated_by_some(by_base, x, y):
-                    violation = {"x": [list(s) for s in Elem(A, x).seqs()],
-                                 "y": [list(s) for s in Elem(A, y).seqs()]}
-                    break
-            if violation is not None:
-                break
-        sep = SeparationReport(space, pairs, mode.label, None, violation is None, violation)
-    else:
-        rng = _random.Random(mode.seed)
-        by_base = tables() if space <= 1 << 12 else None
-        pairs = 0
-        for _ in range(mode.trials):
-            x = rng.getrandbits(A.size)
-            y = rng.getrandbits(A.size)
-            if x == y:
-                continue
-            pairs += 1
-            if by_base is not None:
-                ok = separated_by_some(by_base, x, y)
-            else:
-                ok = any(
-                    relativize(Elem(A, x), gq) != relativize(Elem(A, y), gq)
-                    for gq, *_ in routes.values()
-                )
-            if not ok:
-                violation = {"x": [list(s) for s in Elem(A, x).seqs()],
-                             "y": [list(s) for s in Elem(A, y).seqs()]}
-                break
-        sep = SeparationReport(space, pairs, mode.label, mode.seed, violation is None, violation)
+    for start, width, (xcols, ycols), vals in _chunks(prog, A.size, 2, mode):
+        bad = _violations(vals, equations, (1 << width) - 1)
+        if isinstance(mode, Random):
+            through = (bad & -bad) * 2 - 1 if bad else (1 << width) - 1
+            pairs += (_differs(vals, x, y) & through).bit_count()
+        if bad:
+            a = (bad & -bad).bit_length() - 1
+            xb, yb = _row(xcols, a), _row(ycols, a)  # the least pair has xb < yb
+            if xb == yb or any(relativize(Elem(A, xb), gq) != relativize(Elem(A, yb), gq)
+                               for gq, *_ in routes.values()):
+                raise RuntimeError("column evaluation and relativize disagree on a witness")
+            violation = {"x": _seq_lists(Elem(A, xb)), "y": _seq_lists(Elem(A, yb))}
+            if isinstance(mode, Exhaustive):
+                pairs = xb * space - xb * (xb + 1) // 2 + yb - xb
+            break
+    sep = SeparationReport(space, pairs, mode.label, mode.seed if isinstance(mode, Random) else None,
+                           violation is None, violation)
     return records, sep
 
 

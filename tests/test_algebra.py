@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, product
 
 import hypothesis
@@ -240,6 +241,24 @@ def test_subst_agrees_with_brute_force_everywhere():
                 x = Elem(D, bits)
                 got = elem_set(subst(D, f, x))
                 assert got == brute_subst(members, f.images, elem_set(x))
+
+
+def test_compiled_subst_takes_one_entry_per_member():
+    # s_f is compiled to one position (or None) per member; a bit mask per
+    # member took about |D|**2 / 16 bytes, some 17 MB here
+    D = full_carrier(14, 2)
+    D.seqs  # built before the measured window
+    t = transposition(14, 0, 1)
+    tracemalloc.start()
+    try:
+        gather = D._gather_for(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(gather) == D.size and peak <= 1 << 20
+    # (0,1,0,...,0) at position 2**12 composes into (1,0,0,...,0) at 2**13
+    assert gather[1 << 12] == 1 << 13 and gather[0] == 0
+    assert subst(D, t, Elem(D, 1 << (1 << 13))).seqs() == [(0, 1) + (0,) * 12]
 
 
 def test_subst_on_atoms_of_a_permutable_carrier_moves_the_point():

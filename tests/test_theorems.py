@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 import tsalg.theorems as theorems
 from tsalg.algebra import (
+    Carrier,
     Elem,
     atom,
     carrier_from_seqs,
@@ -16,6 +19,7 @@ from tsalg.algebra import (
     relativize,
     subst,
 )
+from tsalg.cli import main
 from tsalg.seqspace import Perm, all_seqs, perm_compose, perm_inverse, unit_seq
 from tsalg.termlang import BudgetExceeded, Exhaustive, Random, check_quasi, quasi_violated, sigma
 from tsalg.theorems import (
@@ -113,22 +117,74 @@ def test_relativization_explicit_exhaustive_respects_budget():
         verify_relativization(E, G, mode=Exhaustive(), budget=1000)
 
 
-def test_relativization_violation_reporting(monkeypatch):
-    # relativize is provably a homomorphism here, so fabricate a broken map
-    # to confirm the checker notices and reports the first failing op
+def _swap_draws(seed, trials, size):
+    """First trial of random.Random(seed), drawing x then y per trial, whose
+    x holds exactly one of positions 1 and 2: (trial number, x bits)."""
+    rng = random.Random(seed)
+    for t in range(1, trials + 1):
+        x, _ = rng.getrandbits(size), rng.getrandbits(size)
+        if (x >> 1 ^ x >> 2) & 1:
+            return t, x
+    raise AssertionError("no such trial")
+
+
+def _misrouted(E, G):
+    # G's member (1,1) reads E's position 1, the member (0,1), instead of
+    # its own: meet and complement survive any such selection, s[0,1]
+    # does not, since it swaps (0,1) and (1,0) but fixes both members of G
+    table = G._gather_from(E)
+    table[1] = 1
+    return table
+
+
+def test_relativization_violation_reporting():
+    # relativize is provably a homomorphism here, so break the one
+    # projection table that the columns and relativize both read
     E = full_carrier(2, 2)
     G = carrier_from_seqs(2, 2, [(0, 0), (1, 1)])
-
-    def broken(x, target):
-        out = relativize(x, target)
-        if x.bits == 5:
-            return Elem(out.carrier, out.bits ^ 1)
-        return out
-
-    monkeypatch.setattr(theorems, "relativize", broken)
-    r = verify_relativization(E, G)
+    _misrouted(E, G)
+    assert relativize(Elem(E, 0b0010), G).bits == 0b10
+    r = verify_relativization(E, G, mode=Exhaustive())
     assert not r.passed
-    assert r.violation is not None and r.violation["op"] in {"meet", "complement", "subst"}
+    # the least violating assignment is x = {(0,1)}, y = 0
+    assert r.violation == {"op": "subst", "perm": [1, 0], "x": [[0, 1]]}
+    assert (r.elements_tested, r.pairs_tested) == (3, 2 * 16 + 1)
+
+    trial, x = _swap_draws(4, 50, E.size)
+    r = verify_relativization(E, G, mode=Random(50, 4))
+    assert not r.passed and r.seed == 4
+    assert r.violation == {"op": "subst", "perm": [1, 0], "x": [list(s) for s in Elem(E, x).seqs()]}
+    assert (r.elements_tested, r.pairs_tested) == (trial, trial)
+
+
+def _independent_relativize(x, G):
+    members = set(G.seqs)
+    return elem_from_seqs(G, [s for s in x.seqs() if s in members])
+
+
+def test_relativization_witness_disagreement_raises(monkeypatch, tmp_path, capsys):
+    # the columns read a broken table while the re-check relativizes
+    # independently, so the re-check rejects the columns' witness
+    gather_from = Carrier._gather_from
+
+    def misrouted(G, E):
+        table = list(gather_from(G, E))
+        if G.size == 2:
+            table[1] = 1
+        return table
+
+    monkeypatch.setattr(Carrier, "_gather_from", misrouted)
+    monkeypatch.setattr(theorems, "relativize", _independent_relativize)
+    E = full_carrier(2, 2)
+    G = carrier_from_seqs(2, 2, [(0, 0), (1, 1)])
+    for mode in (Exhaustive(), Random(50, 4)):
+        with pytest.raises(RuntimeError, match="disagree"):
+            verify_relativization(E, G, mode=mode)
+    big, sub = tmp_path / "big.alg", tmp_path / "sub.alg"
+    big.write_text("n = 2\nbase = 2\ncarrier = full\n")
+    sub.write_text("n = 2\nbase = 2\ncarrier = [[0,0],[1,1]]\n")
+    assert main(["verify-relativization", "--big", str(big), "--sub", str(sub)]) == 2
+    assert "disagree" in capsys.readouterr().err
 
 
 def test_relativization_surjectivity_oracle():
@@ -218,6 +274,77 @@ def test_decompose_auto_mode_degrades_on_pairwise_work():
     _, sep = decompose_small(2, 4, seed=6)
     assert sep.mode == "random(2000)" and sep.seed == 6
     assert sep.separated
+
+
+def _blind_route(monkeypatch):
+    """Make the route of base (0, 1) over ^2 3 read (0,0) where it should
+    read (0,1), so no route sees the member (0,1); relativize reads the
+    same table."""
+    gather_from = Carrier._gather_from
+
+    def blind(G, E):
+        table = gather_from(G, E)
+        if G.members == (0, 1, 3, 4):  # (0,0), (0,1), (1,0), (1,1) in ^2 3
+            table[1] = table[0]
+        return table
+
+    monkeypatch.setattr(Carrier, "_gather_from", blind)
+
+
+def _old_pairs_tested(space, x, y):
+    """Pairs the x-major sweep over x < y visits up to and including (x, y)."""
+    pairs = 0
+    for a in range(space):
+        for b in range(a + 1, space):
+            pairs += 1
+            if (a, b) == (x, y):
+                return pairs
+    raise AssertionError("not a pair")
+
+
+def test_decompose_reports_least_unseparated_pair(monkeypatch):
+    _blind_route(monkeypatch)
+    records, sep = decompose_small(2, 3, mode=Exhaustive())
+    assert [r.atom_seq for r in records if not r.image_nonzero] == [(0, 1)]
+    assert not sep.separated and sep.mode == "exhaustive" and sep.seed is None
+    # x and y differ only at (0,1), position 1 of ^2 3; the least such
+    # pair of the x-major order is x = 0, y = {(0,1)}
+    assert sep.failure == {"x": [], "y": [[0, 1]]}
+    assert sep.pairs_tested == _old_pairs_tested(512, 0, 0b10)
+
+
+def test_decompose_sampled_counts_trials_with_distinct_draws(monkeypatch):
+    _blind_route(monkeypatch)
+    trials, seed = 3000, 21
+    rng = random.Random(seed)
+    distinct = 0
+    for _ in range(trials):
+        x, y = rng.getrandbits(9), rng.getrandbits(9)
+        distinct += x != y
+        if x ^ y == 0b10:
+            break
+    else:
+        raise AssertionError("the seed draws no unseparated pair")
+    _, sep = decompose_small(2, 3, mode=Random(trials, seed))
+    assert not sep.separated and sep.seed == seed
+    assert sep.pairs_tested == distinct
+    A = full_carrier(2, 3)
+    assert sep.failure == {"x": [list(s) for s in Elem(A, x).seqs()],
+                           "y": [list(s) for s in Elem(A, y).seqs()]}
+
+
+def test_decompose_sampled_pass_counts_distinct_draws():
+    rng = random.Random(5)
+    draws = [(rng.getrandbits(4), rng.getrandbits(4)) for _ in range(300)]
+    _, sep = decompose_small(2, 2, mode=Random(300, 5))
+    assert sep.separated and sep.pairs_tested == sum(x != y for x, y in draws) < 300
+
+
+def test_decompose_witness_disagreement_raises(monkeypatch):
+    _blind_route(monkeypatch)
+    monkeypatch.setattr(theorems, "relativize", _independent_relativize)
+    with pytest.raises(RuntimeError, match="disagree"):
+        decompose_small(2, 3, mode=Exhaustive())
 
 
 # --- sigma in the small algebras ---------------------------------------------
