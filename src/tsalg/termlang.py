@@ -34,9 +34,11 @@ the table the carrier compiles once per operator.  The assignments that
 meet every hypothesis and break the conclusion form one bit set; its
 lowest bit is the least (or first sampled) violation, so verdicts,
 witnesses and counts are those of the one-at-a-time scan.  This chunk
-loop (_chunks) is the one assignment source of every law check: the
-relativization and separation laws in theorems run through it as well,
-relativizing to a sub-carrier being one more gather.  eval_term and
+loop (_chunks) is the assignment source of every law check over a
+carrier: the relativization and separation laws in theorems run through
+it as well, relativizing to a sub-carrier being one more gather.  The
+principal ultraproduct check runs the same programs (_run) over its own
+interleaved draws, transposed by the same _columns.  eval_term and
 quasi_violated walk the tree for a single assignment and re-check every
 witness.  A sampled check of a quasi-equation without s_f walks the tree
 once per trial instead: there '~', '&' and '|' on one bit vector already
@@ -650,6 +652,17 @@ def _differs(vals: list[list[int]], lhs: int, rhs: int) -> int:
     return functools.reduce(operator.or_, map(operator.xor, vals[lhs], vals[rhs]), 0)
 
 
+def _least_broken(vals: list[list[int]], sides: list[tuple[int, int]]) -> tuple[int, int] | None:
+    """The chunk's least assignment under which some (lhs, rhs) pair of
+    slots in sides differs, and the number of its first such pair; or None."""
+    broken = [_differs(vals, lhs, rhs) for lhs, rhs in sides]
+    bad = functools.reduce(operator.or_, broken, 0)
+    if not bad:
+        return None
+    a = (bad & -bad).bit_length() - 1
+    return a, next(k for k, b in enumerate(broken) if b >> a & 1)
+
+
 def _violations(vals: list[list[int]], equations: list[tuple[int, int]], full: int) -> int:
     """Bit set of the chunk's assignments that satisfy every hypothesis but
     not the conclusion (the last pair of equations)."""
@@ -692,22 +705,32 @@ def _sampled_chunks(size: int, nvars: int, trials: int, seed: int) -> Iterator[t
     trial, in sorted name order, from random.Random(seed), transposed into
     columns."""
     draw = _random.Random(seed).getrandbits
-    fmt = f"0{size}b"
-    step = max(1, min(SAMPLE_CHUNK, SAMPLE_CHUNK_BITS // max(size, 1)))
+    step = _chunk_rows(size)
     for start in range(0, trials, step):
         width = min(step, trials - start)
         if not size:
             yield start, width, [[] for _ in range(nvars)]
             continue
         rows = [draw(size) for _ in range(width * nvars)]
-        columns = []
-        for j in range(nvars):
-            # the last trial's bits come first, so the characters of
-            # position p, every size-th one from size - 1 - p, read as a
-            # binary number put trial t at bit t
-            text = "".join([format(r, fmt) for r in reversed(rows[j::nvars])])
-            columns.append([int(text[size - 1 - p::size], 2) for p in range(size)])
-        yield start, width, columns
+        yield start, width, [_columns(rows[j::nvars], size) for j in range(nvars)]
+
+
+def _chunk_rows(size: int) -> int:
+    """Rows per sampled chunk: SAMPLE_CHUNK, or fewer on a carrier so wide
+    that a chunk would pass SAMPLE_CHUNK_BITS bits per variable."""
+    return max(1, min(SAMPLE_CHUNK, SAMPLE_CHUNK_BITS // max(size, 1)))
+
+
+def _columns(rows: list[int], size: int) -> list[int]:
+    """rows transposed: bit t of column p is bit p of rows[t]."""
+    if not size or not rows:
+        return [0] * size
+    # the last row's bits come first, so the characters of position p,
+    # every size-th one from size - 1 - p, read as a binary number put
+    # row t at bit t
+    fmt = f"0{size}b"
+    text = "".join([format(r, fmt) for r in reversed(rows)])
+    return [int(text[size - 1 - p::size], 2) for p in range(size)]
 
 
 def _check_rows(D: Carrier, qe: QuasiEquation, names: list[str], mode: Random) -> Verdict:

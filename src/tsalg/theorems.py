@@ -20,16 +20,19 @@ was enumerated, in which mode, and where the first violation sits:
 The relativization and separation laws range over pairs of elements; both
 run through termlang's column loop (termlang._chunks), exhaustively or on
 the seeded sample stream, and every violation found there is re-checked
-through relativize, subst, meet and complement.
+through relativize, subst, meet and complement.  The ultraproduct check
+compiles its map once and runs its class and law-pair checks as column
+programs too, over its own draws; a violation is re-checked through
+ProductAlgebra's operations and the map applied element by element.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import random as _random
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .algebra import (
     MAX_SUBALGEBRA_ELEMS,
@@ -73,10 +76,14 @@ from .termlang import (
     Mode,
     Random,
     Verdict,
+    _chunk_rows,
     _chunks,
+    _columns,
     _differs,
+    _least_broken,
     _Program,
     _row,
+    _run,
     _violations,
     check_quasi,
     fmt_count,
@@ -179,12 +186,11 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
     elements, pairs = (mode.trials,) * 2 if isinstance(mode, Random) else (space, work)
     violation: dict | None = None
     for start, width, (xcols, ycols), vals in _chunks(prog, E.size, 2, mode):
-        broken = [_differs(vals, lhs, rhs) for _, lhs, rhs, _ in laws]
-        bad = functools.reduce(operator.or_, broken, 0)
-        if bad:
-            a = (bad & -bad).bit_length() - 1
+        found = _least_broken(vals, [(lhs, rhs) for _, lhs, rhs, _ in laws])
+        if found:
+            a, k = found
             X, Y = Elem(E, _row(xcols, a)), Elem(E, _row(ycols, a))
-            record, *_, holds = laws[next(k for k, b in enumerate(broken) if b >> a & 1)]
+            record, *_, holds = laws[k]
             if holds(X, Y):
                 raise RuntimeError("column evaluation and relativize disagree on a witness")
             violation = dict(record, x=_seq_lists(X))
@@ -250,7 +256,12 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
     for q in A.seqs:
         base_used = tuple(sorted(set(q)))
         if base_used not in routes:
-            gq = carrier_from_seqs(n, k, itertools.product(base_used, repeat=n))
+            # the route over all k values is A itself: relativize then takes
+            # its identity shortcut instead of comparing member tuples
+            if len(base_used) == k:
+                gq = A
+            else:
+                gq = carrier_from_seqs(n, k, itertools.product(base_used, repeat=n))
             canon, renaming = canonicalize_base(gq)
             target = SmallAlgebra(n, len(base_used))
             assert canon == target.carrier  # increasing relabel of a full sub-base space
@@ -574,12 +585,68 @@ _CLASS_EXHAUSTIVE_LIMIT = 1 << 12
 _PAIR_SAMPLES = 512
 
 
+def _psi_tables(factors: tuple[Carrier, ...], i0: int) -> list[list[int | None]]:
+    """ψ compiled, one gather per factor: entry pt of table i is the
+    position in factor i of the representative row of target sequence pt
+    (the sequence itself in factor i0, elsewhere its coordinates clamped
+    into factor i's base), or None.  Empty factors contribute nothing."""
+    target = factors[i0]
+    tables: list[list[int | None]] = []
+    for i, c in enumerate(factors):
+        if c.size == 0:
+            tables.append([None] * target.size)
+            continue
+        idx = c.member_index
+        tables.append([idx.get(rank(t if i == i0 else tuple(e if e < c.u else 0 for e in t), c.u))
+                       for t in target.seqs])
+    return tables
+
+
+def _psi(a: ProductElem, tables: list[list[int | None]], i0: int, target: Carrier) -> Elem:
+    """ψ element by element, for re-checks: target sequence pt is in the
+    image iff the set of factors whose component holds pt's representative
+    row belongs to the principal ultrafilter, i.e. contains i0."""
+    bits = 0
+    for pt in range(target.size):
+        agreeing = {i for i, (table, x) in enumerate(zip(tables, a.components))
+                    if table[pt] is not None and x.bits >> table[pt] & 1}
+        if i0 in agreeing:
+            bits |= 1 << pt
+    return Elem(target, bits)
+
+
+def _first_violation(prog: _Program, sides: list[tuple[int, int]],
+                     chunks: Iterable[list[list[int]]], size: int) -> tuple[int, int] | None:
+    """Run prog chunk by chunk; chunks yields, per chunk of assignments,
+    each variable's rows (bit vectors over size positions).  Returns the
+    index of the least assignment under which some (lhs, rhs) pair of
+    slots in sides differs, and the number of its first such pair; or
+    None."""
+    start = 0
+    for rows in chunks:
+        width = len(rows[0])
+        vals = _run(prog, [_columns(r, size) for r in rows], (1 << width) - 1)
+        found = _least_broken(vals, sides)
+        if found:
+            return start + found[0], found[1]
+        start += width
+    return None
+
+
 def principal_ultraproduct(factors: list[Carrier], i0: int,
                            seed: int = DEFAULT_SEED) -> UltraproductReport:
     """Form the ultraproduct of full-carrier powerset algebras by the
-    principal ultrafilter {J : i0 in J} and verify, element by element,
-    that the defining membership condition reduces to projection onto
-    factor i0 — well-defined on classes, operation-preserving, injective.
+    principal ultrafilter {J : i0 in J} and verify, by columns, that the
+    defining membership condition reduces to projection onto factor i0 —
+    well-defined on classes, operation-preserving, injective.
+
+    ψ is compiled once (_psi_tables).  The filter holds an agreeing set
+    iff it contains i0, so ψ's column is factor i0's agreeing column: one
+    gather of the i0 component.  Every class is checked at once, then the
+    bounds and, over every sampled pair at once, meet, complement and s_t
+    for each transposition t, as termlang column programs.  The least
+    violating class or pair is reported with its first failing check,
+    after a re-check through ProductAlgebra's operations and _psi.
     """
     factors = tuple(factors)
     if not factors:
@@ -590,116 +657,112 @@ def principal_ultraproduct(factors: list[Carrier], i0: int,
         if c.size != c.u**c.n:
             raise ValueError("principal ultraproducts are built over full carriers")
     prod = ProductAlgebra(factors)  # validates shared dimension
-    n = prod.n
     target = factors[i0]
-
-    def psi(a: ProductElem) -> Elem:
-        # For each sequence t of the target space, pick representative
-        # sequences through the factor bases agreeing with t at i0 (other
-        # coordinates clamped into range; empty factors contribute
-        # nothing), collect the set of factor indices where the
-        # representative tuple lands inside that component, and put t in
-        # the image iff that set belongs to the principal ultrafilter,
-        # i.e. contains i0.
-        bits = 0
-        for pt, t in enumerate(target.seqs):
-            agreeing = set()
-            for i, c in enumerate(factors):
-                if c.size == 0:
-                    continue
-                row = t if i == i0 else tuple(e if e < c.u else 0 for e in t)
-                p = c.member_index.get(rank(row, c.u))
-                if p is not None and a.components[i].bits >> p & 1:
-                    agreeing.add(i)
-            if i0 in agreeing:
-                bits |= 1 << pt
-        return Elem(target, bits)
+    size = target.size
+    tables = _psi_tables(factors, i0)
+    psi = functools.partial(_psi, tables=tables, i0=i0, target=target)
 
     rng = _random.Random(seed)
 
-    def lift(xbits: int, randomize: bool) -> ProductElem:
-        comps = []
-        for i, c in enumerate(factors):
-            if i == i0:
-                comps.append(Elem(target, xbits))
-            elif randomize:
-                comps.append(Elem(c, rng.getrandbits(c.size) if c.size else 0))
-            else:
-                comps.append(zero(c))
-        return prod.element(comps)
+    def draw(bits: int) -> int:
+        return rng.getrandbits(bits) if bits else 0
 
-    space = 1 << target.size
+    def draw_rest() -> list[int]:
+        # a random lift's components outside i0, in factor order
+        return [draw(c.size) for i, c in enumerate(factors) if i != i0]
+
+    def lift(xbits: int, rest: list[int] | None = None) -> ProductElem:
+        # rest None: the lift with zero components outside i0
+        others = iter(rest or [0] * (len(factors) - 1))
+        return prod.element(Elem(c, xbits if i == i0 else next(others)) for i, c in enumerate(factors))
+
+    space = 1 << size
     if space <= _CLASS_EXHAUSTIVE_LIMIT:
-        class_bits = list(range(space))
+        classes = list(range(space))
         mode = f"classes=exhaustive({space})"
     else:
-        class_bits = sorted({rng.getrandbits(target.size) for _ in range(_CLASS_EXHAUSTIVE_LIMIT)})
-        mode = f"classes=sampled({len(class_bits)})"
+        classes = sorted({rng.getrandbits(size) for _ in range(_CLASS_EXHAUSTIVE_LIMIT)})
+        mode = f"classes=sampled({len(classes)})"
     mode += f", law-pairs=sampled({_PAIR_SAMPLES})"
 
-    violation: dict | None = None
-    projection_agrees = True
-    well_defined = True
+    def report(classes_tested: int, pairs: int = 0, violation: dict | None = None,
+               failed: str = "") -> UltraproductReport:
+        return UltraproductReport(
+            factor_count=len(factors), index=i0, classes_tested=classes_tested,
+            lift_pairs_tested=pairs, projection_agrees=failed != "projection",
+            well_defined=True, preserves_ops=failed != "preserves", injective=True,
+            mode=mode, seed=seed, violation=violation,
+        )
 
-    images: dict[int, int] = {}
-    for xb in class_bits:
-        x = Elem(target, xb)
-        via_zero = psi(lift(xb, False))
-        via_random = psi(lift(xb, True))
-        if via_zero != x:
-            projection_agrees = False
-            violation = {"check": "projection", "class": [list(s) for s in x.seqs()]}
-            break
-        if via_random != via_zero:
-            well_defined = False
-            violation = {"check": "well-defined", "class": [list(s) for s in x.seqs()]}
-            break
-        images[xb] = via_zero.bits
+    # Classes.  Both lifts of a class share its i0 component, the only one
+    # ψ's column reads, so ψ(random lift) = ψ(lift₀) holds column by
+    # column: the random lifts are drawn only to keep the sample stream.
+    # Injectivity follows from projection: every class maps to its own
+    # class vector, and the class vectors are distinct.
+    step = _chunk_rows(size)
+    prog = _Program()
+    x = prog.emit("var", 0)
+    found = _first_violation(prog, [(prog.emit("gather", x, tables[i0]), x)],
+                             ([classes[s:s + step]] for s in range(0, len(classes), step)), size)
+    if found:
+        xc = Elem(target, classes[found[0]])
+        if psi(lift(xc.bits)) == xc:
+            raise RuntimeError("column evaluation and ψ disagree on a witness")
+        return report(found[0], violation={"check": "projection", "class": _seq_lists(xc)},
+                      failed="projection")
+    for _ in classes:
+        draw_rest()
 
-    injective = True
-    if violation is None:
-        if len(set(images.values())) != len(images):
-            injective = False
-            violation = {"check": "injective"}
+    # Law pairs.  The bounds do not depend on the pair, so a broken bound
+    # shows in the first pair, ahead of its other checks.
+    prog = _Program()
+    a_col, b_col = prog.emit("var", 0), prog.emit("var", 1)
 
-    preserves = True
-    pair_count = 0
-    if violation is None:
-        ts = _transpositions(n)
-        if psi(prod.zero()) != zero(target) or psi(prod.one()) != one(target):
-            preserves = False
-            violation = {"check": "bounds"}
-        size = target.size
-        while preserves and pair_count < _PAIR_SAMPLES:
-            pair_count += 1
-            a = lift(rng.getrandbits(size) if size else 0, True)
-            b = lift(rng.getrandbits(size) if size else 0, True)
-            pa = psi(a)
-            pb = psi(b)
-            if psi(prod.meet(a, b)) != meet(pa, pb):
-                preserves = False
-                violation = {"check": "meet"}
-                break
-            if psi(prod.complement(a)) != complement(pa):
-                preserves = False
-                violation = {"check": "complement"}
-                break
-            for t in ts:
-                if psi(prod.subst(t, a)) != subst(target, t, pa):
-                    preserves = False
-                    violation = {"check": "subst", "perm": list(t.images)}
-                    break
+    def image(slot: int) -> int:
+        return prog.emit("gather", slot, tables[i0])
 
-    return UltraproductReport(
-        factor_count=len(factors),
-        index=i0,
-        classes_tested=len(images),
-        lift_pairs_tested=pair_count,
-        projection_agrees=projection_agrees,
-        well_defined=well_defined,
-        preserves_ops=preserves,
-        injective=injective,
-        mode=mode,
-        seed=seed,
-        violation=violation,
-    )
+    pa, pb = image(a_col), image(b_col)
+    zeros, ones = prog.emit("zero", size), prog.emit("one", size)
+    def bounds(A: ProductElem, B: ProductElem) -> bool:
+        return psi(prod.zero()) == zero(target) and psi(prod.one()) == one(target)
+
+    # each check: its violation record, its two sides as slots, and the
+    # same check on elements for the re-check
+    checks = [
+        ({"check": "bounds"}, image(zeros), zeros, bounds),
+        ({"check": "bounds"}, image(ones), ones, bounds),
+        ({"check": "meet"}, image(prog.emit("and", a_col, b_col)), prog.emit("and", pa, pb),
+         lambda A, B: psi(prod.meet(A, B)) == meet(psi(A), psi(B))),
+        ({"check": "complement"}, image(prog.emit("not", a_col)), prog.emit("not", pa),
+         lambda A, B: psi(prod.complement(A)) == complement(psi(A))),
+    ]
+    for t in _transpositions(prod.n):
+        gather = target._gather_for(t)
+        checks.append(({"check": "subst", "perm": list(t.images)},
+                       image(prog.emit("gather", a_col, gather)), prog.emit("gather", pa, gather),
+                       lambda A, B, t=t: psi(prod.subst(t, A)) == subst(target, t, psi(A))))
+
+    def draw_pair() -> tuple[int, list[int], int, list[int]]:
+        # a's i0 component, the rest of a, then b likewise
+        return draw(size), draw_rest(), draw(size), draw_rest()
+
+    def pair_chunks() -> Iterator[list[list[int]]]:
+        for s in range(0, _PAIR_SAMPLES, step):
+            # only the i0 components enter the columns: keep a's and b's
+            drawn = [draw_pair()[::2] for _ in range(min(step, _PAIR_SAMPLES - s))]
+            yield [[a for a, _ in drawn], [b for _, b in drawn]]
+
+    state = rng.getstate()
+    found = _first_violation(prog, [(lhs, rhs) for _, lhs, rhs, _ in checks], pair_chunks(), size)
+    if not found:
+        return report(len(classes), _PAIR_SAMPLES)
+    pair, k = found
+    record, *_, holds = checks[k]
+    rng.setstate(state)
+    for _ in range(pair):
+        draw_pair()
+    ax, arest, bx, brest = draw_pair()
+    if holds(lift(ax, arest), lift(bx, brest)):
+        raise RuntimeError("column evaluation and ψ disagree on a witness")
+    return report(len(classes), 0 if record["check"] == "bounds" else pair + 1, dict(record),
+                  failed="preserves")

@@ -5,6 +5,7 @@ from the definitions rather than on top of the package, so agreement is
 evidence and not circularity.
 """
 
+import random
 from itertools import permutations
 
 
@@ -89,3 +90,106 @@ def brute_closure(members, n, generators):
 def elem_set(e):
     """Package element -> frozenset of member tuples (for comparisons)."""
     return frozenset(e.seqs())
+
+
+def brute_principal_ultraproduct(specs, i0, seed, misroute=None, class_limit=1 << 12,
+                                 pair_samples=512):
+    """The principal ultraproduct check of theorems.principal_ultraproduct,
+    one element at a time, on frozensets of tuples.
+
+    specs lists each factor's (n, u); every factor is the full space.
+    Elements of the product are tuples of frozensets, one per factor.  The
+    image of a under psi holds the target sequence t iff the set of factors
+    whose component contains t's representative (t itself in factor i0,
+    elsewhere t with every coordinate past that factor's base set to 0)
+    contains i0.  misroute maps some target sequences to the sequence that
+    factor i0 reads instead, or to None for none.  The random draws follow
+    the package's stream: sampled classes, then per class one bit vector
+    per other nonempty factor, then per pair a's target component, a's
+    others, b's target component and b's others.  Returns the report's
+    fields as a dict.
+    """
+    rng = random.Random(seed)
+    spaces = [lex_sequences(n, u) for n, u in specs]
+    target = spaces[i0]
+    misroute = misroute or {}
+
+    def draw(k):
+        return rng.getrandbits(k) if k else 0
+
+    def as_set(space, bits):
+        return frozenset(q for p, q in enumerate(space) if bits >> p & 1)
+
+    def rep(i, t):
+        if i == i0:
+            return misroute.get(t, t)
+        return tuple(e if e < specs[i][1] else 0 for e in t) if spaces[i] else None
+
+    def psi(a):
+        return frozenset(t for t in target
+                         if i0 in {i for i, x in enumerate(a) if rep(i, t) in x})
+
+    def lift(xbits, random_rest):
+        return tuple(as_set(target, xbits) if i == i0
+                     else as_set(space, draw(len(space))) if random_rest else frozenset()
+                     for i, space in enumerate(spaces))
+
+    size = len(target)
+    if 1 << size <= class_limit:
+        classes = list(range(1 << size))
+        mode = f"classes=exhaustive({1 << size})"
+    else:
+        classes = sorted({rng.getrandbits(size) for _ in range(class_limit)})
+        mode = f"classes=sampled({len(classes)})"
+    out = {"classes_tested": 0, "lift_pairs_tested": 0, "projection_agrees": True,
+           "well_defined": True, "preserves_ops": True, "injective": True,
+           "mode": mode + f", law-pairs=sampled({pair_samples})", "violation": None}
+
+    images = set()
+    for xb in classes:
+        x = as_set(target, xb)
+        via_zero, via_random = psi(lift(xb, False)), psi(lift(xb, True))
+        if via_zero != x:
+            out["projection_agrees"] = False
+            out["violation"] = {"check": "projection", "class": [list(q) for q in sorted(x)]}
+            return out
+        if via_random != via_zero:
+            out["well_defined"] = False
+            out["violation"] = {"check": "well-defined", "class": [list(q) for q in sorted(x)]}
+            return out
+        images.add(via_zero)
+        out["classes_tested"] += 1
+    if len(images) != len(classes):
+        out["injective"] = False
+        out["violation"] = {"check": "injective"}
+        return out
+
+    n = specs[0][0]
+    swaps = [swap_images(n, i, j) for i in range(n) for j in range(i + 1, n)]
+    empty = tuple(frozenset() for _ in spaces)
+    full = tuple(frozenset(space) for space in spaces)
+    if psi(empty) != frozenset() or psi(full) != frozenset(target):
+        out["preserves_ops"] = False
+        out["violation"] = {"check": "bounds"}
+        return out
+    for _ in range(pair_samples):
+        out["lift_pairs_tested"] += 1
+        a = lift(draw(size), True)
+        b = lift(draw(size), True)
+        pa = psi(a)
+        found = None
+        if psi(tuple(x & y for x, y in zip(a, b))) != pa & psi(b):
+            found = {"check": "meet"}
+        elif psi(tuple(frozenset(s) - x for s, x in zip(spaces, a))) != frozenset(target) - pa:
+            found = {"check": "complement"}
+        else:
+            for sw in swaps:
+                lhs = psi(tuple(brute_subst(s, sw, x) for s, x in zip(spaces, a)))
+                if lhs != brute_subst(target, sw, pa):
+                    found = {"check": "subst", "perm": list(sw)}
+                    break
+        if found:
+            out["preserves_ops"] = False
+            out["violation"] = found
+            return out
+    return out

@@ -1,6 +1,8 @@
 """check_quasi's column evaluator against one-assignment-at-a-time
 references: the package's own tree walk (quasi_violated) in canonical or
-sampled order, and the frozenset oracle built on oracles.brute_subst."""
+sampled order, and the frozenset oracle built on oracles.brute_subst.
+The column check of principal ultraproducts against the elementwise
+oracles.brute_principal_ultraproduct."""
 
 import itertools
 import random
@@ -15,7 +17,7 @@ import pytest
 
 from tsalg.algebra import Elem, carrier_from_seqs, full_carrier
 from tsalg.cli import main
-from tsalg import termlang
+from tsalg import termlang, theorems
 from tsalg.seqspace import DimensionMismatch
 from tsalg.termlang import (
     SAMPLE_CHUNK,
@@ -41,7 +43,7 @@ from tsalg.termlang import (
     quasi_violated,
 )
 
-from oracles import brute_subst, lex_sequences, swap_images
+from oracles import brute_principal_ultraproduct, brute_subst, lex_sequences, swap_images
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -260,3 +262,67 @@ print(sum(1 for o in gc.get_objects() if isinstance(o, type) and o.__name__ == "
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, check=True)
     assert int(done.stdout) <= 2
+
+
+# --- principal ultraproducts ------------------------------------------------
+
+
+@strat.composite
+def ultraproducts(draw):
+    """Factor lists of one dimension (empty factors and dimension 0
+    included), a principal index, a class-space limit (small ones sample
+    the classes) and some misrouted entries of the principal factor's ψ
+    table, which reach both phases of the check."""
+    n = draw(strat.integers(0, 3))
+    specs = draw(strat.lists(strat.tuples(strat.just(n), strat.integers(0, (3, 5, 3, 2)[n])),
+                             min_size=1, max_size=3))
+    i0 = draw(strat.integers(0, len(specs) - 1))
+    target = lex_sequences(*specs[i0])
+    misroute = {}
+    if target:
+        misroute = draw(strat.dictionaries(strat.sampled_from(target),
+                                           strat.sampled_from(target + [None]), max_size=2))
+    limit = draw(strat.sampled_from([1 << 12, 1, 2, 4]))
+    return specs, i0, misroute, limit, draw(strat.integers(0, 1 << 31))
+
+
+def _ultraproduct_by_columns(specs, i0, misroute, limit, seed):
+    tables_for = theorems._psi_tables
+
+    def misrouted(factors, i0):
+        tables = tables_for(factors, i0)
+        seqs = factors[i0].seqs
+        for t, q in misroute.items():
+            tables[i0][seqs.index(t)] = None if q is None else seqs.index(q)
+        return tables
+
+    with mock.patch.object(theorems, "_psi_tables", misrouted), \
+            mock.patch.object(theorems, "_CLASS_EXHAUSTIVE_LIMIT", limit):
+        return theorems.principal_ultraproduct([full_carrier(*s) for s in specs], i0, seed=seed)
+
+
+@hypothesis.settings(deadline=None, max_examples=80)
+@hypothesis.given(ultraproducts())
+@hypothesis.example(([(2, 2)], 0, {}, 1 << 12, 3))  # a single factor
+@hypothesis.example(([(2, 0), (2, 3)], 1, {}, 1 << 12, 4))  # an empty factor
+@hypothesis.example(([(2, 0), (2, 3)], 0, {}, 1 << 12, 4))  # an empty target
+@hypothesis.example(([(0, 2), (0, 0), (0, 3)], 2, {}, 1 << 12, 5))  # dimension 0
+@hypothesis.example(([(2, 2), (2, 3)], 0, {(0, 1): (1, 0)}, 1 << 12, 6))  # class phase
+@hypothesis.example(([(2, 2)], 0, {(0, 1): (0, 0)}, 1, 7))  # pair phase
+# pair phase, past draws for other factors of 0, 1 and 9 members
+@hypothesis.example(([(2, 1), (2, 2), (2, 0), (2, 3)], 1, {(0, 1): (0, 0)}, 1, 12))
+def test_ultraproduct_matches_elementwise_reference(case):
+    specs, i0, misroute, limit, seed = case
+    r = _ultraproduct_by_columns(specs, i0, misroute, limit, seed)
+    expected = brute_principal_ultraproduct(specs, i0, seed, misroute, class_limit=limit)
+    assert {key: getattr(r, key) for key in expected} == expected
+    assert r.passed == (expected["violation"] is None)
+
+
+def test_ultraproduct_sampled_classes_match_elementwise_reference():
+    # 14 target members: 2**14 classes, 4096 draws
+    specs = [(1, 14), (1, 3), (1, 0)]
+    r = _ultraproduct_by_columns(specs, 0, {}, 1 << 12, 8)
+    assert r.passed and r.mode.startswith("classes=sampled(")
+    expected = brute_principal_ultraproduct(specs, 0, 8)
+    assert {key: getattr(r, key) for key in expected} == expected

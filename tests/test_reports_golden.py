@@ -27,6 +27,8 @@ SPECS = {
     "full23": "n = 2\nbase = 3\ncarrier = full\n",
     "full32": "n = 3\nbase = 2\ncarrier = full\n",
     "full33": "n = 3\nbase = 3\ncarrier = full\n",
+    "full42": "n = 4\nbase = 2\ncarrier = full\n",
+    "full43": "n = 4\nbase = 3\ncarrier = full\n",
     "units3": "n = 3\nbase = 2\ncarrier = [[0,0,1],[0,1,0],[1,0,0]]\n",
     "units33": "n = 3\nbase = 3\ncarrier = [[0,0,1],[0,1,0],[1,0,0]]\n",
     "seed333": "n = 3\nbase = 3\ncarrier = [[0,1,2]]\n",
@@ -77,6 +79,9 @@ CASES = {
     "ultraproduct-2": ["ultraproduct", "--spec", "{full22}", "--spec", "{full22}"],
     "ultraproduct-3": ["ultraproduct", "--spec", "{full22}", "--spec", "{full23}",
                        "--spec", "{full22}", "--index", "1", "--seed", "11"],
+    # a 16-member target: 2**16 classes, so they are sampled
+    "ultraproduct-sampled": ["ultraproduct", "--spec", "{full43}", "--spec", "{full42}",
+                             "--index", "1", "--seed", "3"],
 }
 
 _WALL_JSON = re.compile(r'"wall_time_s": [-+0-9.eE]+')

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import tsalg.termlang as termlang
 import tsalg.theorems as theorems
 from tsalg.algebra import (
     Carrier,
@@ -20,7 +21,7 @@ from tsalg.algebra import (
     subst,
 )
 from tsalg.cli import main
-from tsalg.seqspace import Perm, all_seqs, perm_compose, perm_inverse, unit_seq
+from tsalg.seqspace import Perm, all_seqs, perm_compose, perm_inverse, rank, unit_seq
 from tsalg.termlang import BudgetExceeded, Exhaustive, Random, check_quasi, quasi_violated, sigma
 from tsalg.theorems import (
     backward_cycle,
@@ -267,6 +268,24 @@ def test_decompose_shares_one_route_per_base():
         assert r.target is route.target and r.renaming is route.renaming
     assert len(first) == 2**3 - 1
     assert all(r.image_nonzero for r in records) and sep.separated
+
+
+def test_decompose_walks_member_tuples_once_per_route(monkeypatch):
+    # the route over all k values is the full carrier itself, so relativize
+    # takes its identity shortcut for those atoms; only the per-route
+    # target check compares two equal-length member tuples
+    walks = []
+    eq = Carrier.__eq__
+
+    def counting(self, other):
+        if self is not other and isinstance(other, Carrier) and self.size == other.size:
+            walks.append(self.size)
+        return eq(self, other)
+
+    monkeypatch.setattr(Carrier, "__eq__", counting)
+    records, sep = decompose_small(5, 2, mode=Random(trials=20, seed=1))
+    assert len(records) == 32 and sep.separated
+    assert len(walks) <= len({r.base_used for r in records}) == 3
 
 
 def test_decompose_auto_mode_degrades_on_pairwise_work():
@@ -543,6 +562,137 @@ def test_ultraproduct_input_validation():
         principal_ultraproduct([carrier_from_seqs(2, 2, [(0, 0)])], 0)
     with pytest.raises(Exception):
         principal_ultraproduct([full_carrier(2, 2), full_carrier(3, 2)], 0)
+
+
+def _misroute_psi(monkeypatch, routes):
+    """Break ψ's compiled table for the principal factor: its target
+    position pt reads position routes[pt] (None: no position), in the
+    columns and in the element re-check alike."""
+    tables_for = theorems._psi_tables
+
+    def misrouted(factors, i0):
+        tables = tables_for(factors, i0)
+        for pt, src in routes.items():
+            tables[i0][pt] = src
+        return tables
+
+    monkeypatch.setattr(theorems, "_psi_tables", misrouted)
+
+
+def _psi_from_definition(a, tables, i0, target):
+    # ignores the compiled tables: every representative row is ranked afresh
+    bits = 0
+    for pt, t in enumerate(target.seqs):
+        agreeing = set()
+        for i, x in enumerate(a.components):
+            c = x.carrier
+            if c.size:
+                p = c.member_index.get(rank(t if i == i0 else tuple(e if e < c.u else 0 for e in t), c.u))
+                if p is not None and x.bits >> p & 1:
+                    agreeing.add(i)
+        if i0 in agreeing:
+            bits |= 1 << pt
+    return Elem(target, bits)
+
+
+def test_ultraproduct_psi_reads_the_principal_factor():
+    # the element ψ over compiled tables against ranking every row afresh
+    rng = random.Random(2)
+    factors = (full_carrier(2, 3), full_carrier(2, 0), full_carrier(2, 2), full_carrier(2, 1))
+    P = make_product(factors)
+    for i0 in (0, 2, 3):
+        tables = theorems._psi_tables(factors, i0)
+        for _ in range(20):
+            a = P.element(Elem(c, rng.getrandbits(c.size) if c.size else 0) for c in factors)
+            image = theorems._psi(a, tables, i0, factors[i0])
+            assert image == _psi_from_definition(a, tables, i0, factors[i0]) == a.components[i0]
+
+
+def test_ultraproduct_class_phase_violation(monkeypatch):
+    # target position 1, (0,1), reads position 2, (1,0): the least class
+    # holding exactly one of them is {(0,1)}, the third class
+    _misroute_psi(monkeypatch, {1: 2})
+    r = principal_ultraproduct([full_carrier(2, 2), full_carrier(2, 3)], 0, seed=5)
+    assert not r.passed and not r.projection_agrees
+    assert r.well_defined and r.preserves_ops and r.injective
+    assert r.violation == {"check": "projection", "class": [[0, 1]]}
+    assert (r.classes_tested, r.lift_pairs_tested) == (2, 0)
+    assert r.mode == "classes=exhaustive(16), law-pairs=sampled(512)"
+
+
+def _one_class_draws(seed, bits):
+    """Draw one class of 4 bits from random.Random(seed), then pairs a, b:
+    (the class, the number of the first pair whose a neither holds nor
+    misses all the given bit positions)."""
+    rng = random.Random(seed)
+    cls = rng.getrandbits(4)
+    for pair in range(1, 513):
+        a, _ = rng.getrandbits(4), rng.getrandbits(4)
+        if len({a >> p & 1 for p in bits}) > 1:
+            return cls, pair
+    raise AssertionError("no such pair")
+
+
+def _seed_past_a_class_break(first_pair=1):
+    """A seed whose one sampled class has bits 0 and 1 equal, so a table
+    where position 1 reads position 0 passes the class phase, and whose
+    first pair moving bits 0, 1, 2 is at least first_pair: (seed, pair)."""
+    for seed in range(200):
+        cls, pair = _one_class_draws(seed, (0, 1, 2))
+        if (cls ^ cls >> 1) & 1 == 0 and pair >= first_pair:
+            return seed, pair
+    raise AssertionError("no such seed")
+
+
+@pytest.mark.parametrize("chunk", [4096, 2])
+def test_ultraproduct_pair_phase_violation(monkeypatch, chunk):
+    # with one sampled class a broken table can pass the class phase:
+    # position 1 reading position 0 keeps every class whose bits 0 and 1
+    # agree, and then s[0,1] breaks on the first a whose bits 0, 1, 2
+    # are not all equal (meet and complement survive any total table)
+    monkeypatch.setattr(theorems, "_CLASS_EXHAUSTIVE_LIMIT", 1)
+    monkeypatch.setattr(termlang, "SAMPLE_CHUNK", chunk)
+    _misroute_psi(monkeypatch, {1: 0})
+    seed, pair = _seed_past_a_class_break(first_pair=3)
+    r = principal_ultraproduct([full_carrier(2, 2)], 0, seed=seed)
+    assert not r.passed and not r.preserves_ops and r.projection_agrees
+    assert r.violation == {"check": "subst", "perm": [1, 0]}
+    assert (r.classes_tested, r.lift_pairs_tested) == (1, pair)
+    assert r.mode == "classes=sampled(1), law-pairs=sampled(512)"
+
+
+def test_ultraproduct_bounds_violation(monkeypatch):
+    # position 3 reads nothing: a class without (1,1) passes, but ψ(1) != 1
+    monkeypatch.setattr(theorems, "_CLASS_EXHAUSTIVE_LIMIT", 1)
+    _misroute_psi(monkeypatch, {3: None})
+    seed = next(s for s in range(100) if not random.Random(s).getrandbits(4) >> 3 & 1)
+    r = principal_ultraproduct([full_carrier(2, 2), full_carrier(2, 3)], 0, seed=seed)
+    assert not r.passed and not r.preserves_ops
+    assert r.violation == {"check": "bounds"}
+    assert (r.classes_tested, r.lift_pairs_tested) == (1, 0)
+
+
+def test_ultraproduct_witness_disagreement_raises(monkeypatch, tmp_path, capsys):
+    # the columns read a broken table while the re-check ranks afresh
+    monkeypatch.setattr(theorems, "_psi", _psi_from_definition)
+    _misroute_psi(monkeypatch, {1: 2})
+    factors = [full_carrier(2, 2), full_carrier(2, 3)]
+    with pytest.raises(RuntimeError, match="disagree"):
+        principal_ultraproduct(factors, 0)
+    spec22, spec23 = tmp_path / "a.alg", tmp_path / "b.alg"
+    spec22.write_text("n = 2\nbase = 2\ncarrier = full\n")
+    spec23.write_text("n = 2\nbase = 3\ncarrier = full\n")
+    assert main(["ultraproduct", "--spec", str(spec22), "--spec", str(spec23)]) == 2
+    assert "disagree" in capsys.readouterr().err
+
+
+def test_ultraproduct_pair_witness_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(theorems, "_psi", _psi_from_definition)
+    monkeypatch.setattr(theorems, "_CLASS_EXHAUSTIVE_LIMIT", 1)
+    _misroute_psi(monkeypatch, {1: 0})
+    seed, _ = _seed_past_a_class_break()
+    with pytest.raises(RuntimeError, match="disagree"):
+        principal_ultraproduct([full_carrier(2, 2)], 0, seed=seed)
 
 
 # --- cross-layer sanity -------------------------------------------------------------
