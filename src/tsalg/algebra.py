@@ -441,44 +441,6 @@ def canonicalize_base(D: Carrier) -> tuple[Carrier, dict[int, int]]:
     return out, renaming
 
 
-class SmallAlgebra:
-    """The full algebra over ^n k for a base no larger than the dimension.
-
-    Thin wrapper tying the carrier to its (n, k) signature, with the usual
-    operations as conveniences.
-    """
-
-    def __init__(self, n: int, k: int):
-        if not 0 <= k <= n:
-            raise ValueError(f"small algebras need 0 <= k <= n, got n={n}, k={k}")
-        self.n = n
-        self.k = k
-        self.carrier = full_carrier(n, k)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SmallAlgebra):
-            return NotImplemented
-        return (self.n, self.k) == (other.n, other.k)
-
-    def __hash__(self) -> int:
-        return hash((SmallAlgebra, self.n, self.k))
-
-    def __repr__(self) -> str:
-        return f"SmallAlgebra(n={self.n}, k={self.k})"
-
-    def zero(self) -> Elem:
-        return zero(self.carrier)
-
-    def one(self) -> Elem:
-        return one(self.carrier)
-
-    def atom(self, s: Seq) -> Elem:
-        return atom(self.carrier, s)
-
-    def subst(self, f: Perm, x: Elem) -> Elem:
-        return subst(self.carrier, f, x)
-
-
 @dataclass(frozen=True, repr=False)
 class ProductElem:
     """An element of a direct product: one component per factor."""
@@ -541,7 +503,3 @@ class ProductAlgebra:
 
     def is_zero(self, a: ProductElem) -> bool:
         return all(is_zero(x) for x in self._components(a))
-
-
-def make_product(factors: Iterable[Carrier]) -> ProductAlgebra:
-    return ProductAlgebra(factors)

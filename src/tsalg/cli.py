@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from .algebra import (
     Carrier,
     Elem,
-    SmallAlgebra,
     carrier_from_seqs,
     full_carrier,
     is_permutable,
@@ -61,6 +60,7 @@ from .termlang import (
     check_equation,
     check_quasi,
     equation_vars,
+    fmt_count,
     parse_equation,
     parse_quasi,
     print_equation,
@@ -207,9 +207,9 @@ class RunReport:
     mode: str
     seed: int | None
     counts: dict
-    witness: dict | None
-    details: object
-    wall_time_s: float
+    witness: dict | None = None
+    details: object = dataclasses.field(default_factory=dict)
+    wall_time_s: float = 0.0
 
     def to_json(self) -> str:
         return json.dumps(_encode(self), indent=2, sort_keys=True)
@@ -220,7 +220,7 @@ class RunReport:
         for k, v in r["inputs"].items():
             lines.append(f"  {k}: {_fmt_value(v)}")
         lines.append(f"mode: {self.mode}" + (f"  seed: {self.seed}" if self.seed is not None else ""))
-        for k, v in self.counts.items():
+        for k, v in r["counts"].items():
             lines.append(f"  {k}: {v}")
         if r["details"]:
             lines.extend(_render(r["details"], 0))
@@ -235,8 +235,9 @@ class RunReport:
 def _encode(value: object) -> object:
     """JSON data for a report value: dataclasses give their fields (under
     the field's metadata "key" when set) then their public properties;
-    carriers, elements, permutations, small algebras and verdicts have
-    fixed forms."""
+    carriers, elements, permutations and verdicts have fixed forms, and
+    ints wider than 256 bits become fmt_count text (str() and json refuse
+    integers past 4300 digits)."""
     if isinstance(value, Carrier):
         d: dict = {"n": value.n, "base": value.u, "size": value.size}
         if value.size <= 64:
@@ -246,8 +247,6 @@ def _encode(value: object) -> object:
         return [list(s) for s in value.seqs()]
     if isinstance(value, Perm):
         return list(value.images)
-    if isinstance(value, SmallAlgebra):
-        return {"n": value.n, "k": value.k}
     if isinstance(value, Verdict):
         d = {"outcome": value.outcome, "assignments_tested": value.assignments_tested}
         if value.trials is not None:
@@ -268,6 +267,8 @@ def _encode(value: object) -> object:
         return {str(k): _encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
+    if isinstance(value, int) and value.bit_length() > 256:
+        return fmt_count(value)
     return value
 
 
@@ -393,7 +394,7 @@ def _mode_from_args(args: argparse.Namespace) -> Exhaustive | Random | None:
 # --- subcommands ---------------------------------------------------------
 
 
-def _cmd_sigma_demo(args: argparse.Namespace, budget: int) -> tuple[RunReport, int]:
+def _cmd_sigma_demo(args: argparse.Namespace, budget: int) -> RunReport:
     n = args.n
     if not 2 <= n <= 6:
         raise UsageError(f"sigma-demo supports 2 <= n <= 6, got {n}")
@@ -403,7 +404,7 @@ def _cmd_sigma_demo(args: argparse.Namespace, budget: int) -> tuple[RunReport, i
     pairs = "all" if args.all_perm_pairs else (forward_cycle(n), backward_cycle(n))
     small = sigma_holds_small(n, 2, pairs=pairs, mode=mode, budget=budget, seed=args.seed)
     passed = counter.passed and small.holds and small.agree and (escape is None or escape.passed)
-    report = RunReport(
+    return RunReport(
         command="sigma-demo",
         inputs={"n": n, "all_perm_pairs": args.all_perm_pairs, "budget": budget},
         outcome="all assertions reproduced" if passed else "an assertion failed",
@@ -418,12 +419,10 @@ def _cmd_sigma_demo(args: argparse.Namespace, budget: int) -> tuple[RunReport, i
             "sigma_small_base_2": small,
             "escape": escape or f"skipped (runs for n <= 4, n = {n})",
         },
-        wall_time_s=0.0,
     )
-    return report, 0 if passed else 1
 
 
-def _cmd_check(args: argparse.Namespace, budget: int) -> tuple[RunReport, int]:
+def _cmd_check(args: argparse.Namespace, budget: int) -> RunReport:
     spec = load_algebra_spec(args.spec)
     carrier = spec.to_carrier()
     if args.eq is not None:
@@ -438,7 +437,7 @@ def _cmd_check(args: argparse.Namespace, budget: int) -> tuple[RunReport, int]:
     mode = resolve_mode(1 << (carrier.size * len(names)), _mode_from_args(args),
                         budget, args.seed)
     verdict = check(carrier, formula, mode)
-    report = RunReport(
+    return RunReport(
         command="check",
         inputs={"spec": spec, kind: text, "canonical": canonical, "budget": budget},
         outcome=verdict.outcome,
@@ -448,18 +447,15 @@ def _cmd_check(args: argparse.Namespace, budget: int) -> tuple[RunReport, int]:
         counts={"assignments_tested": verdict.assignments_tested,
                 "carrier_size": carrier.size},
         witness=verdict.witness or None,
-        details={},
-        wall_time_s=0.0,
     )
-    return report, 0 if verdict.holds else 1
 
 
-def _cmd_verify_relativization(args: argparse.Namespace, budget: int) -> tuple[RunReport, int]:
+def _cmd_verify_relativization(args: argparse.Namespace, budget: int) -> RunReport:
     big = load_algebra_spec(args.big).to_carrier()
     sub = load_algebra_spec(args.sub).to_carrier()
     hom = verify_relativization(big, sub, mode=_mode_from_args(args), budget=budget,
                                 seed=args.seed)
-    report = RunReport(
+    return RunReport(
         command="verify-relativization",
         inputs={"big": big, "sub": sub, "budget": budget},
         outcome="homomorphism verified" if hom.passed else f"violation in {hom.violation['op']}",
@@ -467,20 +463,17 @@ def _cmd_verify_relativization(args: argparse.Namespace, budget: int) -> tuple[R
         mode=hom.mode,
         seed=hom.seed,
         counts={"elements_tested": hom.elements_tested, "pairs_tested": hom.pairs_tested},
-        witness=None,
         details=hom,
-        wall_time_s=0.0,
     )
-    return report, 0 if hom.passed else 1
 
 
-def _cmd_decompose(args: argparse.Namespace, budget: int) -> tuple[RunReport, int]:
+def _cmd_decompose(args: argparse.Namespace, budget: int) -> RunReport:
     if args.n < 0 or args.k < 0:
         raise UsageError("--n and --k must be naturals")
     records, sep = decompose_small(args.n, args.k, mode=_mode_from_args(args),
                                    budget=budget, seed=args.seed)
     passed = all(r.image_nonzero for r in records) and sep.separated
-    report = RunReport(
+    return RunReport(
         command="decompose",
         inputs={"n": args.n, "k": args.k, "budget": budget},
         outcome="atoms map faithfully and separate" if passed else "decomposition failed",
@@ -489,21 +482,18 @@ def _cmd_decompose(args: argparse.Namespace, budget: int) -> tuple[RunReport, in
         seed=sep.seed,
         counts={"atoms": len(records), "elements": sep.elements,
                 "pairs_tested": sep.pairs_tested},
-        witness=None,
         details={"records": records, "separated": sep.separated,
                  "separation_failure": sep.failure},
-        wall_time_s=0.0,
     )
-    return report, 0 if passed else 1
 
 
-def _cmd_closure(args: argparse.Namespace, budget: int) -> tuple[RunReport, int]:
+def _cmd_closure(args: argparse.Namespace, budget: int) -> RunReport:
     spec = load_algebra_spec(args.spec)
     carrier = spec.to_carrier()
     closed = permutable_closure(carrier)
     # re-check on a fresh carrier so the flag is computed, not assumed
     verified = is_permutable(Carrier(closed.n, closed.u, closed.members))
-    report = RunReport(
+    return RunReport(
         command="closure",
         inputs={"spec": spec},
         outcome="closure computed",
@@ -511,17 +501,14 @@ def _cmd_closure(args: argparse.Namespace, budget: int) -> tuple[RunReport, int]
         mode="exhaustive",
         seed=None,
         counts={"input_size": carrier.size, "closure_size": closed.size},
-        witness=None,
         details={"closure": closed, "permutable": verified},
-        wall_time_s=0.0,
     )
-    return report, 0 if verified else 1
 
 
-def _cmd_ultraproduct(args: argparse.Namespace, budget: int) -> tuple[RunReport, int]:
+def _cmd_ultraproduct(args: argparse.Namespace, budget: int) -> RunReport:
     factors = [load_algebra_spec(path).to_carrier() for path in args.spec]
     result = principal_ultraproduct(factors, args.index, seed=args.seed)
-    report = RunReport(
+    return RunReport(
         command="ultraproduct",
         inputs={"factors": factors, "index": args.index},
         outcome="ultraproduct collapses to the indexed factor" if result.passed
@@ -531,11 +518,8 @@ def _cmd_ultraproduct(args: argparse.Namespace, budget: int) -> tuple[RunReport,
         seed=result.seed,
         counts={"classes_tested": result.classes_tested,
                 "lift_pairs_tested": result.lift_pairs_tested},
-        witness=None,
         details=result,
-        wall_time_s=0.0,
     )
-    return report, 0 if result.passed else 1
 
 
 _HANDLERS = {
@@ -558,13 +542,13 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         budget = _budget_from_env()
-        report, code = _HANDLERS[args.command](args, budget)
+        report = _HANDLERS[args.command](args, budget)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.wall_time_s = round(time.perf_counter() - started, 6)
     print(report.to_json() if args.json else report.to_text())
-    return code
+    return 0 if report.passed else 1
 
 
 def entry() -> None:

@@ -23,7 +23,7 @@ variable running through bit vectors in increasing numeric value, so the
 first (least) violating assignment is deterministic.  Random mode draws
 each variable's bit vector as independent fair coin bits from a seeded
 generator, rng.getrandbits(|D|) per variable per trial in sorted name
-order, and always reports the seed it used.
+order (_draws), and always reports the seed it used.
 
 check_quasi evaluates by columns rather than one assignment at a time.
 It takes assignments in chunks (2**16 in canonical order, or up to 4096
@@ -33,14 +33,14 @@ whether that position is in the value under assignment a of the chunk.
 the table the carrier compiles once per operator.  The assignments that
 meet every hypothesis and break the conclusion form one bit set; its
 lowest bit is the least (or first sampled) violation, so verdicts,
-witnesses and counts are those of the one-at-a-time scan.  This chunk
-loop (_chunks) is the assignment source of every law check over a
-carrier: the relativization and separation laws in theorems run through
-it as well, relativizing to a sub-carrier being one more gather.  The
-principal ultraproduct check runs the same programs (_run) over its own
-interleaved draws, transposed by the same _columns.  eval_term and
-quasi_violated walk the tree for a single assignment and re-check every
-witness.  A sampled check of a quasi-equation without s_f walks the tree
+witnesses and counts are those of the one-at-a-time scan.  That scan,
+_first_violation, is shared by every column check: the relativization
+and separation laws in theorems (over _assignments, relativizing to a
+sub-carrier being one more gather) and the principal ultraproduct (over
+its own interleaved draws, transposed by the same _transposed).  It
+re-checks each witness through the caller's element-wise test; eval_term
+and quasi_violated walk the tree for a single assignment and are that
+test here.  A sampled check of a quasi-equation without s_f walks the tree
 once per trial instead: there '~', '&' and '|' on one bit vector already
 cover all of D, and transposing the trials would cost more than it saves.
 """
@@ -51,7 +51,8 @@ import functools
 import operator
 import random as _random
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .algebra import (
     Carrier,
@@ -652,30 +653,46 @@ def _differs(vals: list[list[int]], lhs: int, rhs: int) -> int:
     return functools.reduce(operator.or_, map(operator.xor, vals[lhs], vals[rhs]), 0)
 
 
-def _least_broken(vals: list[list[int]], sides: list[tuple[int, int]]) -> tuple[int, int] | None:
-    """The chunk's least assignment under which some (lhs, rhs) pair of
-    slots in sides differs, and the number of its first such pair; or None."""
-    broken = [_differs(vals, lhs, rhs) for lhs, rhs in sides]
-    bad = functools.reduce(operator.or_, broken, 0)
-    if not bad:
-        return None
-    a = (bad & -bad).bit_length() - 1
-    return a, next(k for k, b in enumerate(broken) if b >> a & 1)
+def _row(columns: list[int], a: int) -> int:
+    """The bit vector that columns give assignment a of their chunk."""
+    return sum((col >> a & 1) << p for p, col in enumerate(columns))
 
 
-def _violations(vals: list[list[int]], equations: list[tuple[int, int]], full: int) -> int:
-    """Bit set of the chunk's assignments that satisfy every hypothesis but
-    not the conclusion (the last pair of equations)."""
-    *hypotheses, conclusion = equations
-    live = full
-    for lhs, rhs in hypotheses:
-        live &= ~_differs(vals, lhs, rhs)
-    return live & _differs(vals, *conclusion)
+def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
+                     laws: list[tuple[int, int]], chunks: Iterable[tuple[int, list[list[int]]]],
+                     violates: Callable[[int, list[int]], object]) -> tuple[int, int, object] | None:
+    """The one violation scan of every column check.
+
+    chunks yields (width, each variable's columns) per chunk of
+    assignments.  Returns the least assignment under which every
+    (lhs, rhs) pair of slots in hypotheses agrees and some pair in laws
+    differs, as (its index, the number of its first such law, its
+    witness), or None.  The witness comes from violates(law, rows), the
+    caller's element-by-element re-check of that law under the
+    variables' bit vectors rows: the witness in the caller's terms, or
+    None where the law holds, which means the columns were wrong."""
+    start = 0
+    for width, columns in chunks:
+        live = (1 << width) - 1
+        vals = _run(program, columns, live)
+        for lhs, rhs in hypotheses:
+            live &= ~_differs(vals, lhs, rhs)
+        broken = [live & _differs(vals, lhs, rhs) for lhs, rhs in laws]
+        bad = functools.reduce(operator.or_, broken, 0)
+        if bad:
+            a = (bad & -bad).bit_length() - 1
+            law = [b >> a & 1 for b in broken].index(1)
+            witness = violates(law, [_row(cols, a) for cols in columns])
+            if witness is None:
+                raise RuntimeError("column evaluation and the element-wise re-check disagree on a witness")
+            return start + a, law, witness
+        start += width
+    return None
 
 
-def _exhaustive_chunks(size: int, nvars: int) -> Iterator[tuple[int, int, list[list[int]]]]:
-    """(index of the first assignment, width, columns of each variable) for
-    every chunk of the canonical enumeration.
+def _exhaustive_chunks(size: int, nvars: int) -> Iterator[tuple[int, list[list[int]]]]:
+    """(width, columns of each variable) for every chunk of the canonical
+    enumeration.
 
     Assignment a gives variable j (in sorted name order) the bit vector
     (a >> size * (nvars - 1 - j)) mod 2 ** size, so the first name is most
@@ -696,29 +713,26 @@ def _exhaustive_chunks(size: int, nvars: int) -> Iterator[tuple[int, int, list[l
         periodic.append(col)
     for chunk in range(1 << (bits - low)):
         counter = periodic + [full if chunk >> b & 1 else 0 for b in range(bits - low)]
-        yield chunk << low, width, [counter[size * (nvars - 1 - j): size * (nvars - j)]
-                                    for j in range(nvars)]
+        yield width, [counter[size * (nvars - 1 - j): size * (nvars - j)] for j in range(nvars)]
 
 
-def _sampled_chunks(size: int, nvars: int, trials: int, seed: int) -> Iterator[tuple[int, int, list[list[int]]]]:
-    """Chunks of the sample stream: rng.getrandbits(size) per variable per
-    trial, in sorted name order, from random.Random(seed), transposed into
-    columns."""
-    draw = _random.Random(seed).getrandbits
-    step = _chunk_rows(size)
+def _draws(size: int, nvars: int, mode: Random) -> Iterator[int]:
+    """The sample stream: rng.getrandbits(size) per variable per trial, in
+    sorted name order, from random.Random(mode.seed)."""
+    return map(_random.Random(mode.seed).getrandbits, repeat(size, mode.trials * nvars))
+
+
+def _transposed(draws: Iterator[int], size: int, nvars: int,
+                trials: int) -> Iterator[tuple[int, list[list[int]]]]:
+    """(width, columns of each variable) per chunk of trials rows, a row
+    being the next nvars draws of size bits, one per variable in order.
+    A chunk holds SAMPLE_CHUNK rows, or fewer on a carrier so wide that a
+    chunk would pass SAMPLE_CHUNK_BITS bits per variable."""
+    step = max(1, min(SAMPLE_CHUNK, SAMPLE_CHUNK_BITS // max(size, 1)))
     for start in range(0, trials, step):
         width = min(step, trials - start)
-        if not size:
-            yield start, width, [[] for _ in range(nvars)]
-            continue
-        rows = [draw(size) for _ in range(width * nvars)]
-        yield start, width, [_columns(rows[j::nvars], size) for j in range(nvars)]
-
-
-def _chunk_rows(size: int) -> int:
-    """Rows per sampled chunk: SAMPLE_CHUNK, or fewer on a carrier so wide
-    that a chunk would pass SAMPLE_CHUNK_BITS bits per variable."""
-    return max(1, min(SAMPLE_CHUNK, SAMPLE_CHUNK_BITS // max(size, 1)))
+        rows = list(islice(draws, width * nvars))
+        yield width, [_columns(rows[j::nvars], size) for j in range(nvars)]
 
 
 def _columns(rows: list[int], size: int) -> list[int]:
@@ -733,6 +747,14 @@ def _columns(rows: list[int], size: int) -> list[int]:
     return [int(text[size - 1 - p::size], 2) for p in range(size)]
 
 
+def _assignments(size: int, nvars: int, mode: Mode) -> Iterator[tuple[int, list[list[int]]]]:
+    """The chunks of mode's assignments to nvars variables over a carrier
+    of size members: the canonical enumeration, or the sample stream."""
+    if isinstance(mode, Random):
+        return _transposed(_draws(size, nvars, mode), size, nvars, mode.trials)
+    return _exhaustive_chunks(size, nvars)
+
+
 def _check_rows(D: Carrier, qe: QuasiEquation, names: list[str], mode: Random) -> Verdict:
     """Sampled check one trial at a time, through quasi_violated, for
     quasi-equations without s_f.  '~', '&' and '|' already act on all of D
@@ -740,31 +762,12 @@ def _check_rows(D: Carrier, qe: QuasiEquation, names: list[str], mode: Random) -
     add its cost: on a 2-CPU x86-64 VM, about 10 ns per member per
     variable and trial, or 80 us a trial for x & y = y & x on full (12, 2),
     where the whole walk takes 10-15 us."""
-    draw = _random.Random(mode.seed).getrandbits
+    draws = _draws(D.size, len(names), mode)
     for t in range(mode.trials):
-        env = {nm: Elem(D, draw(D.size) if D.size else 0) for nm in names}
+        env = {nm: Elem(D, bits) for nm, bits in zip(names, draws)}
         if quasi_violated(D, qe, env):
             return Verdict("fails", witness=env, trials=mode.trials, seed=mode.seed, assignments_tested=t + 1)
     return Verdict("holds-sampled", trials=mode.trials, seed=mode.seed, assignments_tested=mode.trials)
-
-
-def _chunks(program: _Program, size: int, nvars: int,
-            mode: Mode) -> Iterator[tuple[int, int, list[list[int]], list[list[int]]]]:
-    """The one assignment source of every column check: for each chunk of
-    mode's assignments to nvars variables over a carrier of size members,
-    (index of its first assignment, its width, each variable's columns,
-    each program slot's columns)."""
-    if isinstance(mode, Random):
-        chunks = _sampled_chunks(size, nvars, mode.trials, mode.seed)
-    else:
-        chunks = _exhaustive_chunks(size, nvars)
-    for start, width, columns in chunks:
-        yield start, width, columns, _run(program, columns, (1 << width) - 1)
-
-
-def _row(columns: list[int], a: int) -> int:
-    """The bit vector that columns give assignment a of their chunk."""
-    return sum((col >> a & 1) << p for p, col in enumerate(columns))
 
 
 def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Verdict:
@@ -778,23 +781,24 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     (_check_rows); all others evaluate by columns.
     """
     names = sorted(quasi_vars(qe))
-    mode = resolve_mode(1 << (D.size * len(names)), mode)
+    work = 1 << (D.size * len(names))
+    mode = resolve_mode(work, mode)
     program, equations = _compile(qe, D, names)
-    if isinstance(mode, Random) and not any(op[0] == "gather" for op in program):
-        return _check_rows(D, qe, names, mode)
     sampled = {"trials": mode.trials, "seed": mode.seed} if isinstance(mode, Random) else {}
-    tested = 0
-    for start, width, columns, vals in _chunks(program, D.size, len(names), mode):
-        bad = _violations(vals, equations, (1 << width) - 1)
-        if bad:
-            a = (bad & -bad).bit_length() - 1
-            witness = {nm: Elem(D, _row(cols, a)) for nm, cols in zip(names, columns)}
-            if not quasi_violated(D, qe, witness):
-                raise RuntimeError("column evaluation and quasi_violated disagree on a witness")
-            return Verdict("fails", witness=witness, assignments_tested=start + a + 1, **sampled)
-        tested = start + width
+    if sampled and not any(op[0] == "gather" for op in program):
+        return _check_rows(D, qe, names, mode)
+
+    def violates(_: int, rows: list[int]) -> dict[str, Elem] | None:
+        witness = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
+        return witness if quasi_violated(D, qe, witness) else None
+
+    found = _first_violation(program, equations[:-1], equations[-1:],
+                             _assignments(D.size, len(names), mode), violates)
+    if found:
+        index, _, witness = found
+        return Verdict("fails", witness=witness, assignments_tested=index + 1, **sampled)
     outcome = "holds-sampled" if sampled else "holds-exhaustive"
-    return Verdict(outcome, assignments_tested=tested, **sampled)
+    return Verdict(outcome, assignments_tested=mode.trials if sampled else work, **sampled)
 
 
 def check_equation(D: Carrier, eq: Equation, mode: Mode = Exhaustive()) -> Verdict:

@@ -18,12 +18,13 @@ was enumerated, in which mode, and where the first violation sits:
   projection.
 
 The relativization and separation laws range over pairs of elements; both
-run through termlang's column loop (termlang._chunks), exhaustively or on
-the seeded sample stream, and every violation found there is re-checked
-through relativize, subst, meet and complement.  The ultraproduct check
-compiles its map once and runs its class and law-pair checks as column
-programs too, over its own draws; a violation is re-checked through
-ProductAlgebra's operations and the map applied element by element.
+run through termlang's violation scan (termlang._first_violation),
+exhaustively or on the seeded sample stream, and every violation found
+there is re-checked through relativize, subst, meet and complement.  The
+ultraproduct check compiles its map once and runs its class and law-pair
+checks through the same scan, over its own draws; a violation is
+re-checked through ProductAlgebra's operations and the map applied
+element by element.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import functools
 import itertools
 import random as _random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 from .algebra import (
     MAX_SUBALGEBRA_ELEMS,
@@ -41,7 +41,6 @@ from .algebra import (
     ProductAlgebra,
     ProductElem,
     SizeCapExceeded,
-    SmallAlgebra,
     _capped_power,
     atom,
     carrier_from_seqs,
@@ -76,15 +75,11 @@ from .termlang import (
     Mode,
     Random,
     Verdict,
-    _chunk_rows,
-    _chunks,
-    _columns,
-    _differs,
-    _least_broken,
+    _assignments,
+    _draws,
+    _first_violation,
     _Program,
-    _row,
-    _run,
-    _violations,
+    _transposed,
     check_quasi,
     fmt_count,
     quasi_violated,
@@ -145,10 +140,10 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
     """Check that h: x -> x ∩ G is a homomorphism from the algebra over E
     onto the algebra over G.  Over x, y in 2**E it checks the laws
     h(x & y) = h x & h y, h(~x) = ~h x and h(s_t x) = s_t h x for every
-    transposition t, as one column program (termlang._chunks) whose h is
-    the gather relativize applies.  The least (or first sampled) violating
-    assignment is reported with its first failing law, after a re-check
-    through relativize, subst, meet and complement.
+    transposition t, as one column program (termlang._first_violation)
+    whose h is the gather relativize applies.  The least (or first
+    sampled) violating assignment is reported with its first failing law,
+    after a re-check through relativize, subst, meet and complement.
 
     G must be a permutable sub-carrier of E — that is a precondition, not
     a checked property, so a non-permutable G raises instead of failing.
@@ -183,22 +178,22 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
                      prog.emit("gather", hx, G._gather_for(t)),
                      lambda X, Y, t=t: h(subst(E, t, X)) == subst(G, t, h(X))))
 
+    def violates(k: int, rows: list[int]) -> tuple[Elem, Elem] | None:
+        X, Y = (Elem(E, bits) for bits in rows)
+        return None if laws[k][-1](X, Y) else (X, Y)
+
     elements, pairs = (mode.trials,) * 2 if isinstance(mode, Random) else (space, work)
     violation: dict | None = None
-    for start, width, (xcols, ycols), vals in _chunks(prog, E.size, 2, mode):
-        found = _least_broken(vals, [(lhs, rhs) for _, lhs, rhs, _ in laws])
-        if found:
-            a, k = found
-            X, Y = Elem(E, _row(xcols, a)), Elem(E, _row(ycols, a))
-            record, *_, holds = laws[k]
-            if holds(X, Y):
-                raise RuntimeError("column evaluation and relativize disagree on a witness")
-            violation = dict(record, x=_seq_lists(X))
-            if record["op"] == "meet":
-                violation["y"] = _seq_lists(Y)
-            pairs = start + a + 1
-            elements = pairs if isinstance(mode, Random) else X.bits + 1
-            break
+    found = _first_violation(prog, [], [(lhs, rhs) for _, lhs, rhs, _ in laws],
+                             _assignments(E.size, 2, mode), violates)
+    if found:
+        index, k, (X, Y) = found
+        record = laws[k][0]
+        violation = dict(record, x=_seq_lists(X))
+        if record["op"] == "meet":
+            violation["y"] = _seq_lists(Y)
+        pairs = index + 1
+        elements = pairs if isinstance(mode, Random) else X.bits + 1
     return HomReport(E, G, ("meet", "complement", "subst"), mode.label,
                      mode.seed if isinstance(mode, Random) else None, elements, pairs, violation)
 
@@ -219,7 +214,7 @@ class DecompositionRecord:
     base_used: tuple[int, ...]
     k: int
     renaming: dict[int, int]
-    target: SmallAlgebra
+    target: dict[str, int]  # the small algebra's signature, {"n": n, "k": k}
     image_nonzero: bool
     degenerate: bool = False
 
@@ -247,11 +242,11 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
     A = full_carrier(n, k)
     if A.size == 0:
         # no atoms; the algebra is already the one-element small algebra
-        rec = DecompositionRecord(None, (), 0, {}, SmallAlgebra(n, 0), True, degenerate=True)
+        rec = DecompositionRecord(None, (), 0, {}, {"n": n, "k": 0}, True, degenerate=True)
         return [rec], SeparationReport(1, 0, "exhaustive", None, True, None)
 
     # atoms over the same base values share their route: at most 2**k - 1
-    routes: dict[tuple[int, ...], tuple[Carrier, Carrier, dict[int, int], SmallAlgebra]] = {}
+    routes: dict[tuple[int, ...], tuple[Carrier, Carrier, dict[int, int]]] = {}
     records: list[DecompositionRecord] = []
     for q in A.seqs:
         base_used = tuple(sorted(set(q)))
@@ -263,14 +258,14 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
             else:
                 gq = carrier_from_seqs(n, k, itertools.product(base_used, repeat=n))
             canon, renaming = canonicalize_base(gq)
-            target = SmallAlgebra(n, len(base_used))
-            assert canon == target.carrier  # increasing relabel of a full sub-base space
-            routes[base_used] = (gq, canon, renaming, target)
-        gq, canon, renaming, target = routes[base_used]
+            # increasing relabel of a full sub-base space
+            assert canon == full_carrier(n, len(base_used))
+            routes[base_used] = (gq, canon, renaming)
+        gq, canon, renaming = routes[base_used]
         image = Elem(canon, relativize(atom(A, q), gq).bits)
         records.append(
-            DecompositionRecord(q, base_used, len(base_used), renaming, target,
-                                not is_zero(image))
+            DecompositionRecord(q, base_used, len(base_used), renaming,
+                                {"n": n, "k": len(base_used)}, not is_zero(image))
         )
 
     space = 1 << A.size
@@ -281,27 +276,30 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
     prog = _Program()
     x, y = prog.emit("var", 0), prog.emit("var", 1)
     tables = [gq._gather_from(A) for gq, *_ in routes.values()]
-    equations = [(prog.emit("gather", x, t), prog.emit("gather", y, t)) for t in tables] + [(x, y)]
+    hypotheses = [(prog.emit("gather", x, t), prog.emit("gather", y, t)) for t in tables]
 
-    # pairs_tested counts the pairs x < y of the x-major order when
-    # exhaustive, and the trials that drew x != y when sampled
-    pairs = space * (space - 1) // 2 if isinstance(mode, Exhaustive) else 0
+    def violates(_: int, rows: list[int]) -> tuple[Elem, Elem] | None:
+        X, Y = (Elem(A, bits) for bits in rows)
+        if X == Y or any(relativize(X, gq) != relativize(Y, gq) for gq, *_ in routes.values()):
+            return None
+        return X, Y
+
+    found = _first_violation(prog, hypotheses, [(x, y)], _assignments(A.size, 2, mode), violates)
     violation: dict | None = None
-    for start, width, (xcols, ycols), vals in _chunks(prog, A.size, 2, mode):
-        bad = _violations(vals, equations, (1 << width) - 1)
-        if isinstance(mode, Random):
-            through = (bad & -bad) * 2 - 1 if bad else (1 << width) - 1
-            pairs += (_differs(vals, x, y) & through).bit_count()
-        if bad:
-            a = (bad & -bad).bit_length() - 1
-            xb, yb = _row(xcols, a), _row(ycols, a)  # the least pair has xb < yb
-            if xb == yb or any(relativize(Elem(A, xb), gq) != relativize(Elem(A, yb), gq)
-                               for gq, *_ in routes.values()):
-                raise RuntimeError("column evaluation and relativize disagree on a witness")
-            violation = {"x": _seq_lists(Elem(A, xb)), "y": _seq_lists(Elem(A, yb))}
-            if isinstance(mode, Exhaustive):
-                pairs = xb * space - xb * (xb + 1) // 2 + yb - xb
-            break
+    if found:
+        index, _, (X, Y) = found
+        violation = {"x": _seq_lists(X), "y": _seq_lists(Y)}
+    # pairs_tested counts the pairs x < y of the x-major order when
+    # exhaustive (the least violating pair has x < y), and the trials that
+    # drew x != y when sampled, up to and including the witness
+    if isinstance(mode, Random):
+        draws = _draws(A.size, 2, Random(index + 1 if found else mode.trials, mode.seed))
+        pairs = sum(xb != yb for xb, yb in zip(draws, draws))
+    elif found:
+        xb, yb = X.bits, Y.bits
+        pairs = xb * space - xb * (xb + 1) // 2 + yb - xb
+    else:
+        pairs = space * (space - 1) // 2
     sep = SeparationReport(space, pairs, mode.label, mode.seed if isinstance(mode, Random) else None,
                            violation is None, violation)
     return records, sep
@@ -615,24 +613,6 @@ def _psi(a: ProductElem, tables: list[list[int | None]], i0: int, target: Carrie
     return Elem(target, bits)
 
 
-def _first_violation(prog: _Program, sides: list[tuple[int, int]],
-                     chunks: Iterable[list[list[int]]], size: int) -> tuple[int, int] | None:
-    """Run prog chunk by chunk; chunks yields, per chunk of assignments,
-    each variable's rows (bit vectors over size positions).  Returns the
-    index of the least assignment under which some (lhs, rhs) pair of
-    slots in sides differs, and the number of its first such pair; or
-    None."""
-    start = 0
-    for rows in chunks:
-        width = len(rows[0])
-        vals = _run(prog, [_columns(r, size) for r in rows], (1 << width) - 1)
-        found = _least_broken(vals, sides)
-        if found:
-            return start + found[0], found[1]
-        start += width
-    return None
-
-
 def principal_ultraproduct(factors: list[Carrier], i0: int,
                            seed: int = DEFAULT_SEED) -> UltraproductReport:
     """Form the ultraproduct of full-carrier powerset algebras by the
@@ -664,17 +644,9 @@ def principal_ultraproduct(factors: list[Carrier], i0: int,
 
     rng = _random.Random(seed)
 
-    def draw(bits: int) -> int:
-        return rng.getrandbits(bits) if bits else 0
-
-    def draw_rest() -> list[int]:
-        # a random lift's components outside i0, in factor order
-        return [draw(c.size) for i, c in enumerate(factors) if i != i0]
-
-    def lift(xbits: int, rest: list[int] | None = None) -> ProductElem:
-        # rest None: the lift with zero components outside i0
-        others = iter(rest or [0] * (len(factors) - 1))
-        return prod.element(Elem(c, xbits if i == i0 else next(others)) for i, c in enumerate(factors))
+    def lift(xbits: int) -> ProductElem:
+        # the lift with empty components outside i0
+        return prod.element(Elem(c, xbits if i == i0 else 0) for i, c in enumerate(factors))
 
     space = 1 << size
     if space <= _CLASS_EXHAUSTIVE_LIMIT:
@@ -694,24 +666,23 @@ def principal_ultraproduct(factors: list[Carrier], i0: int,
             mode=mode, seed=seed, violation=violation,
         )
 
-    # Classes.  Both lifts of a class share its i0 component, the only one
-    # ψ's column reads, so ψ(random lift) = ψ(lift₀) holds column by
-    # column: the random lifts are drawn only to keep the sample stream.
-    # Injectivity follows from projection: every class maps to its own
-    # class vector, and the class vectors are distinct.
-    step = _chunk_rows(size)
+    # Classes.  ψ's column reads only the i0 component, so every lift of a
+    # class has the image of its lift with empty components elsewhere:
+    # both phases re-check on that lift, and random components outside i0
+    # are drawn only to keep the sample stream.  Injectivity follows from
+    # projection: every class maps to its own class vector, and the class
+    # vectors are distinct.
     prog = _Program()
     x = prog.emit("var", 0)
-    found = _first_violation(prog, [(prog.emit("gather", x, tables[i0]), x)],
-                             ([classes[s:s + step]] for s in range(0, len(classes), step)), size)
+
+    def misprojected(_: int, rows: list[int]) -> dict | None:
+        xc = Elem(target, rows[0])
+        return None if psi(lift(xc.bits)) == xc else {"check": "projection", "class": _seq_lists(xc)}
+
+    found = _first_violation(prog, [], [(prog.emit("gather", x, tables[i0]), x)],
+                             _transposed(iter(classes), size, 1, len(classes)), misprojected)
     if found:
-        xc = Elem(target, classes[found[0]])
-        if psi(lift(xc.bits)) == xc:
-            raise RuntimeError("column evaluation and ψ disagree on a witness")
-        return report(found[0], violation={"check": "projection", "class": _seq_lists(xc)},
-                      failed="projection")
-    for _ in classes:
-        draw_rest()
+        return report(found[0], violation=found[2], failed="projection")
 
     # Law pairs.  The bounds do not depend on the pair, so a broken bound
     # shows in the first pair, ahead of its other checks.
@@ -742,27 +713,21 @@ def principal_ultraproduct(factors: list[Carrier], i0: int,
                        image(prog.emit("gather", a_col, gather)), prog.emit("gather", pa, gather),
                        lambda A, B, t=t: psi(prod.subst(t, A)) == subst(target, t, psi(A))))
 
-    def draw_pair() -> tuple[int, list[int], int, list[int]]:
-        # a's i0 component, the rest of a, then b likewise
-        return draw(size), draw_rest(), draw(size), draw_rest()
+    def broken(k: int, rows: list[int]) -> dict | None:
+        record, *_, holds = checks[k]
+        return None if holds(*map(lift, rows)) else dict(record)
 
-    def pair_chunks() -> Iterator[list[list[int]]]:
-        for s in range(0, _PAIR_SAMPLES, step):
-            # only the i0 components enter the columns: keep a's and b's
-            drawn = [draw_pair()[::2] for _ in range(min(step, _PAIR_SAMPLES - s))]
-            yield [[a for a, _ in drawn], [b for _, b in drawn]]
-
-    state = rng.getstate()
-    found = _first_violation(prog, [(lhs, rhs) for _, lhs, rhs, _ in checks], pair_chunks(), size)
+    # the stream after the classes: a random lift's components outside i0
+    # per class, then per pair a's i0 component, a's other components and
+    # b's likewise, in factor order; the columns take the i0 components
+    rest = [c.size for i, c in enumerate(factors) if i != i0]
+    draws = map(rng.getrandbits, itertools.chain(rest * len(classes),
+                                                 ([size] + rest) * (2 * _PAIR_SAMPLES)))
+    pair_draws = itertools.islice(draws, len(rest) * len(classes), None, len(rest) + 1)
+    found = _first_violation(prog, [], [(lhs, rhs) for _, lhs, rhs, _ in checks],
+                             _transposed(pair_draws, size, 2, _PAIR_SAMPLES), broken)
     if not found:
         return report(len(classes), _PAIR_SAMPLES)
-    pair, k = found
-    record, *_, holds = checks[k]
-    rng.setstate(state)
-    for _ in range(pair):
-        draw_pair()
-    ax, arest, bx, brest = draw_pair()
-    if holds(lift(ax, arest), lift(bx, brest)):
-        raise RuntimeError("column evaluation and ψ disagree on a witness")
-    return report(len(classes), 0 if record["check"] == "bounds" else pair + 1, dict(record),
+    pair, _, violation = found
+    return report(len(classes), 0 if violation["check"] == "bounds" else pair + 1, violation,
                   failed="preserves")

@@ -11,7 +11,6 @@ from tsalg.algebra import (
     Elem,
     ProductAlgebra,
     SizeCapExceeded,
-    SmallAlgebra,
     atom,
     canonicalize_base,
     carrier_from_seqs,
@@ -23,7 +22,6 @@ from tsalg.algebra import (
     is_zero,
     join,
     leq,
-    make_product,
     meet,
     one,
     permutable_closure,
@@ -413,30 +411,11 @@ def test_canonicalize_base_identity_when_dense():
     assert renaming == {0: 0, 1: 1}
 
 
-# --- small algebras and products ---------------------------------------------
-
-
-def test_small_algebra_validates_signature():
-    SmallAlgebra(3, 3)
-    SmallAlgebra(2, 0)
-    with pytest.raises(ValueError):
-        SmallAlgebra(2, 3)
-    with pytest.raises(ValueError):
-        SmallAlgebra(2, -1)
-
-
-def test_small_algebra_operations_delegate():
-    A = SmallAlgebra(2, 2)
-    assert A.carrier == full_carrier(2, 2)
-    assert A == SmallAlgebra(2, 2) and hash(A) == hash(SmallAlgebra(2, 2))
-    assert A != SmallAlgebra(3, 2)
-    a = A.atom((0, 1))
-    assert elem_set(A.subst(Perm((1, 0)), a)) == {(1, 0)}
-    assert A.zero() == zero(A.carrier) and A.one() == one(A.carrier)
+# --- products ---------------------------------------------------------------
 
 
 def test_product_operations_are_componentwise():
-    P = make_product([full_carrier(2, 2), full_carrier(2, 3)])
+    P = ProductAlgebra([full_carrier(2, 2), full_carrier(2, 3)])
     a = P.element([atom(P.factors[0], (0, 1)), one(P.factors[1])])
     b = P.element([one(P.factors[0]), atom(P.factors[1], (1, 2))])
     m = P.meet(a, b)
@@ -453,7 +432,7 @@ def test_product_operations_are_componentwise():
 
 
 def test_product_validates_components():
-    P = make_product([full_carrier(2, 2), full_carrier(2, 3)])
+    P = ProductAlgebra([full_carrier(2, 2), full_carrier(2, 3)])
     with pytest.raises(ValueError):
         P.element([one(P.factors[0])])
     with pytest.raises(CarrierMismatch):
@@ -465,7 +444,7 @@ def test_product_validates_components():
 
 
 def test_product_boolean_laws_spot_checks():
-    P = make_product([full_carrier(2, 2), carrier_from_seqs(2, 2, [(0, 0), (1, 1)])])
+    P = ProductAlgebra([full_carrier(2, 2), carrier_from_seqs(2, 2, [(0, 0), (1, 1)])])
     elems = [
         P.element([Elem(P.factors[0], a), Elem(P.factors[1], b)])
         for a, b in product(range(0, 16, 5), range(4))

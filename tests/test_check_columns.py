@@ -201,8 +201,8 @@ def test_sampled_failure_first_hit_in_the_second_chunk():
 
 def test_sampled_chunks_narrow_on_wide_carriers():
     size = SAMPLE_CHUNK_BITS // 100
-    chunks = termlang._sampled_chunks(size, 1, 1000, 1)
-    assert [width for _, width, _ in chunks] == [100] * 10
+    chunks = termlang._transposed(termlang._draws(size, 1, Random(1000, 1)), size, 1, 1000)
+    assert [width for width, _ in chunks] == [100] * 10
 
 
 @pytest.mark.parametrize("text", ["x & y = y & x", "x & y = x", "x = ~y => x | y = 0"])
@@ -210,7 +210,7 @@ def test_sampled_laws_without_subst_go_row_by_row(text):
     D = full_carrier(10, 2)
     qe = parse_quasi(text) if "=>" in text else QuasiEquation((), parse_equation(text))
     expected = tree_walk(D, qe, row_wise(D, ["x", "y"], 20, 3), "holds-sampled")
-    with mock.patch.object(termlang, "_sampled_chunks", side_effect=AssertionError("columns built")):
+    with mock.patch.object(termlang, "_transposed", side_effect=AssertionError("columns built")):
         same_verdict(check_quasi(D, qe, Random(20, 3)), expected)
 
 
@@ -218,6 +218,20 @@ def test_sampled_holds_across_a_partial_last_chunk():
     D = full_carrier(2, 2)
     v = check_quasi(D, parse_quasi("x = y => s[0,1] x = s[0,1] y"), Random(SAMPLE_CHUNK + 7, 5))
     assert v.outcome == "holds-sampled" and v.assignments_tested == SAMPLE_CHUNK + 7
+
+
+def test_witness_disagreement_raises(tmp_path, capsys):
+    # the columns find s[0,1] x = x broken while the re-check says it holds
+    D = full_carrier(2, 2)
+    qe = QuasiEquation((), parse_equation("s[0,1] x = x"))
+    spec = tmp_path / "full22.alg"
+    spec.write_text("n = 2\nbase = 2\ncarrier = full\n")
+    with mock.patch.object(termlang, "quasi_violated", return_value=False):
+        for mode in (Exhaustive(), Random(50, 4)):
+            with pytest.raises(RuntimeError, match="disagree"):
+                check_quasi(D, qe, mode)
+        assert main(["check", "--spec", str(spec), "--eq", "s[0,1] x = x"]) == 2
+    assert "disagree" in capsys.readouterr().err
 
 
 # --- operator specs are resolved before enumeration ---------------------------

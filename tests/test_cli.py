@@ -161,6 +161,18 @@ def test_decompose_cli(capsys):
     assert "atoms map faithfully and separate" in out
 
 
+def test_decompose_reports_counts_too_wide_for_str(capsys):
+    # 2**16384 elements: str() and json refuse integers past 4300 digits
+    assert main(["decompose", "--n", "14", "--k", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "  elements: at least 2^16384\n" in out and "result: PASS" in out
+    assert main(["decompose", "--n", "14", "--k", "2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["counts"] == {"atoms": 16384, "elements": "at least 2^16384",
+                                "pairs_tested": 2000}
+    assert report["passed"]
+
+
 def test_decompose_over_the_atom_cap_exits_two_at_once(capsys):
     # 2**20 atoms fit the member cap but not the atom cap, which must be
     # checked before any per-atom carrier is built

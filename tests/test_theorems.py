@@ -7,6 +7,7 @@ import tsalg.theorems as theorems
 from tsalg.algebra import (
     Carrier,
     Elem,
+    ProductAlgebra,
     atom,
     carrier_from_seqs,
     complement,
@@ -15,7 +16,6 @@ from tsalg.algebra import (
     generate_subalgebra,
     is_permutable,
     join,
-    make_product,
     permutable_closure,
     relativize,
     subst,
@@ -211,7 +211,7 @@ def test_decompose_2_2():
     assert by_atom[(1, 1)].k == 1 and by_atom[(1, 1)].renaming == {1: 0}
     assert all(r.image_nonzero for r in records)
     assert all(not r.degenerate for r in records)
-    assert all(r.target.n == 2 and r.target.k == r.k for r in records)
+    assert all(r.target == {"n": 2, "k": r.k} for r in records)
 
 
 def test_decompose_2_3():
@@ -255,7 +255,7 @@ def test_decompose_big_base_lands_in_small_targets():
     # target is a genuinely small algebra even though the source is not
     records, sep = decompose_small(2, 4, mode=Random(trials=300, seed=3))
     assert len(records) == 16
-    assert all(r.target.k <= 2 for r in records)
+    assert all(r.target == {"n": 2, "k": r.k} and r.k <= 2 for r in records)
     assert all(r.image_nonzero for r in records)
     assert sep.separated
 
@@ -265,7 +265,7 @@ def test_decompose_shares_one_route_per_base():
     first = {}
     for r in records:
         route = first.setdefault(r.base_used, r)
-        assert r.target is route.target and r.renaming is route.renaming
+        assert r.target == route.target == {"n": 3, "k": r.k} and r.renaming is route.renaming
     assert len(first) == 2**3 - 1
     assert all(r.image_nonzero for r in records) and sep.separated
 
@@ -599,7 +599,7 @@ def test_ultraproduct_psi_reads_the_principal_factor():
     # the element ψ over compiled tables against ranking every row afresh
     rng = random.Random(2)
     factors = (full_carrier(2, 3), full_carrier(2, 0), full_carrier(2, 2), full_carrier(2, 1))
-    P = make_product(factors)
+    P = ProductAlgebra(factors)
     for i0 in (0, 2, 3):
         tables = theorems._psi_tables(factors, i0)
         for _ in range(20):
@@ -720,7 +720,7 @@ def test_sigma_survives_products_and_subalgebras():
     # quasi-equations are preserved by direct products and subalgebras:
     # sigma's hypothesis stays unsatisfiable componentwise...
     f, g = forward_cycle(2), backward_cycle(2)
-    P = make_product([full_carrier(2, 2), full_carrier(2, 2)])
+    P = ProductAlgebra([full_carrier(2, 2), full_carrier(2, 2)])
     for abits in range(16):
         for bbits in range(16):
             X = P.element([Elem(P.factors[0], abits), Elem(P.factors[1], bbits)])
