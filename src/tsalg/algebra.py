@@ -9,7 +9,11 @@ once into a gather, one entry per member: the position of q . f, or None
 when q . f is outside D.  Relativizing to a sub-carrier G is a gather as
 well, G's member p reading position gather[p] of the super-carrier.  Both
 subst and relativize apply the cached list, and so does the column
-evaluator in termlang.
+evaluator in termlang.  For termlang's packed rows, s_f is compiled once
+more, as a network of delta swaps (swap bit p with bit p + d for every p
+in a mask; Knuth, TAOCP 4A, 7.1.3): on a full carrier ^n u, u - 1 swaps
+per transposition sorting f, one per difference of the two digits it
+exchanges; elsewhere a Benes network, then a mask of defined positions.
 
 A carrier is *permutable* when it is closed under swapping any two
 coordinates of its members (hence under every coordinate permutation).
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .seqspace import (
     DimensionMismatch,
@@ -75,7 +79,8 @@ class Carrier:
     the compiled gathers are write-once caches.
     """
 
-    __slots__ = ("n", "u", "members", "member_index", "_seqs", "_permutable", "_gathers", "_hash")
+    __slots__ = ("n", "u", "members", "member_index", "_seqs", "_permutable", "_gathers",
+                 "_networks", "_tiles", "_hash")
 
     def __init__(self, n: int, u: int, members: Iterable[SpaceRank]):
         if n < 0 or u < 0:
@@ -97,6 +102,11 @@ class Carrier:
         # keyed by permutation images (see _gather_for) or by a super-carrier
         # (see _gather_from)
         self._gathers: dict[object, list] = {}
+        # keyed by permutation images (see _network_for) or by
+        # ("swap", i, j) (see _digit_swaps)
+        self._networks: dict[tuple, object] = {}
+        # masks of the networks repeated for packed rows (see Network.tiled)
+        self._tiles: dict[tuple[int, int, int], int] = {}
         # cached: a carrier keys its sub-carriers' gather caches, looked up
         # on every relativize
         self._hash = hash((n, u, self.members))
@@ -145,6 +155,47 @@ class Carrier:
             self._gathers[key] = gather
         return gather
 
+    def _network_for(self, f: Perm) -> "Network":
+        """s_f compiled as a Network: the same map as _gather_for(f)."""
+        net = self._networks.get(f.images)
+        if net is None:
+            if f.n != self.n:
+                raise DimensionMismatch(
+                    f"permutation of dimension {f.n} on a carrier of dimension {self.n}"
+                )
+            if _capped_power(self.u, self.n, self.size) == self.size:
+                # s_f applies, in order, the transpositions sorting f's images
+                images, swaps = list(f.images), []
+                for v in range(self.n):
+                    if images[v] != v:
+                        w = images.index(v, v + 1)
+                        images[v], images[w] = v, images[v]
+                        swaps += self._digit_swaps(v, w)
+                net = Network(self.size, tuple(swaps), None, self._tiles)
+            else:
+                net = _benes_network(self._gather_for(f), self.size, self._tiles)
+            self._networks[f.images] = net
+        return net
+
+    def _digit_swaps(self, i: int, j: int) -> list[tuple[int, int]]:
+        """s_t for t = (i j), i < j, on the full carrier ^n u: per c in
+        1..u-1, member p whose digit j exceeds its digit i by c swaps with
+        p + c * (u**(n-1-i) - u**(n-1-j)), which has those digits exchanged."""
+        swaps = self._networks.get(("swap", i, j))
+        if swaps is None:
+            u = self.u
+            wi, wj = u ** (self.n - 1 - i), u ** (self.n - 1 - j)
+            swaps = []
+            for c in range(1, u):
+                # one period of digit i: digit i = a in bits [a*wi, (a+1)*wi),
+                # and within those, digit j = a + c every u*wj bits
+                block = 0
+                for a in range(u - c):
+                    block |= _tile(((1 << wj) - 1) << (a + c) * wj, u * wj, wi // (u * wj)) << a * wi
+                swaps.append((c * (wi - wj), _tile(block, u * wi, u**i)))
+            self._networks[("swap", i, j)] = swaps
+        return swaps
+
     def _gather_from(self, E: "Carrier") -> list[int]:
         """x -> x ∩ self for x over the super-carrier E, compiled as a
         gather: entry p is the position in E of this carrier's member p."""
@@ -158,6 +209,102 @@ class Carrier:
                 raise ValueError("not a sub-carrier of the bigger carrier")
             self._gathers[E] = gather
         return gather
+
+
+class Network:
+    """s_f on a row of width bits: each (d, mask) of swaps, in order,
+    exchanges bit p with bit p + d for every bit p of mask, then defined,
+    unless None, clears what s_f leaves empty.  No swap leaves the row."""
+
+    __slots__ = ("width", "swaps", "defined", "_tiles")
+
+    def __init__(self, width: int, swaps: tuple[tuple[int, int], ...], defined: int | None,
+                 tiles: dict[tuple[int, int, int], int]):
+        self.width = width
+        self.swaps = swaps
+        self.defined = defined
+        self._tiles = tiles  # the carrier's, shared by all its networks
+
+    def tiled(self, nbytes: int, rows: int) -> tuple[Sequence[tuple[int, int]], int | None]:
+        """swaps and defined for up to rows rows packed nbytes bytes apart,
+        each mask repeated per row and cached per carrier and mask, so
+        networks sharing a transposition share it."""
+        def tile(m: int) -> int:
+            key = (m, nbytes, rows)
+            if key not in self._tiles:
+                self._tiles[key] = _repeat_row(m, nbytes, rows)
+            return self._tiles[key]
+
+        if rows == 1:
+            return self.swaps, self.defined
+        return [(d, tile(m)) for d, m in self.swaps], None if self.defined is None else tile(self.defined)
+
+
+def _repeat_row(bits: int, nbytes: int, rows: int) -> int:
+    """rows copies of the row bits, nbytes bytes apart."""
+    return int.from_bytes(bits.to_bytes(nbytes, "little") * rows, "little")
+
+
+def _tile(block: int, period: int, count: int) -> int:
+    """count copies of block, period bits apart, in O(log count) steps."""
+    out = shift = 0
+    while count:
+        if count & 1:
+            out |= block << shift
+            shift += period
+        block |= block << period
+        period <<= 1
+        count >>= 1
+    return out
+
+
+def _mask(flags: list[bool]) -> int:
+    """The int whose bit p is flags[p]."""
+    return int("0" + "".join(["1" if b else "0" for b in reversed(flags)]), 2)
+
+
+def _benes(dest: list[int]) -> list[tuple[int, int]]:
+    """Delta swaps moving bit s to bit dest[s], for a permutation dest of
+    a power-of-two length: the stages of a Benes network, at distances
+    n/2, n/4, ..., 1, ..., n/4, n/2, routed by the looping algorithm."""
+    n = len(dest)
+    h = n // 2
+    if not h:
+        return []
+    src = [0] * n
+    for s, t in enumerate(dest):
+        src[t] = s
+    # upper[s]: bit s crosses the inner half-size networks in the upper one.
+    # The two bits of an input pair s, s ^ h take different halves, and so
+    # do the two bound for an output pair t, t ^ h; follow each cycle of
+    # these constraints from a lower input.
+    upper = [False] * n
+    seen = [False] * n
+    for first in range(h):
+        s = first
+        while not seen[s]:
+            seen[s] = seen[s ^ h] = upper[s ^ h] = True
+            s = src[dest[s ^ h] ^ h]
+    halves: list[list[int]] = [[0] * h, [0] * h]
+    for s, t in enumerate(dest):
+        halves[upper[s]][s & (h - 1)] = t & (h - 1)
+    inner = [(d, low | high << h) for (d, low), (_, high) in zip(*map(_benes, halves))]
+    return [(h, _mask(upper[:h])), *inner, (h, _mask([upper[src[t]] for t in range(h)]))]
+
+
+def _benes_network(gather: list[int | None], size: int, tiles: dict) -> Network:
+    """The gather extended to a permutation of a power-of-two row (empty
+    entries take the unused positions), routed through _benes, masked."""
+    width = 1 << max(size - 1, 0).bit_length()
+    used = set(gather)
+    unused = iter([p for p in range(size) if p not in used])
+    source = [next(unused) if src is None else src for src in gather] + list(range(size, width))
+    dest = [0] * width
+    for p, src in enumerate(source):
+        dest[src] = p
+    swaps = tuple((d, m) for d, m in _benes(dest) if m)
+    defined = _mask([src is not None for src in gather]) if None in gather else None
+    return Network(width, swaps, defined, tiles)
 
 
 def full_carrier(n: int, u: int, *, max_members: int | None = None) -> Carrier:

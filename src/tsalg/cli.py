@@ -368,6 +368,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _echoable(what: str, value: int) -> int:
+    """value, refused where a report could not echo it exactly: _encode
+    writes ints wider than 256 bits as "at least 2^m"."""
+    if value.bit_length() > 256:
+        raise UsageError(f"{what} must be below 2^256 in absolute value, "
+                         "since a report gives wider integers only as a power-of-two bound")
+    return value
+
+
 def _budget_from_env() -> int:
     raw = os.environ.get("TRA_BUDGET")
     if raw is None:
@@ -378,7 +387,7 @@ def _budget_from_env() -> int:
             raise ValueError
     except ValueError:
         raise UsageError(f"TRA_BUDGET must be a positive integer, got {raw!r}") from None
-    return value
+    return _echoable("TRA_BUDGET", value)
 
 
 def _mode_from_args(args: argparse.Namespace) -> Exhaustive | Random | None:
@@ -542,6 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         budget = _budget_from_env()
+        _echoable("--seed", getattr(args, "seed", 0))
         report = _HANDLERS[args.command](args, budget)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

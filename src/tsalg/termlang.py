@@ -25,24 +25,28 @@ each variable's bit vector as independent fair coin bits from a seeded
 generator, rng.getrandbits(|D|) per variable per trial in sorted name
 order (_draws), and always reports the seed it used.
 
-check_quasi evaluates by columns rather than one assignment at a time.
-It takes assignments in chunks (2**16 in canonical order, or up to 4096
-sampled trials) and gives each carrier position one int whose bit a says
-whether that position is in the value under assignment a of the chunk.
-'~', '&' and '|' act on whole columns, and s_f gathers columns through
-the table the carrier compiles once per operator.  The assignments that
-meet every hypothesis and break the conclusion form one bit set; its
-lowest bit is the least (or first sampled) violation, so verdicts,
-witnesses and counts are those of the one-at-a-time scan.  That scan,
-_first_violation, is shared by every column check: the relativization
-and separation laws in theorems (over _assignments, relativizing to a
-sub-carrier being one more gather) and the principal ultraproduct (over
-its own interleaved draws, transposed by the same _transposed).  It
-re-checks each witness through the caller's element-wise test; eval_term
-and quasi_violated walk the tree for a single assignment and are that
-test here.  A sampled check of a quasi-equation without s_f walks the tree
-once per trial instead: there '~', '&' and '|' on one bit vector already
-cover all of D, and transposing the trials would cost more than it saves.
+check_quasi evaluates a chunk of assignments at once rather than one at
+a time, in one of two layouts.  Exhaustive mode takes 2**16 assignments
+of the canonical order by columns: each carrier position holds one int
+whose bit a says whether that position is in the value under assignment
+a of the chunk, '~', '&' and '|' act on whole columns, and s_f gathers
+columns through the table the carrier compiles once per operator.
+Random mode packs rows: each variable's draws, one bit vector per trial,
+go side by side into one int at a fixed stride, so '~', '&' and '|' act
+on every trial of the chunk at once and s_f is the carrier's delta-swap
+network with its masks repeated once per row; a carrier of 4096 members
+or more gives each trial its own chunk.  Either way the assignments that
+meet every hypothesis and break the conclusion form one set of flag
+bits; its lowest is the least (or first sampled) violation, so verdicts,
+witnesses and counts are those of the one-at-a-time scan.  The column
+scan, _first_violation, is shared by every column check: the
+relativization and separation laws in theorems (over _assignments,
+relativizing to a sub-carrier being one more gather) and the principal
+ultraproduct (over its own interleaved draws, transposed by
+_transposed); _first_row_violation is its packed-row twin.  Both
+re-check each witness through the caller's element-wise test
+(_rechecked); eval_term and quasi_violated walk the tree for a single
+assignment and are that test here.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .algebra import (
     Carrier,
     CarrierMismatch,
     Elem,
+    _repeat_row,
     complement,
     join,
     meet,
@@ -558,13 +563,15 @@ class Verdict:
         return self.outcome != "fails"
 
 
-# --- column evaluation (see the module docstring) --------------------------
+# --- evaluation by columns and by packed rows (see the module docstring) ----
 
 #: An exhaustive chunk holds 2 ** EXHAUSTIVE_CHUNK_BITS assignments.
 EXHAUSTIVE_CHUNK_BITS = 16
 
-#: A sampled chunk holds this many trials, or fewer where the carrier is
-#: so wide that a chunk would pass SAMPLE_CHUNK_BITS bits per variable.
+#: A sampled chunk by columns (the relativization, separation and
+#: ultraproduct checks in theorems) holds this many trials, or fewer where
+#: the carrier is so wide that a chunk would pass SAMPLE_CHUNK_BITS bits
+#: per variable.
 #: Each chunk costs |D| list items per program node, so narrow chunks on
 #: wide carriers cost time, and wide ones memory (the transposed text holds
 #: one character per bit).  Of 2**20, 2**21 and 2**22, timed on full
@@ -573,27 +580,38 @@ EXHAUSTIVE_CHUNK_BITS = 16
 SAMPLE_CHUNK = 4096
 SAMPLE_CHUNK_BITS = 1 << 21
 
+#: A sampled check_quasi packs up to ROW_CHUNK_BITS bits of rows per
+#: variable into a chunk, but one trial alone on a carrier of WIDE_ROW_BITS
+#: members or more: timed on full (8..16, 2), 2**16 to 2**18 bits did
+#: alike, and packing rows of 2**12 bits or more was up to 2 times slower.
+ROW_CHUNK_BITS = 1 << 17
+WIDE_ROW_BITS = 1 << 12
+
 
 class _Program(list):
-    """A straight-line program over columns.  Ops: ("var", j), ("zero",
-    size), ("one", size), ("not", a), ("and", a, b), ("or", a, b) and
-    ("gather", a, table): column p of a gather is column table[p] of slot
-    a, or 0 where table[p] is None (algebra.Carrier._gather_for/_from)."""
+    """A straight-line program over columns or packed rows.  Ops: ("var",
+    j), ("zero", size), ("one", size), ("not", a), ("and", a, b), ("or",
+    a, b); on columns ("gather", a, table): column p of a gather is column
+    table[p] of slot a, or 0 where table[p] is None
+    (algebra.Carrier._gather_for/_from); on rows ("net", a, network), an
+    algebra.Network."""
 
     def emit(self, *op) -> int:
         self.append(op)
         return len(self) - 1
 
 
-def _compile(qe: QuasiEquation, D: Carrier, names: list[str]) -> tuple[_Program, list[tuple[int, int]]]:
+def _compile(qe: QuasiEquation, D: Carrier, names: list[str],
+             rows: bool = False) -> tuple[_Program, list[tuple[int, int]]]:
     """qe as a program, equal subterms shared, plus the (lhs, rhs) slots of
-    each hypothesis and then the conclusion.
+    each hypothesis and then the conclusion.  s_f compiles to a gather for
+    columns, or with rows to a ("net", a, network) op for _run_rows.
 
     Every operator spec is resolved here, once, so a spec that does not
     fit D raises DimensionMismatch before any assignment is tried."""
     program = _Program()
     slots: dict[Term, int] = {}
-    gathers: dict[PermSpec, list[int | None]] = {}
+    compiled: dict[PermSpec, object] = {}
 
     def emit(t: Term) -> int:
         slot = slots.get(t)
@@ -612,9 +630,10 @@ def _compile(qe: QuasiEquation, D: Carrier, names: list[str]) -> tuple[_Program,
         elif isinstance(t, Or):
             op = ("or", emit(t.left), emit(t.right))
         elif isinstance(t, Subst):
-            if t.perm not in gathers:
-                gathers[t.perm] = D._gather_for(spec_perm(t.perm, D.n))
-            op = ("gather", emit(t.arg), gathers[t.perm])
+            if t.perm not in compiled:
+                f = spec_perm(t.perm, D.n)
+                compiled[t.perm] = D._network_for(f) if rows else D._gather_for(f)
+            op = ("net" if rows else "gather", emit(t.arg), compiled[t.perm])
         else:
             raise TypeError(f"not a term node: {t!r}")
         slots[t] = program.emit(*op)
@@ -658,6 +677,17 @@ def _row(columns: list[int], a: int) -> int:
     return sum((col >> a & 1) << p for p, col in enumerate(columns))
 
 
+def _rechecked(violates: Callable[[int, list[int]], object], law: int, rows: list[int]) -> object:
+    """violates(law, rows): the caller's element-by-element re-check of a
+    violation the evaluator found, under the variables' bit vectors rows.
+    It gives the witness in the caller's terms, or None where the law
+    holds, which means the evaluator was wrong."""
+    witness = violates(law, rows)
+    if witness is None:
+        raise RuntimeError("column evaluation and the element-wise re-check disagree on a witness")
+    return witness
+
+
 def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
                      laws: list[tuple[int, int]], chunks: Iterable[tuple[int, list[list[int]]]],
                      violates: Callable[[int, list[int]], object]) -> tuple[int, int, object] | None:
@@ -667,10 +697,7 @@ def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
     assignments.  Returns the least assignment under which every
     (lhs, rhs) pair of slots in hypotheses agrees and some pair in laws
     differs, as (its index, the number of its first such law, its
-    witness), or None.  The witness comes from violates(law, rows), the
-    caller's element-by-element re-check of that law under the
-    variables' bit vectors rows: the witness in the caller's terms, or
-    None where the law holds, which means the columns were wrong."""
+    witness), or None; the witness is _rechecked through violates."""
     start = 0
     for width, columns in chunks:
         live = (1 << width) - 1
@@ -682,10 +709,7 @@ def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
         if bad:
             a = (bad & -bad).bit_length() - 1
             law = [b >> a & 1 for b in broken].index(1)
-            witness = violates(law, [_row(cols, a) for cols in columns])
-            if witness is None:
-                raise RuntimeError("column evaluation and the element-wise re-check disagree on a witness")
-            return start + a, law, witness
+            return start + a, law, _rechecked(violates, law, [_row(cols, a) for cols in columns])
         start += width
     return None
 
@@ -755,19 +779,90 @@ def _assignments(size: int, nvars: int, mode: Mode) -> Iterator[tuple[int, list[
     return _exhaustive_chunks(size, nvars)
 
 
-def _check_rows(D: Carrier, qe: QuasiEquation, names: list[str], mode: Random) -> Verdict:
-    """Sampled check one trial at a time, through quasi_violated, for
-    quasi-equations without s_f.  '~', '&' and '|' already act on all of D
-    at once on a bit vector, so transposing trials into columns would only
-    add its cost: on a 2-CPU x86-64 VM, about 10 ns per member per
-    variable and trial, or 80 us a trial for x & y = y & x on full (12, 2),
-    where the whole walk takes 10-15 us."""
-    draws = _draws(D.size, len(names), mode)
-    for t in range(mode.trials):
-        env = {nm: Elem(D, bits) for nm, bits in zip(names, draws)}
-        if quasi_violated(D, qe, env):
-            return Verdict("fails", witness=env, trials=mode.trials, seed=mode.seed, assignments_tested=t + 1)
-    return Verdict("holds-sampled", trials=mode.trials, seed=mode.seed, assignments_tested=mode.trials)
+def _run_rows(program: _Program, values: list[int], full: int, nbytes: int, height: int) -> list[int]:
+    """Every slot's rows for one chunk of up to height rows nbytes bytes
+    apart, from each variable's rows and full, the rows of 1."""
+    vals: list[int] = []
+    for op in program:
+        kind = op[0]
+        if kind == "var":
+            x = values[op[1]]
+        elif kind == "zero":
+            x = 0
+        elif kind == "one":
+            x = full
+        elif kind == "not":
+            x = vals[op[1]] ^ full
+        elif kind == "and":
+            x = vals[op[1]] & vals[op[2]]
+        elif kind == "or":
+            x = vals[op[1]] | vals[op[2]]
+        else:
+            x = vals[op[1]]
+            swaps, defined = op[2].tiled(nbytes, height)
+            for d, m in swaps:
+                t = ((x >> d) ^ x) & m
+                x ^= t ^ (t << d)
+            if defined is not None:
+                x &= defined
+        vals.append(x)
+    return vals
+
+
+def _row_flags(vals: list[int], stride: int, height: int, lhs: int, rhs: int) -> int:
+    """Bit stride * r set where slots lhs and rhs differ on row r: each
+    row's OR folded into its lowest bit (the live flags mask the rest)."""
+    z = vals[lhs] ^ vals[rhs]
+    if height == 1:
+        return int(z != 0)
+    span = 1
+    while 2 * span <= stride:
+        z |= z >> span
+        span *= 2
+    return z | z >> (stride - span)
+
+
+def _first_row_violation(program: _Program, hypotheses: list[tuple[int, int]],
+                         laws: list[tuple[int, int]], size: int, nvars: int, mode: Random,
+                         violates: Callable[[int, list[int]], object]) -> tuple[int, int, object] | None:
+    """_first_violation on mode's sample stream packed by rows.
+
+    A chunk packs each variable's draws, one row per trial, into one int,
+    whole bytes apart and no narrower than any network's row, so trial r
+    of the chunk has flag bit stride * r.  It holds ROW_CHUNK_BITS bits per
+    variable, or one trial on a carrier of WIDE_ROW_BITS members or more.
+    Kept apart from the column scan, whose small exhaustive checks a
+    shared chunk protocol slowed by about 1 us each."""
+    width = max([size] + [op[2].width for op in program if op[0] == "net"])
+    nbytes = max(1, -(-width // 8))
+    stride = 8 * nbytes
+    height = max(1, min(mode.trials, ROW_CHUNK_BITS // stride)) if width < WIDE_ROW_BITS else 1
+    draws = _draws(size, nvars, mode)
+
+    def packed(rows: list[int]) -> int:
+        return int.from_bytes(b"".join([r.to_bytes(nbytes, "little") for r in rows]), "little")
+
+    h = 0
+    for start in range(0, mode.trials, height):
+        if h != min(height, mode.trials - start):
+            h = min(height, mode.trials - start)
+            full, every_row = _repeat_row((1 << size) - 1, nbytes, h), _repeat_row(1, nbytes, h)
+        rows = list(islice(draws, h * nvars))
+        values = rows if h == 1 else [packed(rows[j::nvars]) for j in range(nvars)]
+        # the networks' masks, tiled for height rows, serve the shorter
+        # last chunk too: rows past h stay 0
+        vals = _run_rows(program, values, full, nbytes, height)
+        live = every_row
+        for lhs, rhs in hypotheses:
+            live &= ~_row_flags(vals, stride, h, lhs, rhs)
+        broken = [live & _row_flags(vals, stride, h, lhs, rhs) for lhs, rhs in laws]
+        bad = functools.reduce(operator.or_, broken, 0)
+        if bad:
+            low = bad & -bad
+            law = [b & low != 0 for b in broken].index(True)
+            r = (low.bit_length() - 1) // stride
+            return start + r, law, _rechecked(violates, law, rows[r * nvars:(r + 1) * nvars])
+    return None
 
 
 def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Verdict:
@@ -775,25 +870,26 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
 
     Exhaustive mode scans assignments in canonical order (variables sorted
     by name, bit vectors increasing), so a fails verdict carries the least
-    violating assignment.  Random mode reports the first violating trial.
-    Either way the witness is re-checked through quasi_violated.  Sampled
-    checks of quasi-equations without s_f go one trial at a time
-    (_check_rows); all others evaluate by columns.
+    violating assignment; it evaluates by columns.  Random mode reports
+    the first violating trial; it evaluates packed rows.  Either way the
+    witness is re-checked through quasi_violated.
     """
     names = sorted(quasi_vars(qe))
     work = 1 << (D.size * len(names))
     mode = resolve_mode(work, mode)
-    program, equations = _compile(qe, D, names)
     sampled = {"trials": mode.trials, "seed": mode.seed} if isinstance(mode, Random) else {}
-    if sampled and not any(op[0] == "gather" for op in program):
-        return _check_rows(D, qe, names, mode)
+    program, equations = _compile(qe, D, names, rows=bool(sampled))
 
     def violates(_: int, rows: list[int]) -> dict[str, Elem] | None:
         witness = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
         return witness if quasi_violated(D, qe, witness) else None
 
-    found = _first_violation(program, equations[:-1], equations[-1:],
-                             _assignments(D.size, len(names), mode), violates)
+    if sampled:
+        found = _first_row_violation(program, equations[:-1], equations[-1:], D.size, len(names),
+                                     mode, violates)
+    else:
+        found = _first_violation(program, equations[:-1], equations[-1:],
+                                 _exhaustive_chunks(D.size, len(names)), violates)
     if found:
         index, _, witness = found
         return Verdict("fails", witness=witness, assignments_tested=index + 1, **sampled)

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import combinations, product
 
@@ -29,6 +30,7 @@ from tsalg.algebra import (
     relativize,
     subst,
     zero,
+    _apply_gather,
 )
 from tsalg.seqspace import (
     DimensionMismatch,
@@ -257,6 +259,57 @@ def test_compiled_subst_takes_one_entry_per_member():
     # (0,1,0,...,0) at position 2**12 composes into (1,0,0,...,0) at 2**13
     assert gather[1 << 12] == 1 << 13 and gather[0] == 0
     assert subst(D, t, Elem(D, 1 << (1 << 13))).seqs() == [(0, 1) + (0,) * 12]
+
+
+def _through_network(D, f, bits):
+    net = D._network_for(f)
+    for d, mask in net.swaps:
+        assert (mask << d) >> net.width == 0  # no swap leaves the row
+        t = ((bits >> d) ^ bits) & mask
+        bits ^= t ^ (t << d)
+    return bits if net.defined is None else bits & net.defined
+
+
+def _network_agrees_with_gather(D, perms, rng, samples=8):
+    for f in perms:
+        gather = D._gather_for(f)
+        for bits in [0, (1 << D.size) - 1] + [rng.getrandbits(D.size) for _ in range(samples)]:
+            assert _through_network(D, f, bits) == _apply_gather(gather, bits, D.size), (D, f, bits)
+
+
+def _random_perms(n, rng, count):
+    return [Perm(tuple(rng.sample(range(n), n))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n,u", [(n, u) for n in range(6) for u in range(2, 5) if u**n <= 1024])
+def test_network_matches_gather_on_full_carriers(n, u):
+    # the closed form: u - 1 digit swaps per transposition, s{...} as the
+    # transpositions sorting its image list
+    rng = random.Random(n * 10 + u)
+    D = full_carrier(n, u)
+    swaps = [transposition(n, i, j) for i, j in combinations(range(n), 2)]
+    _network_agrees_with_gather(D, [Perm(tuple(range(n)))] + swaps + _random_perms(n, rng, 6), rng)
+    assert D._network_for(Perm(tuple(range(n)))).swaps == ()
+    for t in swaps:
+        assert len(D._network_for(t).swaps) == u - 1 and D._network_for(t).width == D.size
+
+
+def test_network_matches_gather_on_other_carriers():
+    # Benes networks over a power-of-two row, masked where the gather
+    # leaves positions empty
+    rng = random.Random(7)
+    space = {(n, u): list(all_seqs(n, u)) for n in (2, 3, 4) for u in (2, 3, 4) if u**n <= 81}
+    carriers = [Carrier(2, 2, []), Carrier(3, 3, []), full_carrier(2, 1),
+                carrier_from_seqs(5, 2, [unit_seq(5, i) for i in range(5)])]
+    for (n, u), seqs in space.items():
+        for k in sorted({1, 2, 3, 5, 6, 7, 12, 17, len(seqs) - 1} & set(range(len(seqs)))):
+            carriers.append(carrier_from_seqs(n, u, rng.sample(seqs, k)))
+    for D in carriers:
+        assert D.size != D.u**D.n or D.size <= 1
+        _network_agrees_with_gather(D, list(all_perms(D.n))[:24], rng)
+        width = D._network_for(Perm(tuple(range(D.n)))).width
+        assert width >= D.size and width & (width - 1) == 0
+    assert any(not is_permutable(D) and None in D._gather_for(transposition(D.n, 0, 1)) for D in carriers[4:])
 
 
 def test_subst_on_atoms_of_a_permutable_carrier_moves_the_point():

@@ -15,7 +15,7 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from tsalg.algebra import Elem, carrier_from_seqs, full_carrier
+from tsalg.algebra import Carrier, Elem, carrier_from_seqs, full_carrier
 from tsalg.cli import main
 from tsalg import termlang, theorems
 from tsalg.seqspace import DimensionMismatch
@@ -163,9 +163,9 @@ def test_sampled_matches_row_wise_tree_walk(instance, trials, seed):
     verdict = check_quasi(D, qe, Random(trials, seed))
     assert (verdict.trials, verdict.seed) == (trials, seed)
     same_verdict(verdict, expected)
-    # chunks of at most 7 trials, and of 8 // |D| on carriers of 2 or more
-    with mock.patch.object(termlang, "SAMPLE_CHUNK", 7), \
-            mock.patch.object(termlang, "SAMPLE_CHUNK_BITS", 8):
+    # packed rows of one byte (the carriers hold at most 6 members, their
+    # Benes rows at most 8 bits), three to a chunk
+    with mock.patch.object(termlang, "ROW_CHUNK_BITS", 24):
         same_verdict(check_quasi(D, qe, Random(trials, seed)), expected)
 
 
@@ -184,19 +184,66 @@ def test_exhaustive_least_witness_past_the_first_chunk():
 
 def test_sampled_failure_first_hit_in_the_second_chunk():
     # violated only by x = 1, which a 12-member carrier draws once in 4096;
-    # the s_f keeps the check on columns
+    # its rows are 16 bits wide, 2**10 to a chunk here
     D = carrier_from_seqs(2, 4, lex_sequences(2, 4)[:12])
     qe = parse_quasi("x = 1 => s[0,1] 0 = 1")
+    chunk = 1 << 10
 
     def first_hit(seed):
         rng = random.Random(seed)
         return next(t for t in itertools.count(1) if rng.getrandbits(12) == 4095)
 
-    seed = next(s for s in itertools.count() if first_hit(s) > SAMPLE_CHUNK)
-    trials = 3 * SAMPLE_CHUNK
+    seed = next(s for s in itertools.count() if first_hit(s) > chunk)
+    trials = 3 * chunk
     expected = tree_walk(D, qe, row_wise(D, ["x"], trials, seed), "holds-sampled")
-    assert expected[0] == "fails" and SAMPLE_CHUNK < expected[2] <= trials
-    same_verdict(check_quasi(D, qe, Random(trials, seed)), expected)
+    assert expected[0] == "fails" and chunk < expected[2] <= trials
+    with mock.patch.object(termlang, "ROW_CHUNK_BITS", 16 * chunk):
+        same_verdict(check_quasi(D, qe, Random(trials, seed)), expected)
+
+
+def test_sampled_first_violation_in_a_later_row_of_a_chunk():
+    # rows where x & y != 0 break the conclusion x = 0 too, but not the
+    # hypothesis; the first violation follows such rows in its chunk
+    D = full_carrier(2, 2)
+    qe = parse_quasi("x & y = 0 => x = 0")
+    height = termlang.ROW_CHUNK_BITS // 8
+
+    def shape(seed):
+        rng = random.Random(seed)
+        rows = [(rng.getrandbits(4), rng.getrandbits(4)) for _ in range(40)]
+        first = next(t for t, (x, y) in enumerate(rows) if x and not x & y)
+        return first, all(x & y for x, y in rows[:first])
+
+    seed = next(s for s in itertools.count() if shape(s)[0] >= 3 and shape(s)[1])
+    first = shape(seed)[0]
+    assert first < height
+    expected = tree_walk(D, qe, row_wise(D, ["x", "y"], 40, seed), "holds-sampled")
+    assert expected[2] == first + 1
+    same_verdict(check_quasi(D, qe, Random(40, seed)), expected)
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 3, 5, 31, 92, 128])
+def test_row_flags_see_every_bit_of_a_row(nbytes):
+    # one differing bit anywhere in row r flags row r alone, also where the
+    # stride is not a power of two (full (5,3) packs 243 members in 248 bits)
+    stride, height = 8 * nbytes, 4
+    for r in range(height):
+        for p in range(stride):
+            flags = termlang._row_flags([1 << (r * stride + p), 0], stride, height, 0, 1)
+            assert flags & termlang._repeat_row(1, nbytes, height) == 1 << (r * stride), (r, p)
+
+
+@pytest.mark.parametrize("text", ["s[0,1] (x & y) = s[0,1] x & s[0,1] y", "x & y = x",
+                                  "x = y => s{2,0,1,3,4,5,6,7,8,9,10,11} x = s[0,2] s[1,2] y"])
+def test_sampled_wide_carrier_one_trial_per_chunk(text):
+    D = full_carrier(12, 2)
+    assert D.size >= termlang.WIDE_ROW_BITS
+    qe = parse_quasi(text) if "=>" in text else QuasiEquation((), parse_equation(text))
+    names = sorted(quasi_vars(qe))
+    expected = tree_walk(D, qe, row_wise(D, names, 12, 9), "holds-sampled")
+    with mock.patch.object(termlang, "_run_rows", wraps=termlang._run_rows) as run:
+        same_verdict(check_quasi(D, qe, Random(12, 9)), expected)
+    assert run.call_count == expected[2]
 
 
 def test_sampled_chunks_narrow_on_wide_carriers():
@@ -214,6 +261,14 @@ def test_sampled_laws_without_subst_go_row_by_row(text):
         same_verdict(check_quasi(D, qe, Random(20, 3)), expected)
 
 
+def test_exhaustive_checks_build_no_network():
+    # columns gather; only sampled checks compile s_f as a network
+    D = full_carrier(2, 2)
+    with mock.patch.object(Carrier, "_network_for", side_effect=AssertionError("network built")):
+        v = check_equation(D, parse_equation("s[0,1] (x & y) = s[0,1] x & s[0,1] y"), Exhaustive())
+    assert v.outcome == "holds-exhaustive"
+
+
 def test_sampled_holds_across_a_partial_last_chunk():
     D = full_carrier(2, 2)
     v = check_quasi(D, parse_quasi("x = y => s[0,1] x = s[0,1] y"), Random(SAMPLE_CHUNK + 7, 5))
@@ -227,9 +282,10 @@ def test_witness_disagreement_raises(tmp_path, capsys):
     spec = tmp_path / "full22.alg"
     spec.write_text("n = 2\nbase = 2\ncarrier = full\n")
     with mock.patch.object(termlang, "quasi_violated", return_value=False):
-        for mode in (Exhaustive(), Random(50, 4)):
+        # columns, packed rows, and one row per chunk
+        for carrier, mode in ((D, Exhaustive()), (D, Random(50, 4)), (full_carrier(12, 2), Random(5, 4))):
             with pytest.raises(RuntimeError, match="disagree"):
-                check_quasi(D, qe, mode)
+                check_quasi(carrier, qe, mode)
         assert main(["check", "--spec", str(spec), "--eq", "s[0,1] x = x"]) == 2
     assert "disagree" in capsys.readouterr().err
 

@@ -252,6 +252,26 @@ def test_budget_env_is_honored(full22, capsys, monkeypatch):
     assert "positive integer" in capsys.readouterr().err
 
 
+def test_seed_and_budget_too_wide_to_echo_exit_two(full22, capsys, monkeypatch):
+    # a report writes ints past 256 bits as "at least 2^m", so such an
+    # input could not be replayed from its report
+    wide, edge = str(1 << 256), (1 << 256) - 1
+    for argv in (["check", "--spec", full22, "--eq", "s[0,1] x = x", "--random", "10", "--json"],
+                 ["sigma-demo", "--n", "2"], ["ultraproduct", "--spec", full22]):
+        for seed in (wide, "-" + wide, str(1 << 300)):
+            assert main(argv + ["--seed", seed]) == 2, (argv, seed)
+            assert "--seed must be below 2^256" in capsys.readouterr().err
+    # the widest accepted seed is echoed exactly
+    assert main(["check", "--spec", full22, "--eq", "x = x", "--random", "3", "--seed", str(edge), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == edge
+    monkeypatch.setenv("TRA_BUDGET", wide)
+    assert main(["check", "--spec", full22, "--eq", "x = x"]) == 2
+    assert "TRA_BUDGET must be below 2^256" in capsys.readouterr().err
+    monkeypatch.setenv("TRA_BUDGET", str(edge))
+    assert main(["check", "--spec", full22, "--eq", "x = x", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["budget"] == edge
+
+
 def test_check_without_mode_flag_samples_over_budget(tmp_path, capsys):
     spec = tmp_path / "full42.alg"
     spec.write_text("n = 4\nbase = 2\ncarrier = full\n")
