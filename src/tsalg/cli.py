@@ -17,7 +17,7 @@ overrides the default ceiling on exhaustive enumeration.
 
 Exit codes: 0 when every checked assertion holds, 1 when a checked
 property fails (the witness is printed), 2 on usage, parse, or input
-errors.
+errors, and when standard output closes before the report is written.
 
 Algebra spec files (.alg) are key/value documents; '#' starts a comment::
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -311,7 +312,10 @@ class UsageError(ValueError):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on main's first call and kept: parsing
+    leaves no state in it, and building it costs more than most runs."""
     parser = argparse.ArgumentParser(
         prog="tsalg",
         description="Workbench for transposition set algebras on finite sequence spaces.",
@@ -557,7 +561,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.wall_time_s = round(time.perf_counter() - started, 6)
-    print(report.to_json() if args.json else report.to_text())
+    text = report.to_json() if args.json else report.to_text()
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit
+        # cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output closed before the report was written", file=sys.stderr)
+        return 2
     return 0 if report.passed else 1
 
 

@@ -603,41 +603,45 @@ class _Program(list):
 
 def _compile(qe: QuasiEquation, D: Carrier, names: list[str],
              rows: bool = False) -> tuple[_Program, list[tuple[int, int]]]:
-    """qe as a program, equal subterms shared, plus the (lhs, rhs) slots of
-    each hypothesis and then the conclusion.  s_f compiles to a gather for
-    columns, or with rows to a ("net", a, network) op for _run_rows.
+    """qe as a program, plus the (lhs, rhs) slots of each hypothesis and
+    then the conclusion.  s_f compiles to a gather for columns, or with
+    rows to a ("net", a, network) op for _run_rows.
 
-    Every operator spec is resolved here, once, so a spec that does not
-    fit D raises DimensionMismatch before any assignment is tried."""
+    Slots are shared by op: each node's key is its op over its children's
+    slots (("s", spec, a) for s_f), so equal subterms share one slot and
+    no lookup hashes a whole subtree.  Every operator spec is resolved
+    here, once, so a spec that does not fit D raises DimensionMismatch
+    before any assignment is tried."""
     program = _Program()
-    slots: dict[Term, int] = {}
+    slots: dict[tuple, int] = {}
     compiled: dict[PermSpec, object] = {}
 
     def emit(t: Term) -> int:
-        slot = slots.get(t)
-        if slot is not None:
-            return slot
         if isinstance(t, Var):
-            op: tuple = ("var", names.index(t.name))
+            key: tuple = ("var", names.index(t.name))
         elif isinstance(t, Zero):
-            op = ("zero", D.size)
+            key = ("zero", D.size)
         elif isinstance(t, One):
-            op = ("one", D.size)
+            key = ("one", D.size)
         elif isinstance(t, Not):
-            op = ("not", emit(t.arg))
+            key = ("not", emit(t.arg))
         elif isinstance(t, And):
-            op = ("and", emit(t.left), emit(t.right))
+            key = ("and", emit(t.left), emit(t.right))
         elif isinstance(t, Or):
-            op = ("or", emit(t.left), emit(t.right))
+            key = ("or", emit(t.left), emit(t.right))
         elif isinstance(t, Subst):
-            if t.perm not in compiled:
+            table = compiled.get(t.perm)
+            if table is None:
                 f = spec_perm(t.perm, D.n)
-                compiled[t.perm] = D._network_for(f) if rows else D._gather_for(f)
-            op = ("net" if rows else "gather", emit(t.arg), compiled[t.perm])
+                table = compiled[t.perm] = D._network_for(f) if rows else D._gather_for(f)
+            key = ("s", t.perm, emit(t.arg))
         else:
             raise TypeError(f"not a term node: {t!r}")
-        slots[t] = program.emit(*op)
-        return slots[t]
+        slot = slots.get(key)
+        if slot is None:
+            op = ("net" if rows else "gather", key[2], table) if key[0] == "s" else key
+            slot = slots[key] = program.emit(*op)
+        return slot
 
     equations = [(emit(eq.lhs), emit(eq.rhs)) for eq in (*qe.hypotheses, qe.conclusion)]
     return program, equations

@@ -4,6 +4,7 @@ sampled order, and the frozenset oracle built on oracles.brute_subst.
 The column check of principal ultraproducts against the elementwise
 oracles.brute_principal_ultraproduct."""
 
+import copy
 import itertools
 import random
 import subprocess
@@ -311,6 +312,74 @@ def test_unfit_spec_in_unreached_conclusion_exits_two(tmp_path, capsys):
     spec.write_text("n = 2\nbase = 2\ncarrier = full\n")
     assert main(["check", "--spec", str(spec), "--quasi", UNREACHED]) == 2
     assert "does not fit dimension 2" in capsys.readouterr().err
+
+
+# --- compiling: slots shared by op ------------------------------------------
+
+
+def term_keyed_compile(qe, D, names, rows=False):
+    """_compile as it was with slots keyed by the terms themselves."""
+    program = termlang._Program()
+    slots, compiled = {}, {}
+
+    def emit(t):
+        if t in slots:
+            return slots[t]
+        if isinstance(t, Var):
+            op = ("var", names.index(t.name))
+        elif isinstance(t, Zero):
+            op = ("zero", D.size)
+        elif isinstance(t, One):
+            op = ("one", D.size)
+        elif isinstance(t, Not):
+            op = ("not", emit(t.arg))
+        elif isinstance(t, And):
+            op = ("and", emit(t.left), emit(t.right))
+        elif isinstance(t, Or):
+            op = ("or", emit(t.left), emit(t.right))
+        else:
+            if t.perm not in compiled:
+                f = termlang.spec_perm(t.perm, D.n)
+                compiled[t.perm] = D._network_for(f) if rows else D._gather_for(f)
+            op = ("net" if rows else "gather", emit(t.arg), compiled[t.perm])
+        slots[t] = program.emit(*op)
+        return slots[t]
+
+    equations = [(emit(eq.lhs), emit(eq.rhs)) for eq in (*qe.hypotheses, qe.conclusion)]
+    return program, equations
+
+
+@strat.composite
+def shared_subterms(draw):
+    """A carrier and a quasi-equation whose terms are built from a pool of
+    earlier terms, so subterms repeat, as the same object or as an equal
+    copy."""
+    n = draw(strat.integers(2, 3))
+    u = draw(strat.integers(1, 3))
+    space = lex_sequences(n, u)
+    D = carrier_from_seqs(n, u, draw(strat.lists(strat.sampled_from(space), max_size=6, unique=True)))
+    specs = strat.one_of(
+        strat.sampled_from([Transposition(i, j) for i in range(n) for j in range(n) if i != j]),
+        strat.permutations(range(n)).map(lambda p: Images(tuple(p))),
+    )
+    pool = [Zero(), One(), Var("x"), Var("y")]
+    for _ in range(draw(strat.integers(0, 12))):
+        a, b = draw(strat.sampled_from(pool)), draw(strat.sampled_from(pool))
+        kind = draw(strat.sampled_from(["and", "or", "not", "s"]))
+        t = {"and": lambda: And(a, b), "or": lambda: Or(a, b), "not": lambda: Not(a),
+             "s": lambda: Subst(draw(specs), a)}[kind]()
+        pool.append(copy.deepcopy(t) if draw(strat.booleans()) else t)
+    equations = strat.builds(Equation, strat.sampled_from(pool), strat.sampled_from(pool))
+    return D, QuasiEquation(tuple(draw(strat.lists(equations, max_size=2))), draw(equations))
+
+
+@hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.given(shared_subterms())
+def test_compile_by_op_matches_term_keyed_reference(instance):
+    D, qe = instance
+    names = sorted(quasi_vars(qe))
+    for rows in (False, True):
+        assert termlang._compile(qe, D, names, rows) == term_keyed_compile(qe, D, names, rows)
 
 
 # --- re-imports --------------------------------------------------------------

@@ -1,12 +1,20 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from tsalg import cli
 from tsalg.algebra import carrier_from_seqs, elem_from_seqs
 from tsalg.cli import AlgebraSpec, SpecFileError, main, parse_algebra_spec
 from tsalg.seqspace import Perm
-from tsalg.termlang import parse_equation, parse_quasi, equation_violated, quasi_violated
+from tsalg.termlang import DEFAULT_SEED, parse_equation, parse_quasi, equation_violated, quasi_violated
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -202,6 +210,85 @@ def test_ultraproduct_cli(full22, full32, capsys):
 def test_ultraproduct_requires_full_carriers(units3, capsys):
     assert main(["ultraproduct", "--spec", units3]) == 2
     assert "full carriers" in capsys.readouterr().err
+
+
+# --- one parser per process -------------------------------------------------------
+
+
+def test_cached_parser_answers_each_call_as_a_fresh_one(full22, full32, capsys):
+    calls = [
+        ["ultraproduct", "--spec", full22, "--spec", full22, "--json"],
+        ["ultraproduct", "--spec", full32, "--json"],
+        ["check", "--spec", full22, "--eq", "s[0,1] s[0,1] x = x"],
+        ["check", "--spec", full22, "--eq", "x = x", "--quasi", "x = x => x = x"],
+        ["check", "--spec", full22, "--eq", "x = x", "--random", "3", "--seed", "9", "--json"],
+        ["check", "--spec", full22, "--eq", "x = x", "--random", "3", "--json"],
+        ["--help"],
+        ["check", "--help"],
+        ["nonsense"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if out.startswith("{"):
+            report = json.loads(out)
+            report.pop("wall_time_s")
+            out = report
+        else:
+            out = [ln for ln in out.splitlines() if not ln.startswith("result:")]
+        return code, out, err
+
+    cached = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert cached == fresh
+    codes = [code for code, _, _ in cached]
+    assert codes == [0, 0, 0, 2, 0, 0, 0, 0, 2]
+    # the second ultraproduct reports its one factor only
+    assert len(cached[1][1]["inputs"]["factors"]) == 1
+    assert "not allowed with argument --eq" in cached[3][2]
+    assert cached[4][1]["seed"] == 9 and cached[5][1]["seed"] == DEFAULT_SEED
+    assert cached[6][1][0].startswith("usage: tsalg")
+
+
+def test_parser_is_built_on_the_first_call_only(full22, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    seen = []
+    for i in range(10):
+        assert main(["check", "--spec", full22, "--eq", "x = x", "--seed", str(i)]) == 0
+        seen.append(len(built))
+    capsys.readouterr()
+    # the top-level parser and its six subcommands, all in the first call
+    assert seen == [7] * 10
+    cli._build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [["decompose", "--n", "2", "--k", "2"],
+                                  ["decompose", "--n", "10", "--k", "2", "--json"]])
+def test_closed_stdout_exits_two_without_traceback(argv):
+    # the pipe's read end is closed before the child writes, so every
+    # write to its stdout fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "tsalg.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == "error: standard output closed before the report was written\n"
 
 
 # --- report plumbing ------------------------------------------------------------------
