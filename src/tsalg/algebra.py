@@ -8,12 +8,14 @@ X to {q in D : q . f in X}; per (carrier, permutation) this is compiled
 once into a gather, one entry per member: the position of q . f, or None
 when q . f is outside D.  Relativizing to a sub-carrier G is a gather as
 well, G's member p reading position gather[p] of the super-carrier.  Both
-subst and relativize apply the cached list, and so does the column
-evaluator in termlang.  For termlang's packed rows, s_f is compiled once
-more, as a network of delta swaps (swap bit p with bit p + d for every p
-in a mask; Knuth, TAOCP 4A, 7.1.3): on a full carrier ^n u, u - 1 swaps
-per transposition sorting f, one per difference of the two digits it
-exchanges; elsewhere a Benes network, then a mask of defined positions.
+subst and relativize apply the cached list, and so does termlang's
+exhaustive evaluator, by columns.  termlang's packed rows, which every
+other check uses, apply the same maps as networks of delta swaps (swap
+bit p with bit p + d for every p in a mask; Knuth, TAOCP 4A, 7.1.3): on
+a full carrier ^n u, s_f is u - 1 swaps per transposition sorting f, one
+per difference of the two digits it exchanges; every other gather,
+relativizing included, is extended to a permutation and routed through a
+Benes network, then masked to its defined positions.
 
 A carrier is *permutable* when it is closed under swapping any two
 coordinates of its members (hence under every coordinate permutation).
@@ -293,10 +295,16 @@ def _benes(dest: list[int]) -> list[tuple[int, int]]:
 
 
 def _benes_network(gather: list[int | None], size: int, tiles: dict) -> Network:
-    """The gather extended to a permutation of a power-of-two row (empty
-    entries take the unused positions), routed through _benes, masked."""
+    """The gather, a partial injection from at most size entries into
+    range(size), padded with None to size entries and extended to a
+    permutation of a power-of-two row (empty entries take the unused
+    positions), routed through _benes, masked.  Any other gather raises
+    ValueError: no network would route it."""
+    used = set(gather) - {None}
+    if len(gather) > size or len(used) != len(gather) - gather.count(None) or not used <= set(range(size)):
+        raise ValueError("a network routes only a partial injection into the row")
+    gather = gather + [None] * (size - len(gather))
     width = 1 << max(size - 1, 0).bit_length()
-    used = set(gather)
     unused = iter([p for p in range(size) if p not in used])
     source = [next(unused) if src is None else src for src in gather] + list(range(size, width))
     dest = [0] * width

@@ -25,26 +25,27 @@ each variable's bit vector as independent fair coin bits from a seeded
 generator, rng.getrandbits(|D|) per variable per trial in sorted name
 order (_draws), and always reports the seed it used.
 
-check_quasi evaluates a chunk of assignments at once rather than one at
-a time, in one of two layouts.  Exhaustive mode takes 2**16 assignments
-of the canonical order by columns: each carrier position holds one int
-whose bit a says whether that position is in the value under assignment
-a of the chunk, '~', '&' and '|' act on whole columns, and s_f gathers
-columns through the table the carrier compiles once per operator.
-Random mode packs rows: each variable's draws, one bit vector per trial,
-go side by side into one int at a fixed stride, so '~', '&' and '|' act
-on every trial of the chunk at once and s_f is the carrier's delta-swap
-network with its masks repeated once per row; a carrier of 4096 members
-or more gives each trial its own chunk.  Either way the assignments that
-meet every hypothesis and break the conclusion form one set of flag
-bits; its lowest is the least (or first sampled) violation, so verdicts,
-witnesses and counts are those of the one-at-a-time scan.  The column
-scan, _first_violation, is shared by every column check: the
-relativization and separation laws in theorems (over _assignments,
-relativizing to a sub-carrier being one more gather) and the principal
-ultraproduct (over its own interleaved draws, transposed by
-_transposed); _first_row_violation is its packed-row twin.  Both
-re-check each witness through the caller's element-wise test
+Every check evaluates a chunk of assignments at once rather than one at
+a time, in one of two layouts, and the mode alone picks it.  Exhaustive
+mode takes 2**16 assignments of the canonical order by columns: each
+carrier position holds one int whose bit a says whether that position is
+in the value under assignment a of the chunk, '~', '&' and '|' act on
+whole columns, and a map such as s_f gathers columns through a table.
+Every other stream goes by packed rows: each variable's bit vectors, one
+per trial, sit side by side in one int at a fixed stride, so '~', '&' and
+'|' act on every row of the chunk at once and a map is a network of delta
+swaps with its masks repeated once per row; a carrier of 4096 members or
+more gives each row its own chunk.  Either way the assignments that meet
+every hypothesis and break the conclusion form one set of flag bits; its
+lowest is the least (or first sampled) violation, so verdicts, witnesses
+and counts are those of the one-at-a-time scan.
+
+A _Program is built once per check in its layout: subst and restrict
+emit each map for it (a gather table, or an algebra.Network).
+_first_violation is the one scan, shared by check_quasi, the
+relativization and separation laws in theorems and, through
+_first_row_violation with its own draws, the principal ultraproduct.  It
+re-checks each witness through the caller's element-wise test
 (_rechecked); eval_term and quasi_violated walk the tree for a single
 assignment and are that test here.
 """
@@ -56,12 +57,13 @@ import operator
 import random as _random
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .algebra import (
     Carrier,
     CarrierMismatch,
     Elem,
+    _benes_network,
     _repeat_row,
     complement,
     join,
@@ -568,92 +570,100 @@ class Verdict:
 #: An exhaustive chunk holds 2 ** EXHAUSTIVE_CHUNK_BITS assignments.
 EXHAUSTIVE_CHUNK_BITS = 16
 
-#: A sampled chunk by columns (the relativization, separation and
-#: ultraproduct checks in theorems) holds this many trials, or fewer where
-#: the carrier is so wide that a chunk would pass SAMPLE_CHUNK_BITS bits
-#: per variable.
-#: Each chunk costs |D| list items per program node, so narrow chunks on
-#: wide carriers cost time, and wide ones memory (the transposed text holds
-#: one character per bit).  Of 2**20, 2**21 and 2**22, timed on full
-#: (11..16, 2), 2**21 was never more than 1.4 times slower than the best,
-#: with at most 15 MB extra peak RSS.
-SAMPLE_CHUNK = 4096
-SAMPLE_CHUNK_BITS = 1 << 21
-
-#: A sampled check_quasi packs up to ROW_CHUNK_BITS bits of rows per
-#: variable into a chunk, but one trial alone on a carrier of WIDE_ROW_BITS
-#: members or more: timed on full (8..16, 2), 2**16 to 2**18 bits did
-#: alike, and packing rows of 2**12 bits or more was up to 2 times slower.
+#: A sampled chunk packs up to ROW_CHUNK_BITS bits of rows per variable,
+#: but one trial alone on a carrier of WIDE_ROW_BITS members or more: timed
+#: on full (8..16, 2), 2**16 to 2**18 bits did alike, and packing rows of
+#: 2**12 bits or more was up to 2 times slower.
 ROW_CHUNK_BITS = 1 << 17
 WIDE_ROW_BITS = 1 << 12
 
 
 class _Program(list):
-    """A straight-line program over columns or packed rows.  Ops: ("var",
-    j), ("zero", size), ("one", size), ("not", a), ("and", a, b), ("or",
-    a, b); on columns ("gather", a, table): column p of a gather is column
-    table[p] of slot a, or 0 where table[p] is None
-    (algebra.Carrier._gather_for/_from); on rows ("net", a, network), an
-    algebra.Network."""
+    """A straight-line program over a chunk of assignments to nvars
+    variables, each a bit vector over size members, laid out by packed
+    rows (rows) or by columns.  Ops: ("var", j), ("zero", w), ("one", w),
+    ("not", a, w), ("and", a, b), ("or", a, b), w being the number of
+    members the slot's values range over; and the maps that subst and
+    restrict emit for the layout: on columns ("gather", a, table),
+    whose column p is column table[p] of slot a, or 0 where table[p] is
+    None; on rows ("net", a, network), an algebra.Network."""
+
+    def __init__(self, size: int, nvars: int, rows: bool):
+        self.size, self.nvars, self.rows = size, nvars, rows
 
     def emit(self, *op) -> int:
         self.append(op)
         return len(self) - 1
 
+    def subst(self, a: int, D: Carrier, f: Perm) -> int:
+        """s_f of slot a, valued in D."""
+        if self.rows:
+            return self.emit("net", a, D._network_for(f))
+        return self.emit("gather", a, D._gather_for(f))
+
+    def restrict(self, table: list[int | None], size: int) -> Callable[[int], int]:
+        """The emitter of the map whose member p is member table[p] of a
+        slot over size members, or empty where table[p] is None: x -> x ∩ G
+        for G._gather_from(E) over |E| members.  On rows it is a Benes
+        network masked to the defined members."""
+        if table == list(range(size)):
+            return lambda a: a
+        op = ("net", _benes_network(table, size, {})) if self.rows else ("gather", table)
+        return lambda a: self.emit(op[0], a, op[1])
+
 
 def _compile(qe: QuasiEquation, D: Carrier, names: list[str],
              rows: bool = False) -> tuple[_Program, list[tuple[int, int]]]:
-    """qe as a program, plus the (lhs, rhs) slots of each hypothesis and
-    then the conclusion.  s_f compiles to a gather for columns, or with
-    rows to a ("net", a, network) op for _run_rows.
+    """qe as a program in the given layout, plus the (lhs, rhs) slots of
+    each hypothesis and then the conclusion.
 
     Slots are shared by op: each node's key is its op over its children's
     slots (("s", spec, a) for s_f), so equal subterms share one slot and
     no lookup hashes a whole subtree.  Every operator spec is resolved
     here, once, so a spec that does not fit D raises DimensionMismatch
     before any assignment is tried."""
-    program = _Program()
+    size = D.size
+    program = _Program(size, len(names), rows)
     slots: dict[tuple, int] = {}
-    compiled: dict[PermSpec, object] = {}
+    perms: dict[PermSpec, Perm] = {}
 
     def emit(t: Term) -> int:
         if isinstance(t, Var):
             key: tuple = ("var", names.index(t.name))
         elif isinstance(t, Zero):
-            key = ("zero", D.size)
+            key = ("zero", size)
         elif isinstance(t, One):
-            key = ("one", D.size)
+            key = ("one", size)
         elif isinstance(t, Not):
-            key = ("not", emit(t.arg))
+            key = ("not", emit(t.arg), size)
         elif isinstance(t, And):
             key = ("and", emit(t.left), emit(t.right))
         elif isinstance(t, Or):
             key = ("or", emit(t.left), emit(t.right))
         elif isinstance(t, Subst):
-            table = compiled.get(t.perm)
-            if table is None:
-                f = spec_perm(t.perm, D.n)
-                table = compiled[t.perm] = D._network_for(f) if rows else D._gather_for(f)
+            f = perms.get(t.perm)
+            if f is None:
+                f = perms[t.perm] = spec_perm(t.perm, D.n)
             key = ("s", t.perm, emit(t.arg))
         else:
             raise TypeError(f"not a term node: {t!r}")
         slot = slots.get(key)
         if slot is None:
-            op = ("net" if rows else "gather", key[2], table) if key[0] == "s" else key
-            slot = slots[key] = program.emit(*op)
+            slot = slots[key] = program.subst(key[2], D, f) if key[0] == "s" else program.emit(*key)
         return slot
 
     equations = [(emit(eq.lhs), emit(eq.rhs)) for eq in (*qe.hypotheses, qe.conclusion)]
     return program, equations
 
 
-def _run(program: _Program, var_columns: list[list[int]], full: int) -> list[list[int]]:
-    """Every slot's columns for one chunk; full has one bit per assignment."""
+def _run(program: _Program, inputs: list[list[int]], full: int) -> list[list[int]]:
+    """Every slot's columns for one chunk, from each variable's columns
+    inputs; full has one bit per assignment."""
     vals: list[list[int]] = []
     for op in program:
         kind = op[0]
         if kind == "var":
-            col = var_columns[op[1]]
+            col = inputs[op[1]]
         elif kind == "zero":
             col = [0] * op[1]
         elif kind == "one":
@@ -688,22 +698,27 @@ def _rechecked(violates: Callable[[int, list[int]], object], law: int, rows: lis
     holds, which means the evaluator was wrong."""
     witness = violates(law, rows)
     if witness is None:
-        raise RuntimeError("column evaluation and the element-wise re-check disagree on a witness")
+        raise RuntimeError("the chunked evaluation and the element-wise re-check disagree on a witness")
     return witness
 
 
 def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
-                     laws: list[tuple[int, int]], chunks: Iterable[tuple[int, list[list[int]]]],
+                     laws: list[tuple[int, int]], mode: Mode,
                      violates: Callable[[int, list[int]], object]) -> tuple[int, int, object] | None:
-    """The one violation scan of every column check.
+    """The one violation scan of every check, over mode's assignments to
+    program's variables: Exhaustive by columns over the canonical
+    enumeration, Random by packed rows over the sample stream (program's
+    layout must be mode's).
 
-    chunks yields (width, each variable's columns) per chunk of
-    assignments.  Returns the least assignment under which every
+    Returns the least (or first sampled) assignment under which every
     (lhs, rhs) pair of slots in hypotheses agrees and some pair in laws
     differs, as (its index, the number of its first such law, its
     witness), or None; the witness is _rechecked through violates."""
+    if program.rows:
+        draws = _draws(program.size, program.nvars, mode)
+        return _first_row_violation(program, hypotheses, laws, draws, mode.trials, violates)
     start = 0
-    for width, columns in chunks:
+    for width, columns in _exhaustive_chunks(program.size, program.nvars):
         live = (1 << width) - 1
         vals = _run(program, columns, live)
         for lhs, rhs in hypotheses:
@@ -750,65 +765,48 @@ def _draws(size: int, nvars: int, mode: Random) -> Iterator[int]:
     return map(_random.Random(mode.seed).getrandbits, repeat(size, mode.trials * nvars))
 
 
-def _transposed(draws: Iterator[int], size: int, nvars: int,
-                trials: int) -> Iterator[tuple[int, list[list[int]]]]:
-    """(width, columns of each variable) per chunk of trials rows, a row
-    being the next nvars draws of size bits, one per variable in order.
-    A chunk holds SAMPLE_CHUNK rows, or fewer on a carrier so wide that a
-    chunk would pass SAMPLE_CHUNK_BITS bits per variable."""
-    step = max(1, min(SAMPLE_CHUNK, SAMPLE_CHUNK_BITS // max(size, 1)))
-    for start in range(0, trials, step):
-        width = min(step, trials - start)
-        rows = list(islice(draws, width * nvars))
-        yield width, [_columns(rows[j::nvars], size) for j in range(nvars)]
-
-
-def _columns(rows: list[int], size: int) -> list[int]:
-    """rows transposed: bit t of column p is bit p of rows[t]."""
-    if not size or not rows:
-        return [0] * size
-    # the last row's bits come first, so the characters of position p,
-    # every size-th one from size - 1 - p, read as a binary number put
-    # row t at bit t
-    fmt = f"0{size}b"
-    text = "".join([format(r, fmt) for r in reversed(rows)])
-    return [int(text[size - 1 - p::size], 2) for p in range(size)]
-
-
-def _assignments(size: int, nvars: int, mode: Mode) -> Iterator[tuple[int, list[list[int]]]]:
-    """The chunks of mode's assignments to nvars variables over a carrier
-    of size members: the canonical enumeration, or the sample stream."""
-    if isinstance(mode, Random):
-        return _transposed(_draws(size, nvars, mode), size, nvars, mode.trials)
-    return _exhaustive_chunks(size, nvars)
-
-
-def _run_rows(program: _Program, values: list[int], full: int, nbytes: int, height: int) -> list[int]:
-    """Every slot's rows for one chunk of up to height rows nbytes bytes
-    apart, from each variable's rows and full, the rows of 1."""
-    vals: list[int] = []
+def _tiled(program: _Program, nbytes: int, height: int) -> list[tuple]:
+    """program's ops for chunks of height rows nbytes bytes apart: each
+    width w as the rows of w ones, each network as its tiled swaps and
+    mask (Network.tiled)."""
+    ones: dict[int, int] = {}
+    out = []
     for op in program:
+        kind = op[0]
+        if kind == "one" or kind == "not":
+            if op[-1] not in ones:
+                ones[op[-1]] = _repeat_row((1 << op[-1]) - 1, nbytes, height)
+            op = (*op[:-1], ones[op[-1]])
+        elif kind == "net":
+            op = ("net", op[1], *op[2].tiled(nbytes, height))
+        out.append(op)
+    return out
+
+
+def _run_rows(ops: list[tuple], values: list[int]) -> list[int]:
+    """Every slot's rows for one chunk, from _tiled ops and each variable's rows."""
+    vals: list[int] = []
+    for op in ops:
         kind = op[0]
         if kind == "var":
             x = values[op[1]]
         elif kind == "zero":
             x = 0
         elif kind == "one":
-            x = full
+            x = op[1]
         elif kind == "not":
-            x = vals[op[1]] ^ full
+            x = vals[op[1]] ^ op[2]
         elif kind == "and":
             x = vals[op[1]] & vals[op[2]]
         elif kind == "or":
             x = vals[op[1]] | vals[op[2]]
         else:
             x = vals[op[1]]
-            swaps, defined = op[2].tiled(nbytes, height)
-            for d, m in swaps:
+            for d, m in op[2]:
                 t = ((x >> d) ^ x) & m
                 x ^= t ^ (t << d)
-            if defined is not None:
-                x &= defined
+            if op[3] is not None:
+                x &= op[3]
         vals.append(x)
     return vals
 
@@ -827,45 +825,43 @@ def _row_flags(vals: list[int], stride: int, height: int, lhs: int, rhs: int) ->
 
 
 def _first_row_violation(program: _Program, hypotheses: list[tuple[int, int]],
-                         laws: list[tuple[int, int]], size: int, nvars: int, mode: Random,
+                         laws: list[tuple[int, int]], rows: Iterator[int], trials: int,
                          violates: Callable[[int, list[int]], object]) -> tuple[int, int, object] | None:
-    """_first_violation on mode's sample stream packed by rows.
+    """_first_violation on packed rows, over the first trials rows of
+    rows, which yields program.nvars bit vectors per row.
 
-    A chunk packs each variable's draws, one row per trial, into one int,
-    whole bytes apart and no narrower than any network's row, so trial r
-    of the chunk has flag bit stride * r.  It holds ROW_CHUNK_BITS bits per
-    variable, or one trial on a carrier of WIDE_ROW_BITS members or more.
-    Kept apart from the column scan, whose small exhaustive checks a
-    shared chunk protocol slowed by about 1 us each."""
-    width = max([size] + [op[2].width for op in program if op[0] == "net"])
+    A chunk packs each variable's rows into one int, whole bytes apart and
+    no narrower than any network's row, so row r of the chunk has flag bit
+    stride * r.  It holds ROW_CHUNK_BITS bits per variable, or one row on a
+    carrier of WIDE_ROW_BITS members or more."""
+    width = max([program.size] + [op[2].width for op in program if op[0] == "net"])
     nbytes = max(1, -(-width // 8))
     stride = 8 * nbytes
-    height = max(1, min(mode.trials, ROW_CHUNK_BITS // stride)) if width < WIDE_ROW_BITS else 1
-    draws = _draws(size, nvars, mode)
+    height = max(1, min(trials, ROW_CHUNK_BITS // stride)) if width < WIDE_ROW_BITS else 1
+    nvars = program.nvars
+    ops = _tiled(program, nbytes, height)
+    every_row = _repeat_row(1, nbytes, height)
 
-    def packed(rows: list[int]) -> int:
-        return int.from_bytes(b"".join([r.to_bytes(nbytes, "little") for r in rows]), "little")
+    def packed(chunk: list[int]) -> int:
+        return int.from_bytes(b"".join([r.to_bytes(nbytes, "little") for r in chunk]), "little")
 
-    h = 0
-    for start in range(0, mode.trials, height):
-        if h != min(height, mode.trials - start):
-            h = min(height, mode.trials - start)
-            full, every_row = _repeat_row((1 << size) - 1, nbytes, h), _repeat_row(1, nbytes, h)
-        rows = list(islice(draws, h * nvars))
-        values = rows if h == 1 else [packed(rows[j::nvars]) for j in range(nvars)]
-        # the networks' masks, tiled for height rows, serve the shorter
-        # last chunk too: rows past h stay 0
-        vals = _run_rows(program, values, full, nbytes, height)
-        live = every_row
+    for start in range(0, trials, height):
+        h = min(height, trials - start)
+        chunk = list(islice(rows, h * nvars))
+        values = chunk if h == 1 else [packed(chunk[j::nvars]) for j in range(nvars)]
+        # the ops act on height rows; in a shorter last chunk the flags of
+        # the rows past h are not live
+        vals = _run_rows(ops, values)
+        live = every_row if h == height else _repeat_row(1, nbytes, h)
         for lhs, rhs in hypotheses:
-            live &= ~_row_flags(vals, stride, h, lhs, rhs)
-        broken = [live & _row_flags(vals, stride, h, lhs, rhs) for lhs, rhs in laws]
+            live &= ~_row_flags(vals, stride, height, lhs, rhs)
+        broken = [live & _row_flags(vals, stride, height, lhs, rhs) for lhs, rhs in laws]
         bad = functools.reduce(operator.or_, broken, 0)
         if bad:
             low = bad & -bad
             law = [b & low != 0 for b in broken].index(True)
             r = (low.bit_length() - 1) // stride
-            return start + r, law, _rechecked(violates, law, rows[r * nvars:(r + 1) * nvars])
+            return start + r, law, _rechecked(violates, law, chunk[r * nvars:(r + 1) * nvars])
     return None
 
 
@@ -888,12 +884,7 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
         witness = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
         return witness if quasi_violated(D, qe, witness) else None
 
-    if sampled:
-        found = _first_row_violation(program, equations[:-1], equations[-1:], D.size, len(names),
-                                     mode, violates)
-    else:
-        found = _first_violation(program, equations[:-1], equations[-1:],
-                                 _exhaustive_chunks(D.size, len(names)), violates)
+    found = _first_violation(program, equations[:-1], equations[-1:], mode, violates)
     if found:
         index, _, witness = found
         return Verdict("fails", witness=witness, assignments_tested=index + 1, **sampled)

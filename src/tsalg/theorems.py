@@ -17,14 +17,16 @@ was enumerated, in which mode, and where the first violation sits:
 * the ultraproduct by a principal ultrafilter collapses to a factor
   projection.
 
-The relativization and separation laws range over pairs of elements; both
+Each verifier states its laws once, as one termlang program whose maps
+(s_t, x -> x ∩ G) compile for the layout its mode picks.  The
+relativization and separation laws range over pairs of elements; both
 run through termlang's violation scan (termlang._first_violation),
 exhaustively or on the seeded sample stream, and every violation found
 there is re-checked through relativize, subst, meet and complement.  The
-ultraproduct check compiles its map once and runs its class and law-pair
-checks through the same scan, over its own draws; a violation is
-re-checked through ProductAlgebra's operations and the map applied
-element by element.
+ultraproduct check runs its class and law-pair checks through the same
+scan on packed rows, over its own draws; a violation is re-checked
+through ProductAlgebra's operations and the map applied element by
+element.
 """
 
 from __future__ import annotations
@@ -75,11 +77,10 @@ from .termlang import (
     Mode,
     Random,
     Verdict,
-    _assignments,
     _draws,
+    _first_row_violation,
     _first_violation,
     _Program,
-    _transposed,
     check_quasi,
     fmt_count,
     quasi_violated,
@@ -140,8 +141,8 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
     """Check that h: x -> x ∩ G is a homomorphism from the algebra over E
     onto the algebra over G.  Over x, y in 2**E it checks the laws
     h(x & y) = h x & h y, h(~x) = ~h x and h(s_t x) = s_t h x for every
-    transposition t, as one column program (termlang._first_violation)
-    whose h is the gather relativize applies.  The least (or first
+    transposition t, as one program (termlang._first_violation) whose h
+    compiles the gather relativize applies.  The least (or first
     sampled) violating assignment is reported with its first failing law,
     after a re-check through relativize, subst, meet and complement.
 
@@ -150,7 +151,7 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
     Exhaustive when the pairs x <= y fit the budget, otherwise sampled
     (x, then y, per trial).
     """
-    to_g = G._gather_from(E)  # raises unless G is a sub-carrier of E
+    table = G._gather_from(E)  # raises unless G is a sub-carrier of E
     if not is_permutable(G):
         raise ValueError("sub-carrier is not permutable; relativization needs permutability")
 
@@ -160,22 +161,21 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
     mode = resolve_mode(work, mode, budget, seed)
 
     h = functools.partial(relativize, G=G)
-    prog = _Program()
+    prog = _Program(E.size, 2, rows=isinstance(mode, Random))
     x, y = prog.emit("var", 0), prog.emit("var", 1)
-    hx = prog.emit("gather", x, to_g)
+    to_g = prog.restrict(table, E.size)
+    hx = to_g(x)
     # each law: its violation record, its two sides as slots, and the same
     # law on elements for the re-check
     laws = [
-        ({"op": "meet"}, prog.emit("gather", prog.emit("and", x, y), to_g),
-         prog.emit("and", hx, prog.emit("gather", y, to_g)),
+        ({"op": "meet"}, to_g(prog.emit("and", x, y)), prog.emit("and", hx, to_g(y)),
          lambda X, Y: h(meet(X, Y)) == meet(h(X), h(Y))),
-        ({"op": "complement"}, prog.emit("gather", prog.emit("not", x), to_g), prog.emit("not", hx),
+        ({"op": "complement"}, to_g(prog.emit("not", x, E.size)), prog.emit("not", hx, G.size),
          lambda X, Y: h(complement(X)) == complement(h(X))),
     ]
     for t in _transpositions(E.n):
         laws.append(({"op": "subst", "perm": list(t.images)},
-                     prog.emit("gather", prog.emit("gather", x, E._gather_for(t)), to_g),
-                     prog.emit("gather", hx, G._gather_for(t)),
+                     to_g(prog.subst(x, E, t)), prog.subst(hx, G, t),
                      lambda X, Y, t=t: h(subst(E, t, X)) == subst(G, t, h(X))))
 
     def violates(k: int, rows: list[int]) -> tuple[Elem, Elem] | None:
@@ -184,8 +184,7 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
 
     elements, pairs = (mode.trials,) * 2 if isinstance(mode, Random) else (space, work)
     violation: dict | None = None
-    found = _first_violation(prog, [], [(lhs, rhs) for _, lhs, rhs, _ in laws],
-                             _assignments(E.size, 2, mode), violates)
+    found = _first_violation(prog, [], [(lhs, rhs) for _, lhs, rhs, _ in laws], mode, violates)
     if found:
         index, k, (X, Y) = found
         record = laws[k][0]
@@ -271,12 +270,14 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
     space = 1 << A.size
     # separation is checked pairwise, so budget the quadratic cost
     mode = resolve_mode(space * (space - 1) // 2, mode, budget, seed)
-    # separation as a quasi-equation over x, y in 2**A:
-    # h_b x = h_b y for every route b  =>  x = y
-    prog = _Program()
+    # separation as a quasi-equation over x, y in 2**A: h_b x = h_b y for
+    # every route b  =>  x = y.  x and y agree under every route just where
+    # they agree on the members some route reads, so one restriction to
+    # those members stands for every route's
+    prog = _Program(A.size, 2, rows=isinstance(mode, Random))
     x, y = prog.emit("var", 0), prog.emit("var", 1)
-    tables = [gq._gather_from(A) for gq, *_ in routes.values()]
-    hypotheses = [(prog.emit("gather", x, t), prog.emit("gather", y, t)) for t in tables]
+    read = set().union(*(gq._gather_from(A) for gq, *_ in routes.values())) - {None}
+    to_read = prog.restrict(sorted(read), A.size)
 
     def violates(_: int, rows: list[int]) -> tuple[Elem, Elem] | None:
         X, Y = (Elem(A, bits) for bits in rows)
@@ -284,7 +285,7 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
             return None
         return X, Y
 
-    found = _first_violation(prog, hypotheses, [(x, y)], _assignments(A.size, 2, mode), violates)
+    found = _first_violation(prog, [(to_read(x), to_read(y))], [(x, y)], mode, violates)
     violation: dict | None = None
     if found:
         index, _, (X, Y) = found
@@ -616,17 +617,18 @@ def _psi(a: ProductElem, tables: list[list[int | None]], i0: int, target: Carrie
 def principal_ultraproduct(factors: list[Carrier], i0: int,
                            seed: int = DEFAULT_SEED) -> UltraproductReport:
     """Form the ultraproduct of full-carrier powerset algebras by the
-    principal ultrafilter {J : i0 in J} and verify, by columns, that the
+    principal ultrafilter {J : i0 in J} and verify, by packed rows, that the
     defining membership condition reduces to projection onto factor i0 —
     well-defined on classes, operation-preserving, injective.
 
     ψ is compiled once (_psi_tables).  The filter holds an agreeing set
-    iff it contains i0, so ψ's column is factor i0's agreeing column: one
-    gather of the i0 component.  Every class is checked at once, then the
-    bounds and, over every sampled pair at once, meet, complement and s_t
-    for each transposition t, as termlang column programs.  The least
-    violating class or pair is reported with its first failing check,
-    after a re-check through ProductAlgebra's operations and _psi.
+    iff it contains i0, so ψ's row is factor i0's agreeing row: one map of
+    the i0 component, the identity on a full factor.  Every class is
+    checked at once, then the bounds and, over every sampled pair at once,
+    meet, complement and s_t for each transposition t, as termlang
+    programs.  The least violating class or pair is reported with its
+    first failing check, after a re-check through ProductAlgebra's
+    operations and _psi.
     """
     factors = tuple(factors)
     if not factors:
@@ -666,33 +668,30 @@ def principal_ultraproduct(factors: list[Carrier], i0: int,
             mode=mode, seed=seed, violation=violation,
         )
 
-    # Classes.  ψ's column reads only the i0 component, so every lift of a
+    # Classes.  ψ's row reads only the i0 component, so every lift of a
     # class has the image of its lift with empty components elsewhere:
     # both phases re-check on that lift, and random components outside i0
     # are drawn only to keep the sample stream.  Injectivity follows from
     # projection: every class maps to its own class vector, and the class
     # vectors are distinct.
-    prog = _Program()
+    prog = _Program(size, 1, rows=True)
     x = prog.emit("var", 0)
 
     def misprojected(_: int, rows: list[int]) -> dict | None:
         xc = Elem(target, rows[0])
         return None if psi(lift(xc.bits)) == xc else {"check": "projection", "class": _seq_lists(xc)}
 
-    found = _first_violation(prog, [], [(prog.emit("gather", x, tables[i0]), x)],
-                             _transposed(iter(classes), size, 1, len(classes)), misprojected)
+    found = _first_row_violation(prog, [], [(prog.restrict(tables[i0], size)(x), x)],
+                                 iter(classes), len(classes), misprojected)
     if found:
         return report(found[0], violation=found[2], failed="projection")
 
     # Law pairs.  The bounds do not depend on the pair, so a broken bound
     # shows in the first pair, ahead of its other checks.
-    prog = _Program()
-    a_col, b_col = prog.emit("var", 0), prog.emit("var", 1)
-
-    def image(slot: int) -> int:
-        return prog.emit("gather", slot, tables[i0])
-
-    pa, pb = image(a_col), image(b_col)
+    prog = _Program(size, 2, rows=True)
+    a, b = prog.emit("var", 0), prog.emit("var", 1)
+    image = prog.restrict(tables[i0], size)
+    pa, pb = image(a), image(b)
     zeros, ones = prog.emit("zero", size), prog.emit("one", size)
     def bounds(A: ProductElem, B: ProductElem) -> bool:
         return psi(prod.zero()) == zero(target) and psi(prod.one()) == one(target)
@@ -702,15 +701,14 @@ def principal_ultraproduct(factors: list[Carrier], i0: int,
     checks = [
         ({"check": "bounds"}, image(zeros), zeros, bounds),
         ({"check": "bounds"}, image(ones), ones, bounds),
-        ({"check": "meet"}, image(prog.emit("and", a_col, b_col)), prog.emit("and", pa, pb),
+        ({"check": "meet"}, image(prog.emit("and", a, b)), prog.emit("and", pa, pb),
          lambda A, B: psi(prod.meet(A, B)) == meet(psi(A), psi(B))),
-        ({"check": "complement"}, image(prog.emit("not", a_col)), prog.emit("not", pa),
+        ({"check": "complement"}, image(prog.emit("not", a, size)), prog.emit("not", pa, size),
          lambda A, B: psi(prod.complement(A)) == complement(psi(A))),
     ]
     for t in _transpositions(prod.n):
-        gather = target._gather_for(t)
         checks.append(({"check": "subst", "perm": list(t.images)},
-                       image(prog.emit("gather", a_col, gather)), prog.emit("gather", pa, gather),
+                       image(prog.subst(a, target, t)), prog.subst(pa, target, t),
                        lambda A, B, t=t: psi(prod.subst(t, A)) == subst(target, t, psi(A))))
 
     def broken(k: int, rows: list[int]) -> dict | None:
@@ -719,13 +717,13 @@ def principal_ultraproduct(factors: list[Carrier], i0: int,
 
     # the stream after the classes: a random lift's components outside i0
     # per class, then per pair a's i0 component, a's other components and
-    # b's likewise, in factor order; the columns take the i0 components
+    # b's likewise, in factor order; the rows take the i0 components
     rest = [c.size for i, c in enumerate(factors) if i != i0]
     draws = map(rng.getrandbits, itertools.chain(rest * len(classes),
                                                  ([size] + rest) * (2 * _PAIR_SAMPLES)))
     pair_draws = itertools.islice(draws, len(rest) * len(classes), None, len(rest) + 1)
-    found = _first_violation(prog, [], [(lhs, rhs) for _, lhs, rhs, _ in checks],
-                             _transposed(pair_draws, size, 2, _PAIR_SAMPLES), broken)
+    found = _first_row_violation(prog, [], [(lhs, rhs) for _, lhs, rhs, _ in checks],
+                                 pair_draws, _PAIR_SAMPLES, broken)
     if not found:
         return report(len(classes), _PAIR_SAMPLES)
     pair, _, violation = found

@@ -193,3 +193,59 @@ def brute_principal_ultraproduct(specs, i0, seed, misroute=None, class_limit=1 <
             out["violation"] = found
             return out
     return out
+
+
+def _as_set(space, bits):
+    return frozenset(q for p, q in enumerate(space) if bits >> p & 1)
+
+
+def _lists(xset):
+    return [list(q) for q in sorted(xset)]
+
+
+def brute_relativization(n, big, sub, trials, seed):
+    """The sampled check of theorems.verify_relativization, one trial at a
+    time on frozensets: per trial x, then y, drawn as getrandbits(|big|)
+    over big's members in lex order; the laws h(x & y) = h x & h y,
+    h(~x) = ~h x, then h(s_t x) = s_t h x per transposition t, for
+    h x = x ∩ sub.  Returns (the first violation record or None, the
+    trials tested)."""
+    rng = random.Random(seed)
+    big, sub = sorted(big), frozenset(sub)
+    swaps = [swap_images(n, i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def h(xset):
+        return brute_relativize(xset, sub)
+
+    for trial in range(1, trials + 1):
+        x, y = _as_set(big, rng.getrandbits(len(big))), _as_set(big, rng.getrandbits(len(big)))
+        if h(x & y) != h(x) & h(y):
+            return {"op": "meet", "x": _lists(x), "y": _lists(y)}, trial
+        if h(frozenset(big) - x) != sub - h(x):
+            return {"op": "complement", "x": _lists(x)}, trial
+        for sw in swaps:
+            if h(brute_subst(big, sw, x)) != brute_subst(sub, sw, h(x)):
+                return {"op": "subst", "perm": list(sw), "x": _lists(x)}, trial
+    return None, trials
+
+
+def brute_separation(n, k, trials, seed, hidden=frozenset()):
+    """The sampled separation check of theorems.decompose_small on
+    frozensets: per trial x, then y, over ^n k; the pair is unseparated
+    when x != y and x ∩ G = y ∩ G for every route G, the sequences over
+    the values of some atom, less the hidden ones on routes over fewer
+    than k values.  Returns (the first unseparated pair as a failure
+    record or None, the trials up to it that drew x != y)."""
+    rng = random.Random(seed)
+    space = lex_sequences(n, k)
+    routes = []
+    for values in {frozenset(q) for q in space}:
+        route = frozenset(s for s in space if set(s) <= values)
+        routes.append(route if len(values) == k else route - hidden)
+    distinct = 0
+    for _ in range(trials):
+        x, y = _as_set(space, rng.getrandbits(len(space))), _as_set(space, rng.getrandbits(len(space)))
+        distinct += x != y
+        if x != y and all(brute_relativize(x, g) == brute_relativize(y, g) for g in routes):
+            return {"x": _lists(x), "y": _lists(y)}, distinct
+    return None, distinct

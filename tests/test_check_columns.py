@@ -1,8 +1,9 @@
-"""check_quasi's column evaluator against one-assignment-at-a-time
-references: the package's own tree walk (quasi_violated) in canonical or
-sampled order, and the frozenset oracle built on oracles.brute_subst.
-The column check of principal ultraproducts against the elementwise
-oracles.brute_principal_ultraproduct."""
+"""check_quasi's evaluator, by columns and by packed rows, against
+one-assignment-at-a-time references: the package's own tree walk
+(quasi_violated) in canonical or sampled order, and the frozenset oracle
+built on oracles.brute_subst.  The sampled relativization and separation
+checks and the principal ultraproduct check against the elementwise
+oracles in tests/oracles.py."""
 
 import copy
 import itertools
@@ -21,8 +22,6 @@ from tsalg.cli import main
 from tsalg import termlang, theorems
 from tsalg.seqspace import DimensionMismatch
 from tsalg.termlang import (
-    SAMPLE_CHUNK,
-    SAMPLE_CHUNK_BITS,
     And,
     Equation,
     Exhaustive,
@@ -44,7 +43,15 @@ from tsalg.termlang import (
     quasi_violated,
 )
 
-from oracles import brute_principal_ultraproduct, brute_subst, lex_sequences, swap_images
+from oracles import (
+    brute_principal_ultraproduct,
+    brute_relativization,
+    brute_separation,
+    brute_subst,
+    lex_sequences,
+    orbit,
+    swap_images,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -248,9 +255,12 @@ def test_sampled_wide_carrier_one_trial_per_chunk(text):
 
 
 def test_sampled_chunks_narrow_on_wide_carriers():
-    size = SAMPLE_CHUNK_BITS // 100
-    chunks = termlang._transposed(termlang._draws(size, 1, Random(1000, 1)), size, 1, 1000)
-    assert [width for width, _ in chunks] == [100] * 10
+    # rows of 1312 bits (1310 members, whole bytes), 99 to a chunk
+    D = carrier_from_seqs(11, 2, lex_sequences(11, 2)[:termlang.ROW_CHUNK_BITS // 100])
+    assert D.size < termlang.WIDE_ROW_BITS
+    with mock.patch.object(termlang, "_run_rows", wraps=termlang._run_rows) as run:
+        v = check_equation(D, parse_equation("x & y = y & x"), Random(1000, 1))
+    assert v.outcome == "holds-sampled" and run.call_count == -(-1000 // 99)
 
 
 @pytest.mark.parametrize("text", ["x & y = y & x", "x & y = x", "x = ~y => x | y = 0"])
@@ -258,7 +268,7 @@ def test_sampled_laws_without_subst_go_row_by_row(text):
     D = full_carrier(10, 2)
     qe = parse_quasi(text) if "=>" in text else QuasiEquation((), parse_equation(text))
     expected = tree_walk(D, qe, row_wise(D, ["x", "y"], 20, 3), "holds-sampled")
-    with mock.patch.object(termlang, "_transposed", side_effect=AssertionError("columns built")):
+    with mock.patch.object(termlang, "_run", side_effect=AssertionError("columns built")):
         same_verdict(check_quasi(D, qe, Random(20, 3)), expected)
 
 
@@ -271,9 +281,11 @@ def test_exhaustive_checks_build_no_network():
 
 
 def test_sampled_holds_across_a_partial_last_chunk():
+    # rows of one byte: a full chunk, then 7 rows
     D = full_carrier(2, 2)
-    v = check_quasi(D, parse_quasi("x = y => s[0,1] x = s[0,1] y"), Random(SAMPLE_CHUNK + 7, 5))
-    assert v.outcome == "holds-sampled" and v.assignments_tested == SAMPLE_CHUNK + 7
+    trials = termlang.ROW_CHUNK_BITS // 8 + 7
+    v = check_quasi(D, parse_quasi("x = y => s[0,1] x = s[0,1] y"), Random(trials, 5))
+    assert v.outcome == "holds-sampled" and v.assignments_tested == trials
 
 
 def test_witness_disagreement_raises(tmp_path, capsys):
@@ -319,7 +331,7 @@ def test_unfit_spec_in_unreached_conclusion_exits_two(tmp_path, capsys):
 
 def term_keyed_compile(qe, D, names, rows=False):
     """_compile as it was with slots keyed by the terms themselves."""
-    program = termlang._Program()
+    program = termlang._Program(D.size, len(names), rows)
     slots, compiled = {}, {}
 
     def emit(t):
@@ -332,7 +344,7 @@ def term_keyed_compile(qe, D, names, rows=False):
         elif isinstance(t, One):
             op = ("one", D.size)
         elif isinstance(t, Not):
-            op = ("not", emit(t.arg))
+            op = ("not", emit(t.arg), D.size)
         elif isinstance(t, And):
             op = ("and", emit(t.left), emit(t.right))
         elif isinstance(t, Or):
@@ -403,6 +415,71 @@ print(sum(1 for o in gc.get_objects() if isinstance(o, type) and o.__name__ == "
     assert int(done.stdout) <= 2
 
 
+# --- sampled relativization and separation ------------------------------------
+
+
+@strat.composite
+def relativizations(draw):
+    """A carrier E (a union of coordinate-swap orbits: permutable), a
+    sub-carrier G of E, permutable (a union of E's orbits, empty and E
+    itself included) or not (any subset), trials and a seed."""
+    n, u = draw(strat.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]))
+    orbits = sorted({orbit(q) for q in lex_sequences(n, u)}, key=min)
+    big = draw(strat.lists(strat.sampled_from(orbits), min_size=1, unique=True))
+    members = sorted(set().union(*big))
+    if draw(strat.booleans()):
+        sub = set().union(*draw(strat.lists(strat.sampled_from(big), unique=True)))
+    else:
+        sub = set(draw(strat.lists(strat.sampled_from(members), unique=True)))
+    return n, u, members, sorted(sub), draw(strat.integers(1, 60)), draw(strat.integers(0, 1 << 31))
+
+
+@hypothesis.settings(deadline=None, max_examples=80)
+@hypothesis.given(relativizations())
+@hypothesis.example((2, 3, lex_sequences(2, 3), [], 20, 1))  # an empty G
+@hypothesis.example((2, 3, lex_sequences(2, 3), lex_sequences(2, 3), 20, 2))  # G = E
+@hypothesis.example((2, 2, lex_sequences(2, 2), [(0, 0), (0, 1)], 20, 3))  # s[0,1] breaks
+def test_sampled_relativization_matches_elementwise_reference(case):
+    n, u, members, sub, trials, seed = case
+    E, G = carrier_from_seqs(n, u, members), carrier_from_seqs(n, u, sub)
+    violation, tested = brute_relativization(n, members, sub, trials, seed)
+    # the laws can fail only off a permutable G, which verify_relativization
+    # refuses up front: let it through, so the violation path runs too
+    with mock.patch.object(theorems, "is_permutable", return_value=True):
+        r = theorems.verify_relativization(E, G, mode=Random(trials, seed))
+    assert (r.violation, r.elements_tested, r.pairs_tested) == (violation, tested, tested)
+    assert (r.mode, r.seed) == (f"random({trials})", seed)
+
+
+@strat.composite
+def separations(draw):
+    """A signature (n, k), members of ^n k to hide from the routes over
+    fewer than k values, trials and a seed."""
+    n, k = draw(strat.sampled_from([(1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2)]))
+    hidden = draw(strat.lists(strat.sampled_from(lex_sequences(n, k)), max_size=3))
+    return n, k, frozenset(hidden), draw(strat.integers(1, 80)), draw(strat.integers(0, 1 << 31))
+
+
+@hypothesis.settings(deadline=None, max_examples=60)
+@hypothesis.given(separations())
+@hypothesis.example((1, 3, frozenset({(0,)}), 40, 4))  # unseparated
+def test_sampled_separation_matches_elementwise_reference(case):
+    # hidden members drop out of every route over fewer than k values, so
+    # pairs that differ only there go unseparated
+    n, k, hidden, trials, seed = case
+    gather_from = Carrier._gather_from
+
+    def blinded(G, E):
+        table = gather_from(G, E)
+        return table if G is E else [None if E.seqs[p] in hidden else p for p in table]
+
+    failure, distinct = brute_separation(n, k, trials, seed, hidden)
+    with mock.patch.object(Carrier, "_gather_from", blinded):
+        _, sep = theorems.decompose_small(n, k, mode=Random(trials, seed))
+    assert (sep.failure, sep.separated, sep.pairs_tested) == (failure, failure is None, distinct)
+    assert (sep.mode, sep.seed) == (f"random({trials})", seed)
+
+
 # --- principal ultraproducts ------------------------------------------------
 
 
@@ -411,21 +488,22 @@ def ultraproducts(draw):
     """Factor lists of one dimension (empty factors and dimension 0
     included), a principal index, a class-space limit (small ones sample
     the classes) and some misrouted entries of the principal factor's ψ
-    table, which reach both phases of the check."""
+    table, which reach both phases of the check: up to two entries that
+    read one another's positions, or nothing, so the table stays a
+    partial injection."""
     n = draw(strat.integers(0, 3))
     specs = draw(strat.lists(strat.tuples(strat.just(n), strat.integers(0, (3, 5, 3, 2)[n])),
                              min_size=1, max_size=3))
     i0 = draw(strat.integers(0, len(specs) - 1))
     target = lex_sequences(*specs[i0])
-    misroute = {}
-    if target:
-        misroute = draw(strat.dictionaries(strat.sampled_from(target),
-                                           strat.sampled_from(target + [None]), max_size=2))
+    moved = draw(strat.lists(strat.sampled_from(target), max_size=2, unique=True)) if target else []
+    images = draw(strat.permutations(moved))
+    misroute = {t: draw(strat.sampled_from([q, None])) for t, q in zip(moved, images)}
     limit = draw(strat.sampled_from([1 << 12, 1, 2, 4]))
     return specs, i0, misroute, limit, draw(strat.integers(0, 1 << 31))
 
 
-def _ultraproduct_by_columns(specs, i0, misroute, limit, seed):
+def _misrouted_ultraproduct(specs, i0, misroute, limit, seed):
     tables_for = theorems._psi_tables
 
     def misrouted(factors, i0):
@@ -446,13 +524,13 @@ def _ultraproduct_by_columns(specs, i0, misroute, limit, seed):
 @hypothesis.example(([(2, 0), (2, 3)], 1, {}, 1 << 12, 4))  # an empty factor
 @hypothesis.example(([(2, 0), (2, 3)], 0, {}, 1 << 12, 4))  # an empty target
 @hypothesis.example(([(0, 2), (0, 0), (0, 3)], 2, {}, 1 << 12, 5))  # dimension 0
-@hypothesis.example(([(2, 2), (2, 3)], 0, {(0, 1): (1, 0)}, 1 << 12, 6))  # class phase
-@hypothesis.example(([(2, 2)], 0, {(0, 1): (0, 0)}, 1, 7))  # pair phase
+@hypothesis.example(([(2, 2), (2, 3)], 0, {(0, 1): (1, 0), (1, 0): (0, 1)}, 1 << 12, 6))  # class phase
+@hypothesis.example(([(2, 2)], 0, {(0, 1): (0, 0), (0, 0): (0, 1)}, 1, 8))  # pair phase
 # pair phase, past draws for other factors of 0, 1 and 9 members
-@hypothesis.example(([(2, 1), (2, 2), (2, 0), (2, 3)], 1, {(0, 1): (0, 0)}, 1, 12))
+@hypothesis.example(([(2, 1), (2, 2), (2, 0), (2, 3)], 1, {(0, 1): (0, 0), (0, 0): (0, 1)}, 1, 12))
 def test_ultraproduct_matches_elementwise_reference(case):
     specs, i0, misroute, limit, seed = case
-    r = _ultraproduct_by_columns(specs, i0, misroute, limit, seed)
+    r = _misrouted_ultraproduct(specs, i0, misroute, limit, seed)
     expected = brute_principal_ultraproduct(specs, i0, seed, misroute, class_limit=limit)
     assert {key: getattr(r, key) for key in expected} == expected
     assert r.passed == (expected["violation"] is None)
@@ -461,7 +539,7 @@ def test_ultraproduct_matches_elementwise_reference(case):
 def test_ultraproduct_sampled_classes_match_elementwise_reference():
     # 14 target members: 2**14 classes, 4096 draws
     specs = [(1, 14), (1, 3), (1, 0)]
-    r = _ultraproduct_by_columns(specs, 0, {}, 1 << 12, 8)
+    r = _misrouted_ultraproduct(specs, 0, {}, 1 << 12, 8)
     assert r.passed and r.mode.startswith("classes=sampled(")
     expected = brute_principal_ultraproduct(specs, 0, 8)
     assert {key: getattr(r, key) for key in expected} == expected

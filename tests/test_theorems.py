@@ -140,7 +140,7 @@ def _misrouted(E, G):
 
 def test_relativization_violation_reporting():
     # relativize is provably a homomorphism here, so break the one
-    # projection table that the columns and relativize both read
+    # projection table that the scan and relativize both read
     E = full_carrier(2, 2)
     G = carrier_from_seqs(2, 2, [(0, 0), (1, 1)])
     _misrouted(E, G)
@@ -164,8 +164,8 @@ def _independent_relativize(x, G):
 
 
 def test_relativization_witness_disagreement_raises(monkeypatch, tmp_path, capsys):
-    # the columns read a broken table while the re-check relativizes
-    # independently, so the re-check rejects the columns' witness
+    # the scan reads a broken table while the re-check relativizes
+    # independently, so the re-check rejects the scan's witness
     gather_from = Carrier._gather_from
 
     def misrouted(G, E):
@@ -296,7 +296,7 @@ def test_decompose_auto_mode_degrades_on_pairwise_work():
 
 
 def _blind_route(monkeypatch):
-    """Make the route of base (0, 1) over ^2 3 read (0,0) where it should
+    """Make the route of base (0, 1) over ^2 3 read nothing where it should
     read (0,1), so no route sees the member (0,1); relativize reads the
     same table."""
     gather_from = Carrier._gather_from
@@ -304,7 +304,7 @@ def _blind_route(monkeypatch):
     def blind(G, E):
         table = gather_from(G, E)
         if G.members == (0, 1, 3, 4):  # (0,0), (0,1), (1,0), (1,1) in ^2 3
-            table[1] = table[0]
+            table[1] = None
         return table
 
     monkeypatch.setattr(Carrier, "_gather_from", blind)
@@ -567,7 +567,7 @@ def test_ultraproduct_input_validation():
 def _misroute_psi(monkeypatch, routes):
     """Break ψ's compiled table for the principal factor: its target
     position pt reads position routes[pt] (None: no position), in the
-    columns and in the element re-check alike."""
+    scan and in the element re-check alike."""
     tables_for = theorems._psi_tables
 
     def misrouted(factors, i0):
@@ -609,9 +609,9 @@ def test_ultraproduct_psi_reads_the_principal_factor():
 
 
 def test_ultraproduct_class_phase_violation(monkeypatch):
-    # target position 1, (0,1), reads position 2, (1,0): the least class
-    # holding exactly one of them is {(0,1)}, the third class
-    _misroute_psi(monkeypatch, {1: 2})
+    # target positions 1, (0,1), and 2, (1,0), read each other: the least
+    # class holding exactly one of them is {(0,1)}, the third class
+    _misroute_psi(monkeypatch, {1: 2, 2: 1})
     r = principal_ultraproduct([full_carrier(2, 2), full_carrier(2, 3)], 0, seed=5)
     assert not r.passed and not r.projection_agrees
     assert r.well_defined and r.preserves_ops and r.injective
@@ -635,7 +635,7 @@ def _one_class_draws(seed, bits):
 
 def _seed_past_a_class_break(first_pair=1):
     """A seed whose one sampled class has bits 0 and 1 equal, so a table
-    where position 1 reads position 0 passes the class phase, and whose
+    where positions 0 and 1 read each other passes the class phase, and whose
     first pair moving bits 0, 1, 2 is at least first_pair: (seed, pair)."""
     for seed in range(200):
         cls, pair = _one_class_draws(seed, (0, 1, 2))
@@ -644,15 +644,16 @@ def _seed_past_a_class_break(first_pair=1):
     raise AssertionError("no such seed")
 
 
-@pytest.mark.parametrize("chunk", [4096, 2])
-def test_ultraproduct_pair_phase_violation(monkeypatch, chunk):
+@pytest.mark.parametrize("chunk_bits", [4096, 2])
+def test_ultraproduct_pair_phase_violation(monkeypatch, chunk_bits):
     # with one sampled class a broken table can pass the class phase:
-    # position 1 reading position 0 keeps every class whose bits 0 and 1
-    # agree, and then s[0,1] breaks on the first a whose bits 0, 1, 2
-    # are not all equal (meet and complement survive any total table)
+    # positions 0 and 1 reading each other keep every class whose bits 0
+    # and 1 agree, and then s[0,1] breaks on the first a whose bits 0, 1, 2
+    # are not all equal (meet and complement survive any total table);
+    # rows of one byte, 512 to a chunk or one
     monkeypatch.setattr(theorems, "_CLASS_EXHAUSTIVE_LIMIT", 1)
-    monkeypatch.setattr(termlang, "SAMPLE_CHUNK", chunk)
-    _misroute_psi(monkeypatch, {1: 0})
+    monkeypatch.setattr(termlang, "ROW_CHUNK_BITS", chunk_bits)
+    _misroute_psi(monkeypatch, {0: 1, 1: 0})
     seed, pair = _seed_past_a_class_break(first_pair=3)
     r = principal_ultraproduct([full_carrier(2, 2)], 0, seed=seed)
     assert not r.passed and not r.preserves_ops and r.projection_agrees
@@ -673,9 +674,9 @@ def test_ultraproduct_bounds_violation(monkeypatch):
 
 
 def test_ultraproduct_witness_disagreement_raises(monkeypatch, tmp_path, capsys):
-    # the columns read a broken table while the re-check ranks afresh
+    # the scan reads a broken table while the re-check ranks afresh
     monkeypatch.setattr(theorems, "_psi", _psi_from_definition)
-    _misroute_psi(monkeypatch, {1: 2})
+    _misroute_psi(monkeypatch, {1: 2, 2: 1})
     factors = [full_carrier(2, 2), full_carrier(2, 3)]
     with pytest.raises(RuntimeError, match="disagree"):
         principal_ultraproduct(factors, 0)
@@ -689,7 +690,7 @@ def test_ultraproduct_witness_disagreement_raises(monkeypatch, tmp_path, capsys)
 def test_ultraproduct_pair_witness_disagreement_raises(monkeypatch):
     monkeypatch.setattr(theorems, "_psi", _psi_from_definition)
     monkeypatch.setattr(theorems, "_CLASS_EXHAUSTIVE_LIMIT", 1)
-    _misroute_psi(monkeypatch, {1: 0})
+    _misroute_psi(monkeypatch, {0: 1, 1: 0})
     seed, _ = _seed_past_a_class_break()
     with pytest.raises(RuntimeError, match="disagree"):
         principal_ultraproduct([full_carrier(2, 2)], 0, seed=seed)
