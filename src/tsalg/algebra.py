@@ -47,6 +47,10 @@ MAX_CARRIER_MEMBERS = 1 << 20
 #: Hard ceiling on generated subalgebra size (elements of the closure).
 MAX_SUBALGEBRA_ELEMS = 1 << 16
 
+#: Hard ceiling on a carrier's dimension (past 20 only bases 0 and 1 fit
+#: MAX_CARRIER_MEMBERS; the verifiers check n(n-1)/2 transpositions).
+MAX_DIMENSION = 64
+
 
 class CarrierMismatch(ValueError):
     """An element is used with a carrier it does not belong to."""
@@ -87,6 +91,8 @@ class Carrier:
     def __init__(self, n: int, u: int, members: Iterable[SpaceRank]):
         if n < 0 or u < 0:
             raise ValueError("dimension and base size must be non-negative")
+        if n > MAX_DIMENSION:
+            raise SizeCapExceeded(f"dimension {n} exceeds the cap of {MAX_DIMENSION}")
         self.n = n
         self.u = u
         self.members: tuple[SpaceRank, ...] = tuple(members)
@@ -422,10 +428,14 @@ def permutable_subsets(n: int, u: int, *, max_subsets: int = 1 << 16) -> list[Ca
 
 
 def _bit_positions(bits: int) -> Iterator[int]:
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+    """The set bits of bits >= 0, lowest first, from one binary string:
+    linear in the width, where clearing each bit in turn would copy the
+    whole int per bit."""
+    text = format(bits, "b")[::-1]  # text[p] is bit p
+    p = text.find("1")
+    while p >= 0:
+        yield p
+        p = text.find("1", p + 1)
 
 
 @dataclass(frozen=True, repr=False)

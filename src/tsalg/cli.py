@@ -398,8 +398,10 @@ def _mode_from_args(args: argparse.Namespace) -> Exhaustive | Random | None:
     if args.exhaustive:
         return Exhaustive()
     if args.random is not None:
-        if args.random <= 0:
-            raise UsageError("--random needs a positive trial count")
+        # 2^32 trials are more than a run could finish, and few enough that
+        # trials times variables counts the draws in a C ssize_t
+        if not 0 < args.random < 1 << 32:
+            raise UsageError("--random takes a positive trial count, fewer than 2^32")
         return Random(args.random, args.seed)
     return None  # auto: resolve_mode picks with the run's budget
 

@@ -586,14 +586,21 @@ class _Program(list):
     members the slot's values range over; and the maps that subst and
     restrict emit for the layout: on columns ("gather", a, table),
     whose column p is column table[p] of slot a, or 0 where table[p] is
-    None; on rows ("net", a, network), an algebra.Network."""
+    None; on rows ("net", a, network), an algebra.Network.  Each op has
+    one slot: emitting an equal op again returns the slot it holds."""
 
     def __init__(self, size: int, nvars: int, rows: bool):
         self.size, self.nvars, self.rows = size, nvars, rows
+        self.slots: dict[tuple, int] = {}
 
     def emit(self, *op) -> int:
-        self.append(op)
-        return len(self) - 1
+        # a map is keyed by its gather table's identity, or its network's
+        key = (op[0], op[1], id(op[2])) if op[0] == "gather" else op
+        slot = self.slots.get(key)
+        if slot is None:
+            slot = self.slots[key] = len(self)
+            self.append(op)
+        return slot
 
     def subst(self, a: int, D: Carrier, f: Perm) -> int:
         """s_f of slot a, valued in D."""
@@ -617,40 +624,34 @@ def _compile(qe: QuasiEquation, D: Carrier, names: list[str],
     """qe as a program in the given layout, plus the (lhs, rhs) slots of
     each hypothesis and then the conclusion.
 
-    Slots are shared by op: each node's key is its op over its children's
-    slots (("s", spec, a) for s_f), so equal subterms share one slot and
-    no lookup hashes a whole subtree.  Every operator spec is resolved
-    here, once, so a spec that does not fit D raises DimensionMismatch
-    before any assignment is tried."""
+    Each node is its op over its children's slots, and the program gives
+    equal ops one slot, so equal subterms share it and no lookup hashes a
+    whole subtree.  Every operator spec is resolved here, once, so a spec
+    that does not fit D raises DimensionMismatch before any assignment is
+    tried."""
     size = D.size
     program = _Program(size, len(names), rows)
-    slots: dict[tuple, int] = {}
     perms: dict[PermSpec, Perm] = {}
 
     def emit(t: Term) -> int:
         if isinstance(t, Var):
-            key: tuple = ("var", names.index(t.name))
-        elif isinstance(t, Zero):
-            key = ("zero", size)
-        elif isinstance(t, One):
-            key = ("one", size)
-        elif isinstance(t, Not):
-            key = ("not", emit(t.arg), size)
-        elif isinstance(t, And):
-            key = ("and", emit(t.left), emit(t.right))
-        elif isinstance(t, Or):
-            key = ("or", emit(t.left), emit(t.right))
-        elif isinstance(t, Subst):
+            return program.emit("var", names.index(t.name))
+        if isinstance(t, Zero):
+            return program.emit("zero", size)
+        if isinstance(t, One):
+            return program.emit("one", size)
+        if isinstance(t, Not):
+            return program.emit("not", emit(t.arg), size)
+        if isinstance(t, And):
+            return program.emit("and", emit(t.left), emit(t.right))
+        if isinstance(t, Or):
+            return program.emit("or", emit(t.left), emit(t.right))
+        if isinstance(t, Subst):
             f = perms.get(t.perm)
             if f is None:
                 f = perms[t.perm] = spec_perm(t.perm, D.n)
-            key = ("s", t.perm, emit(t.arg))
-        else:
-            raise TypeError(f"not a term node: {t!r}")
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = program.subst(key[2], D, f) if key[0] == "s" else program.emit(*key)
-        return slot
+            return program.subst(emit(t.arg), D, f)
+        raise TypeError(f"not a term node: {t!r}")
 
     equations = [(emit(eq.lhs), emit(eq.rhs)) for eq in (*qe.hypotheses, qe.conclusion)]
     return program, equations

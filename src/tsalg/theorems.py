@@ -43,6 +43,7 @@ from .algebra import (
     ProductAlgebra,
     ProductElem,
     SizeCapExceeded,
+    _apply_gather,
     _capped_power,
     atom,
     carrier_from_seqs,
@@ -66,7 +67,6 @@ from .seqspace import (
     all_perms,
     compose_right,
     is_constant,
-    rank,
     transposition,
     unit_seq,
 )
@@ -584,34 +584,22 @@ _CLASS_EXHAUSTIVE_LIMIT = 1 << 12
 _PAIR_SAMPLES = 512
 
 
-def _psi_tables(factors: tuple[Carrier, ...], i0: int) -> list[list[int | None]]:
-    """ψ compiled, one gather per factor: entry pt of table i is the
-    position in factor i of the representative row of target sequence pt
-    (the sequence itself in factor i0, elsewhere its coordinates clamped
-    into factor i's base), or None.  Empty factors contribute nothing."""
-    target = factors[i0]
-    tables: list[list[int | None]] = []
-    for i, c in enumerate(factors):
-        if c.size == 0:
-            tables.append([None] * target.size)
-            continue
-        idx = c.member_index
-        tables.append([idx.get(rank(t if i == i0 else tuple(e if e < c.u else 0 for e in t), c.u))
-                       for t in target.seqs])
-    return tables
+def _psi_table(target: Carrier) -> list[int | None]:
+    """ψ compiled: entry pt is the position, in the principal factor, of
+    target sequence pt's representative row there, the sequence itself.
+    The filter holds an agreeing set iff it contains i0, so no other
+    factor's table matters."""
+    idx = target.member_index
+    return [idx.get(r) for r in target.members]
 
 
-def _psi(a: ProductElem, tables: list[list[int | None]], i0: int, target: Carrier) -> Elem:
+def _psi(a: ProductElem, table: list[int | None], i0: int, target: Carrier) -> Elem:
     """ψ element by element, for re-checks: target sequence pt is in the
     image iff the set of factors whose component holds pt's representative
-    row belongs to the principal ultrafilter, i.e. contains i0."""
-    bits = 0
-    for pt in range(target.size):
-        agreeing = {i for i, (table, x) in enumerate(zip(tables, a.components))
-                    if table[pt] is not None and x.bits >> table[pt] & 1}
-        if i0 in agreeing:
-            bits |= 1 << pt
-    return Elem(target, bits)
+    row belongs to the principal ultrafilter, i.e. iff component i0 holds
+    row table[pt]."""
+    x = a.components[i0]
+    return Elem(target, _apply_gather(table, x.bits, x.carrier.size))
 
 
 def principal_ultraproduct(factors: list[Carrier], i0: int,
@@ -621,9 +609,9 @@ def principal_ultraproduct(factors: list[Carrier], i0: int,
     defining membership condition reduces to projection onto factor i0 —
     well-defined on classes, operation-preserving, injective.
 
-    ψ is compiled once (_psi_tables).  The filter holds an agreeing set
-    iff it contains i0, so ψ's row is factor i0's agreeing row: one map of
-    the i0 component, the identity on a full factor.  Every class is
+    ψ is compiled once, for the i0 component alone (_psi_table): the
+    filter holds an agreeing set iff it contains i0, so ψ's row is factor
+    i0's agreeing row, the identity on a full factor.  Every class is
     checked at once, then the bounds and, over every sampled pair at once,
     meet, complement and s_t for each transposition t, as termlang
     programs.  The least violating class or pair is reported with its
@@ -641,8 +629,8 @@ def principal_ultraproduct(factors: list[Carrier], i0: int,
     prod = ProductAlgebra(factors)  # validates shared dimension
     target = factors[i0]
     size = target.size
-    tables = _psi_tables(factors, i0)
-    psi = functools.partial(_psi, tables=tables, i0=i0, target=target)
+    table = _psi_table(target)
+    psi = functools.partial(_psi, table=table, i0=i0, target=target)
 
     rng = _random.Random(seed)
 
@@ -670,8 +658,7 @@ def principal_ultraproduct(factors: list[Carrier], i0: int,
 
     # Classes.  ψ's row reads only the i0 component, so every lift of a
     # class has the image of its lift with empty components elsewhere:
-    # both phases re-check on that lift, and random components outside i0
-    # are drawn only to keep the sample stream.  Injectivity follows from
+    # both phases check and re-check on that lift.  Injectivity follows from
     # projection: every class maps to its own class vector, and the class
     # vectors are distinct.
     prog = _Program(size, 1, rows=True)
@@ -681,7 +668,7 @@ def principal_ultraproduct(factors: list[Carrier], i0: int,
         xc = Elem(target, rows[0])
         return None if psi(lift(xc.bits)) == xc else {"check": "projection", "class": _seq_lists(xc)}
 
-    found = _first_row_violation(prog, [], [(prog.restrict(tables[i0], size)(x), x)],
+    found = _first_row_violation(prog, [], [(prog.restrict(table, size)(x), x)],
                                  iter(classes), len(classes), misprojected)
     if found:
         return report(found[0], violation=found[2], failed="projection")
@@ -690,7 +677,7 @@ def principal_ultraproduct(factors: list[Carrier], i0: int,
     # shows in the first pair, ahead of its other checks.
     prog = _Program(size, 2, rows=True)
     a, b = prog.emit("var", 0), prog.emit("var", 1)
-    image = prog.restrict(tables[i0], size)
+    image = prog.restrict(table, size)
     pa, pb = image(a), image(b)
     zeros, ones = prog.emit("zero", size), prog.emit("one", size)
     def bounds(A: ProductElem, B: ProductElem) -> bool:
@@ -715,13 +702,8 @@ def principal_ultraproduct(factors: list[Carrier], i0: int,
         record, *_, holds = checks[k]
         return None if holds(*map(lift, rows)) else dict(record)
 
-    # the stream after the classes: a random lift's components outside i0
-    # per class, then per pair a's i0 component, a's other components and
-    # b's likewise, in factor order; the rows take the i0 components
-    rest = [c.size for i, c in enumerate(factors) if i != i0]
-    draws = map(rng.getrandbits, itertools.chain(rest * len(classes),
-                                                 ([size] + rest) * (2 * _PAIR_SAMPLES)))
-    pair_draws = itertools.islice(draws, len(rest) * len(classes), None, len(rest) + 1)
+    # the stream after the classes: per pair a's i0 component, then b's
+    pair_draws = map(rng.getrandbits, itertools.repeat(size, 2 * _PAIR_SAMPLES))
     found = _first_row_violation(prog, [], [(lhs, rhs) for _, lhs, rhs, _ in checks],
                                  pair_draws, _PAIR_SAMPLES, broken)
     if not found:

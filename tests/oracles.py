@@ -103,19 +103,18 @@ def brute_principal_ultraproduct(specs, i0, seed, misroute=None, class_limit=1 <
     whose component contains t's representative (t itself in factor i0,
     elsewhere t with every coordinate past that factor's base set to 0)
     contains i0.  misroute maps some target sequences to the sequence that
-    factor i0 reads instead, or to None for none.  The random draws follow
-    the package's stream: sampled classes, then per class one bit vector
-    per other nonempty factor, then per pair a's target component, a's
-    others, b's target component and b's others.  Returns the report's
-    fields as a dict.
+    factor i0 reads instead, or to None for none.  The draws from
+    random.Random(seed) follow the package's stream: sampled classes, then
+    per pair a's target component and b's.  The other components of every
+    random lift come from a generator of their own, so they test that ψ
+    is well defined on classes without moving that stream.  Returns the
+    report's fields as a dict.
     """
     rng = random.Random(seed)
+    others = random.Random(f"lifts {seed}")
     spaces = [lex_sequences(n, u) for n, u in specs]
     target = spaces[i0]
     misroute = misroute or {}
-
-    def draw(k):
-        return rng.getrandbits(k) if k else 0
 
     def as_set(space, bits):
         return frozenset(q for p, q in enumerate(space) if bits >> p & 1)
@@ -131,7 +130,8 @@ def brute_principal_ultraproduct(specs, i0, seed, misroute=None, class_limit=1 <
 
     def lift(xbits, random_rest):
         return tuple(as_set(target, xbits) if i == i0
-                     else as_set(space, draw(len(space))) if random_rest else frozenset()
+                     else as_set(space, others.getrandbits(len(space))) if random_rest
+                     else frozenset()
                      for i, space in enumerate(spaces))
 
     size = len(target)
@@ -174,8 +174,8 @@ def brute_principal_ultraproduct(specs, i0, seed, misroute=None, class_limit=1 <
         return out
     for _ in range(pair_samples):
         out["lift_pairs_tested"] += 1
-        a = lift(draw(size), True)
-        b = lift(draw(size), True)
+        a = lift(rng.getrandbits(size), True)
+        b = lift(rng.getrandbits(size), True)
         pa = psi(a)
         found = None
         if psi(tuple(x & y for x, y in zip(a, b))) != pa & psi(b):

@@ -32,6 +32,7 @@ from tsalg.algebra import (
     zero,
     _apply_gather,
     _benes_network,
+    _bit_positions,
 )
 from tsalg.seqspace import (
     DimensionMismatch,
@@ -181,6 +182,16 @@ def test_atom_and_formatting():
         atom(D, (0, 1, 0))
     with pytest.raises(ValueError):
         atom(carrier_from_seqs(2, 2, [(0, 0)]), (0, 1))
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 7, 8, 9, 64, 65, 1000, 4099])
+def test_bit_positions_match_shift_and_mask(width):
+    # 0, one bit, all bits and random bits against bits >> p & 1
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    cases = [0, full, rng.getrandbits(width)] + ([1 << rng.randrange(width)] if width else [])
+    for bits in cases:
+        assert list(_bit_positions(bits)) == [p for p in range(width) if bits >> p & 1]
 
 
 def test_elem_from_seqs_collects_atoms():

@@ -394,6 +394,20 @@ def test_compile_by_op_matches_term_keyed_reference(instance):
         assert termlang._compile(qe, D, names, rows) == term_keyed_compile(qe, D, names, rows)
 
 
+def test_program_gives_each_op_one_slot():
+    # s[0,1] and s{1,0} compile to one map, so both sides are one slot in
+    # either layout; maps are keyed by the identity of their table
+    D = full_carrier(2, 2)
+    qe = QuasiEquation((), parse_equation("s[0,1] x & ~y = s{1,0} x & ~y"))
+    for rows in (False, True):
+        program, [(lhs, rhs)] = termlang._compile(qe, D, ["x", "y"], rows)
+        assert lhs == rhs and len(program) == 5
+    program = termlang._Program(4, 1, rows=False)
+    x, table = program.emit("var", 0), [1, 0, 3, 2]
+    assert program.emit("gather", x, table) == program.emit("gather", x, table) == 1
+    assert program.emit("gather", x, list(table)) == 2 and program.emit("var", 0) == x
+
+
 # --- re-imports --------------------------------------------------------------
 
 
@@ -504,16 +518,16 @@ def ultraproducts(draw):
 
 
 def _misrouted_ultraproduct(specs, i0, misroute, limit, seed):
-    tables_for = theorems._psi_tables
+    table_for = theorems._psi_table
 
-    def misrouted(factors, i0):
-        tables = tables_for(factors, i0)
-        seqs = factors[i0].seqs
+    def misrouted(target):
+        table = table_for(target)
+        seqs = target.seqs
         for t, q in misroute.items():
-            tables[i0][seqs.index(t)] = None if q is None else seqs.index(q)
-        return tables
+            table[seqs.index(t)] = None if q is None else seqs.index(q)
+        return table
 
-    with mock.patch.object(theorems, "_psi_tables", misrouted), \
+    with mock.patch.object(theorems, "_psi_table", misrouted), \
             mock.patch.object(theorems, "_CLASS_EXHAUSTIVE_LIMIT", limit):
         return theorems.principal_ultraproduct([full_carrier(*s) for s in specs], i0, seed=seed)
 
@@ -526,7 +540,7 @@ def _misrouted_ultraproduct(specs, i0, misroute, limit, seed):
 @hypothesis.example(([(0, 2), (0, 0), (0, 3)], 2, {}, 1 << 12, 5))  # dimension 0
 @hypothesis.example(([(2, 2), (2, 3)], 0, {(0, 1): (1, 0), (1, 0): (0, 1)}, 1 << 12, 6))  # class phase
 @hypothesis.example(([(2, 2)], 0, {(0, 1): (0, 0), (0, 0): (0, 1)}, 1, 8))  # pair phase
-# pair phase, past draws for other factors of 0, 1 and 9 members
+# pair phase, beside other factors of 0, 1 and 9 members
 @hypothesis.example(([(2, 1), (2, 2), (2, 0), (2, 3)], 1, {(0, 1): (0, 0), (0, 0): (0, 1)}, 1, 12))
 def test_ultraproduct_matches_elementwise_reference(case):
     specs, i0, misroute, limit, seed = case

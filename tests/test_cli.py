@@ -123,6 +123,17 @@ def test_usage_errors_exit_two(full22, units3, capsys):
     for argv in cases:
         assert main(argv) == 2, argv
         capsys.readouterr()  # drain
+    # trial counts from 2^32 up are refused before any draw, naming the bound
+    over = [
+        ["check", "--spec", full22, "--eq", "x = x", "--random", "99999999999999999999999999999"],
+        ["check", "--spec", full22, "--eq", "x = x", "--random", str(1 << 32)],
+        ["verify-relativization", "--big", full22, "--sub", full22, "--random", "5000000000000000000"],
+        ["decompose", "--n", "2", "--k", "2", "--random", "5000000000000000000"],
+        ["sigma-demo", "--n", "2", "--random", str(1 << 64)],
+    ]
+    for argv in over:
+        assert main(argv) == 2, argv
+        assert "fewer than 2^32" in capsys.readouterr().err
 
 
 def test_quasi_check_via_cli(full22, capsys):
@@ -377,6 +388,13 @@ def test_size_guards_do_not_build_the_size(tmp_path, capsys):
     assert main(["closure", "--spec", str(huge)]) == 2
     assert time.perf_counter() - started < 1.0
     assert "exceed the cap of 1048576 members" in capsys.readouterr().err
+    # base 1 keeps one member at any dimension: the dimension has its own cap
+    tall = tmp_path / "tall.alg"
+    tall.write_text(f"n = {(1 << 64) + 1}\nbase = 1\ncarrier = full\n")
+    started = time.perf_counter()
+    assert main(["closure", "--spec", str(tall)]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert "exceeds the cap of 64" in capsys.readouterr().err
     wide = tmp_path / "full142.alg"
     wide.write_text("n = 14\nbase = 2\ncarrier = full\n")
     assert main(["check", "--spec", str(wide), "--eq", "x = x", "--exhaustive"]) == 2

@@ -568,19 +568,20 @@ def _misroute_psi(monkeypatch, routes):
     """Break ψ's compiled table for the principal factor: its target
     position pt reads position routes[pt] (None: no position), in the
     scan and in the element re-check alike."""
-    tables_for = theorems._psi_tables
+    table_for = theorems._psi_table
 
-    def misrouted(factors, i0):
-        tables = tables_for(factors, i0)
+    def misrouted(target):
+        table = table_for(target)
         for pt, src in routes.items():
-            tables[i0][pt] = src
-        return tables
+            table[pt] = src
+        return table
 
-    monkeypatch.setattr(theorems, "_psi_tables", misrouted)
+    monkeypatch.setattr(theorems, "_psi_table", misrouted)
 
 
-def _psi_from_definition(a, tables, i0, target):
-    # ignores the compiled tables: every representative row is ranked afresh
+def _psi_from_definition(a, table, i0, target):
+    # ignores the compiled table: every factor's representative row is
+    # ranked afresh
     bits = 0
     for pt, t in enumerate(target.seqs):
         agreeing = set()
@@ -596,16 +597,18 @@ def _psi_from_definition(a, tables, i0, target):
 
 
 def test_ultraproduct_psi_reads_the_principal_factor():
-    # the element ψ over compiled tables against ranking every row afresh
+    # the element ψ over the compiled table against ranking every
+    # factor's row afresh
     rng = random.Random(2)
     factors = (full_carrier(2, 3), full_carrier(2, 0), full_carrier(2, 2), full_carrier(2, 1))
     P = ProductAlgebra(factors)
     for i0 in (0, 2, 3):
-        tables = theorems._psi_tables(factors, i0)
+        table = theorems._psi_table(factors[i0])
+        assert table == list(range(factors[i0].size))
         for _ in range(20):
             a = P.element(Elem(c, rng.getrandbits(c.size) if c.size else 0) for c in factors)
-            image = theorems._psi(a, tables, i0, factors[i0])
-            assert image == _psi_from_definition(a, tables, i0, factors[i0]) == a.components[i0]
+            image = theorems._psi(a, table, i0, factors[i0])
+            assert image == _psi_from_definition(a, table, i0, factors[i0]) == a.components[i0]
 
 
 def test_ultraproduct_class_phase_violation(monkeypatch):
