@@ -159,7 +159,17 @@ class Carrier:
                 )
             idx = self.member_index
             u = self.u
-            gather = [idx.get(_rank_unchecked(tuple(s[v] for v in key), u)) for s in self.seqs]
+            if self.n and _capped_power(u, self.n, self.size) == self.size:
+                # the full carrier: digit w of p is digit f^-1(w) of p . f,
+                # so walk p's digits from the most significant, looking the
+                # last one up as it goes
+                *high, low = [u ** (self.n - 1 - key.index(w)) for w in range(self.n)]
+                ranks = [0]
+                for weight in high:
+                    ranks = [t + d * weight for t in ranks for d in range(u)]
+                gather = [idx[t + d * low] for t in ranks for d in range(u)]
+            else:
+                gather = [idx.get(_rank_unchecked(tuple(s[v] for v in key), u)) for s in self.seqs]
             self._gathers[key] = gather
         return gather
 

@@ -557,7 +557,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         budget = _budget_from_env()
-        _echoable("--seed", getattr(args, "seed", 0))
+        for flag in ("seed", "n", "k", "index"):
+            _echoable(f"--{flag}", getattr(args, flag, 0))
         report = _HANDLERS[args.command](args, budget)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

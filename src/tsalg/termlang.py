@@ -40,6 +40,14 @@ every hypothesis and break the conclusion form one set of flag bits; its
 lowest is the least (or first sampled) violation, so verdicts, witnesses
 and counts are those of the one-at-a-time scan.
 
+An exhaustive check without hypotheses that needs more than one chunk is
+decided member by member instead (pointwise.least_violation): an op's
+value at a member reads its operands at one member, so a law's sides at
+member p are Boolean functions of the few (variable, member) bits p
+reaches, and their truth tables give the least violating assignment.
+assignments_tested still counts the canonical order: all of it when the
+check holds, the least witness's index + 1 when it fails.
+
 A _Program is built once per check in its layout: subst and restrict
 emit each map for it (a gather table, or an algebra.Network).
 _first_violation is the one scan, shared by check_quasi, the
@@ -72,6 +80,7 @@ from .algebra import (
     subst,
     zero,
 )
+from .pointwise import counters, least_violation
 from .seqspace import DimensionMismatch, NotAPermutation, Perm, transposition
 
 #: Documented default seed for every sampled check in the package.
@@ -718,8 +727,18 @@ def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
     if program.rows:
         draws = _draws(program.size, program.nvars, mode)
         return _first_row_violation(program, hypotheses, laws, draws, mode.trials, violates)
+    size, nvars = program.size, program.nvars
+    if not hypotheses and size * nvars > EXHAUSTIVE_CHUNK_BITS:
+        least = least_violation(program, laws, EXHAUSTIVE_CHUNK_BITS)
+        if least is None:
+            return None
+        # its first law, from the program run on it alone
+        rows = [least >> size * (nvars - 1 - j) & ((1 << size) - 1) for j in range(nvars)]
+        vals = _run(program, [[r >> q & 1 for q in range(size)] for r in rows], 1)
+        law = [_differs(vals, lhs, rhs) for lhs, rhs in laws].index(1)
+        return least, law, _rechecked(violates, law, rows)
     start = 0
-    for width, columns in _exhaustive_chunks(program.size, program.nvars):
+    for width, columns in _exhaustive_chunks(size, nvars):
         live = (1 << width) - 1
         vals = _run(program, columns, live)
         for lhs, rhs in hypotheses:
@@ -736,27 +755,13 @@ def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
 
 def _exhaustive_chunks(size: int, nvars: int) -> Iterator[tuple[int, list[list[int]]]]:
     """(width, columns of each variable) for every chunk of the canonical
-    enumeration.
+    enumeration, EXHAUSTIVE_CHUNK_BITS counter bits at a time
+    (pointwise.counters).
 
     Assignment a gives variable j (in sorted name order) the bit vector
     (a >> size * (nvars - 1 - j)) mod 2 ** size, so the first name is most
-    significant.  Counter bits below the chunk width are periodic columns;
-    the ones above it are constant within a chunk."""
-    bits = size * nvars
-    low = min(bits, EXHAUSTIVE_CHUNK_BITS)
-    width = 1 << low
-    full = (1 << width) - 1
-    periodic = []
-    for b in range(low):
-        half = 1 << b
-        col = ((1 << half) - 1) << half
-        span = half << 1
-        while span < width:
-            col |= col << span
-            span <<= 1
-        periodic.append(col)
-    for chunk in range(1 << (bits - low)):
-        counter = periodic + [full if chunk >> b & 1 else 0 for b in range(bits - low)]
+    significant."""
+    for width, counter in counters(size * nvars, EXHAUSTIVE_CHUNK_BITS):
         yield width, [counter[size * (nvars - 1 - j): size * (nvars - j)] for j in range(nvars)]
 
 
@@ -871,7 +876,8 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
 
     Exhaustive mode scans assignments in canonical order (variables sorted
     by name, bit vectors increasing), so a fails verdict carries the least
-    violating assignment; it evaluates by columns.  Random mode reports
+    violating assignment; it evaluates by columns, or decides an equation
+    wider than one chunk member by member.  Random mode reports
     the first violating trial; it evaluates packed rows.  Either way the
     witness is re-checked through quasi_violated.
     """

@@ -6,7 +6,7 @@ evidence and not circularity.
 """
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 
 def lex_sequences(n, u):
@@ -249,3 +249,20 @@ def brute_separation(n, k, trials, seed, hidden=frozenset()):
         if x != y and all(brute_relativize(x, g) == brute_relativize(y, g) for g in routes):
             return {"x": _lists(x), "y": _lists(y)}, distinct
     return None, distinct
+
+
+def brute_first_violation(members, nvars, laws):
+    """The least assignment of nvars subsets of members, in the canonical
+    order, under which some law's two sides differ, as (its index, the
+    number of its first such law, each variable's bit vector), or None.
+
+    The order counts through bit vectors over members in lex order, the
+    first variable most significant; laws holds pairs of functions from
+    the list of the variables' frozensets to a frozenset."""
+    members = sorted(members)
+    for index, combo in enumerate(product(range(1 << len(members)), repeat=nvars)):
+        env = [_as_set(members, bits) for bits in combo]
+        for k, (lhs, rhs) in enumerate(laws):
+            if lhs(env) != rhs(env):
+                return index, k, list(combo)
+    return None

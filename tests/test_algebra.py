@@ -42,6 +42,7 @@ from tsalg.seqspace import (
     compose_right,
     perm_compose,
     perm_inverse,
+    rank,
     transposition,
     unit_seq,
 )
@@ -53,6 +54,7 @@ from oracles import (
     brute_subst,
     elem_set,
     orbit,
+    seq_compose,
 )
 
 
@@ -271,6 +273,22 @@ def test_compiled_subst_takes_one_entry_per_member():
     # (0,1,0,...,0) at position 2**12 composes into (1,0,0,...,0) at 2**13
     assert gather[1 << 12] == 1 << 13 and gather[0] == 0
     assert subst(D, t, Elem(D, 1 << (1 << 13))).seqs() == [(0, 1) + (0,) * 12]
+
+
+@pytest.mark.parametrize("n,u", [(0, 0), (0, 1), (0, 3), (3, 0), (4, 1), (1, 4), (2, 3), (3, 3),
+                                 (5, 2), (4, 4), (8, 4), (16, 2)])
+def test_gather_on_full_carriers_matches_the_ranking_loop(n, u):
+    # the closed form against ranking each member's composite, for the
+    # identity, transpositions and random image lists
+    rng = random.Random(n * 10 + u)
+    D = full_carrier(n, u)
+    swaps = [transposition(n, i, j) for i, j in combinations(range(n), 2)]
+    perms = [Perm(tuple(range(n)))] + rng.sample(swaps, min(len(swaps), 3)) + _random_perms(n, rng, 2)
+    for f in perms:
+        gather = D._gather_for(f)
+        assert gather == [D.member_index.get(rank(seq_compose(s, f.images), u)) for s in D.seqs], f
+        # the entries are the positions' own int objects
+        assert all(p is D.member_index[p] for p in gather)
 
 
 def _through_network(net, bits):

@@ -3,7 +3,9 @@ one-assignment-at-a-time references: the package's own tree walk
 (quasi_violated) in canonical or sampled order, and the frozenset oracle
 built on oracles.brute_subst.  The sampled relativization and separation
 checks and the principal ultraproduct check against the elementwise
-oracles in tests/oracles.py."""
+oracles in tests/oracles.py, and checks decided member by member
+(tsalg.pointwise) against oracles.brute_first_violation and the column
+scan."""
 
 import copy
 import itertools
@@ -17,9 +19,9 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from tsalg.algebra import Carrier, Elem, carrier_from_seqs, full_carrier
+from tsalg.algebra import Carrier, Elem, carrier_from_seqs, full_carrier, permutable_subsets
 from tsalg.cli import main
-from tsalg import termlang, theorems
+from tsalg import pointwise, termlang, theorems
 from tsalg.seqspace import DimensionMismatch
 from tsalg.termlang import (
     And,
@@ -44,6 +46,7 @@ from tsalg.termlang import (
 )
 
 from oracles import (
+    brute_first_violation,
     brute_principal_ultraproduct,
     brute_relativization,
     brute_separation,
@@ -127,7 +130,14 @@ def instances(draw):
     space = lex_sequences(n, u)
     picks = draw(strat.lists(strat.sampled_from(space), max_size=6, unique=True))
     D = carrier_from_seqs(n, u, picks)
-    names = ["x", "y"][: draw(strat.integers(1, 2))]
+    sides = terms(n, ["x", "y"][: draw(strat.integers(1, 2))])
+    equations = strat.builds(Equation, sides, sides)
+    hypotheses = draw(strat.lists(equations, max_size=2))
+    return D, QuasiEquation(tuple(hypotheses), draw(equations))
+
+
+def terms(n, names):
+    """Terms over names, 0 and 1, with s[i,j] and s{...} of dimension n."""
     specs = strat.one_of(
         strat.tuples(strat.integers(0, n - 1), strat.integers(0, n - 1))
         .filter(lambda ij: ij[0] != ij[1])
@@ -144,10 +154,7 @@ def instances(draw):
             strat.tuples(specs, children).map(lambda p: Subst(*p)),
         )
 
-    terms = strat.recursive(leaves, extend, max_leaves=8)
-    equations = strat.builds(Equation, terms, terms)
-    hypotheses = draw(strat.lists(equations, max_size=2))
-    return D, QuasiEquation(tuple(hypotheses), draw(equations))
+    return strat.recursive(leaves, extend, max_leaves=8)
 
 
 @hypothesis.settings(deadline=None, max_examples=60)
@@ -175,6 +182,112 @@ def test_sampled_matches_row_wise_tree_walk(instance, trials, seed):
     # Benes rows at most 8 bits), three to a chunk
     with mock.patch.object(termlang, "ROW_CHUNK_BITS", 24):
         same_verdict(check_quasi(D, qe, Random(trials, seed)), expected)
+
+
+# --- deciding member by member ----------------------------------------------
+
+
+@strat.composite
+def law_lists(draw):
+    """A carrier (empty and non-permutable ones included), one to three
+    variables, some perhaps unread, and one to three equations over them,
+    with at most 9 bits per assignment."""
+    n = draw(strat.integers(2, 3))
+    u = draw(strat.integers(1, 3))
+    names = ["x", "y", "z"][: draw(strat.integers(1, 3))]
+    space = lex_sequences(n, u)
+    picks = draw(strat.lists(strat.sampled_from(space), max_size=9 // len(names), unique=True))
+    sides = terms(n, names)
+    eqs = draw(strat.lists(strat.builds(Equation, sides, sides), min_size=1, max_size=3))
+    return carrier_from_seqs(n, u, picks), names, eqs
+
+
+def brute_laws(D, names, eqs):
+    """brute_first_violation of eqs over D, by oracle_value."""
+    def side(t):
+        return lambda env: oracle_value(t, D.n, D.seqs, dict(zip(names, env)))
+
+    return brute_first_violation(D.seqs, len(names), [(side(eq.lhs), side(eq.rhs)) for eq in eqs])
+
+
+@hypothesis.settings(deadline=None, max_examples=120)
+@hypothesis.given(law_lists())
+@hypothesis.example((full_carrier(2, 2), ["x"], [parse_equation("s[0,1] x = x")]))
+@hypothesis.example((carrier_from_seqs(2, 2, []), ["x", "y"], [parse_equation("0 = 1")]))
+@hypothesis.example((carrier_from_seqs(2, 2, [(0, 1)]), ["x"], [parse_equation("x = x"), parse_equation("s[0,1] 1 = 1")]))
+def test_decider_matches_frozenset_enumeration(case):
+    D, names, eqs = case
+    program, laws = termlang._compile(QuasiEquation(tuple(eqs[:-1]), eqs[-1]), D, names)
+
+    def violates(k, rows):
+        env = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
+        return rows if termlang.equation_violated(D, eqs[k], env) else None
+
+    expected = brute_laws(D, names, eqs)
+    assert pointwise.least_violation(program, laws, 16) == (expected and expected[0])
+    # the scan, with its first law and witness, on truth tables of one entry
+    # per chunk
+    with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 0), \
+            mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
+        found = termlang._first_violation(program, [], laws, Exhaustive(), violates)
+    assert found == (expected and tuple(expected))
+    assert decided.called == (D.size > 0)
+    # through check_equation, with truth tables in chunks of two entries
+    eq = eqs[0]
+    used = sorted(termlang.equation_vars(eq))
+    expected = brute_laws(D, used, [eq])
+    with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 1), \
+            mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
+        v = check_equation(D, eq, Exhaustive())
+    assert decided.called == (D.size * len(used) > 1)
+    if expected is None:
+        assert (v.outcome, v.witness, v.assignments_tested) == ("holds-exhaustive", None, 1 << D.size * len(used))
+    else:
+        index, _, rows = expected
+        witness = {nm: Elem(D, bits) for nm, bits in zip(used, rows)}
+        assert (v.outcome, v.witness, v.assignments_tested) == ("fails", witness, index + 1)
+
+
+def test_exhaustive_relativization_reports_match_the_column_scan():
+    # every permutable G holds; the others, let through, break laws
+    E = full_carrier(2, 3)
+    rng = random.Random(11)
+    subs = permutable_subsets(2, 3)
+    assert len(subs) == 64
+    others = [carrier_from_seqs(2, 3, rng.sample(E.seqs, rng.randint(1, 8))) for _ in range(40)]
+    failed = 0
+    with mock.patch.object(theorems, "is_permutable", return_value=True):
+        for G in subs + others:
+            with mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
+                r = theorems.verify_relativization(E, G, Exhaustive())
+            assert decided.call_count == 1
+            # 2 ** 18 assignments in one chunk: the column scan
+            with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 18):
+                ref = theorems.verify_relativization(E, G, Exhaustive())
+            key = lambda h: (h.mode, h.seed, h.elements_tested, h.pairs_tested, h.violation)
+            assert key(r) == key(ref), G
+            failed += not r.passed
+    assert failed >= 30 and all(theorems.verify_relativization(E, G).passed for G in subs)
+
+
+@pytest.mark.parametrize("n,u,count,text,outcome", [
+    (2, 3, 9, "s[0,1] (x & y) = s[0,1] x & s[0,1] y", "holds-exhaustive"),
+    (2, 3, 9, "s[0,1] x & y = x & s[0,1] y", "fails"),
+    (3, 3, 17, "s[0,1] (x & ~x) = 0", "holds-exhaustive"),
+    (3, 3, 17, "~s[0,2] x = s[0,2] ~x", "fails"),
+    (3, 3, 20, "s[0,1] s[0,1] x = x", "fails"),
+    (2, 4, 10, "x | y = y | x", "holds-exhaustive"),
+])
+def test_wide_exhaustive_equations_match_the_column_scan(n, u, count, text, outcome):
+    # 17 to 20 bits per assignment; a hypothesis that always holds keeps
+    # the column scan
+    D = carrier_from_seqs(n, u, lex_sequences(n, u)[:count])
+    eq = parse_equation(text)
+    with mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
+        v = check_equation(D, eq, Exhaustive())
+    ref = check_quasi(D, QuasiEquation((Equation(Zero(), Zero()),), eq), Exhaustive())
+    assert decided.called and v.outcome == outcome
+    assert (v.outcome, v.witness, v.assignments_tested) == (ref.outcome, ref.witness, ref.assignments_tested)
 
 
 # --- chunk boundaries --------------------------------------------------------

@@ -370,6 +370,21 @@ def test_seed_and_budget_too_wide_to_echo_exit_two(full22, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["inputs"]["budget"] == edge
 
 
+def test_int_flags_too_wide_to_echo_exit_two(full22, capsys):
+    # --n, --k and --index are echoed in the report's inputs too
+    wide = str((1 << 300) + 5)
+    for argv, flag in ((["decompose", "--n", "0", "--k", wide], "--k"),
+                       (["decompose", "--n", wide, "--k", "1"], "--n"),
+                       (["sigma-demo", "--n", "-" + wide], "--n"),
+                       (["ultraproduct", "--spec", full22, "--index", wide], "--index")):
+        assert main(argv + ["--json"]) == 2, argv
+        captured = capsys.readouterr()
+        assert f"{flag} must be below 2^256" in captured.err and captured.out == ""
+    edge = (1 << 256) - 1
+    assert main(["decompose", "--n", "0", "--k", str(edge), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"]["k"] == edge
+
+
 def test_check_without_mode_flag_samples_over_budget(tmp_path, capsys):
     spec = tmp_path / "full42.alg"
     spec.write_text("n = 4\nbase = 2\ncarrier = full\n")
