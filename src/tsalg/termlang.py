@@ -50,12 +50,11 @@ check holds, the least witness's index + 1 when it fails.
 
 A _Program is built once per check in its layout: subst and restrict
 emit each map for it (a gather table, or an algebra.Network).
-_first_violation is the one scan, shared by check_quasi, the
-relativization and separation laws in theorems and, through
-_first_row_violation with its own draws, the principal ultraproduct.  It
-re-checks each witness through the caller's element-wise test
-(_rechecked); eval_term and quasi_violated walk the tree for a single
-assignment and are that test here.
+_first_violation is the one scan, shared by check_quasi and the
+relativization and separation laws in theorems.  It re-checks each
+witness through the caller's element-wise test (_rechecked); eval_term
+and quasi_violated walk the tree for a single assignment and are that
+test here.
 """
 
 from __future__ import annotations
@@ -725,8 +724,7 @@ def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
     differs, as (its index, the number of its first such law, its
     witness), or None; the witness is _rechecked through violates."""
     if program.rows:
-        draws = _draws(program.size, program.nvars, mode)
-        return _first_row_violation(program, hypotheses, laws, draws, mode.trials, violates)
+        return _first_row_violation(program, hypotheses, laws, mode, violates)
     size, nvars = program.size, program.nvars
     if not hypotheses and size * nvars > EXHAUSTIVE_CHUNK_BITS:
         least = least_violation(program, laws, EXHAUSTIVE_CHUNK_BITS)
@@ -831,10 +829,9 @@ def _row_flags(vals: list[int], stride: int, height: int, lhs: int, rhs: int) ->
 
 
 def _first_row_violation(program: _Program, hypotheses: list[tuple[int, int]],
-                         laws: list[tuple[int, int]], rows: Iterator[int], trials: int,
+                         laws: list[tuple[int, int]], mode: Random,
                          violates: Callable[[int, list[int]], object]) -> tuple[int, int, object] | None:
-    """_first_violation on packed rows, over the first trials rows of
-    rows, which yields program.nvars bit vectors per row.
+    """_first_violation on packed rows, over mode's sample stream (_draws).
 
     A chunk packs each variable's rows into one int, whole bytes apart and
     no narrower than any network's row, so row r of the chunk has flag bit
@@ -843,8 +840,9 @@ def _first_row_violation(program: _Program, hypotheses: list[tuple[int, int]],
     width = max([program.size] + [op[2].width for op in program if op[0] == "net"])
     nbytes = max(1, -(-width // 8))
     stride = 8 * nbytes
+    trials, nvars = mode.trials, program.nvars
     height = max(1, min(trials, ROW_CHUNK_BITS // stride)) if width < WIDE_ROW_BITS else 1
-    nvars = program.nvars
+    rows = _draws(program.size, nvars, mode)
     ops = _tiled(program, nbytes, height)
     every_row = _repeat_row(1, nbytes, height)
 

@@ -23,17 +23,16 @@ relativization and separation laws range over pairs of elements; both
 run through termlang's violation scan (termlang._first_violation),
 exhaustively or on the seeded sample stream, and every violation found
 there is re-checked through relativize, subst, meet and complement.  The
-ultraproduct check runs its class and law-pair checks through the same
-scan on packed rows, over its own draws; a violation is re-checked
-through ProductAlgebra's operations and the map applied element by
-element.
+ultraproduct check scans nothing and draws nothing: the map reads one
+compiled table, and whether that table is the identity decides every
+class at once; a misprojected class is re-checked through the map
+applied element by element.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import random as _random
 from dataclasses import dataclass, field
 
 from .algebra import (
@@ -54,11 +53,9 @@ from .algebra import (
     is_zero,
     join,
     meet,
-    one,
     relativize,
     canonicalize_base,
     subst,
-    zero,
 )
 from .seqspace import (
     DimensionMismatch,
@@ -78,9 +75,9 @@ from .termlang import (
     Random,
     Verdict,
     _draws,
-    _first_row_violation,
     _first_violation,
     _Program,
+    _rechecked,
     check_quasi,
     fmt_count,
     quasi_violated,
@@ -161,6 +158,9 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
     mode = resolve_mode(work, mode, budget, seed)
 
     h = functools.partial(relativize, G=G)
+    # a G equal to E compiles as E itself: restrict is then the identity,
+    # and each s_t law's two sides share one map and so one slot
+    onto = E if G == E else G
     prog = _Program(E.size, 2, rows=isinstance(mode, Random))
     x, y = prog.emit("var", 0), prog.emit("var", 1)
     to_g = prog.restrict(table, E.size)
@@ -175,7 +175,7 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
     ]
     for t in _transpositions(E.n):
         laws.append(({"op": "subst", "perm": list(t.images)},
-                     to_g(prog.subst(x, E, t)), prog.subst(hx, G, t),
+                     to_g(prog.subst(x, E, t)), prog.subst(hx, onto, t),
                      lambda X, Y, t=t: h(subst(E, t, X)) == subst(G, t, h(X))))
 
     def violates(k: int, rows: list[int]) -> tuple[Elem, Elem] | None:
@@ -553,35 +553,20 @@ def verify_h_escape(n: int, budget: int | None = None, seed: int = DEFAULT_SEED)
 class UltraproductReport:
     """The ultraproduct by the principal ultrafilter at i0, realized
     through its defining membership condition, coincides with projection
-    to factor i0 and is an injective homomorphism on classes."""
+    to factor i0 on every class.  mode is always "exhaustive": the check
+    is decided for every class, and classes_tested counts them all, or the
+    least misprojected class's index + 1."""
 
     factor_count: int
     index: int
     classes_tested: int
-    lift_pairs_tested: int
     projection_agrees: bool
-    well_defined: bool
-    preserves_ops: bool
-    injective: bool
     mode: str
-    seed: int
     violation: dict | None
 
     @property
     def passed(self) -> bool:
-        return (
-            self.projection_agrees
-            and self.well_defined
-            and self.preserves_ops
-            and self.injective
-        )
-
-
-#: Class spaces up to this size are enumerated outright.
-_CLASS_EXHAUSTIVE_LIMIT = 1 << 12
-
-#: Pairs sampled for the homomorphism laws.
-_PAIR_SAMPLES = 512
+        return self.projection_agrees
 
 
 def _psi_table(target: Carrier) -> list[int | None]:
@@ -602,21 +587,21 @@ def _psi(a: ProductElem, table: list[int | None], i0: int, target: Carrier) -> E
     return Elem(target, _apply_gather(table, x.bits, x.carrier.size))
 
 
-def principal_ultraproduct(factors: list[Carrier], i0: int,
-                           seed: int = DEFAULT_SEED) -> UltraproductReport:
+def principal_ultraproduct(factors: list[Carrier], i0: int) -> UltraproductReport:
     """Form the ultraproduct of full-carrier powerset algebras by the
-    principal ultrafilter {J : i0 in J} and verify, by packed rows, that the
-    defining membership condition reduces to projection onto factor i0 —
-    well-defined on classes, operation-preserving, injective.
+    principal ultrafilter {J : i0 in J} and decide, for every class, that
+    the defining membership condition reduces to projection onto factor
+    i0.
 
-    ψ is compiled once, for the i0 component alone (_psi_table): the
-    filter holds an agreeing set iff it contains i0, so ψ's row is factor
-    i0's agreeing row, the identity on a full factor.  Every class is
-    checked at once, then the bounds and, over every sampled pair at once,
-    meet, complement and s_t for each transposition t, as termlang
-    programs.  The least violating class or pair is reported with its
-    first failing check, after a re-check through ProductAlgebra's
-    operations and _psi.
+    ψ gathers component i0 through its compiled table (_psi_table), so it
+    is π_i0 on every class iff that table is the identity.  Then ψ is well
+    defined on classes and injective, and, as ProductAlgebra's operations
+    are componentwise, it preserves the bounds, meet, complement and every
+    s_t.  Otherwise the least class ψ moves is the atom at the least
+    position a misrouted entry reads or writes: every smaller class lies
+    below that position, where each entry reads its own position and no
+    misrouted entry reads at all.  That class is reported after a re-check
+    through _psi on its lift.
     """
     factors = tuple(factors)
     if not factors:
@@ -628,86 +613,18 @@ def principal_ultraproduct(factors: list[Carrier], i0: int,
             raise ValueError("principal ultraproducts are built over full carriers")
     prod = ProductAlgebra(factors)  # validates shared dimension
     target = factors[i0]
-    size = target.size
     table = _psi_table(target)
-    psi = functools.partial(_psi, table=table, i0=i0, target=target)
-
-    rng = _random.Random(seed)
-
-    def lift(xbits: int) -> ProductElem:
-        # the lift with empty components outside i0
-        return prod.element(Elem(c, xbits if i == i0 else 0) for i, c in enumerate(factors))
-
-    space = 1 << size
-    if space <= _CLASS_EXHAUSTIVE_LIMIT:
-        classes = list(range(space))
-        mode = f"classes=exhaustive({space})"
-    else:
-        classes = sorted({rng.getrandbits(size) for _ in range(_CLASS_EXHAUSTIVE_LIMIT)})
-        mode = f"classes=sampled({len(classes)})"
-    mode += f", law-pairs=sampled({_PAIR_SAMPLES})"
-
-    def report(classes_tested: int, pairs: int = 0, violation: dict | None = None,
-               failed: str = "") -> UltraproductReport:
-        return UltraproductReport(
-            factor_count=len(factors), index=i0, classes_tested=classes_tested,
-            lift_pairs_tested=pairs, projection_agrees=failed != "projection",
-            well_defined=True, preserves_ops=failed != "preserves", injective=True,
-            mode=mode, seed=seed, violation=violation,
-        )
-
-    # Classes.  ψ's row reads only the i0 component, so every lift of a
-    # class has the image of its lift with empty components elsewhere:
-    # both phases check and re-check on that lift.  Injectivity follows from
-    # projection: every class maps to its own class vector, and the class
-    # vectors are distinct.
-    prog = _Program(size, 1, rows=True)
-    x = prog.emit("var", 0)
+    moved = [p for pt, src in enumerate(table) if src != pt for p in (pt, src) if p is not None]
+    if not moved:
+        return UltraproductReport(len(factors), i0, 1 << target.size, True, "exhaustive", None)
 
     def misprojected(_: int, rows: list[int]) -> dict | None:
+        # on the lift with empty components outside i0; ψ reads only i0
         xc = Elem(target, rows[0])
-        return None if psi(lift(xc.bits)) == xc else {"check": "projection", "class": _seq_lists(xc)}
+        lift = prod.element(Elem(c, xc.bits if i == i0 else 0) for i, c in enumerate(factors))
+        image = _psi(lift, table, i0, target)
+        return None if image == xc else {"check": "projection", "class": _seq_lists(xc)}
 
-    found = _first_row_violation(prog, [], [(prog.restrict(table, size)(x), x)],
-                                 iter(classes), len(classes), misprojected)
-    if found:
-        return report(found[0], violation=found[2], failed="projection")
-
-    # Law pairs.  The bounds do not depend on the pair, so a broken bound
-    # shows in the first pair, ahead of its other checks.
-    prog = _Program(size, 2, rows=True)
-    a, b = prog.emit("var", 0), prog.emit("var", 1)
-    image = prog.restrict(table, size)
-    pa, pb = image(a), image(b)
-    zeros, ones = prog.emit("zero", size), prog.emit("one", size)
-    def bounds(A: ProductElem, B: ProductElem) -> bool:
-        return psi(prod.zero()) == zero(target) and psi(prod.one()) == one(target)
-
-    # each check: its violation record, its two sides as slots, and the
-    # same check on elements for the re-check
-    checks = [
-        ({"check": "bounds"}, image(zeros), zeros, bounds),
-        ({"check": "bounds"}, image(ones), ones, bounds),
-        ({"check": "meet"}, image(prog.emit("and", a, b)), prog.emit("and", pa, pb),
-         lambda A, B: psi(prod.meet(A, B)) == meet(psi(A), psi(B))),
-        ({"check": "complement"}, image(prog.emit("not", a, size)), prog.emit("not", pa, size),
-         lambda A, B: psi(prod.complement(A)) == complement(psi(A))),
-    ]
-    for t in _transpositions(prod.n):
-        checks.append(({"check": "subst", "perm": list(t.images)},
-                       image(prog.subst(a, target, t)), prog.subst(pa, target, t),
-                       lambda A, B, t=t: psi(prod.subst(t, A)) == subst(target, t, psi(A))))
-
-    def broken(k: int, rows: list[int]) -> dict | None:
-        record, *_, holds = checks[k]
-        return None if holds(*map(lift, rows)) else dict(record)
-
-    # the stream after the classes: per pair a's i0 component, then b's
-    pair_draws = map(rng.getrandbits, itertools.repeat(size, 2 * _PAIR_SAMPLES))
-    found = _first_row_violation(prog, [], [(lhs, rhs) for _, lhs, rhs, _ in checks],
-                                 pair_draws, _PAIR_SAMPLES, broken)
-    if not found:
-        return report(len(classes), _PAIR_SAMPLES)
-    pair, _, violation = found
-    return report(len(classes), 0 if violation["check"] == "bounds" else pair + 1, violation,
-                  failed="preserves")
+    least = 1 << min(moved)
+    return UltraproductReport(len(factors), i0, least + 1, False, "exhaustive",
+                              _rechecked(misprojected, 0, [least]))

@@ -92,26 +92,28 @@ def elem_set(e):
     return frozenset(e.seqs())
 
 
-def brute_principal_ultraproduct(specs, i0, seed, misroute=None, class_limit=1 << 12,
-                                 pair_samples=512):
+def brute_principal_ultraproduct(specs, i0, misroute=None, pair_limit=4):
     """The principal ultraproduct check of theorems.principal_ultraproduct,
-    one element at a time, on frozensets of tuples.
+    one element at a time, on frozensets of tuples, over every class.
 
     specs lists each factor's (n, u); every factor is the full space.
     Elements of the product are tuples of frozensets, one per factor.  The
     image of a under psi holds the target sequence t iff the set of factors
-    whose component contains t's representative (t itself in factor i0,
-    elsewhere t with every coordinate past that factor's base set to 0)
-    contains i0.  misroute maps some target sequences to the sequence that
-    factor i0 reads instead, or to None for none.  The draws from
-    random.Random(seed) follow the package's stream: sampled classes, then
-    per pair a's target component and b's.  The other components of every
-    random lift come from a generator of their own, so they test that ψ
-    is well defined on classes without moving that stream.  Returns the
+    whose component contains t's representative row (t itself in factor
+    i0, elsewhere t with every coordinate past that factor's base set to 0)
+    belongs to the filter, i.e. contains i0.  misroute maps some target
+    sequences to the sequence that factor i0 reads instead, or to None for
+    none.
+
+    Every class x, in increasing order of its bit vector, must map to
+    itself from its lift with empty components outside i0 and from its
+    lift with full ones there; the images are then distinct.  On targets
+    of at most pair_limit members, the bounds, meet, complement and every
+    s_t are checked too: the meet on every pair of classes, the first
+    lifted with empty components outside i0 and the second with full
+    ones, and the others on every class's first lift.  Returns the
     report's fields as a dict.
     """
-    rng = random.Random(seed)
-    others = random.Random(f"lifts {seed}")
     spaces = [lex_sequences(n, u) for n, u in specs]
     target = spaces[i0]
     misroute = misroute or {}
@@ -128,70 +130,51 @@ def brute_principal_ultraproduct(specs, i0, seed, misroute=None, class_limit=1 <
         return frozenset(t for t in target
                          if i0 in {i for i, x in enumerate(a) if rep(i, t) in x})
 
-    def lift(xbits, random_rest):
-        return tuple(as_set(target, xbits) if i == i0
-                     else as_set(space, others.getrandbits(len(space))) if random_rest
-                     else frozenset()
+    def lift(xbits, rest):
+        return tuple(as_set(target, xbits) if i == i0 else frozenset(space) if rest else frozenset()
                      for i, space in enumerate(spaces))
 
     size = len(target)
-    if 1 << size <= class_limit:
-        classes = list(range(1 << size))
-        mode = f"classes=exhaustive({1 << size})"
-    else:
-        classes = sorted({rng.getrandbits(size) for _ in range(class_limit)})
-        mode = f"classes=sampled({len(classes)})"
-    out = {"classes_tested": 0, "lift_pairs_tested": 0, "projection_agrees": True,
-           "well_defined": True, "preserves_ops": True, "injective": True,
-           "mode": mode + f", law-pairs=sampled({pair_samples})", "violation": None}
+    out = {"classes_tested": 0, "projection_agrees": True, "mode": "exhaustive", "violation": None}
+
+    def broken(check, xbits=None):
+        out["projection_agrees"] = check != "projection"
+        out["violation"] = {"check": check}
+        if xbits is not None:
+            out["violation"]["class"] = [list(q) for q in sorted(as_set(target, xbits))]
+        return out
 
     images = set()
-    for xb in classes:
-        x = as_set(target, xb)
-        via_zero, via_random = psi(lift(xb, False)), psi(lift(xb, True))
-        if via_zero != x:
-            out["projection_agrees"] = False
-            out["violation"] = {"check": "projection", "class": [list(q) for q in sorted(x)]}
-            return out
-        if via_random != via_zero:
-            out["well_defined"] = False
-            out["violation"] = {"check": "well-defined", "class": [list(q) for q in sorted(x)]}
-            return out
-        images.add(via_zero)
+    for xb in range(1 << size):
         out["classes_tested"] += 1
-    if len(images) != len(classes):
-        out["injective"] = False
-        out["violation"] = {"check": "injective"}
+        x = as_set(target, xb)
+        via_empty, via_full = psi(lift(xb, False)), psi(lift(xb, True))
+        if via_empty != x:
+            return broken("projection", xb)
+        if via_full != via_empty:
+            return broken("well-defined", xb)
+        images.add(via_empty)
+    if len(images) != 1 << size:
+        return broken("injective")
+    if size > pair_limit:
         return out
 
     n = specs[0][0]
     swaps = [swap_images(n, i, j) for i in range(n) for j in range(i + 1, n)]
-    empty = tuple(frozenset() for _ in spaces)
-    full = tuple(frozenset(space) for space in spaces)
-    if psi(empty) != frozenset() or psi(full) != frozenset(target):
-        out["preserves_ops"] = False
-        out["violation"] = {"check": "bounds"}
-        return out
-    for _ in range(pair_samples):
-        out["lift_pairs_tested"] += 1
-        a = lift(rng.getrandbits(size), True)
-        b = lift(rng.getrandbits(size), True)
+    if psi(lift(0, False)) != frozenset() or psi(tuple(map(frozenset, spaces))) != frozenset(target):
+        return broken("bounds")
+    for ab in range(1 << size):
+        a = lift(ab, False)
         pa = psi(a)
-        found = None
-        if psi(tuple(x & y for x, y in zip(a, b))) != pa & psi(b):
-            found = {"check": "meet"}
-        elif psi(tuple(frozenset(s) - x for s, x in zip(spaces, a))) != frozenset(target) - pa:
-            found = {"check": "complement"}
-        else:
-            for sw in swaps:
-                lhs = psi(tuple(brute_subst(s, sw, x) for s, x in zip(spaces, a)))
-                if lhs != brute_subst(target, sw, pa):
-                    found = {"check": "subst", "perm": list(sw)}
-                    break
-        if found:
-            out["preserves_ops"] = False
-            out["violation"] = found
-            return out
+        for bb in range(1 << size):
+            b = lift(bb, True)
+            if psi(tuple(x & y for x, y in zip(a, b))) != pa & psi(b):
+                return broken("meet")
+        if psi(tuple(frozenset(s) - x for s, x in zip(spaces, a))) != frozenset(target) - pa:
+            return broken("complement")
+        for sw in swaps:
+            if psi(tuple(brute_subst(s, sw, x) for s, x in zip(spaces, a))) != brute_subst(target, sw, pa):
+                return broken("subst")
     return out
 
 

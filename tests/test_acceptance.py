@@ -268,7 +268,7 @@ def test_criterion_6_principal_ultraproducts():
             continue  # degenerate-only lists are legal but tell us nothing
         lists += 1
         for i0 in range(count):
-            r = principal_ultraproduct(factors, i0, seed=SEED)
+            r = principal_ultraproduct(factors, i0)
             checks += 1
             if not r.passed:
                 problems.append(
@@ -355,7 +355,7 @@ def test_criterion_8_determinism():
     if decompose_small(2, 4, seed=SEED) != decompose_small(2, 4, seed=SEED):
         problems.append("decomposition reports differ across runs")
     factors = [full_carrier(2, 2), full_carrier(2, 3)]
-    if principal_ultraproduct(factors, 0, seed=SEED) != principal_ultraproduct(factors, 0, seed=SEED):
+    if principal_ultraproduct(factors, 0) != principal_ultraproduct(factors, 0):
         problems.append("ultraproduct reports differ across runs")
     qe = sigma(3, forward_cycle(3), backward_cycle(3))
     units = carrier_from_seqs(3, 2, [unit_seq(3, i) for i in range(3)])

@@ -270,6 +270,21 @@ def test_exhaustive_relativization_reports_match_the_column_scan():
     assert failed >= 30 and all(theorems.verify_relativization(E, G).passed for G in subs)
 
 
+def test_relativization_onto_an_equal_carrier_shares_each_map():
+    # a G equal to E but another object compiles as E itself, so each law's
+    # two sides share their slots and no two gathers carry equal tables
+    E = full_carrier(2, 3)
+    G = Carrier(E.n, E.u, E.members)
+    assert G == E and G is not E
+    with mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
+        r = theorems.verify_relativization(E, G, Exhaustive())
+    program, laws, _ = decided.call_args.args
+    tables = [tuple(op[2]) for op in program if op[0] == "gather"]
+    assert tables and len(set(tables)) == len(tables)
+    assert all(lhs == rhs for lhs, rhs in laws)
+    assert r.passed and r.sub is G
+
+
 @pytest.mark.parametrize("n,u,count,text,outcome", [
     (2, 3, 9, "s[0,1] (x & y) = s[0,1] x & s[0,1] y", "holds-exhaustive"),
     (2, 3, 9, "s[0,1] x & y = x & s[0,1] y", "fails"),
@@ -613,11 +628,9 @@ def test_sampled_separation_matches_elementwise_reference(case):
 @strat.composite
 def ultraproducts(draw):
     """Factor lists of one dimension (empty factors and dimension 0
-    included), a principal index, a class-space limit (small ones sample
-    the classes) and some misrouted entries of the principal factor's ψ
-    table, which reach both phases of the check: up to two entries that
-    read one another's positions, or nothing, so the table stays a
-    partial injection."""
+    included), a principal index and some misrouted entries of the
+    principal factor's ψ table: up to two entries that read one another's
+    positions, or nothing, so the table stays a partial injection."""
     n = draw(strat.integers(0, 3))
     specs = draw(strat.lists(strat.tuples(strat.just(n), strat.integers(0, (3, 5, 3, 2)[n])),
                              min_size=1, max_size=3))
@@ -626,11 +639,10 @@ def ultraproducts(draw):
     moved = draw(strat.lists(strat.sampled_from(target), max_size=2, unique=True)) if target else []
     images = draw(strat.permutations(moved))
     misroute = {t: draw(strat.sampled_from([q, None])) for t, q in zip(moved, images)}
-    limit = draw(strat.sampled_from([1 << 12, 1, 2, 4]))
-    return specs, i0, misroute, limit, draw(strat.integers(0, 1 << 31))
+    return specs, i0, misroute
 
 
-def _misrouted_ultraproduct(specs, i0, misroute, limit, seed):
+def _misrouted_ultraproduct(specs, i0, misroute):
     table_for = theorems._psi_table
 
     def misrouted(target):
@@ -640,33 +652,34 @@ def _misrouted_ultraproduct(specs, i0, misroute, limit, seed):
             table[seqs.index(t)] = None if q is None else seqs.index(q)
         return table
 
-    with mock.patch.object(theorems, "_psi_table", misrouted), \
-            mock.patch.object(theorems, "_CLASS_EXHAUSTIVE_LIMIT", limit):
-        return theorems.principal_ultraproduct([full_carrier(*s) for s in specs], i0, seed=seed)
+    with mock.patch.object(theorems, "_psi_table", misrouted):
+        return theorems.principal_ultraproduct([full_carrier(*s) for s in specs], i0)
 
 
 @hypothesis.settings(deadline=None, max_examples=80)
 @hypothesis.given(ultraproducts())
-@hypothesis.example(([(2, 2)], 0, {}, 1 << 12, 3))  # a single factor
-@hypothesis.example(([(2, 0), (2, 3)], 1, {}, 1 << 12, 4))  # an empty factor
-@hypothesis.example(([(2, 0), (2, 3)], 0, {}, 1 << 12, 4))  # an empty target
-@hypothesis.example(([(0, 2), (0, 0), (0, 3)], 2, {}, 1 << 12, 5))  # dimension 0
-@hypothesis.example(([(2, 2), (2, 3)], 0, {(0, 1): (1, 0), (1, 0): (0, 1)}, 1 << 12, 6))  # class phase
-@hypothesis.example(([(2, 2)], 0, {(0, 1): (0, 0), (0, 0): (0, 1)}, 1, 8))  # pair phase
-# pair phase, beside other factors of 0, 1 and 9 members
-@hypothesis.example(([(2, 1), (2, 2), (2, 0), (2, 3)], 1, {(0, 1): (0, 0), (0, 0): (0, 1)}, 1, 12))
+@hypothesis.example(([(2, 2)], 0, {}))  # a single factor
+@hypothesis.example(([(2, 0), (2, 3)], 1, {}))  # an empty factor
+@hypothesis.example(([(2, 0), (2, 3)], 0, {}))  # an empty target
+@hypothesis.example(([(0, 2), (0, 0), (0, 3)], 2, {}))  # dimension 0
+@hypothesis.example(([(2, 2), (2, 3)], 0, {(0, 1): (1, 0), (1, 0): (0, 1)}))  # two entries swapped
+@hypothesis.example(([(2, 2)], 0, {(1, 1): None}))  # an entry reading nothing
+# three entries, the least of them reading nothing, at a principal index past 0
+@hypothesis.example(([(2, 3), (2, 2)], 1, {(0, 0): None, (1, 0): (1, 1), (1, 1): (1, 0)}))
+# a swap at the first position, beside other factors of 0, 1 and 9 members
+@hypothesis.example(([(2, 1), (2, 2), (2, 0), (2, 3)], 1, {(0, 1): (0, 0), (0, 0): (0, 1)}))
 def test_ultraproduct_matches_elementwise_reference(case):
-    specs, i0, misroute, limit, seed = case
-    r = _misrouted_ultraproduct(specs, i0, misroute, limit, seed)
-    expected = brute_principal_ultraproduct(specs, i0, seed, misroute, class_limit=limit)
+    specs, i0, misroute = case
+    r = _misrouted_ultraproduct(specs, i0, misroute)
+    expected = brute_principal_ultraproduct(specs, i0, misroute)
     assert {key: getattr(r, key) for key in expected} == expected
     assert r.passed == (expected["violation"] is None)
 
 
-def test_ultraproduct_sampled_classes_match_elementwise_reference():
-    # 14 target members: 2**14 classes, 4096 draws
+def test_ultraproduct_wide_target_matches_elementwise_reference():
+    # 14 target members: every one of the 2**14 classes is decided
     specs = [(1, 14), (1, 3), (1, 0)]
-    r = _misrouted_ultraproduct(specs, 0, {}, 1 << 12, 8)
-    assert r.passed and r.mode.startswith("classes=sampled(")
-    expected = brute_principal_ultraproduct(specs, 0, 8)
+    r = _misrouted_ultraproduct(specs, 0, {})
+    assert r.passed and r.mode == "exhaustive" and r.classes_tested == 1 << 14
+    expected = brute_principal_ultraproduct(specs, 0)
     assert {key: getattr(r, key) for key in expected} == expected
