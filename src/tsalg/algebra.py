@@ -9,13 +9,14 @@ once into a gather, one entry per member: the position of q . f, or None
 when q . f is outside D.  Relativizing to a sub-carrier G is a gather as
 well, G's member p reading position gather[p] of the super-carrier.  Both
 subst and relativize apply the cached list, and so does termlang's
-exhaustive evaluator, by columns.  termlang's packed rows, which every
-other check uses, apply the same maps as networks of delta swaps (swap
-bit p with bit p + d for every p in a mask; Knuth, TAOCP 4A, 7.1.3): on
-a full carrier ^n u, s_f is u - 1 swaps per transposition sorting f, one
-per difference of the two digits it exchanges; every other gather,
-relativizing included, is extended to a permutation and routed through a
-Benes network, then masked to its defined positions.
+exhaustive evaluator, by columns; the verifiers in theorems decide their
+laws from these tables alone.  termlang's packed rows, which sampled
+checks use, apply s_f as a network of delta swaps (swap bit p with bit
+p + d for every p in a mask; Knuth, TAOCP 4A, 7.1.3): on a full carrier
+^n u, u - 1 swaps per transposition sorting f, one per difference of the
+two digits it exchanges; on any other carrier its gather is extended to
+a permutation and routed through a Benes network, then masked to its
+defined positions.
 
 A carrier is *permutable* when it is closed under swapping any two
 coordinates of its members (hence under every coordinate permutation).
@@ -191,7 +192,7 @@ class Carrier:
                         swaps += self._digit_swaps(v, w)
                 net = Network(self.size, tuple(swaps), None, self._tiles)
             else:
-                net = _benes_network(self._gather_for(f), self.size, self._tiles)
+                net = _benes_network(self._gather_for(f), self._tiles)
             self._networks[f.images] = net
         return net
 
@@ -310,16 +311,15 @@ def _benes(dest: list[int]) -> list[tuple[int, int]]:
     return [(h, _mask(upper[:h])), *inner, (h, _mask([upper[src[t]] for t in range(h)]))]
 
 
-def _benes_network(gather: list[int | None], size: int, tiles: dict) -> Network:
-    """The gather, a partial injection from at most size entries into
-    range(size), padded with None to size entries and extended to a
-    permutation of a power-of-two row (empty entries take the unused
-    positions), routed through _benes, masked.  Any other gather raises
-    ValueError: no network would route it."""
+def _benes_network(gather: list[int | None], tiles: dict) -> Network:
+    """The gather, a partial injection of its own positions into
+    themselves, extended to a permutation of a power-of-two row (empty
+    entries take the unused positions), routed through _benes, masked.
+    Any other gather raises ValueError: no network would route it."""
+    size = len(gather)
     used = set(gather) - {None}
-    if len(gather) > size or len(used) != len(gather) - gather.count(None) or not used <= set(range(size)):
+    if len(used) != size - gather.count(None) or not used <= set(range(size)):
         raise ValueError("a network routes only a partial injection into the row")
-    gather = gather + [None] * (size - len(gather))
     width = 1 << max(size - 1, 0).bit_length()
     unused = iter([p for p in range(size) if p not in used])
     source = [next(unused) if src is None else src for src in gather] + list(range(size, width))

@@ -2,8 +2,8 @@
 decision shares with termlang's exhaustive enumeration.
 
 A termlang program on columns is pointwise after reindexing: '~', '&' and
-'|' at member p read their operands at p, and a gather (s_f, or
-relativizing) at table[p], or is empty where that is None.  Each s_f is
+'|' at member p read their operands at p, and the gather of s_f at
+table[p], or is empty where that is None.  Each s_f is
 the complete operator of the map q -> q . f (Jónsson and Tarski, "Boolean
 algebras with operators I", 1951; Goldblatt, "Varieties of complex
 algebras", 1989).  So a law's sides at p are Boolean functions of the few
@@ -14,7 +14,6 @@ those bits decide the law without enumerating every assignment.
 from __future__ import annotations
 
 import functools
-import operator
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
@@ -51,56 +50,43 @@ def counters(bits: int, chunk_bits: int) -> Iterator[tuple[int, list[int]]]:
         yield width, periodic + [full if chunk >> b & 1 else 0 for b in range(bits - low)]
 
 
-def _width(program: _Program, slot: int) -> int:
-    """The number of members slot's values range over."""
-    op = program[slot]
-    while op[0] == "and" or op[0] == "or":
-        op = program[op[1]]
-    if op[0] == "var":
-        return program.size
-    return len(op[2]) if op[0] == "gather" else op[-1]
-
-
-def least_violation(program: _Program, laws: list[tuple[int, int]], chunk_bits: int) -> int | None:
+def least_violation(program: _Program, law: tuple[int, int], chunk_bits: int) -> int | None:
     """The least assignment to the variables of program, a termlang
-    _Program on columns, under which some (lhs, rhs) pair of slots in laws
-    differs, in the canonical enumeration (variable j holds bits size *
+    _Program on columns, under which the slots of law, an (lhs, rhs) pair,
+    differ, in the canonical enumeration (variable j holds bits size *
     (nvars - 1 - j) + q for its members q), or None.
 
-    The atoms that the laws' sides reach at member p, in increasing bit
+    The atoms that the law's sides reach at member p, in increasing bit
     order, count through their truth tables in the canonical order, so the
-    lowest differing entry is the least assignment breaking a law at p
+    lowest differing entry is the least assignment breaking the law at p
     with every other bit clear.  Clearing those bits keeps any violation at
     p, so the least of these over all p is the least violating assignment.
     The tables are taken chunk_bits atoms at a time, so no int is wider
     than an enumeration's chunk."""
     size, nvars = program.size, program.nvars
-    widths = [_width(program, lhs) for lhs, _ in laws]
-    # node s * w + q stands for slot s at member q, for w past every width
-    w = 1 + max([size] + [op[-1] if op[0] != "gather" else len(op[2]) for op in program
-                          if op[0] in ("zero", "one", "not", "gather")])
-    val = [0] * (len(program) * w)
+    lhs, rhs = law
+    # node s * size + q stands for slot s at member q
+    val = [0] * (len(program) * size)
     least = None
-    for p in range(max(widths, default=0)):
-        live = [law for law, width in zip(laws, widths) if p < width]
-        # the nodes the laws' sides read at p, and the atoms among them
-        need, todo, atoms = set(), [s * w + p for law in live for s in law], []
+    for p in range(size):
+        # the nodes the law's sides read at p, and the atoms among them
+        need, todo, atoms = set(), [lhs * size + p, rhs * size + p], []
         while todo:
             node = todo.pop()
             if node not in need:
                 need.add(node)
-                s, q = divmod(node, w)
+                s, q = divmod(node, size)
                 op = program[s]
                 kind = op[0]
                 if kind == "var":
                     atoms.append(size * (nvars - 1 - op[1]) + q)
                 elif kind == "gather":
                     if op[2][q] is not None:
-                        todo.append(op[1] * w + op[2][q])
+                        todo.append(op[1] * size + op[2][q])
                 elif kind == "not":
-                    todo.append(op[1] * w + q)
+                    todo.append(op[1] * size + q)
                 elif kind == "and" or kind == "or":
-                    todo += (op[1] * w + q, op[2] * w + q)
+                    todo += (op[1] * size + q, op[2] * size + q)
         atoms.sort()
         index = {b: i for i, b in enumerate(atoms)}
         # children hold lower slots than their parents
@@ -109,7 +95,7 @@ def least_violation(program: _Program, laws: list[tuple[int, int]], chunk_bits: 
         for width, counter in counters(len(atoms), chunk_bits):
             full = (1 << width) - 1
             for node in order:
-                s, q = divmod(node, w)
+                s, q = divmod(node, size)
                 op = program[s]
                 kind = op[0]
                 if kind == "var":
@@ -119,16 +105,16 @@ def least_violation(program: _Program, laws: list[tuple[int, int]], chunk_bits: 
                 elif kind == "one":
                     v = full
                 elif kind == "not":
-                    v = val[op[1] * w + q] ^ full
+                    v = val[op[1] * size + q] ^ full
                 elif kind == "and":
-                    v = val[op[1] * w + q] & val[op[2] * w + q]
+                    v = val[op[1] * size + q] & val[op[2] * size + q]
                 elif kind == "or":
-                    v = val[op[1] * w + q] | val[op[2] * w + q]
+                    v = val[op[1] * size + q] | val[op[2] * size + q]
                 else:
                     src = op[2][q]
-                    v = 0 if src is None else val[op[1] * w + src]
+                    v = 0 if src is None else val[op[1] * size + src]
                 val[node] = v
-            diff = functools.reduce(operator.or_, [val[lhs * w + p] ^ val[rhs * w + p] for lhs, rhs in live])
+            diff = val[lhs * size + p] ^ val[rhs * size + p]
             if diff:
                 c = start + (diff & -diff).bit_length() - 1
                 a = sum(1 << b for i, b in enumerate(atoms) if c >> i & 1)

@@ -30,11 +30,11 @@ a time, in one of two layouts, and the mode alone picks it.  Exhaustive
 mode takes 2**16 assignments of the canonical order by columns: each
 carrier position holds one int whose bit a says whether that position is
 in the value under assignment a of the chunk, '~', '&' and '|' act on
-whole columns, and a map such as s_f gathers columns through a table.
-Every other stream goes by packed rows: each variable's bit vectors, one
-per trial, sit side by side in one int at a fixed stride, so '~', '&' and
-'|' act on every row of the chunk at once and a map is a network of delta
-swaps with its masks repeated once per row; a carrier of 4096 members or
+whole columns, and s_f gathers columns through a table.  Random mode
+goes by packed rows: each variable's bit vectors, one per trial, sit side
+by side in one int at a fixed stride, so '~', '&' and '|' act on every
+row of the chunk at once and s_f is a network of delta swaps with its
+masks repeated once per row; a carrier of 4096 members or
 more gives each row its own chunk.  Either way the assignments that meet
 every hypothesis and break the conclusion form one set of flag bits; its
 lowest is the least (or first sampled) violation, so verdicts, witnesses
@@ -48,13 +48,13 @@ reaches, and their truth tables give the least violating assignment.
 assignments_tested still counts the canonical order: all of it when the
 check holds, the least witness's index + 1 when it fails.
 
-A _Program is built once per check in its layout: subst and restrict
-emit each map for it (a gather table, or an algebra.Network).
-_first_violation is the one scan, shared by check_quasi and the
-relativization and separation laws in theorems.  It re-checks each
-witness through the caller's element-wise test (_rechecked); eval_term
-and quasi_violated walk the tree for a single assignment and are that
-test here.
+A _Program is built once per check in its layout, with each s_f as a
+gather table or an algebra.Network.  _first_violation is check_quasi's
+scan of one conclusion under its hypotheses.  It re-checks each witness
+through an element-wise test (_rechecked): eval_term and quasi_violated
+walk the tree for a single assignment.  The verifiers in theorems share
+that re-check and the sample stream (_draws), but decide their laws from
+their tables and compile no program.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from .algebra import (
     Carrier,
     CarrierMismatch,
     Elem,
-    _benes_network,
     _repeat_row,
     complement,
     join,
@@ -589,13 +588,12 @@ WIDE_ROW_BITS = 1 << 12
 class _Program(list):
     """A straight-line program over a chunk of assignments to nvars
     variables, each a bit vector over size members, laid out by packed
-    rows (rows) or by columns.  Ops: ("var", j), ("zero", w), ("one", w),
-    ("not", a, w), ("and", a, b), ("or", a, b), w being the number of
-    members the slot's values range over; and the maps that subst and
-    restrict emit for the layout: on columns ("gather", a, table),
-    whose column p is column table[p] of slot a, or 0 where table[p] is
-    None; on rows ("net", a, network), an algebra.Network.  Each op has
-    one slot: emitting an equal op again returns the slot it holds."""
+    rows (rows) or by columns.  Ops: ("var", j), ("zero",), ("one",),
+    ("not", a), ("and", a, b), ("or", a, b); and s_f as subst emits it for
+    the layout: on columns ("gather", a, table), whose column p is column
+    table[p] of slot a, or 0 where table[p] is None; on rows ("net", a,
+    network), an algebra.Network.  Each op has one slot: emitting an equal
+    op again returns the slot it holds."""
 
     def __init__(self, size: int, nvars: int, rows: bool):
         self.size, self.nvars, self.rows = size, nvars, rows
@@ -616,16 +614,6 @@ class _Program(list):
             return self.emit("net", a, D._network_for(f))
         return self.emit("gather", a, D._gather_for(f))
 
-    def restrict(self, table: list[int | None], size: int) -> Callable[[int], int]:
-        """The emitter of the map whose member p is member table[p] of a
-        slot over size members, or empty where table[p] is None: x -> x ∩ G
-        for G._gather_from(E) over |E| members.  On rows it is a Benes
-        network masked to the defined members."""
-        if table == list(range(size)):
-            return lambda a: a
-        op = ("net", _benes_network(table, size, {})) if self.rows else ("gather", table)
-        return lambda a: self.emit(op[0], a, op[1])
-
 
 def _compile(qe: QuasiEquation, D: Carrier, names: list[str],
              rows: bool = False) -> tuple[_Program, list[tuple[int, int]]]:
@@ -637,19 +625,18 @@ def _compile(qe: QuasiEquation, D: Carrier, names: list[str],
     whole subtree.  Every operator spec is resolved here, once, so a spec
     that does not fit D raises DimensionMismatch before any assignment is
     tried."""
-    size = D.size
-    program = _Program(size, len(names), rows)
+    program = _Program(D.size, len(names), rows)
     perms: dict[PermSpec, Perm] = {}
 
     def emit(t: Term) -> int:
         if isinstance(t, Var):
             return program.emit("var", names.index(t.name))
         if isinstance(t, Zero):
-            return program.emit("zero", size)
+            return program.emit("zero")
         if isinstance(t, One):
-            return program.emit("one", size)
+            return program.emit("one")
         if isinstance(t, Not):
-            return program.emit("not", emit(t.arg), size)
+            return program.emit("not", emit(t.arg))
         if isinstance(t, And):
             return program.emit("and", emit(t.left), emit(t.right))
         if isinstance(t, Or):
@@ -674,9 +661,9 @@ def _run(program: _Program, inputs: list[list[int]], full: int) -> list[list[int
         if kind == "var":
             col = inputs[op[1]]
         elif kind == "zero":
-            col = [0] * op[1]
+            col = [0] * program.size
         elif kind == "one":
-            col = [full] * op[1]
+            col = [full] * program.size
         elif kind == "not":
             col = [c ^ full for c in vals[op[1]]]
         elif kind == "and":
@@ -700,53 +687,48 @@ def _row(columns: list[int], a: int) -> int:
     return sum((col >> a & 1) << p for p, col in enumerate(columns))
 
 
-def _rechecked(violates: Callable[[int, list[int]], object], law: int, rows: list[int]) -> object:
-    """violates(law, rows): the caller's element-by-element re-check of a
+def _rechecked(violates: Callable[[list[int]], object], rows: list[int]) -> object:
+    """violates(rows): the caller's element-by-element re-check of a
     violation the evaluator found, under the variables' bit vectors rows.
     It gives the witness in the caller's terms, or None where the law
     holds, which means the evaluator was wrong."""
-    witness = violates(law, rows)
+    witness = violates(rows)
     if witness is None:
         raise RuntimeError("the chunked evaluation and the element-wise re-check disagree on a witness")
     return witness
 
 
 def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
-                     laws: list[tuple[int, int]], mode: Mode,
-                     violates: Callable[[int, list[int]], object]) -> tuple[int, int, object] | None:
-    """The one violation scan of every check, over mode's assignments to
+                     law: tuple[int, int], mode: Mode,
+                     violates: Callable[[list[int]], object]) -> tuple[int, object] | None:
+    """The violation scan of check_quasi, over mode's assignments to
     program's variables: Exhaustive by columns over the canonical
     enumeration, Random by packed rows over the sample stream (program's
     layout must be mode's).
 
     Returns the least (or first sampled) assignment under which every
-    (lhs, rhs) pair of slots in hypotheses agrees and some pair in laws
-    differs, as (its index, the number of its first such law, its
-    witness), or None; the witness is _rechecked through violates."""
+    (lhs, rhs) pair of slots in hypotheses agrees and the pair law
+    differs, as (its index, its witness), or None; the witness is
+    _rechecked through violates."""
     if program.rows:
-        return _first_row_violation(program, hypotheses, laws, mode, violates)
+        return _first_row_violation(program, hypotheses, law, mode, violates)
     size, nvars = program.size, program.nvars
     if not hypotheses and size * nvars > EXHAUSTIVE_CHUNK_BITS:
-        least = least_violation(program, laws, EXHAUSTIVE_CHUNK_BITS)
+        least = least_violation(program, law, EXHAUSTIVE_CHUNK_BITS)
         if least is None:
             return None
-        # its first law, from the program run on it alone
         rows = [least >> size * (nvars - 1 - j) & ((1 << size) - 1) for j in range(nvars)]
-        vals = _run(program, [[r >> q & 1 for q in range(size)] for r in rows], 1)
-        law = [_differs(vals, lhs, rhs) for lhs, rhs in laws].index(1)
-        return least, law, _rechecked(violates, law, rows)
+        return least, _rechecked(violates, rows)
     start = 0
     for width, columns in _exhaustive_chunks(size, nvars):
         live = (1 << width) - 1
         vals = _run(program, columns, live)
         for lhs, rhs in hypotheses:
             live &= ~_differs(vals, lhs, rhs)
-        broken = [live & _differs(vals, lhs, rhs) for lhs, rhs in laws]
-        bad = functools.reduce(operator.or_, broken, 0)
+        bad = live & _differs(vals, *law)
         if bad:
             a = (bad & -bad).bit_length() - 1
-            law = [b >> a & 1 for b in broken].index(1)
-            return start + a, law, _rechecked(violates, law, [_row(cols, a) for cols in columns])
+            return start + a, _rechecked(violates, [_row(cols, a) for cols in columns])
         start += width
     return None
 
@@ -770,17 +752,16 @@ def _draws(size: int, nvars: int, mode: Random) -> Iterator[int]:
 
 
 def _tiled(program: _Program, nbytes: int, height: int) -> list[tuple]:
-    """program's ops for chunks of height rows nbytes bytes apart: each
-    width w as the rows of w ones, each network as its tiled swaps and
-    mask (Network.tiled)."""
-    ones: dict[int, int] = {}
+    """program's ops for chunks of height rows nbytes bytes apart: "one"
+    and "not" with the rows of program.size ones, each network as its
+    tiled swaps and mask (Network.tiled)."""
+    if any(op[0] == "one" or op[0] == "not" for op in program):
+        ones = _repeat_row((1 << program.size) - 1, nbytes, height)
     out = []
     for op in program:
         kind = op[0]
         if kind == "one" or kind == "not":
-            if op[-1] not in ones:
-                ones[op[-1]] = _repeat_row((1 << op[-1]) - 1, nbytes, height)
-            op = (*op[:-1], ones[op[-1]])
+            op = (*op, ones)
         elif kind == "net":
             op = ("net", op[1], *op[2].tiled(nbytes, height))
         out.append(op)
@@ -829,8 +810,8 @@ def _row_flags(vals: list[int], stride: int, height: int, lhs: int, rhs: int) ->
 
 
 def _first_row_violation(program: _Program, hypotheses: list[tuple[int, int]],
-                         laws: list[tuple[int, int]], mode: Random,
-                         violates: Callable[[int, list[int]], object]) -> tuple[int, int, object] | None:
+                         law: tuple[int, int], mode: Random,
+                         violates: Callable[[list[int]], object]) -> tuple[int, object] | None:
     """_first_violation on packed rows, over mode's sample stream (_draws).
 
     A chunk packs each variable's rows into one int, whole bytes apart and
@@ -859,13 +840,10 @@ def _first_row_violation(program: _Program, hypotheses: list[tuple[int, int]],
         live = every_row if h == height else _repeat_row(1, nbytes, h)
         for lhs, rhs in hypotheses:
             live &= ~_row_flags(vals, stride, height, lhs, rhs)
-        broken = [live & _row_flags(vals, stride, height, lhs, rhs) for lhs, rhs in laws]
-        bad = functools.reduce(operator.or_, broken, 0)
+        bad = live & _row_flags(vals, stride, height, *law)
         if bad:
-            low = bad & -bad
-            law = [b & low != 0 for b in broken].index(True)
-            r = (low.bit_length() - 1) // stride
-            return start + r, law, _rechecked(violates, law, chunk[r * nvars:(r + 1) * nvars])
+            r = ((bad & -bad).bit_length() - 1) // stride
+            return start + r, _rechecked(violates, chunk[r * nvars:(r + 1) * nvars])
     return None
 
 
@@ -885,13 +863,13 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     sampled = {"trials": mode.trials, "seed": mode.seed} if isinstance(mode, Random) else {}
     program, equations = _compile(qe, D, names, rows=bool(sampled))
 
-    def violates(_: int, rows: list[int]) -> dict[str, Elem] | None:
+    def violates(rows: list[int]) -> dict[str, Elem] | None:
         witness = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
         return witness if quasi_violated(D, qe, witness) else None
 
-    found = _first_violation(program, equations[:-1], equations[-1:], mode, violates)
+    found = _first_violation(program, equations[:-1], equations[-1], mode, violates)
     if found:
-        index, _, witness = found
+        index, witness = found
         return Verdict("fails", witness=witness, assignments_tested=index + 1, **sampled)
     outcome = "holds-sampled" if sampled else "holds-exhaustive"
     return Verdict(outcome, assignments_tested=mode.trials if sampled else work, **sampled)

@@ -17,16 +17,19 @@ was enumerated, in which mode, and where the first violation sits:
 * the ultraproduct by a principal ultrafilter collapses to a factor
   projection.
 
-Each verifier states its laws once, as one termlang program whose maps
-(s_t, x -> x ∩ G) compile for the layout its mode picks.  The
-relativization and separation laws range over pairs of elements; both
-run through termlang's violation scan (termlang._first_violation),
-exhaustively or on the seeded sample stream, and every violation found
-there is re-checked through relativize, subst, meet and complement.  The
-ultraproduct check scans nothing and draws nothing: the map reads one
-compiled table, and whether that table is the identity decides every
-class at once; a misprojected class is re-checked through the map
-applied element by element.
+The relativization, separation and ultraproduct checks enumerate no
+assignments (the sigma checks go through termlang.check_quasi): each
+decides its laws from the compiled tables its maps read.  Relativizing
+and every s_t are gathers, each s_t the complete operator of q -> q . t
+(Jónsson and Tarski, "Boolean algebras with operators I", 1951), so
+whether the relativization laws hold comes down to whether two
+compositions of tables agree, and separation to whether the atom routes
+read every member.  The ultraproduct map reads one table too, and
+whether that table is the identity decides every class at once.  Sampled
+modes walk the seeded sample stream (termlang._draws) only to report
+what the sample covers.  Every violation is re-checked element by
+element: through relativize, subst and complement, or through the
+ultraproduct map applied to the class's lift.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .algebra import (
     is_permutable,
     is_zero,
     join,
-    meet,
     relativize,
     canonicalize_base,
     subst,
@@ -75,8 +77,6 @@ from .termlang import (
     Random,
     Verdict,
     _draws,
-    _first_violation,
-    _Program,
     _rechecked,
     check_quasi,
     fmt_count,
@@ -136,17 +136,23 @@ class HomReport:
 def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
                           budget: int | None = None, seed: int = DEFAULT_SEED) -> HomReport:
     """Check that h: x -> x ∩ G is a homomorphism from the algebra over E
-    onto the algebra over G.  Over x, y in 2**E it checks the laws
-    h(x & y) = h x & h y, h(~x) = ~h x and h(s_t x) = s_t h x for every
-    transposition t, as one program (termlang._first_violation) whose h
-    compiles the gather relativize applies.  The least (or first
-    sampled) violating assignment is reported with its first failing law,
-    after a re-check through relativize, subst, meet and complement.
+    onto the algebra over G: over x, y in 2**E, the laws h(x & y) = h x &
+    h y, h(~x) = ~h x and h(s_t x) = s_t h x for every transposition t.
 
-    G must be a permutable sub-carrier of E — that is a precondition, not
-    a checked property, so a non-permutable G raises instead of failing.
-    Exhaustive when the pairs x <= y fit the budget, otherwise sampled
-    (x, then y, per trial).
+    h is the gather table G._gather_from(E) and each s_t a gather too, so
+    the tables decide every law over all pairs.  A gather commutes with
+    meet; complement breaks at every x when table reads nothing somewhere;
+    and the s_t law breaks at x just where x differs at the two positions
+    of E that its sides read at some member of G.  The least violating pair
+    is then x = 0, or the one-member x at the least such position, and
+    y = 0.  Sampled mode (x, then y, per trial) walks the sample stream only
+    when a law breaks, for its first violating trial: a sampled report
+    gives what the sample covers.  The violation's first failing law is
+    re-checked through relativize, subst and complement.
+
+    G must be a permutable sub-carrier of E — a precondition, not a checked
+    property, so a non-permutable G raises instead of failing.  Exhaustive
+    when the pairs x <= y fit the budget, otherwise sampled.
     """
     table = G._gather_from(E)  # raises unless G is a sub-carrier of E
     if not is_permutable(G):
@@ -158,43 +164,56 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
     mode = resolve_mode(work, mode, budget, seed)
 
     h = functools.partial(relativize, G=G)
-    # a G equal to E compiles as E itself: restrict is then the identity,
-    # and each s_t law's two sides share one map and so one slot
-    onto = E if G == E else G
-    prog = _Program(E.size, 2, rows=isinstance(mode, Random))
-    x, y = prog.emit("var", 0), prog.emit("var", 1)
-    to_g = prog.restrict(table, E.size)
-    hx = to_g(x)
-    # each law: its violation record, its two sides as slots, and the same
-    # law on elements for the re-check
-    laws = [
-        ({"op": "meet"}, to_g(prog.emit("and", x, y)), prog.emit("and", hx, to_g(y)),
-         lambda X, Y: h(meet(X, Y)) == meet(h(X), h(Y))),
-        ({"op": "complement"}, to_g(prog.emit("not", x, E.size)), prog.emit("not", hx, G.size),
-         lambda X, Y: h(complement(X)) == complement(h(X))),
-    ]
+    hole = None in table
+    # each law but meet, which a gather keeps: its violation record, the
+    # pairs of positions of E its sides read apart at a member of G (None:
+    # nothing), and the law on elements
+    laws = [({"op": "complement"}, set(), lambda X: h(complement(X)) == complement(h(X)))]
     for t in _transpositions(E.n):
-        laws.append(({"op": "subst", "perm": list(t.images)},
-                     to_g(prog.subst(x, E, t)), prog.subst(hx, onto, t),
-                     lambda X, Y, t=t: h(subst(E, t, X)) == subst(G, t, h(X))))
+        et, gt = E._gather_for(t), G._gather_for(t)
+        lhs = [None if src is None else et[src] for src in table]
+        rhs = [None if q is None else table[q] for q in gt]
+        apart = {(a, b) for a, b in zip(lhs, rhs) if a != b}
+        laws.append(({"op": "subst", "perm": list(t.images)}, apart,
+                     lambda X, t=t: h(subst(E, t, X)) == subst(G, t, h(X))))
 
-    def violates(k: int, rows: list[int]) -> tuple[Elem, Elem] | None:
-        X, Y = (Elem(E, bits) for bits in rows)
-        return None if laws[k][-1](X, Y) else (X, Y)
+    def broken(x: int) -> int | None:  # the first law x breaks
+        if hole:
+            return 0
+        return next((k for k, (_, apart, _) in enumerate(laws)
+                     if any(_bit(x, a) != _bit(x, b) for a, b in apart)), None)
+
+    found = None
+    if hole or any(apart for _, apart, _ in laws):
+        if isinstance(mode, Random):
+            draws = _draws(E.size, 2, mode)
+            found = next(((i, x) for i, (x, _) in enumerate(zip(draws, draws))
+                          if broken(x) is not None), None)
+        else:
+            x = 0 if hole else 1 << min(p for _, apart, _ in laws for pair in apart
+                                        for p in pair if p is not None)
+            found = x << E.size, x
 
     elements, pairs = (mode.trials,) * 2 if isinstance(mode, Random) else (space, work)
     violation: dict | None = None
-    found = _first_violation(prog, [], [(lhs, rhs) for _, lhs, rhs, _ in laws], mode, violates)
     if found:
-        index, k, (X, Y) = found
-        record = laws[k][0]
-        violation = dict(record, x=_seq_lists(X))
-        if record["op"] == "meet":
-            violation["y"] = _seq_lists(Y)
+        index, x = found
+        record, _, law = laws[broken(x)]
+
+        def violates(rows: list[int]) -> Elem | None:
+            X = Elem(E, rows[0])
+            return None if law(X) else X
+
+        violation = dict(record, x=_seq_lists(_rechecked(violates, [x])))
         pairs = index + 1
-        elements = pairs if isinstance(mode, Random) else X.bits + 1
+        elements = pairs if isinstance(mode, Random) else x + 1
     return HomReport(E, G, ("meet", "complement", "subst"), mode.label,
                      mode.seed if isinstance(mode, Random) else None, elements, pairs, violation)
+
+
+def _bit(x: int, p: int | None) -> int:
+    """Bit p of x, or 0 where p is None."""
+    return 0 if p is None else x >> p & 1
 
 
 def _seq_lists(X: Elem) -> list[list[int]]:
@@ -233,6 +252,12 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
     """Build, per atom {q} of the full algebra over ^n k, the map
     'relativize to ^n range(q), then relabel the base'; check each atom
     survives its own map, and that the maps jointly separate elements.
+
+    Separation fails iff the routes' tables leave some member unread; the
+    least unseparated pair of the x-major order over x < y is then (0, {the
+    least such member}).  Sampled mode walks the sample stream (x, then y,
+    per trial) once, counting the trials that drew x != y up to the first
+    unseparated one.  An unseparated pair is re-checked through relativize.
     """
     if _capped_power(k, n, MAX_SUBALGEBRA_ELEMS) > MAX_SUBALGEBRA_ELEMS:
         raise SizeCapExceeded(
@@ -270,37 +295,41 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
     space = 1 << A.size
     # separation is checked pairwise, so budget the quadratic cost
     mode = resolve_mode(space * (space - 1) // 2, mode, budget, seed)
-    # separation as a quasi-equation over x, y in 2**A: h_b x = h_b y for
-    # every route b  =>  x = y.  x and y agree under every route just where
-    # they agree on the members some route reads, so one restriction to
-    # those members stands for every route's
-    prog = _Program(A.size, 2, rows=isinstance(mode, Random))
-    x, y = prog.emit("var", 0), prog.emit("var", 1)
-    read = set().union(*(gq._gather_from(A) for gq, *_ in routes.values())) - {None}
-    to_read = prog.restrict(sorted(read), A.size)
-
-    def violates(_: int, rows: list[int]) -> tuple[Elem, Elem] | None:
-        X, Y = (Elem(A, bits) for bits in rows)
-        if X == Y or any(relativize(X, gq) != relativize(Y, gq) for gq, *_ in routes.values()):
-            return None
-        return X, Y
-
-    found = _first_violation(prog, [(to_read(x), to_read(y))], [(x, y)], mode, violates)
-    violation: dict | None = None
-    if found:
-        index, _, (X, Y) = found
-        violation = {"x": _seq_lists(X), "y": _seq_lists(Y)}
-    # pairs_tested counts the pairs x < y of the x-major order when
-    # exhaustive (the least violating pair has x < y), and the trials that
-    # drew x != y when sampled, up to and including the witness
+    # separation: h_b x = h_b y for every route b  =>  x = y.  x and y agree
+    # under every route just where they agree on the members some route
+    # reads.  pairs_tested counts the pairs x < y of the x-major order, or
+    # the trials that drew x != y, up to and including the witness
+    read = set().union(*(gq._gather_from(A) for gq, *_ in routes.values()))
+    unread = [p for p in range(A.size) if p not in read]
+    found: tuple[int, int] | None = None
     if isinstance(mode, Random):
-        draws = _draws(A.size, 2, Random(index + 1 if found else mode.trials, mode.seed))
-        pairs = sum(xb != yb for xb, yb in zip(draws, draws))
-    elif found:
-        xb, yb = X.bits, Y.bits
-        pairs = xb * space - xb * (xb + 1) // 2 + yb - xb
+        seen = space - 1 - sum(1 << p for p in unread)
+        pairs = 0
+        draws = _draws(A.size, 2, mode)
+        for xb, yb in zip(draws, draws):
+            if xb != yb:
+                pairs += 1
+                if not (xb ^ yb) & seen:
+                    found = xb, yb
+                    break
+    elif unread:
+        # the least unseparated pair is x = 0 and y the least unread member,
+        # after the pairs (0, y') for 0 < y' < y
+        found = 0, 1 << unread[0]
+        pairs = found[1]
     else:
         pairs = space * (space - 1) // 2
+
+    violation: dict | None = None
+    if found:
+        def violates(rows: list[int]) -> tuple[Elem, Elem] | None:
+            X, Y = (Elem(A, bits) for bits in rows)
+            if X == Y or any(relativize(X, gq) != relativize(Y, gq) for gq, *_ in routes.values()):
+                return None
+            return X, Y
+
+        X, Y = _rechecked(violates, list(found))
+        violation = {"x": _seq_lists(X), "y": _seq_lists(Y)}
     sep = SeparationReport(space, pairs, mode.label, mode.seed if isinstance(mode, Random) else None,
                            violation is None, violation)
     return records, sep
@@ -618,7 +647,7 @@ def principal_ultraproduct(factors: list[Carrier], i0: int) -> UltraproductRepor
     if not moved:
         return UltraproductReport(len(factors), i0, 1 << target.size, True, "exhaustive", None)
 
-    def misprojected(_: int, rows: list[int]) -> dict | None:
+    def misprojected(rows: list[int]) -> dict | None:
         # on the lift with empty components outside i0; ψ reads only i0
         xc = Elem(target, rows[0])
         lift = prod.element(Elem(c, xc.bits if i == i0 else 0) for i, c in enumerate(factors))
@@ -627,4 +656,4 @@ def principal_ultraproduct(factors: list[Carrier], i0: int) -> UltraproductRepor
 
     least = 1 << min(moved)
     return UltraproductReport(len(factors), i0, least + 1, False, "exhaustive",
-                              _rechecked(misprojected, 0, [least]))
+                              _rechecked(misprojected, [least]))

@@ -186,19 +186,21 @@ def _lists(xset):
     return [list(q) for q in sorted(xset)]
 
 
-def brute_relativization(n, big, sub, trials, seed):
+def brute_relativization(n, big, sub, trials, seed, misroute=None):
     """The sampled check of theorems.verify_relativization, one trial at a
     time on frozensets: per trial x, then y, drawn as getrandbits(|big|)
     over big's members in lex order; the laws h(x & y) = h x & h y,
     h(~x) = ~h x, then h(s_t x) = s_t h x per transposition t, for
-    h x = x ∩ sub.  Returns (the first violation record or None, the
-    trials tested)."""
+    h x = x ∩ sub.  misroute maps some members of sub to the member of big
+    that h reads for them instead, or to None for none.  Returns (the
+    first violation record or None, the trials tested)."""
     rng = random.Random(seed)
     big, sub = sorted(big), frozenset(sub)
     swaps = [swap_images(n, i, j) for i in range(n) for j in range(i + 1, n)]
+    misroute = misroute or {}
 
     def h(xset):
-        return brute_relativize(xset, sub)
+        return frozenset(g for g in sub if misroute.get(g, g) in xset)
 
     for trial in range(1, trials + 1):
         x, y = _as_set(big, rng.getrandbits(len(big))), _as_set(big, rng.getrandbits(len(big)))
@@ -213,25 +215,44 @@ def brute_relativization(n, big, sub, trials, seed):
 
 
 def brute_separation(n, k, trials, seed, hidden=frozenset()):
-    """The sampled separation check of theorems.decompose_small on
-    frozensets: per trial x, then y, over ^n k; the pair is unseparated
-    when x != y and x ∩ G = y ∩ G for every route G, the sequences over
-    the values of some atom, less the hidden ones on routes over fewer
-    than k values.  Returns (the first unseparated pair as a failure
-    record or None, the trials up to it that drew x != y)."""
-    rng = random.Random(seed)
+    """The separation check of theorems.decompose_small on frozensets: the
+    pair x, y of subsets of ^n k is unseparated when x != y and x ∩ G =
+    y ∩ G for every route G, the sequences over the values of some atom,
+    less the hidden ones on routes over fewer than k values.
+
+    Sampled (trials an int): per trial x, then y, drawn as
+    getrandbits(k**n) over ^n k in lex order; returns (the first
+    unseparated pair as a failure record or None, the trials up to it
+    that drew x != y).  Exhaustive (trials None): the pairs x < y of bit
+    vectors in x-major order; returns (the least unseparated pair or None,
+    the pairs up to it, or all of them)."""
     space = lex_sequences(n, k)
     routes = []
     for values in {frozenset(q) for q in space}:
         route = frozenset(s for s in space if set(s) <= values)
         routes.append(route if len(values) == k else route - hidden)
-    distinct = 0
+
+    def unseparated(x, y):
+        return x != y and all(brute_relativize(x, g) == brute_relativize(y, g) for g in routes)
+
+    tested = 0
+    if trials is None:
+        sets = [_as_set(space, bits) for bits in range(1 << len(space))]
+        # each element's images under every route, so a pair compares two
+        images = [tuple(brute_relativize(x, g) for g in routes) for x in sets]
+        for xb, x in enumerate(sets):
+            for yb in range(xb + 1, len(sets)):
+                tested += 1
+                if images[xb] == images[yb]:
+                    return {"x": _lists(x), "y": _lists(sets[yb])}, tested
+        return None, tested
+    rng = random.Random(seed)
     for _ in range(trials):
         x, y = _as_set(space, rng.getrandbits(len(space))), _as_set(space, rng.getrandbits(len(space)))
-        distinct += x != y
-        if x != y and all(brute_relativize(x, g) == brute_relativize(y, g) for g in routes):
-            return {"x": _lists(x), "y": _lists(y)}, distinct
-    return None, distinct
+        tested += x != y
+        if unseparated(x, y):
+            return {"x": _lists(x), "y": _lists(y)}, tested
+    return None, tested
 
 
 def brute_first_violation(members, nvars, laws):
@@ -243,9 +264,9 @@ def brute_first_violation(members, nvars, laws):
     first variable most significant; laws holds pairs of functions from
     the list of the variables' frozensets to a frozenset."""
     members = sorted(members)
-    for index, combo in enumerate(product(range(1 << len(members)), repeat=nvars)):
-        env = [_as_set(members, bits) for bits in combo]
-        for k, (lhs, rhs) in enumerate(laws):
-            if lhs(env) != rhs(env):
-                return index, k, list(combo)
+    sets = [_as_set(members, bits) for bits in range(1 << len(members))]
+    for index, env in enumerate(product(sets, repeat=nvars)):
+        broken = [lhs(env) != rhs(env) for lhs, rhs in laws]
+        if True in broken:
+            return index, broken.index(True), [sets.index(x) for x in env]
     return None

@@ -338,22 +338,15 @@ def test_network_matches_gather_on_other_carriers():
         _network_agrees_with_gather(D, list(all_perms(D.n))[:24], rng)
         width = D._network_for(Perm(tuple(range(D.n)))).width
         assert width >= D.size and width & (width - 1) == 0
-        # relativizing to D from the full space (D itself when D is full),
-        # the gather padded to the full space's width
-        E = full_carrier(D.n, D.u)
-        table = D._gather_from(E)
-        net = _benes_network(table, E.size, {})
-        for bits in [0, (1 << E.size) - 1] + [rng.getrandbits(E.size) for _ in range(8)]:
-            assert _through_network(net, bits) == _apply_gather(table, bits, E.size), (D, bits)
     assert any(not is_permutable(D) and None in D._gather_for(transposition(D.n, 0, 1)) for D in carriers[4:])
 
 
-@pytest.mark.parametrize("gather,size", [([1, 1], 2), ([0, 2], 2), ([None, None, 0], 2), ([0, None, 0], 3)])
-def test_benes_network_routes_only_partial_injections(gather, size):
+@pytest.mark.parametrize("gather", [[1, 1], [0, 2], [0, None, 0], [None, 2, 3]])
+def test_benes_network_routes_only_partial_injections(gather):
     # two entries reading one position, or a position outside the row, has
     # no network; routing it anyway would move bits by some other map
     with pytest.raises(ValueError, match="partial injection"):
-        _benes_network(gather, size, {})
+        _benes_network(gather, {})
 
 
 def test_subst_on_atoms_of_a_permutable_carrier_moves_the_point():

@@ -1,13 +1,15 @@
 """check_quasi's evaluator, by columns and by packed rows, against
 one-assignment-at-a-time references: the package's own tree walk
 (quasi_violated) in canonical or sampled order, and the frozenset oracle
-built on oracles.brute_subst.  The sampled relativization and separation
-checks and the principal ultraproduct check against the elementwise
-oracles in tests/oracles.py, and checks decided member by member
+built on oracles.brute_subst.  Checks decided member by member
 (tsalg.pointwise) against oracles.brute_first_violation and the column
-scan."""
+scan.  The relativization, separation and principal ultraproduct checks,
+decided from their tables, against the elementwise oracles in
+tests/oracles.py: exhaustive relativization against
+oracles.brute_first_violation over every pair."""
 
 import copy
+import functools
 import itertools
 import random
 import subprocess
@@ -19,7 +21,8 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from tsalg.algebra import Carrier, Elem, carrier_from_seqs, full_carrier, permutable_subsets
+from tsalg.algebra import (Carrier, Elem, carrier_from_seqs, full_carrier, permutable_closure,
+                          permutable_subsets)
 from tsalg.cli import main
 from tsalg import pointwise, termlang, theorems
 from tsalg.seqspace import DimensionMismatch
@@ -47,6 +50,7 @@ from tsalg.termlang import (
 
 from oracles import (
     brute_first_violation,
+    brute_permutable,
     brute_principal_ultraproduct,
     brute_relativization,
     brute_separation,
@@ -216,22 +220,22 @@ def brute_laws(D, names, eqs):
 @hypothesis.example((carrier_from_seqs(2, 2, []), ["x", "y"], [parse_equation("0 = 1")]))
 @hypothesis.example((carrier_from_seqs(2, 2, [(0, 1)]), ["x"], [parse_equation("x = x"), parse_equation("s[0,1] 1 = 1")]))
 def test_decider_matches_frozenset_enumeration(case):
+    # each equation's law alone, in one program holding them all
     D, names, eqs = case
     program, laws = termlang._compile(QuasiEquation(tuple(eqs[:-1]), eqs[-1]), D, names)
+    for eq, law in zip(eqs, laws):
+        def violates(rows, eq=eq):
+            env = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
+            return rows if termlang.equation_violated(D, eq, env) else None
 
-    def violates(k, rows):
-        env = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
-        return rows if termlang.equation_violated(D, eqs[k], env) else None
-
-    expected = brute_laws(D, names, eqs)
-    assert pointwise.least_violation(program, laws, 16) == (expected and expected[0])
-    # the scan, with its first law and witness, on truth tables of one entry
-    # per chunk
-    with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 0), \
-            mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
-        found = termlang._first_violation(program, [], laws, Exhaustive(), violates)
-    assert found == (expected and tuple(expected))
-    assert decided.called == (D.size > 0)
+        expected = brute_laws(D, names, [eq])
+        assert pointwise.least_violation(program, law, 16) == (expected and expected[0])
+        # the scan, with its witness, on truth tables of one entry per chunk
+        with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 0), \
+                mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
+            found = termlang._first_violation(program, [], law, Exhaustive(), violates)
+        assert found == (expected and (expected[0], expected[2]))
+        assert decided.called == (D.size > 0)
     # through check_equation, with truth tables in chunks of two entries
     eq = eqs[0]
     used = sorted(termlang.equation_vars(eq))
@@ -248,41 +252,94 @@ def test_decider_matches_frozenset_enumeration(case):
         assert (v.outcome, v.witness, v.assignments_tested) == ("fails", witness, index + 1)
 
 
-def test_exhaustive_relativization_reports_match_the_column_scan():
-    # every permutable G holds; the others, let through, break laws
-    E = full_carrier(2, 3)
-    rng = random.Random(11)
-    subs = permutable_subsets(2, 3)
-    assert len(subs) == 64
-    others = [carrier_from_seqs(2, 3, rng.sample(E.seqs, rng.randint(1, 8))) for _ in range(40)]
-    failed = 0
+def relativization_laws(n, big, sub, misroute):
+    """The laws of verify_relativization over x, y on big, in its order, as
+    (violation record, (lhs, rhs)) for oracles.brute_first_violation: h x
+    is the members g of sub whose read member, misroute.get(g, g), is in
+    x.  Each map is cached per argument, so a sweep of every pair stays
+    quick."""
+    big, sub = frozenset(big), frozenset(sub)
+    h = functools.cache(lambda x: frozenset(g for g in sub if misroute.get(g, g) in x))
+
+    def of_x(side):
+        side = functools.cache(side)
+        return lambda env: side(env[0])
+
+    laws = [({"op": "meet"}, (lambda env: h(env[0] & env[1]), lambda env: h(env[0]) & h(env[1]))),
+            ({"op": "complement"}, (of_x(lambda x: h(big - x)), of_x(lambda x: sub - h(x))))]
+    for i, j in itertools.combinations(range(n), 2):
+        sw = swap_images(n, i, j)
+        laws.append(({"op": "subst", "perm": list(sw)},
+                     (of_x(lambda x, sw=sw: h(brute_subst(big, sw, x))),
+                      of_x(lambda x, sw=sw: brute_subst(sub, sw, h(x))))))
+    return laws
+
+
+def misrouted_relativization(E, G, misroute, mode):
+    """verify_relativization with G's member g reading misroute[g] of E
+    instead of itself (None for nothing), let through whether or not G is
+    permutable; relativize reads the same table."""
+    table = G._gather_from(E)
+    for g, src in misroute.items():
+        table[G.seqs.index(g)] = None if src is None else E.seqs.index(src)
     with mock.patch.object(theorems, "is_permutable", return_value=True):
-        for G in subs + others:
-            with mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
-                r = theorems.verify_relativization(E, G, Exhaustive())
-            assert decided.call_count == 1
-            # 2 ** 18 assignments in one chunk: the column scan
-            with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 18):
-                ref = theorems.verify_relativization(E, G, Exhaustive())
-            key = lambda h: (h.mode, h.seed, h.elements_tested, h.pairs_tested, h.violation)
-            assert key(r) == key(ref), G
-            failed += not r.passed
-    assert failed >= 30 and all(theorems.verify_relativization(E, G).passed for G in subs)
+        return theorems.verify_relativization(E, G, mode)
 
 
-def test_relativization_onto_an_equal_carrier_shares_each_map():
-    # a G equal to E but another object compiles as E itself, so each law's
-    # two sides share their slots and no two gathers carry equal tables
-    E = full_carrier(2, 3)
-    G = Carrier(E.n, E.u, E.members)
-    assert G == E and G is not E
-    with mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
-        r = theorems.verify_relativization(E, G, Exhaustive())
-    program, laws, _ = decided.call_args.args
-    tables = [tuple(op[2]) for op in program if op[0] == "gather"]
-    assert tables and len(set(tables)) == len(tables)
-    assert all(lhs == rhs for lhs, rhs in laws)
-    assert r.passed and r.sub is G
+def _expected_relativization(E, sub, misroute):
+    """(mode, seed, elements_tested, pairs_tested, violation) of an
+    exhaustive verify_relativization, from brute_first_violation over
+    every (x, y) on E."""
+    laws = relativization_laws(E.n, E.seqs, sub, misroute)
+    found = brute_first_violation(E.seqs, 2, [pair for _, pair in laws])
+    space = 1 << E.size
+    if found is None:
+        return "exhaustive", None, space, space * (space + 1) // 2, None
+    index, k, (xb, yb) = found
+    violation = dict(laws[k][0], x=[list(s) for s in Elem(E, xb).seqs()])
+    if k == 0:
+        violation["y"] = [list(s) for s in Elem(E, yb).seqs()]
+    return "exhaustive", None, xb + 1, index + 1, violation
+
+
+def test_exhaustive_relativization_matches_pairwise_enumeration():
+    # every permutable G of ^2 3 holds, from G and the least member outside
+    # it, or from G itself past 6 members (the enumeration takes 4 ** |E|
+    # pairs); the non-permutable G, let through, break laws from their
+    # permutable closure, and the misrouted tables from all of ^2 3
+    rng = random.Random(11)
+    space = lex_sequences(2, 3)
+    subs = [list(G.seqs) for G in permutable_subsets(2, 3)]
+    assert len(subs) == 64
+    cases = [(sorted(sub + [q for q in space if q not in sub][:len(sub) <= 6]), sub, {}) for sub in subs]
+    others = []
+    while len(others) < 40 + 12:
+        sub = sorted(rng.sample(space, rng.randint(1, 8)))
+        if not brute_permutable(sub, 2):
+            others.append(sub)
+    cases += [(permutable_closure(carrier_from_seqs(2, 3, sub)).seqs, sub, {}) for sub in others[:40]]
+    for sub in others[40:]:
+        moved = rng.sample(sub, rng.randint(1, min(3, len(sub))))
+        cases.append((space, sub, {g: rng.choice([None] + [q for q in space if q != g]) for g in moved}))
+    cases.append((space, [(0, 0), (1, 1)], {(1, 1): (0, 1)}))  # s[0,1] breaks at x = {(0,1)}
+    cases.append((space, [(0, 1), (1, 0)], {(0, 1): (1, 0)}))  # two entries read (1,0)
+    failed = 0
+    for big, sub, misroute in cases:
+        E, G = carrier_from_seqs(2, 3, big), carrier_from_seqs(2, 3, sub)
+        r = misrouted_relativization(E, G, misroute, Exhaustive())
+        assert (r.mode, r.seed, r.elements_tested, r.pairs_tested, r.violation) == \
+            _expected_relativization(E, sub, misroute), (big, sub, misroute)
+        failed += not r.passed
+    assert failed == len(cases) - len(subs)
+    # sampled, with two entries reading one member of E, which no network
+    # routes
+    sub, misroute = [(0, 1), (1, 0)], {(0, 1): (1, 0)}
+    for trials, seed in ((30, 3), (1, 0), (200, 7)):
+        r = misrouted_relativization(full_carrier(2, 3), carrier_from_seqs(2, 3, sub), misroute,
+                                     Random(trials, seed))
+        violation, tested = brute_relativization(2, space, sub, trials, seed, misroute)
+        assert (r.mode, r.seed, r.violation, r.elements_tested, r.pairs_tested) == \
+            (f"random({trials})", seed, violation, tested, tested)
 
 
 @pytest.mark.parametrize("n,u,count,text,outcome", [
@@ -468,11 +525,11 @@ def term_keyed_compile(qe, D, names, rows=False):
         if isinstance(t, Var):
             op = ("var", names.index(t.name))
         elif isinstance(t, Zero):
-            op = ("zero", D.size)
+            op = ("zero",)
         elif isinstance(t, One):
-            op = ("one", D.size)
+            op = ("one",)
         elif isinstance(t, Not):
-            op = ("not", emit(t.arg), D.size)
+            op = ("not", emit(t.arg))
         elif isinstance(t, And):
             op = ("and", emit(t.left), emit(t.right))
         elif isinstance(t, Or):
@@ -605,9 +662,11 @@ def separations(draw):
 @hypothesis.settings(deadline=None, max_examples=60)
 @hypothesis.given(separations())
 @hypothesis.example((1, 3, frozenset({(0,)}), 40, 4))  # unseparated
+@hypothesis.example((1, 3, frozenset({(2,)}), 40, 4))  # unseparated past the first member
 def test_sampled_separation_matches_elementwise_reference(case):
     # hidden members drop out of every route over fewer than k values, so
-    # pairs that differ only there go unseparated
+    # pairs that differ only there go unseparated; sampled, and exhaustive
+    # on spaces of at most 8 members
     n, k, hidden, trials, seed = case
     gather_from = Carrier._gather_from
 
@@ -615,11 +674,15 @@ def test_sampled_separation_matches_elementwise_reference(case):
         table = gather_from(G, E)
         return table if G is E else [None if E.seqs[p] in hidden else p for p in table]
 
-    failure, distinct = brute_separation(n, k, trials, seed, hidden)
-    with mock.patch.object(Carrier, "_gather_from", blinded):
-        _, sep = theorems.decompose_small(n, k, mode=Random(trials, seed))
-    assert (sep.failure, sep.separated, sep.pairs_tested) == (failure, failure is None, distinct)
-    assert (sep.mode, sep.seed) == (f"random({trials})", seed)
+    modes = [(Random(trials, seed), trials, f"random({trials})", seed)]
+    if k**n <= 8:
+        modes.append((Exhaustive(), None, "exhaustive", None))
+    for mode, brute_trials, label, reported_seed in modes:
+        failure, tested = brute_separation(n, k, brute_trials, seed, hidden)
+        with mock.patch.object(Carrier, "_gather_from", blinded):
+            _, sep = theorems.decompose_small(n, k, mode=mode)
+        assert (sep.failure, sep.separated, sep.pairs_tested) == (failure, failure is None, tested)
+        assert (sep.mode, sep.seed) == (label, reported_seed)
 
 
 # --- principal ultraproducts ------------------------------------------------
