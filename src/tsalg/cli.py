@@ -36,11 +36,11 @@ import argparse
 import ast
 import dataclasses
 import functools
-import json
 import os
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .algebra import (
     Carrier,
@@ -214,7 +214,7 @@ class RunReport:
     wall_time_s: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(_encode(self), indent=2, sort_keys=True)
+        return _to_json(_encode(self))
 
     def to_text(self) -> str:
         r = _encode(self)
@@ -239,7 +239,15 @@ def _encode(value: object) -> object:
     the field's metadata "key" when set) then their public properties;
     carriers, elements, permutations and verdicts have fixed forms, and
     ints wider than 256 bits become fmt_count text (str() and json refuse
-    integers past 4300 digits)."""
+    integers past 4300 digits); plain values are checked first."""
+    if type(value) in (str, bool, float) or value is None:
+        return value
+    if isinstance(value, int):
+        return value if value.bit_length() <= 256 else fmt_count(value)
+    if isinstance(value, dict):
+        return {str(k): _encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
     if isinstance(value, Carrier):
         d: dict = {"n": value.n, "base": value.u, "size": value.size}
         if value.size <= 64:
@@ -249,29 +257,51 @@ def _encode(value: object) -> object:
         return [list(s) for s in value.seqs()]
     if isinstance(value, Perm):
         return list(value.images)
-    if isinstance(value, Verdict):
-        d = {"outcome": value.outcome, "assignments_tested": value.assignments_tested}
-        if value.trials is not None:
-            d["trials"] = value.trials
-        if value.seed is not None:
-            d["seed"] = value.seed
-        if value.witness is not None:
-            d["witness"] = _encode(dict(sorted(value.witness.items())))
-        return d
+    if isinstance(value, Verdict):  # its fields that are not None, in this order
+        d = {"outcome": value.outcome, "assignments_tested": value.assignments_tested,
+             "trials": value.trials, "seed": value.seed,
+             "witness": value.witness and dict(sorted(value.witness.items()))}
+        return {k: _encode(v) for k, v in d.items() if v is not None}
     if dataclasses.is_dataclass(value):
-        d = {f.metadata.get("key", f.name): _encode(getattr(value, f.name))
-             for f in dataclasses.fields(value)}
-        for name, attr in vars(type(value)).items():
-            if isinstance(attr, property) and not name.startswith("_"):
-                d[name] = _encode(getattr(value, name))
-        return d
-    if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, int) and value.bit_length() > 256:
-        return fmt_count(value)
+        return {key: _encode(getattr(value, name)) for key, name in _report_fields(type(value))}
     return value
+
+
+@functools.cache
+def _report_fields(cls: type) -> tuple[tuple[str, str], ...]:
+    """(key, attribute) pairs that _encode reports for a dataclass."""
+    return tuple([(f.metadata.get("key", f.name), f.name) for f in dataclasses.fields(cls)]
+                 + [(name, name) for name, attr in vars(cls).items()
+                    if isinstance(attr, property) and not name.startswith("_")])
+
+
+def _to_json(value: object, pad: str = "\n", kind: type | None = None) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it (its
+    keys str, as _encode makes them) in one pass; pad is the line break and
+    indent before value's closing bracket, kind the type to write it as."""
+    kind = kind or type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    if kind is float:  # json writes nan and ±inf as NaN and ±Infinity
+        return float.__repr__(value).replace("nan", "NaN").replace("inf", "Infinity")
+    if not value and kind in (list, tuple, dict):
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        if all(type(v) is int for v in value):  # members, witnesses, permutations
+            return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]"
+        return "[" + inner + ("," + inner).join([_to_json(v, inner) for v in value]) + pad + "]"
+    if kind is dict:
+        return "{" + inner + ("," + inner).join([encode_basestring_ascii(k) + ": " + _to_json(v, inner)
+                                                for k, v in sorted(value.items())]) + pad + "}"
+    for base in (str, int, float, list, tuple, dict):  # a subclass goes as json sends it
+        if isinstance(value, base):
+            return _to_json(value, pad, base)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _fmt_seq_set(seqs: list) -> str:

@@ -169,10 +169,10 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
     # pairs of positions of E its sides read apart at a member of G (None:
     # nothing), and the law on elements
     laws = [({"op": "complement"}, set(), lambda X: h(complement(X)) == complement(h(X)))]
+    ranks = [None if src is None else E.members[src] for src in table]
     for t in _transpositions(E.n):
-        et, gt = E._gather_for(t), G._gather_for(t)
-        lhs = [None if src is None else et[src] for src in table]
-        rhs = [None if q is None else table[q] for q in gt]
+        lhs = _swapped_at(E, ranks, t)
+        rhs = [None if q is None else table[q] for q in G._gather_for(t)]
         apart = {(a, b) for a, b in zip(lhs, rhs) if a != b}
         laws.append(({"op": "subst", "perm": list(t.images)}, apart,
                      lambda X, t=t: h(subst(E, t, X)) == subst(G, t, h(X))))
@@ -209,6 +209,16 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
         elements = pairs if isinstance(mode, Random) else x + 1
     return HomReport(E, G, ("meet", "complement", "subst"), mode.label,
                      mode.seed if isinstance(mode, Random) else None, elements, pairs, violation)
+
+
+def _swapped_at(E: Carrier, ranks: list[int | None], t: Perm) -> list[int | None]:
+    """E._gather_for(t) for t = (i j) at the members of the given ranks (None
+    gives None), compiling no other entry: swapping digits i and j of rank r
+    adds (d_j - d_i)(w_i - w_j) to r, for digits d_k of weight u**(n-1-k)."""
+    i, j = (v for v, w in enumerate(t.images) if v != w)
+    u, wi, wj = E.u, E.u ** (E.n - 1 - i), E.u ** (E.n - 1 - j)
+    return [None if r is None else E.member_index.get(r + (r // wj % u - r // wi % u) * (wi - wj))
+            for r in ranks]
 
 
 def _bit(x: int, p: int | None) -> int:

@@ -25,7 +25,7 @@ from tsalg.algebra import (Carrier, Elem, carrier_from_seqs, full_carrier, permu
                           permutable_subsets)
 from tsalg.cli import main
 from tsalg import pointwise, termlang, theorems
-from tsalg.seqspace import DimensionMismatch
+from tsalg.seqspace import DimensionMismatch, unit_seq
 from tsalg.termlang import (
     And,
     Equation,
@@ -648,6 +648,61 @@ def test_sampled_relativization_matches_elementwise_reference(case):
         r = theorems.verify_relativization(E, G, mode=Random(trials, seed))
     assert (r.violation, r.elements_tested, r.pairs_tested) == (violation, tested, tested)
     assert (r.mode, r.seed) == (f"random({trials})", seed)
+
+
+@strat.composite
+def routed_relativizations(draw):
+    """A carrier E (any subset of ^n u), a sub-carrier G of E, permutable
+    (a union of the orbits lying in E) or not (any subset), and G's table
+    into E: its own, or, when G is not E (relativize reads no table then),
+    misrouted (any position of E, or None, per entry)."""
+    n, u = draw(strat.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]))
+    members = sorted(draw(strat.lists(strat.sampled_from(lex_sequences(n, u)), min_size=1, unique=True)))
+    if draw(strat.booleans()):
+        inside = sorted({orbit(q) for q in members if orbit(q) <= set(members)}, key=min)
+        sub = set().union(*[o for o in inside if draw(strat.booleans())])
+    else:
+        sub = set(draw(strat.lists(strat.sampled_from(members), unique=True)))
+    E, G = carrier_from_seqs(n, u, members), carrier_from_seqs(n, u, sorted(sub))
+    table = G._gather_from(E)
+    if G != E and draw(strat.booleans()):
+        table = draw(strat.lists(strat.one_of(strat.none(), strat.integers(0, E.size - 1)),
+                                 min_size=G.size, max_size=G.size))
+    return E, G, table
+
+
+@hypothesis.settings(deadline=None, max_examples=100)
+@hypothesis.given(routed_relativizations())
+@hypothesis.example((full_carrier(2, 2), carrier_from_seqs(2, 2, [(0, 0), (1, 1)]), [0, 1]))
+@hypothesis.example((full_carrier(2, 3), carrier_from_seqs(2, 3, [(0, 1), (1, 0)]), [3, None]))
+def test_relativization_reads_the_bigger_carriers_gathers_where_the_table_points(case):
+    # the s_t law reads E's s_t at the positions table points at, and each
+    # such read must agree with E's whole gather there
+    E, G, table = case
+    G._gather_from(E)[:] = table
+    reads, swapped_at = [], theorems._swapped_at
+
+    def spy(big, ranks, t):
+        reads.append((t, swapped_at(big, ranks, t)))
+        return reads[-1][1]
+
+    with mock.patch.object(theorems, "_swapped_at", spy), \
+            mock.patch.object(theorems, "is_permutable", return_value=True):
+        theorems.verify_relativization(E, G, mode=Random(5, 1))
+    assert len(reads) == E.n * (E.n - 1) // 2
+    for t, lhs in reads:
+        assert lhs == [None if src is None else E._gather_for(t)[src] for src in table], t
+
+
+def test_relativization_compiles_no_gather_of_the_bigger_carrier():
+    # from full (16,2) onto its units the laws read 16 entries of each of
+    # E's 120 transposition gathers, never the 65,536 of a whole one
+    cases = [(full_carrier(2, 3), G) for G in permutable_subsets(2, 3)]
+    cases += [(full_carrier(n, 2), carrier_from_seqs(n, 2, [unit_seq(n, i) for i in range(n)]))
+              for n in (3, 16)]
+    for E, G in cases:
+        assert theorems.verify_relativization(E, G).passed
+        assert not [key for key in E._gathers if not isinstance(key, Carrier)], (E, G)
 
 
 @strat.composite

@@ -1,4 +1,5 @@
 import argparse
+import enum
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 import time
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 from tsalg import cli
@@ -328,6 +331,56 @@ def test_json_random_mode_reports_seed(full22, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "random(10)" in out and "seed: 5" in out
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 1 << 70
+
+
+class _Name(str):
+    pass
+
+
+#: Characters json escapes, text past ASCII and lone surrogates among any others.
+_json_text = strat.text(strat.one_of(
+    strat.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600",
+                        "\ud800", "\udfff"]),
+    strat.characters(exclude_categories=()),
+))
+_json_trees = strat.recursive(
+    strat.one_of(
+        strat.none(), strat.booleans(), strat.integers(), strat.integers(min_value=1 << 64),
+        strat.integers(max_value=-(1 << 64)), strat.floats(), strat.sampled_from([-0.0, 1e308]),
+        _json_text, _json_text.map(_Name), strat.sampled_from(_Level),
+    ),
+    lambda children: strat.one_of(
+        strat.lists(children, max_size=4), strat.lists(children, max_size=4).map(tuple),
+        strat.dictionaries(strat.one_of(_json_text, _json_text.map(_Name)), children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@hypothesis.settings(deadline=None, max_examples=500)
+@hypothesis.given(_json_trees)
+@hypothesis.example([[0, 1], [], {}, [[]], {"b": [True, 1], "a": {"": None}}, (2, -3)])
+@hypothesis.example([float("nan"), float("inf"), float("-inf"), -0.0, _Level.HIGH, _Name("\ud800")])
+def test_json_writer_matches_the_stdlib(tree):
+    assert cli._to_json(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_json_writer_refuses_what_json_refuses():
+    for value in ({1, 2}, [object()], {"a": frozenset()}):
+        with pytest.raises(TypeError) as ours:
+            cli._to_json(value)
+        with pytest.raises(TypeError) as stdlib:
+            json.dumps(value, indent=2, sort_keys=True)
+        assert str(ours.value) == str(stdlib.value)
+    # keys are str, as _encode makes them; any other key is refused
+    for value in ({(1,): 2}, {1: 2}):
+        with pytest.raises(TypeError):
+            cli._to_json(value)
 
 
 def test_random_seed_changes_nothing_when_exhaustive(full22, capsys):
