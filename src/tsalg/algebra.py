@@ -126,9 +126,12 @@ class Carrier:
 
     @property
     def seqs(self) -> tuple[Seq, ...]:
-        """Member sequences in carrier (= rank) order."""
+        """Member sequences in carrier (= rank) order, which is product's
+        order on a full carrier."""
         if self._seqs is None:
-            self._seqs = tuple(unrank(r, self.n, self.u) for r in self.members)
+            full = self.size == self.u**self.n
+            self._seqs = tuple(itertools.product(range(self.u), repeat=self.n) if full
+                               else (unrank(r, self.n, self.u) for r in self.members))
         return self._seqs
 
     def __eq__(self, other: object) -> bool:

@@ -33,14 +33,15 @@ with its seed reproduces it bit for bit (wall time aside).
 from __future__ import annotations
 
 import argparse
-import ast
 import dataclasses
 import functools
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NoReturn
 
 from .algebra import (
     Carrier,
@@ -82,6 +83,19 @@ from .theorems import (
 )
 
 
+_COMMENT = re.compile("#.*")
+#: A key, '=' (empty when missing) and a word (empty at a line break, a
+#: list when it starts with "["), each after blanks.
+_ENTRY = re.compile(r"\s*(\w*)[ \t]*(=?)[ \t]*(\S*)")
+_NAT = re.compile("[0-9]+")
+#: A list of sequences of naturals, two deep, trailing commas allowed.
+_SEQ_LIST = re.compile(r"\[\s*(?:\[\s*(?:[0-9]+\s*(?:,\s*|(?=\])))*\]\s*(?:,\s*|(?=\])))*\]")
+_SEQ = re.compile(r"\[([^\]]*)\]")
+_BRACKET = re.compile(r"[\[\]]")
+#: A character that no list of naturals holds.
+_STRAY = re.compile(r"[^\s\[\],0-9]")
+
+
 class SpecFileError(ValueError):
     """An .alg document is malformed."""
 
@@ -101,66 +115,49 @@ class AlgebraSpec:
 
 
 def parse_algebra_spec(text: str, source: str = "<spec>") -> AlgebraSpec:
-    cleaned = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    cleaned = _COMMENT.sub("", "\n".join(text.splitlines()))
 
-    def line_of(pos: int) -> int:
-        return cleaned.count("\n", 0, pos) + 1
+    def fail(pos: int, message: str) -> NoReturn:
+        line = cleaned.count("\n", 0, pos) + 1
+        raise SpecFileError(f"{source}:{line}: {message}")
 
     fields: dict[str, object] = {}
     pos = 0
-    size = len(cleaned)
-    while True:
-        while pos < size and cleaned[pos].isspace():
-            pos += 1
-        if pos >= size:
-            break
-        start = pos
-        while pos < size and (cleaned[pos].isalnum() or cleaned[pos] == "_"):
-            pos += 1
-        key = cleaned[start:pos]
+    while (m := _ENTRY.match(cleaned, pos)).start(1) < len(cleaned):
+        key, word, pos = m[1], m[3], m.start(3)
         if not key:
-            raise SpecFileError(f"{source}:{line_of(pos)}: expected a key, found {cleaned[pos]!r}")
+            fail(m.start(1), f"expected a key, found {cleaned[m.start(1)]!r}")
         if key in fields:
-            raise SpecFileError(f"{source}:{line_of(start)}: duplicate key {key!r}")
-        while pos < size and cleaned[pos] in " \t":
-            pos += 1
-        if pos >= size or cleaned[pos] != "=":
-            raise SpecFileError(f"{source}:{line_of(pos)}: expected '=' after {key!r}")
-        pos += 1
-        while pos < size and cleaned[pos] in " \t":
-            pos += 1
-        if pos >= size or cleaned[pos] == "\n":
-            raise SpecFileError(f"{source}:{line_of(pos)}: missing value for {key!r}")
-        if cleaned[pos] == "[":
-            depth = 0
-            vstart = pos
-            while pos < size:
-                if cleaned[pos] == "[":
-                    depth += 1
-                elif cleaned[pos] == "]":
-                    depth -= 1
-                    if depth == 0:
-                        pos += 1
-                        break
-                pos += 1
-            if depth != 0:
-                raise SpecFileError(f"{source}:{line_of(vstart)}: unbalanced brackets in {key!r}")
+            fail(m.start(1), f"duplicate key {key!r}")
+        if not m[2]:
+            fail(m.start(2), f"expected '=' after {key!r}")
+        if not word:
+            fail(pos, f"missing value for {key!r}")
+        if word[0] != "[":
             try:
-                value = ast.literal_eval(cleaned[vstart:pos])
-            except (ValueError, SyntaxError) as exc:
-                raise SpecFileError(f"{source}:{line_of(vstart)}: bad list for {key!r}: {exc}") from None
-            fields[key] = value
-        else:
-            vstart = pos
-            while pos < size and not cleaned[pos].isspace():
-                pos += 1
-            word = cleaned[vstart:pos]
-            if word.isdigit():
-                fields[key] = int(word)
-            elif word:
-                fields[key] = word
+                fields[key] = int(word) if _NAT.fullmatch(word) else word
+            except ValueError as exc:  # past int's digit limit
+                fail(pos, f"bad value for {key!r}: {exc}")
+            pos = m.end()
+        elif seqs := _SEQ_LIST.match(cleaned, pos):
+            try:
+                fields[key] = tuple(tuple(map(int, _NAT.findall(seq)))
+                                    for seq in _SEQ.findall(cleaned, pos + 1, seqs.end() - 1))
+            except ValueError as exc:  # an entry past int's digit limit
+                fail(pos, f"bad list for {key!r}: {exc}")
+            pos = seqs.end()
+        else:  # not a list of sequences: find its end, then what it holds
+            depth = 0
+            for bracket in _BRACKET.finditer(cleaned, pos):
+                depth += 1 if bracket[0] == "[" else -1
+                if not depth:
+                    break
             else:
-                raise SpecFileError(f"{source}:{line_of(vstart)}: missing value for {key!r}")
+                fail(pos, f"unbalanced brackets in {key!r}")
+            if stray := _STRAY.search(cleaned, pos, bracket.end()):
+                fail(stray.start(), f"bad list for {key!r}: unexpected {stray[0]!r}")
+            fields[key] = None  # refused below
+            pos = bracket.end()
 
     for required in ("n", "base", "carrier"):
         if required not in fields:
@@ -168,18 +165,12 @@ def parse_algebra_spec(text: str, source: str = "<spec>") -> AlgebraSpec:
     extra = set(fields) - {"n", "base", "carrier"}
     if extra:
         raise SpecFileError(f"{source}: unknown keys {sorted(extra)}")
-    n = fields["n"]
-    base = fields["base"]
+    n, base, carrier = fields["n"], fields["base"], fields["carrier"]
     if not isinstance(n, int) or not isinstance(base, int):
         raise SpecFileError(f"{source}: 'n' and 'base' must be naturals")
-    carrier = fields["carrier"]
-    if carrier == "full":
-        return AlgebraSpec(n, base, "full")
-    if not isinstance(carrier, list) or not all(
-        isinstance(row, list) and all(isinstance(e, int) for e in row) for row in carrier
-    ):
+    if carrier != "full" and not isinstance(carrier, tuple):
         raise SpecFileError(f"{source}: carrier must be 'full' or a list of sequences")
-    return AlgebraSpec(n, base, tuple(tuple(row) for row in carrier))
+    return AlgebraSpec(n, base, carrier)
 
 
 def load_algebra_spec(path: str) -> AlgebraSpec:
@@ -214,10 +205,10 @@ class RunReport:
     wall_time_s: float = 0.0
 
     def to_json(self) -> str:
-        return _to_json(_encode(self))
+        return _to_json(_encode(self, {}))
 
     def to_text(self) -> str:
-        r = _encode(self)
+        r = _encode(self, {})
         lines = [f"command: {self.command}"]
         for k, v in r["inputs"].items():
             lines.append(f"  {k}: {_fmt_value(v)}")
@@ -234,25 +225,28 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _encode(value: object) -> object:
+def _encode(value: object, seen: dict) -> object:
     """JSON data for a report value: dataclasses give their fields (under
     the field's metadata "key" when set) then their public properties;
     carriers, elements, permutations and verdicts have fixed forms, and
     ints wider than 256 bits become fmt_count text (str() and json refuse
-    integers past 4300 digits); plain values are checked first."""
+    integers past 4300 digits); plain values are checked first.  seen
+    keeps each carrier met, by id, with its dict: a report may hold one twice."""
     if type(value) in (str, bool, float) or value is None:
         return value
     if isinstance(value, int):
         return value if value.bit_length() <= 256 else fmt_count(value)
     if isinstance(value, dict):
-        return {str(k): _encode(v) for k, v in value.items()}
+        return {str(k): _encode(v, seen) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
+        return [_encode(v, seen) for v in value]
     if isinstance(value, Carrier):
-        d: dict = {"n": value.n, "base": value.u, "size": value.size}
-        if value.size <= 64:
-            d["members"] = [list(s) for s in value.seqs]
-        return d
+        if id(value) not in seen:
+            d: dict = {"n": value.n, "base": value.u, "size": value.size}
+            if value.size <= 64:
+                d["members"] = [list(s) for s in value.seqs]
+            seen[id(value)] = value, d
+        return seen[id(value)][1]
     if isinstance(value, Elem):
         return [list(s) for s in value.seqs()]
     if isinstance(value, Perm):
@@ -261,9 +255,9 @@ def _encode(value: object) -> object:
         d = {"outcome": value.outcome, "assignments_tested": value.assignments_tested,
              "trials": value.trials, "seed": value.seed,
              "witness": value.witness and dict(sorted(value.witness.items()))}
-        return {k: _encode(v) for k, v in d.items() if v is not None}
+        return {k: _encode(v, seen) for k, v in d.items() if v is not None}
     if dataclasses.is_dataclass(value):
-        return {key: _encode(getattr(value, name)) for key, name in _report_fields(type(value))}
+        return {key: _encode(getattr(value, name), seen) for key, name in _report_fields(type(value))}
     return value
 
 
@@ -275,10 +269,11 @@ def _report_fields(cls: type) -> tuple[tuple[str, str], ...]:
                     if isinstance(attr, property) and not name.startswith("_")])
 
 
-def _to_json(value: object, pad: str = "\n", kind: type | None = None) -> str:
+def _to_json(value: object, pad: str = "\n", seen: dict | None = None, kind: type | None = None) -> str:
     """value as json.dumps(value, indent=2, sort_keys=True) writes it (its
     keys str, as _encode makes them) in one pass; pad is the line break and
-    indent before value's closing bracket, kind the type to write it as."""
+    indent before value's closing bracket, seen the text of each dict
+    written, by id and pad, and kind the type to write value as."""
     kind = kind or type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -291,16 +286,20 @@ def _to_json(value: object, pad: str = "\n", kind: type | None = None) -> str:
     if not value and kind in (list, tuple, dict):
         return "{}" if kind is dict else "[]"
     inner = pad + "  "
+    seen = {} if seen is None else seen
     if kind is list or kind is tuple:
         if all(type(v) is int for v in value):  # members, witnesses, permutations
             return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]"
-        return "[" + inner + ("," + inner).join([_to_json(v, inner) for v in value]) + pad + "]"
+        return "[" + inner + ("," + inner).join([_to_json(v, inner, seen) for v in value]) + pad + "]"
     if kind is dict:
-        return "{" + inner + ("," + inner).join([encode_basestring_ascii(k) + ": " + _to_json(v, inner)
-                                                for k, v in sorted(value.items())]) + pad + "}"
+        if (id(value), pad) not in seen:
+            seen[id(value), pad] = "{" + inner + ("," + inner).join(
+                [encode_basestring_ascii(k) + ": " + _to_json(v, inner, seen)
+                 for k, v in sorted(value.items())]) + pad + "}"
+        return seen[id(value), pad]
     for base in (str, int, float, list, tuple, dict):  # a subclass goes as json sends it
         if isinstance(value, base):
-            return _to_json(value, pad, base)
+            return _to_json(value, pad, seen, base)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -401,7 +400,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, seed="accepted and ignored: ultraproduct decides every class and samples nothing",
            modes=False)
 
+    parser.commands = sub.choices
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """_build_parser().parse_args(argv), skipping the top-level parser
+    when argv[0] names a subcommand."""
+    parser = _build_parser()
+    if not argv or argv[0] not in parser.commands:
+        return parser.parse_args(argv)
+    args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def _echoable(what: str, value: int) -> int:
@@ -579,9 +592,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # argparse already printed usage
         code = exc.code
         return code if isinstance(code, int) else 2

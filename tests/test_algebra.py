@@ -45,6 +45,7 @@ from tsalg.seqspace import (
     rank,
     transposition,
     unit_seq,
+    unrank,
 )
 
 from oracles import (
@@ -79,6 +80,13 @@ def test_carrier_orders_members_by_rank():
     assert D.seqs == ((0, 1), (1, 0))
     assert D.size == 2
     assert D.member_index == {1: 0, 2: 1}
+
+
+def test_full_carrier_seqs_are_its_unranked_members():
+    for n in range(5):
+        for u in range(4):
+            D = full_carrier(n, u)
+            assert D.seqs == tuple(unrank(r, n, u) for r in D.members), (n, u)
 
 
 def test_carrier_rejects_bad_ranks():

@@ -12,7 +12,7 @@ import hypothesis.strategies as strat
 import pytest
 
 from tsalg import cli
-from tsalg.algebra import carrier_from_seqs, elem_from_seqs
+from tsalg.algebra import carrier_from_seqs, elem_from_seqs, full_carrier
 from tsalg.cli import AlgebraSpec, SpecFileError, main, parse_algebra_spec
 from tsalg.seqspace import Perm
 from tsalg.termlang import DEFAULT_SEED, parse_equation, parse_quasi, equation_violated, quasi_violated
@@ -61,6 +61,47 @@ def test_parse_algebra_spec_explicit_and_comments():
     spec = parse_algebra_spec(text)
     assert spec.carrier == ((0, 1), (1, 0))
     assert spec.to_carrier() == carrier_from_seqs(2, 2, [(0, 1), (1, 0)])
+    # comments inside a list, blank lines and trailing commas
+    text = "n = 2\nbase = 2\ncarrier = [  # swapped\n  [0, 1,],  # first\n\n\t[1,0],\n]  # end\n"
+    assert parse_algebra_spec(text).carrier == ((0, 1), (1, 0))
+
+
+def test_empty_list_is_the_empty_carrier(tmp_path, capsys):
+    spec = parse_algebra_spec("n = 2\nbase = 2\ncarrier = []\n")
+    assert spec == AlgebraSpec(2, 2, ())
+    assert spec.to_carrier().size == 0
+    path = tmp_path / "empty.alg"
+    path.write_text("n = 2\nbase = 2\ncarrier = [ ]\n")
+    assert main(["check", "--spec", str(path), "--eq", "x = x", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"] == {"assignments_tested": 1, "carrier_size": 0}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # scalars are ASCII naturals: neither a superscript nor another script's digit
+        ("n = \u00b2\nbase = 2\ncarrier = full\n", "a.alg: 'n' and 'base' must be naturals"),
+        ("n = 2\nbase = \u0663\ncarrier = full\n", "a.alg: 'n' and 'base' must be naturals"),
+        # list entries are ASCII naturals too, not Python's other int literals
+        ("n = 2\nbase = 2\ncarrier = [[True, 0], [0, 1]]\n", "a.alg:3: bad list for 'carrier': unexpected 'T'"),
+        ("n = 2\nbase = 2\ncarrier = [[0x1, 0]]\n", "a.alg:3: bad list for 'carrier': unexpected 'x'"),
+        ("n = 2\nbase = 2\ncarrier = [\n  [1_0]]\n", "a.alg:4: bad list for 'carrier': unexpected '_'"),
+    ],
+)
+def test_spec_values_are_ascii_naturals(text, message):
+    with pytest.raises(SpecFileError) as err:
+        parse_algebra_spec(text, source="a.alg")
+    assert str(err.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any length")
+def test_naturals_past_the_digit_limit_name_file_and_line():
+    digits = "1" + "0" * 5000
+    for text, line in ((f"n = {digits}\nbase = 2\ncarrier = full\n", 1),
+                       (f"n = 2\nbase = 2\ncarrier = [[0, 1],\n  [{digits}, 0]]\n", 3)):
+        with pytest.raises(SpecFileError) as err:
+            parse_algebra_spec(text, source="a.alg")
+        assert str(err.value).startswith(f"a.alg:{line}: bad ")
 
 
 @pytest.mark.parametrize(
@@ -368,6 +409,22 @@ _json_trees = strat.recursive(
 @hypothesis.example([float("nan"), float("inf"), float("-inf"), -0.0, _Level.HIGH, _Name("\ud800")])
 def test_json_writer_matches_the_stdlib(tree):
     assert cli._to_json(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_report_encodes_each_carrier_once_and_writes_it_in_full():
+    c = full_carrier(2, 2)
+    twin = full_carrier(2, 2)  # equal to c, another object
+    report = cli.RunReport(command="shared", inputs={"c": c, "nested": [c, {"deep": c}], "twin": twin},
+                           outcome="o", passed=True, mode="m", seed=None, counts={},
+                           details={"c": c, "twin": twin})
+    encoded = cli._encode(report, {})
+    inputs = encoded["inputs"]
+    assert inputs["c"] is inputs["nested"][0] is inputs["nested"][1]["deep"] is encoded["details"]["c"]
+    assert inputs["twin"] == inputs["c"] and inputs["twin"] is not inputs["c"]
+    # json.dumps writes every occurrence of a shared dict in full
+    assert report.to_json() == json.dumps(encoded, indent=2, sort_keys=True)
+    assert json.loads(report.to_json())["details"]["twin"] == {
+        "n": 2, "base": 2, "size": 4, "members": [[0, 0], [0, 1], [1, 0], [1, 1]]}
 
 
 def test_json_writer_refuses_what_json_refuses():

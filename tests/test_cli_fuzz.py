@@ -4,8 +4,11 @@ Inputs are random .alg documents (keys, values, brackets, comments),
 term text, and int flags that reach past 2**64.  Carriers that get built
 keep to 16 members or fewer and the trial counts stay small, so every run
 ends quickly; sizes past the caps must be refused without being built.
+The .alg parser is also tested on its own, against ast.literal_eval and
+on deep and long lists, and main's argument routing against argparse's.
 """
 
+import ast
 import contextlib
 import io
 import tempfile
@@ -14,8 +17,10 @@ from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as strat
+import pytest
 
-from tsalg.cli import main
+from tsalg import cli
+from tsalg.cli import main, parse_algebra_spec
 
 #: Ints past every cap and past 2**64, both signs.
 HUGE = strat.sampled_from([1 << 32, 1 << 63, (1 << 64) + 1, 10**29, 1 << 300]).flatmap(
@@ -182,3 +187,85 @@ def test_main_exits_0_1_or_2(case):
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert time.perf_counter() - started < 10, argv
     assert "Traceback" not in err.getvalue()
+
+
+# --- the .alg parser on its own ------------------------------------------------
+
+#: What may stand between a list's tokens: blanks, line breaks, comments.
+BLANKS = strat.text(" \t\n", max_size=3) | strat.sampled_from(["  # note\n", "\n# a line\n\t"])
+
+
+@strat.composite
+def seq_lists(draw) -> str:
+    """A list of sequences of naturals as the README's grammar allows it:
+    blanks and comments between any tokens, and at times a trailing comma."""
+
+    def bracketed(items: list[str]) -> str:
+        text = "".join(draw(BLANKS) + item + draw(BLANKS) + "," for item in items)
+        if items and draw(strat.booleans()):
+            text = text[:-1]
+        return "[" + text + draw(BLANKS) + "]"
+
+    rows = draw(strat.lists(strat.lists(strat.integers(0, 10**30), max_size=5), max_size=6))
+    return bracketed([bracketed([str(e) for e in row]) for row in rows])
+
+
+@hypothesis.settings(deadline=None, max_examples=500)
+@hypothesis.given(seq_lists())
+@hypothesis.example("[]")
+@hypothesis.example("[[]]")
+@hypothesis.example("[[0,],[1 ,2 ] ,]")
+def test_spec_lists_read_as_literal_eval_reads_them(text):
+    expected = tuple(tuple(row) for row in ast.literal_eval(text))
+    assert parse_algebra_spec(f"n = 1\nbase = 1\ncarrier = {text}\n").carrier == expected
+
+
+@pytest.mark.parametrize("body, message", [
+    ("[" * 100_000 + "]" * 100_000, "carrier must be 'full' or a list of sequences"),
+    ("[" * 100_000 + "]" * 99_999, ":3: unbalanced brackets in 'carrier'"),
+], ids=["balanced", "unbalanced"])
+def test_deep_nesting_exits_two_with_a_true_message(tmp_path, body, message):
+    path = tmp_path / "deep.alg"
+    path.write_text(f"n = 1\nbase = 1\ncarrier = {body}\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["closure", "--spec", str(path)]) == 2
+    assert err.getvalue().startswith(f"error: {path}") and message in err.getvalue()
+
+
+def test_long_list_parses_in_bounded_time():
+    rows = [(r % 2, r // 2 % 2, r % 3) for r in range(200_000)]
+    text = "n = 3\nbase = 3\ncarrier = [" + ",\n".join(str(list(row)) for row in rows) + "]\n"
+    started = time.perf_counter()
+    spec = parse_algebra_spec(text)
+    assert time.perf_counter() - started < 3
+    assert spec.carrier == tuple(rows)
+
+
+# --- argument routing --------------------------------------------------------
+
+COMMANDS = ["check", "closure", "decompose", "sigma-demo", "ultraproduct", "verify-relativization"]
+ARGV_WORDS = strat.sampled_from(
+    COMMANDS + ["nonsense", "--spec", "--eq", "--quasi", "--big", "--sub", "--n", "--k", "--index",
+                "--seed", "--random", "--exhaustive", "--all-perm-pairs", "--json", "--bogus", "-x",
+                "-h", "--help", "--", "2", "-1", "x = x", "", "a.alg", "--spec=a.alg", "--n=3"])
+
+
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(strat.lists(ARGV_WORDS, max_size=8)
+                  | strat.tuples(strat.sampled_from(COMMANDS), strat.lists(ARGV_WORDS, max_size=8))
+                  .map(lambda t: [t[0], *t[1]]))
+@hypothesis.example([])
+@hypothesis.example(["check", "--spec", "a.alg", "--eq", "x = x", "extra"])
+@hypothesis.example(["decompose", "--n", "2", "--k", "2", "--", "--json"])
+def test_main_routes_argv_as_the_top_level_parser_does(argv):
+    def outcome(parse):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = parse(list(argv))
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    assert outcome(cli._parse_args) == outcome(cli._build_parser().parse_args)
