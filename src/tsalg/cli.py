@@ -55,21 +55,17 @@ from .seqspace import Perm, Seq, fmt_seq
 from .termlang import (
     DEFAULT_ASSIGNMENT_BUDGET,
     DEFAULT_SEED,
-    Equation,
+    Auto,
     Exhaustive,
+    Mode,
     QuasiEquation,
     Random,
     Verdict,
-    check_equation,
     check_quasi,
-    equation_vars,
     fmt_count,
     parse_equation,
     parse_quasi,
-    print_equation,
     print_quasi,
-    quasi_vars,
-    resolve_mode,
 )
 from .theorems import (
     backward_cycle,
@@ -439,16 +435,17 @@ def _budget_from_env() -> int:
     return _echoable("TRA_BUDGET", value)
 
 
-def _mode_from_args(args: argparse.Namespace) -> Exhaustive | Random | None:
+def _mode_from_args(args: argparse.Namespace, budget: int) -> Mode:
+    """The run's one mode: its flags, with the run's budget and seed."""
     if args.exhaustive:
-        return Exhaustive()
+        return Exhaustive(budget)
     if args.random is not None:
         # 2^32 trials are more than a run could finish, and few enough that
         # trials times variables counts the draws in a C ssize_t
         if not 0 < args.random < 1 << 32:
             raise UsageError("--random takes a positive trial count, fewer than 2^32")
         return Random(args.random, args.seed)
-    return None  # auto: resolve_mode picks with the run's budget
+    return Auto(budget, args.seed)
 
 
 # --- subcommands ---------------------------------------------------------
@@ -458,18 +455,18 @@ def _cmd_sigma_demo(args: argparse.Namespace, budget: int) -> RunReport:
     n = args.n
     if not 2 <= n <= 6:
         raise UsageError(f"sigma-demo supports 2 <= n <= 6, got {n}")
-    mode = _mode_from_args(args)
+    mode = _mode_from_args(args, budget)
     counter = build_counterexample(n)
-    escape = verify_h_escape(n, budget=budget, seed=args.seed) if n <= 4 else None
+    escape = verify_h_escape(n, Auto(budget, args.seed)) if n <= 4 else None
     pairs = "all" if args.all_perm_pairs else (forward_cycle(n), backward_cycle(n))
-    small = sigma_holds_small(n, 2, pairs=pairs, mode=mode, budget=budget, seed=args.seed)
+    small = sigma_holds_small(n, 2, pairs, mode)
     passed = counter.passed and small.holds and small.agree and (escape is None or escape.passed)
     return RunReport(
         command="sigma-demo",
         inputs={"n": n, "all_perm_pairs": args.all_perm_pairs, "budget": budget},
         outcome="all assertions reproduced" if passed else "an assertion failed",
         passed=passed,
-        mode=f"auto(budget={budget})" if mode is None else mode.label,
+        mode=mode.label,
         seed=args.seed,
         counts={"counterexample_assignments": counter.verdict.assignments_tested,
                 "sigma_small_assignments": small.assignments_tested},
@@ -485,24 +482,15 @@ def _cmd_sigma_demo(args: argparse.Namespace, budget: int) -> RunReport:
 def _cmd_check(args: argparse.Namespace, budget: int) -> RunReport:
     spec = load_algebra_spec(args.spec)
     carrier = spec.to_carrier()
-    if args.eq is not None:
-        kind, text = "eq", args.eq
-        formula: Equation | QuasiEquation = parse_equation(text)
-        canonical, names, check = print_equation(formula), equation_vars(formula), check_equation
-    else:
-        kind, text = "quasi", args.quasi
-        formula = parse_quasi(text)
-        canonical, names, check = print_quasi(formula), quasi_vars(formula), check_quasi
-    # resolved here, with the run's budget and seed, so the report names the mode
-    mode = resolve_mode(1 << (carrier.size * len(names)), _mode_from_args(args),
-                        budget, args.seed)
-    verdict = check(carrier, formula, mode)
+    kind, text = ("eq", args.eq) if args.eq is not None else ("quasi", args.quasi)
+    formula = QuasiEquation((), parse_equation(text)) if kind == "eq" else parse_quasi(text)
+    verdict = check_quasi(carrier, formula, _mode_from_args(args, budget))
     return RunReport(
         command="check",
-        inputs={"spec": spec, kind: text, "canonical": canonical, "budget": budget},
+        inputs={"spec": spec, kind: text, "canonical": print_quasi(formula), "budget": budget},
         outcome=verdict.outcome,
         passed=verdict.holds,
-        mode=mode.label,
+        mode=verdict.mode,
         seed=verdict.seed,
         counts={"assignments_tested": verdict.assignments_tested,
                 "carrier_size": carrier.size},
@@ -513,8 +501,7 @@ def _cmd_check(args: argparse.Namespace, budget: int) -> RunReport:
 def _cmd_verify_relativization(args: argparse.Namespace, budget: int) -> RunReport:
     big = load_algebra_spec(args.big).to_carrier()
     sub = load_algebra_spec(args.sub).to_carrier()
-    hom = verify_relativization(big, sub, mode=_mode_from_args(args), budget=budget,
-                                seed=args.seed)
+    hom = verify_relativization(big, sub, _mode_from_args(args, budget))
     return RunReport(
         command="verify-relativization",
         inputs={"big": big, "sub": sub, "budget": budget},
@@ -530,8 +517,7 @@ def _cmd_verify_relativization(args: argparse.Namespace, budget: int) -> RunRepo
 def _cmd_decompose(args: argparse.Namespace, budget: int) -> RunReport:
     if args.n < 0 or args.k < 0:
         raise UsageError("--n and --k must be naturals")
-    records, sep = decompose_small(args.n, args.k, mode=_mode_from_args(args),
-                                   budget=budget, seed=args.seed)
+    records, sep = decompose_small(args.n, args.k, _mode_from_args(args, budget))
     passed = all(r.image_nonzero for r in records) and sep.separated
     return RunReport(
         command="decompose",

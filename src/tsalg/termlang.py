@@ -503,13 +503,11 @@ def quasi_violated(D: Carrier, qe: QuasiEquation, assignment: Mapping[str, Elem]
 
 @dataclass(frozen=True)
 class Exhaustive:
-    """Enumerate every assignment; requires (2**|D|)**v within budget."""
+    """Enumerate every assignment; the work must fit budget."""
 
-    budget: int | None = None
-
-    @property
-    def label(self) -> str:
-        return "exhaustive"
+    budget: int = DEFAULT_ASSIGNMENT_BUDGET
+    label = "exhaustive"
+    seed = None  # nothing is drawn
 
 
 @dataclass(frozen=True)
@@ -524,32 +522,36 @@ class Random:
         return f"random({self.trials})"
 
 
-Mode = Exhaustive | Random
+@dataclass(frozen=True)
+class Auto:
+    """Enumerate when the work fits budget, else sample DEFAULT_TRIALS with seed."""
+
+    budget: int = DEFAULT_ASSIGNMENT_BUDGET
+    seed: int = DEFAULT_SEED
+
+    @property
+    def label(self) -> str:
+        return f"auto(budget={self.budget})"
 
 
-def resolve_mode(work: int, mode: Mode | None, budget: int | None = None,
-                 seed: int = DEFAULT_SEED) -> Mode:
-    """The one mode policy shared by every checker and verifier.
+Mode = Exhaustive | Random | Auto
 
-    work is what an exhaustive run would enumerate.  Auto mode (None)
-    enumerates when work fits the budget and otherwise samples
-    DEFAULT_TRIALS with the given seed.  An explicit Exhaustive over its
-    budget raises BudgetExceeded; its own budget, when set, wins over the
-    budget argument, which defaults to DEFAULT_ASSIGNMENT_BUDGET.  Random
-    passes through.  The result is always concrete.
-    """
+
+def resolve_mode(work: int, mode: Mode) -> Exhaustive | Random:
+    """The one mode policy of every checker and verifier, and the only
+    reader of a budget and of Auto's seed.  work is what an exhaustive run
+    would enumerate.  Auto resolves by its budget; Exhaustive raises
+    BudgetExceeded when work is over its budget; Random passes through;
+    anything else, None included, raises TypeError."""
+    if isinstance(mode, Auto):
+        return Exhaustive(mode.budget) if work <= mode.budget else Random(DEFAULT_TRIALS, mode.seed)
+    if isinstance(mode, Exhaustive):
+        if work > mode.budget:
+            raise BudgetExceeded(work, mode.budget)
+        return mode
     if isinstance(mode, Random):
         return mode
-    cap = DEFAULT_ASSIGNMENT_BUDGET if budget is None else budget
-    if mode is None:
-        return Exhaustive(cap) if work <= cap else Random(DEFAULT_TRIALS, seed)
-    if not isinstance(mode, Exhaustive):
-        raise TypeError(f"unknown checking mode: {mode!r}")
-    if mode.budget is not None:
-        cap = mode.budget
-    if work > cap:
-        raise BudgetExceeded(work, cap)
-    return Exhaustive(cap)
+    raise TypeError(f"unknown checking mode: {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -570,6 +572,10 @@ class Verdict:
     @property
     def holds(self) -> bool:
         return self.outcome != "fails"
+
+    @property
+    def mode(self) -> str:  # the label of the mode that decided it
+        return "exhaustive" if self.trials is None else f"random({self.trials})"
 
 
 # --- evaluation by columns and by packed rows (see the module docstring) ----

@@ -70,7 +70,7 @@ from .seqspace import (
     unit_seq,
 )
 from .termlang import (
-    DEFAULT_SEED,
+    Auto,
     BudgetExceeded,
     Exhaustive,
     Mode,
@@ -133,8 +133,7 @@ class HomReport:
         return self.violation is None
 
 
-def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
-                          budget: int | None = None, seed: int = DEFAULT_SEED) -> HomReport:
+def verify_relativization(E: Carrier, G: Carrier, mode: Mode = Auto()) -> HomReport:
     """Check that h: x -> x ∩ G is a homomorphism from the algebra over E
     onto the algebra over G: over x, y in 2**E, the laws h(x & y) = h x &
     h y, h(~x) = ~h x and h(s_t x) = s_t h x for every transposition t.
@@ -151,8 +150,8 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
     re-checked through relativize, subst and complement.
 
     G must be a permutable sub-carrier of E — a precondition, not a checked
-    property, so a non-permutable G raises instead of failing.  Exhaustive
-    when the pairs x <= y fit the budget, otherwise sampled.
+    property, so a non-permutable G raises instead of failing.  The work
+    that mode's budget counts is the pairs x <= y.
     """
     table = G._gather_from(E)  # raises unless G is a sub-carrier of E
     if not is_permutable(G):
@@ -161,7 +160,7 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
     space = 1 << E.size
     # the meet law is pairwise, so budget the dominant quadratic cost
     work = space * (space + 1) // 2
-    mode = resolve_mode(work, mode, budget, seed)
+    mode = resolve_mode(work, mode)
 
     h = functools.partial(relativize, G=G)
     hole = None in table
@@ -207,8 +206,7 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode | None = None,
         violation = dict(record, x=_seq_lists(_rechecked(violates, [x])))
         pairs = index + 1
         elements = pairs if isinstance(mode, Random) else x + 1
-    return HomReport(E, G, ("meet", "complement", "subst"), mode.label,
-                     mode.seed if isinstance(mode, Random) else None, elements, pairs, violation)
+    return HomReport(E, G, ("meet", "complement", "subst"), mode.label, mode.seed, elements, pairs, violation)
 
 
 def _swapped_at(E: Carrier, ranks: list[int | None], t: Perm) -> list[int | None]:
@@ -257,8 +255,8 @@ class SeparationReport:
     failure: dict | None
 
 
-def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None = None,
-                    seed: int = DEFAULT_SEED) -> tuple[list[DecompositionRecord], SeparationReport]:
+def decompose_small(n: int, k: int,
+                    mode: Mode = Auto()) -> tuple[list[DecompositionRecord], SeparationReport]:
     """Build, per atom {q} of the full algebra over ^n k, the map
     'relativize to ^n range(q), then relabel the base'; check each atom
     survives its own map, and that the maps jointly separate elements.
@@ -304,7 +302,7 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
 
     space = 1 << A.size
     # separation is checked pairwise, so budget the quadratic cost
-    mode = resolve_mode(space * (space - 1) // 2, mode, budget, seed)
+    mode = resolve_mode(space * (space - 1) // 2, mode)
     # separation: h_b x = h_b y for every route b  =>  x = y.  x and y agree
     # under every route just where they agree on the members some route
     # reads.  pairs_tested counts the pairs x < y of the x-major order, or
@@ -340,8 +338,7 @@ def decompose_small(n: int, k: int, mode: Mode | None = None, budget: int | None
 
         X, Y = _rechecked(violates, list(found))
         violation = {"x": _seq_lists(X), "y": _seq_lists(Y)}
-    sep = SeparationReport(space, pairs, mode.label, mode.seed if isinstance(mode, Random) else None,
-                           violation is None, violation)
+    sep = SeparationReport(space, pairs, mode.label, mode.seed, violation is None, violation)
     return records, sep
 
 
@@ -378,8 +375,7 @@ class SigmaSmallReport:
 
 
 def sigma_holds_small(n: int, k: int, pairs: str | tuple[Perm, Perm] = "all",
-                      mode: Mode | None = None, budget: int | None = None,
-                      seed: int = DEFAULT_SEED) -> SigmaSmallReport:
+                      mode: Mode = Auto()) -> SigmaSmallReport:
     """Verify sigma over the full algebra on ^n k, either for all
     permutation pairs ('all', capped at n <= 5) or for one given pair.
     Any finite base works — the certificate needs no relation between k
@@ -390,9 +386,9 @@ def sigma_holds_small(n: int, k: int, pairs: str | tuple[Perm, Perm] = "all",
     coordinate permutation, so for constant q and any X we get
     q in s_f X | s_g X  iff  q in X — the hypothesis of sigma therefore
     has no solutions on a nonempty carrier, and on the empty carrier the
-    conclusion 0 = 1 holds outright.  Brute route: check_quasi per pair.
-    If the brute route exceeds its budget only the certificate runs and
-    the report says so.
+    conclusion 0 = 1 holds outright.  Brute route: check_quasi per pair,
+    2**|D| assignments each against mode's budget; an Exhaustive mode over
+    budget leaves only the certificate, and the report says so.
     """
     if n < 0 or k < 0:
         raise ValueError("dimension and base size must be naturals")
@@ -419,7 +415,7 @@ def sigma_holds_small(n: int, k: int, pairs: str | tuple[Perm, Perm] = "all",
 
     note = ""
     try:
-        brute: Mode | None = resolve_mode((1 << D.size) * len(pair_list), mode, budget, seed)
+        brute: Mode | None = resolve_mode((1 << D.size) * len(pair_list), mode)
     except BudgetExceeded as over:
         brute = None
         note = (f"brute enumeration needs {fmt_count(over.work)} evaluations, over budget "
@@ -452,7 +448,7 @@ def sigma_holds_small(n: int, k: int, pairs: str | tuple[Perm, Perm] = "all",
         perms_checked=len(scope),
         brute_ran=brute is not None,
         brute_mode=None if brute is None else brute.label,
-        brute_seed=brute.seed if isinstance(brute, Random) else None,
+        brute_seed=None if brute is None else brute.seed,
         brute_holds=brute_holds,
         assignments_tested=tested,
         counterexample=counterexample,
@@ -552,16 +548,16 @@ class EscapeReport:
         )
 
 
-def verify_h_escape(n: int, budget: int | None = None, seed: int = DEFAULT_SEED) -> EscapeReport:
+def verify_h_escape(n: int, mode: Mode = Auto()) -> EscapeReport:
     """Check the whole escape route at dimension n: the unit-sequence
     carrier (re-based into ^n n) is permutable, relativization onto it is
-    a surjective homomorphism, sigma holds upstairs, and fails downstairs.
+    a surjective homomorphism, sigma holds upstairs (both in mode) and fails downstairs.
     """
     if n < 2:
         raise ValueError("the escape needs at least two coordinates")
     E = full_carrier(n, n)
     G = unit_carrier(n, n)
-    hom = verify_relativization(E, G, mode=None, budget=budget, seed=seed)
+    hom = verify_relativization(E, G, mode)
 
     surjective = True
     for yb in range(1 << G.size):
@@ -573,7 +569,7 @@ def verify_h_escape(n: int, budget: int | None = None, seed: int = DEFAULT_SEED)
 
     f = forward_cycle(n)
     g = backward_cycle(n)
-    sigma_big = sigma_holds_small(n, n, pairs=(f, g), mode=None, budget=budget, seed=seed)
+    sigma_big = sigma_holds_small(n, n, (f, g), mode)
     sigma_sub = check_quasi(G, sigma(n, f, g), Exhaustive())
     return EscapeReport(
         n=n,

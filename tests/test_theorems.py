@@ -22,7 +22,7 @@ from tsalg.algebra import (
 )
 from tsalg.cli import main
 from tsalg.seqspace import Perm, all_seqs, perm_compose, perm_inverse, rank, unit_seq
-from tsalg.termlang import BudgetExceeded, Exhaustive, Random, check_quasi, quasi_violated, sigma
+from tsalg.termlang import Auto, BudgetExceeded, Exhaustive, Random, check_quasi, quasi_violated, sigma
 from tsalg.theorems import (
     backward_cycle,
     build_counterexample,
@@ -103,7 +103,7 @@ def test_relativization_every_permutable_subcarrier_of_2_2():
 def test_relativization_sampled_mode():
     E = full_carrier(2, 5)  # 2**25 elements: over the default budget
     G = permutable_closure(carrier_from_seqs(2, 5, [(0, 1)]))
-    r = verify_relativization(E, G, seed=99)
+    r = verify_relativization(E, G, Auto(seed=99))
     assert r.passed
     assert r.mode == "random(2000)"
     assert r.seed == 99
@@ -115,7 +115,7 @@ def test_relativization_explicit_exhaustive_respects_budget():
     E = full_carrier(2, 5)
     G = permutable_closure(carrier_from_seqs(2, 5, [(0, 1)]))
     with pytest.raises(BudgetExceeded):
-        verify_relativization(E, G, mode=Exhaustive(), budget=1000)
+        verify_relativization(E, G, mode=Exhaustive(1000))
 
 
 def _swap_draws(seed, trials, size):
@@ -290,7 +290,7 @@ def test_decompose_walks_member_tuples_once_per_route(monkeypatch):
 
 def test_decompose_auto_mode_degrades_on_pairwise_work():
     # 2**16 elements means ~2e9 separation pairs: auto must go random
-    _, sep = decompose_small(2, 4, seed=6)
+    _, sep = decompose_small(2, 4, Auto(seed=6))
     assert sep.mode == "random(2000)" and sep.seed == 6
     assert sep.separated
 
@@ -423,7 +423,7 @@ def test_sigma_small_rejects_bad_input():
 
 def test_sigma_small_over_budget_falls_back_to_certificate():
     r = sigma_holds_small(3, 3, pairs=(forward_cycle(3), backward_cycle(3)),
-                          mode=Exhaustive(), budget=1000)
+                          mode=Exhaustive(1000))
     assert r.certificate_holds and not r.brute_ran
     assert r.holds  # certificate alone still vouches
     assert r.pairs_checked == 0 and r.brute_holds is None
@@ -440,7 +440,7 @@ def test_sigma_small_random_brute():
 
 def test_sigma_small_auto_degrades_to_random():
     # 2**27 assignments for the single pair: way past the default budget
-    r = sigma_holds_small(3, 3, pairs=(forward_cycle(3), backward_cycle(3)), seed=7)
+    r = sigma_holds_small(3, 3, pairs=(forward_cycle(3), backward_cycle(3)), mode=Auto(seed=7))
     assert r.brute_ran and r.brute_mode == "random(2000)"
     assert r.brute_seed == 7
     assert r.holds and r.agree
