@@ -12,9 +12,12 @@ Subcommands::
 Common flags: --exhaustive | --random TRIALS, --seed S, --json
 (closure takes no mode or seed flags; ultraproduct takes --seed only and
 ignores it, since it decides every class and samples nothing).
-Without --exhaustive or --random a check enumerates when its work fits
-the budget and samples otherwise.  The environment variable TRA_BUDGET
-overrides the default ceiling on exhaustive enumeration.
+Each run builds one checking mode from its flags (_mode_from_args):
+Exhaustive(budget) under --exhaustive, Random(TRIALS, S) under --random,
+and otherwise Auto(budget, S), which enumerates when a check's work fits
+the budget and samples 2000 trials from S when it does not.  The budget
+is the environment variable TRA_BUDGET when set, else 2^20.  sigma-demo's
+escape step runs in Auto(budget, S) whatever the flags.
 
 Exit codes: 0 when every checked assertion holds, 1 when a checked
 property fails (the witness is printed), 2 on usage, parse, or input
@@ -201,7 +204,9 @@ class RunReport:
     wall_time_s: float = 0.0
 
     def to_json(self) -> str:
-        return _to_json(_encode(self, {}))
+        seen: dict = {}
+        data = _encode(self, seen)
+        return _to_json(data, shared={id(d): {} for _, d in seen.values()})
 
     def to_text(self) -> str:
         r = _encode(self, {})
@@ -265,11 +270,14 @@ def _report_fields(cls: type) -> tuple[tuple[str, str], ...]:
                     if isinstance(attr, property) and not name.startswith("_")])
 
 
-def _to_json(value: object, pad: str = "\n", seen: dict | None = None, kind: type | None = None) -> str:
+def _to_json(value: object, pad: str = "\n", shared: dict | None = None,
+             kind: type | None = None) -> str:
     """value as json.dumps(value, indent=2, sort_keys=True) writes it (its
     keys str, as _encode makes them) in one pass; pad is the line break and
-    indent before value's closing bracket, seen the text of each dict
-    written, by id and pad, and kind the type to write value as."""
+    indent before value's closing bracket, shared maps the id of each dict
+    that value may hold more than once (_encode's carriers) to its text by
+    pad, and kind is the type to write value as.  Only those dicts keep
+    their text: a report's other dicts are written once each."""
     kind = kind or type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -282,20 +290,21 @@ def _to_json(value: object, pad: str = "\n", seen: dict | None = None, kind: typ
     if not value and kind in (list, tuple, dict):
         return "{}" if kind is dict else "[]"
     inner = pad + "  "
-    seen = {} if seen is None else seen
+    shared = {} if shared is None else shared
     if kind is list or kind is tuple:
         if all(type(v) is int for v in value):  # members, witnesses, permutations
             return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]"
-        return "[" + inner + ("," + inner).join([_to_json(v, inner, seen) for v in value]) + pad + "]"
+        return "[" + inner + ("," + inner).join([_to_json(v, inner, shared) for v in value]) + pad + "]"
     if kind is dict:
-        if (id(value), pad) not in seen:
-            seen[id(value), pad] = "{" + inner + ("," + inner).join(
-                [encode_basestring_ascii(k) + ": " + _to_json(v, inner, seen)
+        texts = shared.get(id(value), {})
+        if pad not in texts:
+            texts[pad] = "{" + inner + ("," + inner).join(
+                [encode_basestring_ascii(k) + ": " + _to_json(v, inner, shared)
                  for k, v in sorted(value.items())]) + pad + "}"
-        return seen[id(value), pad]
+        return texts[pad]
     for base in (str, int, float, list, tuple, dict):  # a subclass goes as json sends it
         if isinstance(value, base):
-            return _to_json(value, pad, seen, base)
+            return _to_json(value, pad, shared, base)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 

@@ -12,6 +12,9 @@ Grammar (whitespace-insensitive)::
     eq    := term '=' term ;
     quasi := eq (',' eq)* '=>' eq .
 
+Each '(', '~' and 's[..]'/'s{..}' opens one nesting level; a term nesting
+deeper than MAX_NESTING levels is refused at the opener that passes it.
+
 's[i,j]' applies the substitution operator of the transposition swapping
 coordinates i and j; 's{a0,a1,...}' that of the permutation with the given
 image list.  Precedence: '~' and 's' bind tightest, then '&', then '|';
@@ -90,6 +93,12 @@ DEFAULT_ASSIGNMENT_BUDGET = 1 << 20
 
 #: Default sample size when a check degrades from exhaustive to random.
 DEFAULT_TRIALS = 2000
+
+#: Most '(', '~' and 's[..]'/'s{..}' a term may nest, one inside the
+#: other.  The parser takes up to five frames per level and the tree
+#: walkers (term_vars, _compile, print_term, eval_term) one or two, so
+#: the limit keeps well inside Python's default recursion limit of 1000.
+MAX_NESTING = 100
 
 
 def fmt_count(k: int) -> str:
@@ -232,6 +241,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> TermSyntaxError:
         return TermSyntaxError(message, self.pos)
@@ -277,6 +287,16 @@ class _Parser:
             raise self.error("expected an identifier")
         return t[start : self.pos]
 
+    def nested(self, at: int, parse: Callable[[], Term]) -> Term:
+        """parse() one nesting level deeper, for the opener at offset at."""
+        if self.depth == MAX_NESTING:
+            self.pos = at
+            raise self.error(f"term nests deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def nat_list(self, close: str) -> tuple[int, ...]:
         out = [self.nat()]
         while self.take(","):
@@ -304,10 +324,10 @@ class _Parser:
         return node
 
     def unary(self) -> Term:
-        if self.take("~"):
-            return Not(self.unary())
         self.skip_ws()
         here = self.pos
+        if self.take("~"):
+            return Not(self.nested(here, self.unary))
         c = self.peek()
         if c.isalpha() or c == "_":
             name = self.ident()
@@ -320,7 +340,7 @@ class _Parser:
                     if i == j:
                         self.pos = here
                         raise self.error(f"s[{i},{j}] does not name a transposition")
-                    return Subst(Transposition(i, j), self.unary())
+                    return Subst(Transposition(i, j), self.nested(here, self.unary))
                 self.expect("{")
                 images = self.nat_list("}")
                 try:
@@ -328,7 +348,7 @@ class _Parser:
                 except NotAPermutation as exc:
                     self.pos = here
                     raise self.error(str(exc)) from None
-                return Subst(spec, self.unary())
+                return Subst(spec, self.nested(here, self.unary))
             return Var(name)
         return self.atom()
 
@@ -337,8 +357,9 @@ class _Parser:
             return Zero()
         if self.take("1"):
             return One()
+        here = self.pos
         if self.take("("):
-            node = self.term()
+            node = self.nested(here, self.or_)
             self.expect(")")
             return node
         c = self.peek()
@@ -854,7 +875,8 @@ def _first_row_violation(program: _Program, hypotheses: list[tuple[int, int]],
 
 
 def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Verdict:
-    """Check a quasi-equation over the algebra on D.
+    """Check a quasi-equation over the algebra on D, in mode as
+    resolve_mode resolves it for 2**(|D| * v) assignments to v variables.
 
     Exhaustive mode scans assignments in canonical order (variables sorted
     by name, bit vectors increasing), so a fails verdict carries the least

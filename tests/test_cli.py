@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import hypothesis
@@ -493,6 +494,48 @@ def test_int_flags_too_wide_to_echo_exit_two(full22, capsys):
     edge = (1 << 256) - 1
     assert main(["decompose", "--n", "0", "--k", str(edge), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["inputs"]["k"] == edge
+
+
+def test_budget_and_seed_reach_every_auto_mode_verifier(full22, capsys, monkeypatch):
+    # without --exhaustive or --random, each check runs in auto mode with
+    # TRA_BUDGET as its budget and --seed as the seed it samples with
+    def run(budget, argv):
+        monkeypatch.setenv("TRA_BUDGET", str(budget))
+        assert main(argv + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"]["budget"] == budget
+        return report
+
+    r = run(16, ["sigma-demo", "--n", "2", "--seed", "7"])
+    assert r["mode"] == "auto(budget=16)" and r["seed"] == 7
+    # the escape step: 16 * 17 / 2 pairs are over 16, 2^4 assignments are not
+    hom, big = r["details"]["escape"]["hom"], r["details"]["escape"]["sigma_big"]
+    assert (hom["mode"], hom["seed"], hom["pairs_tested"]) == ("random(2000)", 7, 2000)
+    assert (big["brute_mode"], big["brute_seed"], big["assignments_tested"]) == ("exhaustive", None, 16)
+    r = run(100, ["decompose", "--n", "2", "--k", "2", "--seed", "5"])
+    assert (r["mode"], r["seed"], r["counts"]["pairs_tested"]) == ("random(2000)", 5, 1859)
+    r = run(100, ["verify-relativization", "--big", full22, "--sub", full22, "--seed", "5"])
+    assert (r["mode"], r["seed"]) == ("random(2000)", 5)
+    assert (r["counts"]["elements_tested"], r["counts"]["pairs_tested"]) == (2000, 2000)
+    r = run(15, ["check", "--spec", full22, "--eq", "x = x", "--seed", "3"])
+    assert (r["mode"], r["seed"], r["outcome"]) == ("random(2000)", 3, "holds-sampled")
+    r = run(16, ["check", "--spec", full22, "--eq", "x = x", "--seed", "3"])
+    assert (r["mode"], r["seed"], r["outcome"]) == ("exhaustive", None, "holds-exhaustive")
+
+
+def test_json_writer_keeps_the_text_of_shared_dicts_only():
+    # a decompose report holds one record dict per atom, none of them
+    # shared: their text must not stay alive until the report is written
+    args = cli._parse_args(["decompose", "--n", "10", "--k", "2"])
+    report = cli._HANDLERS["decompose"](args, cli.DEFAULT_ASSIGNMENT_BUDGET)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        text = report.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * len(text), (peak, len(text))
 
 
 def test_check_without_mode_flag_samples_over_budget(tmp_path, capsys):

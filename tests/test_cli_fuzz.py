@@ -5,12 +5,14 @@ term text, and int flags that reach past 2**64.  Carriers that get built
 keep to 16 members or fewer and the trial counts stay small, so every run
 ends quickly; sizes past the caps must be refused without being built.
 The .alg parser is also tested on its own, against ast.literal_eval and
-on deep and long lists, and main's argument routing against argparse's.
+on deep and long lists; the term parser at and past its nesting limit;
+and main's argument routing against argparse's.
 """
 
 import ast
 import contextlib
 import io
+import json
 import tempfile
 import time
 from pathlib import Path
@@ -21,6 +23,7 @@ import pytest
 
 from tsalg import cli
 from tsalg.cli import main, parse_algebra_spec
+from tsalg.termlang import MAX_NESTING, TermSyntaxError, parse_equation, parse_term, print_equation
 
 #: Ints past every cap and past 2**64, both signs.
 HUGE = strat.sampled_from([1 << 32, 1 << 63, (1 << 64) + 1, 10**29, 1 << 300]).flatmap(
@@ -240,6 +243,67 @@ def test_long_list_parses_in_bounded_time():
     spec = parse_algebra_spec(text)
     assert time.perf_counter() - started < 3
     assert spec.carrier == tuple(rows)
+
+
+# --- the term parser's nesting limit ----------------------------------------
+
+#: name -> (the text that opens one nesting level, what closes it, and the
+#: offset of the level's opener in that text)
+OPENERS = {
+    "paren": ("(", ")", 0),
+    "not": ("~", "", 0),
+    "swap": ("s[0,1] ", "", 0),
+    "images": ("s{1,0} ", "", 0),
+    "meet": ("x & (", ")", 4),
+}
+
+
+def _nested(name: str, depth: int) -> str:
+    opener, closer, _ = OPENERS[name]
+    return opener * depth + "x" + closer * depth
+
+
+def _check(spec: str, eq: str, *flags: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", "--spec", spec, "--eq", eq, *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("rhs, code", [("x", 0), ("~x", 1)], ids=["holds", "fails"])
+@pytest.mark.parametrize("name", OPENERS)
+def test_term_at_the_nesting_limit_checks_prints_and_round_trips(tmp_path, name, rhs, code):
+    # every opener here keeps x's value or complements it an even number of
+    # times, so "= x" holds and "= ~x" fails at the first assignment, whose
+    # witness is re-checked by walking the whole tree
+    spec = tmp_path / "full22.alg"
+    spec.write_text("n = 2\nbase = 2\ncarrier = full\n")
+    text = f"{_nested(name, MAX_NESTING)} = {rhs}"
+    eq = parse_equation(text)
+    assert parse_equation(print_equation(eq)) == eq
+    got, out, err = _check(str(spec), text)
+    assert (got, err) == (code, "")
+    assert f"  canonical: {print_equation(eq)}" in out.splitlines()
+    got, out, err = _check(str(spec), text, "--json")
+    assert (got, err) == (code, "")
+    assert parse_equation(json.loads(out)["inputs"]["canonical"]) == eq
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 100_000])
+@pytest.mark.parametrize("name", OPENERS)
+def test_term_past_the_nesting_limit_exits_two_at_its_opener(tmp_path, name, depth):
+    spec = tmp_path / "full22.alg"
+    spec.write_text("n = 2\nbase = 2\ncarrier = full\n")
+    opener, _, at = OPENERS[name]
+    offset = len(opener) * MAX_NESTING + at
+    message = f"term nests deeper than {MAX_NESTING} levels (at offset {offset})"
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_term(_nested(name, depth))
+    assert str(exc.value) == message and exc.value.position == offset
+    started = time.perf_counter()
+    for flags in ([], ["--json"]):
+        assert _check(str(spec), f"{_nested(name, depth)} = x", *flags) == (2, "", f"error: {message}\n")
+    assert time.perf_counter() - started < 5
 
 
 # --- argument routing --------------------------------------------------------

@@ -5,7 +5,11 @@ import pytest
 from tsalg.algebra import Elem, atom, carrier_from_seqs, complement, elem_from_seqs, full_carrier, one, zero
 from tsalg.seqspace import DimensionMismatch, Perm
 from tsalg.termlang import (
+    DEFAULT_ASSIGNMENT_BUDGET,
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
     And,
+    Auto,
     BudgetExceeded,
     Equation,
     EvalError,
@@ -32,6 +36,7 @@ from tsalg.termlang import (
     print_quasi,
     print_term,
     quasi_violated,
+    resolve_mode,
     sigma,
     spec_perm,
     term_vars,
@@ -285,6 +290,32 @@ def test_exhaustive_budget_enforced():
     # budget measures assignments, not variables: 16 fits exactly
     v = check_equation(D, parse_equation("x = x"), Exhaustive(budget=16))
     assert v.assignments_tested == 16
+
+
+def test_resolve_mode_contract():
+    # Auto enumerates within its budget and otherwise samples with its seed
+    assert resolve_mode(16, Auto(16, 5)) == Exhaustive(16)
+    assert resolve_mode(17, Auto(16, 5)) == Random(DEFAULT_TRIALS, 5)
+    assert resolve_mode(DEFAULT_ASSIGNMENT_BUDGET, Auto()) == Exhaustive()
+    assert resolve_mode(DEFAULT_ASSIGNMENT_BUDGET + 1, Auto()) == Random(DEFAULT_TRIALS, DEFAULT_SEED)
+    assert Auto(16).label == "auto(budget=16)"
+    # Exhaustive keeps its own budget, DEFAULT_ASSIGNMENT_BUDGET unless given
+    assert resolve_mode(16, Exhaustive(16)) == Exhaustive(16)
+    with pytest.raises(BudgetExceeded) as over:
+        resolve_mode(17, Exhaustive(16))
+    assert (over.value.work, over.value.budget) == (17, 16)
+    with pytest.raises(BudgetExceeded):
+        resolve_mode(DEFAULT_ASSIGNMENT_BUDGET + 1, Exhaustive())
+    # Random passes through at any work
+    assert resolve_mode(1 << 1000, Random(3, 9)) == Random(3, 9)
+    for bad in (None, "auto", 16, Exhaustive):
+        with pytest.raises(TypeError):
+            resolve_mode(1, bad)
+    # a verdict names the mode that decided it
+    D = full_carrier(2, 2)
+    assert check_equation(D, parse_equation("x = x"), Auto(16)).mode == "exhaustive"
+    v = check_equation(D, parse_equation("x = x"), Auto(15, 5))
+    assert (v.mode, v.seed) == (f"random({DEFAULT_TRIALS})", 5)
 
 
 def test_random_mode_is_deterministic_per_seed():
