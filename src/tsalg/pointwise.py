@@ -23,18 +23,16 @@ if TYPE_CHECKING:
 @functools.cache
 def _periodic(low: int) -> tuple[int, ...]:
     """The column of each counter bit b < low over 2 ** low counts: bit a
-    set where bit b of a is."""
-    width = 1 << low
-    periodic = []
-    for b in range(low):
-        half = 1 << b
-        col = ((1 << half) - 1) << half
-        span = half << 1
-        while span < width:
-            col |= col << span
-            span <<= 1
-        periodic.append(col)
-    return tuple(periodic)
+    set where bit b of a is.  Below the top bit's column, column b is column
+    b + 1 xor itself shifted down 2 ** b bits, one shift and one xor each."""
+    if not low:
+        return ()
+    half = 1 << (low - 1)
+    periodic = [((1 << half) - 1) << half]
+    while half > 1:
+        half >>= 1
+        periodic.append(periodic[-1] ^ periodic[-1] >> half)
+    return tuple(reversed(periodic))
 
 
 def counters(bits: int, chunk_bits: int) -> Iterator[tuple[int, list[int]]]:

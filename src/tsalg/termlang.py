@@ -13,7 +13,9 @@ Grammar (whitespace-insensitive)::
     quasi := eq (',' eq)* '=>' eq .
 
 Each '(', '~' and 's[..]'/'s{..}' opens one nesting level; a term nesting
-deeper than MAX_NESTING levels is refused at the opener that passes it.
+deeper than MAX_NESTING levels is refused at the opener that passes it,
+and one with more than MAX_HEIGHT operators on a path from its root to a
+leaf, as a long chain 'x & x & ...' has, at the operator that passes it.
 
 's[i,j]' applies the substitution operator of the transposition swapping
 coordinates i and j; 's{a0,a1,...}' that of the permutation with the given
@@ -51,13 +53,16 @@ reaches, and their truth tables give the least violating assignment.
 assignments_tested still counts the canonical order: all of it when the
 check holds, the least witness's index + 1 when it fails.
 
-A _Program is built once per check in its layout, with each s_f as a
-gather table or an algebra.Network.  _first_violation is check_quasi's
-scan of one conclusion under its hypotheses.  It re-checks each witness
-through an element-wise test (_rechecked): eval_term and quasi_violated
-walk the tree for a single assignment.  The verifiers in theorems share
-that re-check and the sample stream (_draws), but decide their laws from
-their tables and compile no program.
+check_quasi walks the law once (_compile) for its sorted variable names
+and ops, each spec resolved to a Perm, and weighs the work (resolve_mode)
+before it reports a spec that does not fit D; _attach then gives each s_f
+the mode's gather table or algebra.Network, and one-chunk checks read
+cached counter columns.  _first_violation is check_quasi's scan of one
+conclusion under its hypotheses.  It re-checks each witness through an
+element-wise test (_rechecked): eval_term and quasi_violated walk the tree
+for a single assignment.  The verifiers in theorems share that re-check
+and the sample stream (_draws), but decide their laws from their tables
+and compile no program.
 """
 
 from __future__ import annotations
@@ -95,10 +100,14 @@ DEFAULT_ASSIGNMENT_BUDGET = 1 << 20
 DEFAULT_TRIALS = 2000
 
 #: Most '(', '~' and 's[..]'/'s{..}' a term may nest, one inside the
-#: other.  The parser takes up to five frames per level and the tree
-#: walkers (term_vars, _compile, print_term, eval_term) one or two, so
-#: the limit keeps well inside Python's default recursion limit of 1000.
+#: other.  The parser takes up to five frames per level, so the limit
+#: keeps well inside Python's default recursion limit of 1000.
 MAX_NESTING = 100
+
+#: Most operators on one path from a term's root to a leaf.  The tree walkers
+#: (_compile, print_term, eval_term) take a frame per operator, print_term
+#: two per '~' or 's', which MAX_NESTING bounds: 600 frames at most.
+MAX_HEIGHT = 500
 
 
 def fmt_count(k: int) -> str:
@@ -211,29 +220,6 @@ class QuasiEquation:
     conclusion: Equation
 
 
-def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, (Zero, One)):
-        return set()
-    if isinstance(t, (Not, Subst)):
-        return term_vars(t.arg)
-    if isinstance(t, (And, Or)):
-        return term_vars(t.left) | term_vars(t.right)
-    raise TypeError(f"not a term node: {t!r}")
-
-
-def equation_vars(eq: Equation) -> set[str]:
-    return term_vars(eq.lhs) | term_vars(eq.rhs)
-
-
-def quasi_vars(qe: QuasiEquation) -> set[str]:
-    out: set[str] = set()
-    for h in qe.hypotheses:
-        out |= equation_vars(h)
-    return out | equation_vars(qe.conclusion)
-
-
 # --- parser ------------------------------------------------------------
 
 
@@ -243,8 +229,8 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def error(self, message: str) -> TermSyntaxError:
-        return TermSyntaxError(message, self.pos)
+    def error(self, message: str, at: int | None = None) -> TermSyntaxError:
+        return TermSyntaxError(message, self.pos if at is None else at)
 
     def skip_ws(self) -> None:
         t = self.text
@@ -287,15 +273,23 @@ class _Parser:
             raise self.error("expected an identifier")
         return t[start : self.pos]
 
-    def nested(self, at: int, parse: Callable[[], Term]) -> Term:
-        """parse() one nesting level deeper, for the opener at offset at."""
+    def nested(self, at: int, parse: Callable[[], tuple[Term, int]],
+               make: Callable[[Term], Term] | None = None) -> tuple[Term, int]:
+        """parse() one nesting level deeper, for the opener at offset at, and
+        make, if given, builds the operator there over what parse gives."""
         if self.depth == MAX_NESTING:
-            self.pos = at
-            raise self.error(f"term nests deeper than {MAX_NESTING} levels")
+            raise self.error(f"term nests deeper than {MAX_NESTING} levels", at)
         self.depth += 1
-        node = parse()
+        node, height = parse()
         self.depth -= 1
-        return node
+        return (node, height) if make is None else (make(node), self.over(at, height))
+
+    def over(self, at: int, *heights: int) -> int:
+        """The height of the operator at offset at over operands this tall."""
+        height = max(heights) + 1
+        if height > MAX_HEIGHT:
+            raise self.error(f"term is taller than {MAX_HEIGHT} operators", at)
+        return height
 
     def nat_list(self, close: str) -> tuple[int, ...]:
         out = [self.nat()]
@@ -304,30 +298,29 @@ class _Parser:
         self.expect(close)
         return tuple(out)
 
-    # grammar rules
+    # grammar rules: each gives a term and its height
 
-    def term(self) -> Term:
-        return self.or_()
+    def or_(self) -> tuple[Term, int]:
+        return self.chain("|", Or, self.and_)
 
-    def or_(self) -> Term:
-        node = self.and_()
-        while self.peek() == "|":
-            self.expect("|")
-            node = Or(node, self.and_())
-        return node
+    def and_(self) -> tuple[Term, int]:
+        return self.chain("&", And, self.unary)
 
-    def and_(self) -> Term:
-        node = self.unary()
-        while self.peek() == "&":
-            self.expect("&")
-            node = And(node, self.unary())
-        return node
+    def chain(self, op: str, node: type, operand: Callable[[], tuple[Term, int]]) -> tuple[Term, int]:
+        """operand (op operand)*, associating to the left."""
+        t, height = operand()
+        while self.peek() == op:
+            at = self.pos
+            self.pos += 1
+            right, h = operand()
+            t, height = node(t, right), self.over(at, height, h)
+        return t, height
 
-    def unary(self) -> Term:
+    def unary(self) -> tuple[Term, int]:
         self.skip_ws()
         here = self.pos
         if self.take("~"):
-            return Not(self.nested(here, self.unary))
+            return self.nested(here, self.unary, Not)
         c = self.peek()
         if c.isalpha() or c == "_":
             name = self.ident()
@@ -338,42 +331,40 @@ class _Parser:
                     j = self.nat()
                     self.expect("]")
                     if i == j:
-                        self.pos = here
-                        raise self.error(f"s[{i},{j}] does not name a transposition")
-                    return Subst(Transposition(i, j), self.nested(here, self.unary))
+                        raise self.error(f"s[{i},{j}] does not name a transposition", here)
+                    return self.nested(here, self.unary, lambda arg: Subst(Transposition(i, j), arg))
                 self.expect("{")
                 images = self.nat_list("}")
                 try:
                     spec = Images(images)
                 except NotAPermutation as exc:
-                    self.pos = here
-                    raise self.error(str(exc)) from None
-                return Subst(spec, self.nested(here, self.unary))
-            return Var(name)
+                    raise self.error(str(exc), here) from None
+                return self.nested(here, self.unary, lambda arg: Subst(spec, arg))
+            return Var(name), 0
         return self.atom()
 
-    def atom(self) -> Term:
+    def atom(self) -> tuple[Term, int]:
         if self.take("0"):
-            return Zero()
+            return Zero(), 0
         if self.take("1"):
-            return One()
+            return One(), 0
         here = self.pos
         if self.take("("):
-            node = self.nested(here, self.or_)
+            node, height = self.nested(here, self.or_)
             self.expect(")")
-            return node
+            return node, height
         c = self.peek()
         if c.isalpha() or c == "_":
-            return Var(self.ident())
+            return Var(self.ident()), 0
         raise self.error("expected '0', '1', a variable, or '('")
 
     def equation(self) -> Equation:
-        lhs = self.term()
+        lhs = self.or_()[0]
         self.skip_ws()
         if not (self.text.startswith("=", self.pos) and not self.text.startswith("=>", self.pos)):
             raise self.error("expected '='")
         self.pos += 1
-        return Equation(lhs, self.term())
+        return Equation(lhs, self.or_()[0])
 
     def quasi(self) -> QuasiEquation:
         eqs = [self.equation()]
@@ -391,7 +382,7 @@ class _Parser:
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    node = p.term()
+    node = p.or_()[0]
     p.finish()
     return node
 
@@ -614,69 +605,68 @@ WIDE_ROW_BITS = 1 << 12
 
 class _Program(list):
     """A straight-line program over a chunk of assignments to nvars
-    variables, each a bit vector over size members, laid out by packed
-    rows (rows) or by columns.  Ops: ("var", j), ("zero",), ("one",),
-    ("not", a), ("and", a, b), ("or", a, b); and s_f as subst emits it for
-    the layout: on columns ("gather", a, table), whose column p is column
-    table[p] of slot a, or 0 where table[p] is None; on rows ("net", a,
-    network), an algebra.Network.  Each op has one slot: emitting an equal
-    op again returns the slot it holds."""
+    variables, each a bit vector over size members, by packed rows (rows)
+    or by columns.  Ops: ("var", j), ("zero",), ("one",), ("not", a),
+    ("and", a, b), ("or", a, b), and s_f: on columns ("gather", a, table),
+    whose column p is column table[p] of slot a, or 0 where that is None;
+    on rows ("net", a, network), an algebra.Network."""
 
-    def __init__(self, size: int, nvars: int, rows: bool):
+    def __init__(self, ops: list[tuple], size: int, nvars: int, rows: bool):
+        super().__init__(ops)
         self.size, self.nvars, self.rows = size, nvars, rows
-        self.slots: dict[tuple, int] = {}
-
-    def emit(self, *op) -> int:
-        # a map is keyed by its gather table's identity, or its network's
-        key = (op[0], op[1], id(op[2])) if op[0] == "gather" else op
-        slot = self.slots.get(key)
-        if slot is None:
-            slot = self.slots[key] = len(self)
-            self.append(op)
-        return slot
-
-    def subst(self, a: int, D: Carrier, f: Perm) -> int:
-        """s_f of slot a, valued in D."""
-        if self.rows:
-            return self.emit("net", a, D._network_for(f))
-        return self.emit("gather", a, D._gather_for(f))
 
 
-def _compile(qe: QuasiEquation, D: Carrier, names: list[str],
-             rows: bool = False) -> tuple[_Program, list[tuple[int, int]]]:
-    """qe as a program in the given layout, plus the (lhs, rhs) slots of
-    each hypothesis and then the conclusion.
-
-    Each node is its op over its children's slots, and the program gives
-    equal ops one slot, so equal subterms share it and no lookup hashes a
-    whole subtree.  Every operator spec is resolved here, once, so a spec
-    that does not fit D raises DimensionMismatch before any assignment is
-    tried."""
-    program = _Program(D.size, len(names), rows)
-    perms: dict[PermSpec, Perm] = {}
+def _compile(qe: QuasiEquation, n: int) -> tuple[list[str], list[tuple], list[tuple[int, int]],
+                                                  DimensionMismatch | None]:
+    """qe in one walk: its variables' names, sorted; its ops, each over its
+    children's slots, ("var", name) for a variable and ("subst", a, f) for
+    s_f, with f its spec resolved once against dimension n; the (lhs, rhs)
+    slots of each equation, the conclusion last; and the DimensionMismatch
+    of the first spec that does not fit n, or None.  Equal ops share one
+    slot, as do s[0,1] and s{1,0}, and no lookup hashes a whole subtree."""
+    slots: dict[tuple, int] = {}
+    perms: dict[PermSpec, Perm | DimensionMismatch] = {}
+    unfit: list[DimensionMismatch] = []  # in the order met
 
     def emit(t: Term) -> int:
-        if isinstance(t, Var):
-            return program.emit("var", names.index(t.name))
-        if isinstance(t, Zero):
-            return program.emit("zero")
-        if isinstance(t, One):
-            return program.emit("one")
-        if isinstance(t, Not):
-            return program.emit("not", emit(t.arg))
-        if isinstance(t, And):
-            return program.emit("and", emit(t.left), emit(t.right))
-        if isinstance(t, Or):
-            return program.emit("or", emit(t.left), emit(t.right))
-        if isinstance(t, Subst):
+        kind = type(t)
+        if kind is And:
+            op = ("and", emit(t.left), emit(t.right))
+        elif kind is Or:
+            op = ("or", emit(t.left), emit(t.right))
+        elif kind is Var:
+            op = ("var", t.name)
+        elif kind is Not:
+            op = ("not", emit(t.arg))
+        elif kind is Subst:
             f = perms.get(t.perm)
             if f is None:
-                f = perms[t.perm] = spec_perm(t.perm, D.n)
-            return program.subst(emit(t.arg), D, f)
-        raise TypeError(f"not a term node: {t!r}")
+                try:
+                    f = spec_perm(t.perm, n)
+                except DimensionMismatch as exc:
+                    f = exc
+                    unfit.append(exc)
+                perms[t.perm] = f
+            op = ("subst", emit(t.arg), f)
+        elif kind is Zero or kind is One:
+            op = ("zero",) if kind is Zero else ("one",)
+        else:
+            raise TypeError(f"not a term node: {t!r}")
+        # a new op takes the next slot; the keys are the ops in slot order
+        return slots.setdefault(op, len(slots))
 
     equations = [(emit(eq.lhs), emit(eq.rhs)) for eq in (*qe.hypotheses, qe.conclusion)]
-    return program, equations
+    names = sorted([op[1] for op in slots if op[0] == "var"])
+    return names, list(slots), equations, unfit[0] if unfit else None
+
+
+def _attach(ops: list[tuple], D: Carrier, names: list[str], rows: bool) -> _Program:
+    """_compile's ops on D in the given layout, in one pass: names[j] is
+    ("var", j), each s_f D's gather table (columns) or network (rows)."""
+    kind, table = ("net", D._network_for) if rows else ("gather", D._gather_for)
+    return _Program([("var", names.index(op[1])) if op[0] == "var" else
+                     (kind, op[1], table(op[2])) if op[0] == "subst" else op for op in ops],
+                    D.size, len(names), rows)
 
 
 def _run(program: _Program, inputs: list[list[int]], full: int) -> list[list[int]]:
@@ -746,8 +736,9 @@ def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
             return None
         rows = [least >> size * (nvars - 1 - j) & ((1 << size) - 1) for j in range(nvars)]
         return least, _rechecked(violates, rows)
+    chunks = _one_chunk if size * nvars <= EXHAUSTIVE_CHUNK_BITS else _exhaustive_chunks
     start = 0
-    for width, columns in _exhaustive_chunks(size, nvars):
+    for width, columns in chunks(size, nvars):
         live = (1 << width) - 1
         vals = _run(program, columns, live)
         for lhs, rhs in hypotheses:
@@ -770,6 +761,12 @@ def _exhaustive_chunks(size: int, nvars: int) -> Iterator[tuple[int, list[list[i
     significant."""
     for width, counter in counters(size * nvars, EXHAUSTIVE_CHUNK_BITS):
         yield width, [counter[size * (nvars - 1 - j): size * (nvars - j)] for j in range(nvars)]
+
+
+@functools.cache
+def _one_chunk(size: int, nvars: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """_exhaustive_chunks when it has one chunk, sliced once and frozen."""
+    return tuple((w, tuple(map(tuple, cols))) for w, cols in _exhaustive_chunks(size, nvars))
 
 
 def _draws(size: int, nvars: int, mode: Random) -> Iterator[int]:
@@ -885,11 +882,13 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     the first violating trial; it evaluates packed rows.  Either way the
     witness is re-checked through quasi_violated.
     """
-    names = sorted(quasi_vars(qe))
+    names, ops, equations, unfit = _compile(qe, D.n)
     work = 1 << (D.size * len(names))
     mode = resolve_mode(work, mode)
+    if unfit is not None:
+        raise unfit
     sampled = {"trials": mode.trials, "seed": mode.seed} if isinstance(mode, Random) else {}
-    program, equations = _compile(qe, D, names, rows=bool(sampled))
+    program = _attach(ops, D, names, rows=bool(sampled))
 
     def violates(rows: list[int]) -> dict[str, Elem] | None:
         witness = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}

@@ -270,3 +270,16 @@ def brute_first_violation(members, nvars, laws):
         if True in broken:
             return index, broken.index(True), [sets.index(x) for x in env]
     return None
+
+
+def law_names(qe):
+    """The sorted names of a quasi-equation's variables, by a plain walk of
+    its terms' fields: a Var has a name, every other node its operands
+    among left, right and arg."""
+    def names(t):
+        if hasattr(t, "name"):
+            return {t.name}
+        return set().union(*(names(getattr(t, f)) for f in ("left", "right", "arg") if hasattr(t, f)))
+
+    return sorted(set().union(*(names(side) for eq in (*qe.hypotheses, qe.conclusion)
+                                for side in (eq.lhs, eq.rhs))))

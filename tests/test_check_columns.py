@@ -25,7 +25,7 @@ from tsalg.algebra import (Carrier, Elem, carrier_from_seqs, full_carrier, permu
                           permutable_subsets)
 from tsalg.cli import main
 from tsalg import pointwise, termlang, theorems
-from tsalg.seqspace import DimensionMismatch, unit_seq
+from tsalg.seqspace import DimensionMismatch, transposition, unit_seq
 from tsalg.termlang import (
     And,
     Equation,
@@ -44,7 +44,6 @@ from tsalg.termlang import (
     check_quasi,
     parse_equation,
     parse_quasi,
-    quasi_vars,
     quasi_violated,
 )
 
@@ -55,6 +54,7 @@ from oracles import (
     brute_relativization,
     brute_separation,
     brute_subst,
+    law_names,
     lex_sequences,
     orbit,
     swap_images,
@@ -165,7 +165,7 @@ def terms(n, names):
 @hypothesis.given(instances())
 def test_exhaustive_matches_canonical_tree_walk(instance):
     D, qe = instance
-    names = sorted(quasi_vars(qe))
+    names = law_names(qe)
     expected = tree_walk(D, qe, canonical(D, names), "holds-exhaustive")
     same_verdict(check_quasi(D, qe, Exhaustive()), expected)
     # chunks of 8 assignments: most instances span several
@@ -177,7 +177,7 @@ def test_exhaustive_matches_canonical_tree_walk(instance):
 @hypothesis.given(instances(), strat.integers(1, 60), strat.integers(0, 1 << 31))
 def test_sampled_matches_row_wise_tree_walk(instance, trials, seed):
     D, qe = instance
-    names = sorted(quasi_vars(qe))
+    names = law_names(qe)
     expected = tree_walk(D, qe, row_wise(D, names, trials, seed), "holds-sampled")
     verdict = check_quasi(D, qe, Random(trials, seed))
     assert (verdict.trials, verdict.seed) == (trials, seed)
@@ -220,9 +220,10 @@ def brute_laws(D, names, eqs):
 @hypothesis.example((carrier_from_seqs(2, 2, []), ["x", "y"], [parse_equation("0 = 1")]))
 @hypothesis.example((carrier_from_seqs(2, 2, [(0, 1)]), ["x"], [parse_equation("x = x"), parse_equation("s[0,1] 1 = 1")]))
 def test_decider_matches_frozenset_enumeration(case):
-    # each equation's law alone, in one program holding them all
+    # each equation's law alone, in one program holding them all, over
+    # names, some perhaps unread
     D, names, eqs = case
-    program, laws = termlang._compile(QuasiEquation(tuple(eqs[:-1]), eqs[-1]), D, names)
+    program, laws = compiled(QuasiEquation(tuple(eqs[:-1]), eqs[-1]), D, names)
     for eq, law in zip(eqs, laws):
         def violates(rows, eq=eq):
             env = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
@@ -238,7 +239,7 @@ def test_decider_matches_frozenset_enumeration(case):
         assert decided.called == (D.size > 0)
     # through check_equation, with truth tables in chunks of two entries
     eq = eqs[0]
-    used = sorted(termlang.equation_vars(eq))
+    used = law_names(QuasiEquation((), eq))
     expected = brute_laws(D, used, [eq])
     with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 1), \
             mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
@@ -365,6 +366,25 @@ def test_wide_exhaustive_equations_match_the_column_scan(n, u, count, text, outc
 # --- chunk boundaries --------------------------------------------------------
 
 
+def test_one_chunk_columns_stay_those_of_a_fresh_counter():
+    # full (2,2) with two variables takes 8 counter bits, one chunk, whose
+    # columns are built once per (size, nvars) and read by every such check
+    D = full_carrier(2, 2)
+    termlang._one_chunk.cache_clear()
+    assert check_equation(D, parse_equation("x & y = y & x")).outcome == "holds-exhaustive"
+    assert check_equation(D, parse_equation("x & y = x")).outcome == "fails"
+    assert termlang._one_chunk.cache_info()[:2] == (1, 1)  # one hit, one miss
+    [(width, counter)] = pointwise.counters(8, termlang.EXHAUSTIVE_CHUNK_BITS)
+    assert termlang._one_chunk(4, 2) == ((width, (tuple(counter[4:8]), tuple(counter[0:4]))),)
+
+
+def test_counter_columns_match_their_definition():
+    # bit a of column b is bit b of a, for every count a of a chunk
+    for low in range(13):
+        columns = pointwise._periodic(low)
+        assert columns == tuple(sum(1 << a for a in range(1 << low) if a >> b & 1) for b in range(low))
+
+
 def test_exhaustive_least_witness_past_the_first_chunk():
     D = full_carrier(3, 2)
     v = check_equation(D, parse_equation("x & y & z = 0"), Exhaustive(1 << 24))
@@ -432,7 +452,7 @@ def test_sampled_wide_carrier_one_trial_per_chunk(text):
     D = full_carrier(12, 2)
     assert D.size >= termlang.WIDE_ROW_BITS
     qe = parse_quasi(text) if "=>" in text else QuasiEquation((), parse_equation(text))
-    names = sorted(quasi_vars(qe))
+    names = law_names(qe)
     expected = tree_walk(D, qe, row_wise(D, names, 12, 9), "holds-sampled")
     with mock.patch.object(termlang, "_run_rows", wraps=termlang._run_rows) as run:
         same_verdict(check_quasi(D, qe, Random(12, 9)), expected)
@@ -511,13 +531,36 @@ def test_unfit_spec_in_unreached_conclusion_exits_two(tmp_path, capsys):
     assert "does not fit dimension 2" in capsys.readouterr().err
 
 
+def test_over_budget_exhaustive_check_exits_on_its_budget_before_an_unfit_spec(tmp_path, capsys,
+                                                                              monkeypatch):
+    # 2 ** 32 assignments on full (5,2) are over the default budget, which
+    # is reported before s[0,9], which does not fit dimension 5
+    monkeypatch.delenv("TRA_BUDGET", raising=False)
+    spec = tmp_path / "full52.alg"
+    spec.write_text("n = 5\nbase = 2\ncarrier = full\n")
+    assert main(["check", "--spec", str(spec), "--eq", "s[0,9] x = x", "--exhaustive"]) == 2
+    err = capsys.readouterr().err
+    assert "exhaustive check needs 4294967296 evaluations" in err and "does not fit dimension" not in err
+    with pytest.raises(termlang.BudgetExceeded):
+        check_equation(full_carrier(5, 2), parse_equation("s[0,9] x = x"), Exhaustive())
+
+
 # --- compiling: slots shared by op ------------------------------------------
 
 
+def compiled(qe, D, names, rows=False):
+    """qe's program on D over names, in the given layout, and its (lhs, rhs)
+    slots, as check_quasi builds them: one walk, then the tables attached."""
+    _, ops, equations, unfit = termlang._compile(qe, D.n)
+    assert unfit is None
+    return termlang._attach(ops, D, names, rows), equations
+
+
 def term_keyed_compile(qe, D, names, rows=False):
-    """_compile as it was with slots keyed by the terms themselves."""
-    program = termlang._Program(D.size, len(names), rows)
-    slots, compiled = {}, {}
+    """The program as it was compiled with slots keyed by the terms
+    themselves: an op emitted again, a map keyed by its table's identity,
+    kept the slot it held."""
+    ops, by_op, slots, tables = [], {}, {}, {}
 
     def emit(t):
         if t in slots:
@@ -535,15 +578,19 @@ def term_keyed_compile(qe, D, names, rows=False):
         elif isinstance(t, Or):
             op = ("or", emit(t.left), emit(t.right))
         else:
-            if t.perm not in compiled:
+            if t.perm not in tables:
                 f = termlang.spec_perm(t.perm, D.n)
-                compiled[t.perm] = D._network_for(f) if rows else D._gather_for(f)
-            op = ("net" if rows else "gather", emit(t.arg), compiled[t.perm])
-        slots[t] = program.emit(*op)
+                tables[t.perm] = D._network_for(f) if rows else D._gather_for(f)
+            op = ("net" if rows else "gather", emit(t.arg), tables[t.perm])
+        key = (op[0], op[1], id(op[2])) if op[0] == "gather" else op
+        if key not in by_op:
+            by_op[key] = len(ops)
+            ops.append(op)
+        slots[t] = by_op[key]
         return slots[t]
 
     equations = [(emit(eq.lhs), emit(eq.rhs)) for eq in (*qe.hypotheses, qe.conclusion)]
-    return program, equations
+    return termlang._Program(ops, D.size, len(names), rows), equations
 
 
 @strat.composite
@@ -574,23 +621,29 @@ def shared_subterms(draw):
 @hypothesis.given(shared_subterms())
 def test_compile_by_op_matches_term_keyed_reference(instance):
     D, qe = instance
-    names = sorted(quasi_vars(qe))
+    names = law_names(qe)
     for rows in (False, True):
-        assert termlang._compile(qe, D, names, rows) == term_keyed_compile(qe, D, names, rows)
+        assert compiled(qe, D, names, rows) == term_keyed_compile(qe, D, names, rows)
 
 
 def test_program_gives_each_op_one_slot():
-    # s[0,1] and s{1,0} compile to one map, so both sides are one slot in
-    # either layout; maps are keyed by the identity of their table
+    # s[0,1] and s{1,0} resolve to one Perm, so both sides are one slot in
+    # either layout; different Perms keep different slots
     D = full_carrier(2, 2)
     qe = QuasiEquation((), parse_equation("s[0,1] x & ~y = s{1,0} x & ~y"))
     for rows in (False, True):
-        program, [(lhs, rhs)] = termlang._compile(qe, D, ["x", "y"], rows)
+        program, [(lhs, rhs)] = compiled(qe, D, ["x", "y"], rows)
         assert lhs == rhs and len(program) == 5
-    program = termlang._Program(4, 1, rows=False)
-    x, table = program.emit("var", 0), [1, 0, 3, 2]
-    assert program.emit("gather", x, table) == program.emit("gather", x, table) == 1
-    assert program.emit("gather", x, list(table)) == 2 and program.emit("var", 0) == x
+    _, ops, [(lhs, rhs)], _ = termlang._compile(QuasiEquation((), parse_equation("s[0,1] x = s[1,2] x")), 3)
+    assert ops == [("var", "x"), ("subst", 0, transposition(3, 0, 1)), ("subst", 0, transposition(3, 1, 2))]
+    assert (lhs, rhs) == (1, 2)
+
+
+def test_compile_names_the_variables_sorted():
+    # each name once, in sorted order, from every side of every equation
+    qe = parse_quasi("z = 0, y = y => s[0,1] (x & ~y) | z & x = x")
+    assert termlang._compile(qe, 2)[0] == ["x", "y", "z"] == law_names(qe)
+    assert termlang._compile(parse_quasi("0 = 1 => 1 = 0"), 2)[0] == []
 
 
 # --- re-imports --------------------------------------------------------------

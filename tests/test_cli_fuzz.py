@@ -5,8 +5,8 @@ term text, and int flags that reach past 2**64.  Carriers that get built
 keep to 16 members or fewer and the trial counts stay small, so every run
 ends quickly; sizes past the caps must be refused without being built.
 The .alg parser is also tested on its own, against ast.literal_eval and
-on deep and long lists; the term parser at and past its nesting limit;
-and main's argument routing against argparse's.
+on deep and long lists; the term parser at and past its nesting and
+height limits; and main's argument routing against argparse's.
 """
 
 import ast
@@ -23,7 +23,8 @@ import pytest
 
 from tsalg import cli
 from tsalg.cli import main, parse_algebra_spec
-from tsalg.termlang import MAX_NESTING, TermSyntaxError, parse_equation, parse_term, print_equation
+from tsalg.termlang import (MAX_HEIGHT, MAX_NESTING, TermSyntaxError, parse_equation, parse_term,
+                            print_equation)
 
 #: Ints past every cap and past 2**64, both signs.
 HUGE = strat.sampled_from([1 << 32, 1 << 63, (1 << 64) + 1, 10**29, 1 << 300]).flatmap(
@@ -304,6 +305,53 @@ def test_term_past_the_nesting_limit_exits_two_at_its_opener(tmp_path, name, dep
     for flags in ([], ["--json"]):
         assert _check(str(spec), f"{_nested(name, depth)} = x", *flags) == (2, "", f"error: {message}\n")
     assert time.perf_counter() - started < 5
+
+
+# --- the term parser's height limit -----------------------------------------
+
+#: name -> (a failing law whose lhs is height operators tall, and the offset
+#: of the operator that passes the limit in the law one operator taller)
+TALL = {
+    # a left-deep chain: operator k is at offset 2 + 4 * (k - 1)
+    "meet": (lambda height: " & ".join(["x"] * (height + 1)) + " = 0", 2 + 4 * MAX_HEIGHT),
+    "join": (lambda height: " | ".join(["x"] * (height + 1)) + " = 0", 2 + 4 * MAX_HEIGHT),
+    # a chain under MAX_NESTING - 1 complements, the most '~' a path may
+    # hold besides the '(': print_term takes two frames for each; past the
+    # limit the outermost '~' passes it
+    "not": (lambda height: "~" * (MAX_NESTING - 1) + "(" + " & ".join(["x"] * (height - MAX_NESTING + 2))
+            + ") = 1", 0),
+}
+
+
+@pytest.mark.parametrize("name", TALL)
+def test_term_at_the_height_limit_checks_and_prints(tmp_path, name):
+    # the witness re-check walks the whole tree, as do the compile walk and
+    # the printer, from main under pytest
+    spec = tmp_path / "full22.alg"
+    spec.write_text("n = 2\nbase = 2\ncarrier = full\n")
+    text = TALL[name][0](MAX_HEIGHT)
+    eq = parse_equation(text)
+    assert print_equation(parse_equation(print_equation(eq))) == print_equation(eq)
+    for flags in ([], ["--json"]):
+        got, out, err = _check(str(spec), text, *flags)
+        assert (got, err) == (1, ""), err
+    assert json.loads(out)["inputs"]["canonical"] == print_equation(eq)
+
+
+@pytest.mark.parametrize("name", TALL)
+def test_term_past_the_height_limit_exits_two_at_its_operator(tmp_path, name):
+    spec = tmp_path / "full22.alg"
+    spec.write_text("n = 2\nbase = 2\ncarrier = full\n")
+    make, offset = TALL[name]
+    message = f"term is taller than {MAX_HEIGHT} operators (at offset {offset})"
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_equation(make(MAX_HEIGHT + 1))
+    assert str(exc.value) == message and exc.value.position == offset
+    for flags in ([], ["--json"]):
+        assert _check(str(spec), make(MAX_HEIGHT + 1), *flags) == (2, "", f"error: {message}\n")
+    # 1,000 operands, more than a walk of the tree could get through
+    if name == "meet":
+        assert _check(str(spec), make(999))[0] == 2
 
 
 # --- argument routing --------------------------------------------------------

@@ -39,7 +39,6 @@ from tsalg.termlang import (
     resolve_mode,
     sigma,
     spec_perm,
-    term_vars,
 )
 
 from oracles import elem_set
@@ -132,11 +131,6 @@ def test_ast_validates_specs_directly():
         Transposition(-1, 0)
     with pytest.raises(Exception):
         Images((0, 0))
-
-
-def test_term_vars():
-    t = parse_term("s[0,1] (x & ~y) | z & x")
-    assert term_vars(t) == {"x", "y", "z"}
 
 
 # --- printing ---------------------------------------------------------------
