@@ -19,7 +19,11 @@ a permutation and routed through a Benes network, then masked to its
 defined positions.
 
 A carrier is *permutable* when it is closed under swapping any two
-coordinates of its members (hence under every coordinate permutation).
+coordinates of its members (hence under every coordinate permutation):
+it is a union of orbits, an orbit being all rearrangements of one
+sorted content.  The n - 1 neighbouring swaps generate every coordinate
+permutation, so they alone decide it, and an orbit walk over them builds
+a closure.  Each swap moves a member's rank by one formula (_swapped_at).
 On permutable carriers the substitution operators are Boolean
 endomorphisms and compose functorially; on arbitrary carriers only the
 literal definition is promised.
@@ -28,6 +32,7 @@ literal definition is promised.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -47,6 +52,9 @@ MAX_CARRIER_MEMBERS = 1 << 20
 
 #: Hard ceiling on generated subalgebra size (elements of the closure).
 MAX_SUBALGEBRA_ELEMS = 1 << 16
+
+#: Hard ceiling on permutable_subsets' output (unions of orbits).
+MAX_ORBIT_UNIONS = 1 << 16
 
 #: Hard ceiling on a carrier's dimension (past 20 only bases 0 and 1 fit
 #: MAX_CARRIER_MEMBERS; the verifiers check n(n-1)/2 transpositions).
@@ -334,9 +342,9 @@ def _benes_network(gather: list[int | None], tiles: dict) -> Network:
     return Network(width, swaps, defined, tiles)
 
 
-def full_carrier(n: int, u: int, *, max_members: int | None = None) -> Carrier:
+def full_carrier(n: int, u: int) -> Carrier:
     """The whole space ^n u as a carrier (always permutable)."""
-    cap = MAX_CARRIER_MEMBERS if max_members is None else max_members
+    cap = MAX_CARRIER_MEMBERS
     count = _capped_power(u, n, cap)
     if count > cap:
         raise SizeCapExceeded(f"full carrier of ^{n} {u} would exceed the cap of {cap} members")
@@ -345,9 +353,9 @@ def full_carrier(n: int, u: int, *, max_members: int | None = None) -> Carrier:
     return c
 
 
-def carrier_from_seqs(n: int, u: int, seqs: Iterable[Seq], *, max_members: int | None = None) -> Carrier:
+def carrier_from_seqs(n: int, u: int, seqs: Iterable[Seq]) -> Carrier:
     """Carrier from explicit member sequences (deduplicated, rank-sorted)."""
-    cap = MAX_CARRIER_MEMBERS if max_members is None else max_members
+    cap = MAX_CARRIER_MEMBERS
     ranks: set[SpaceRank] = set()
     for s in seqs:
         t = tuple(s)
@@ -359,76 +367,67 @@ def carrier_from_seqs(n: int, u: int, seqs: Iterable[Seq], *, max_members: int |
     return Carrier(n, u, sorted(ranks))
 
 
+def _swapped_at(D: Carrier, ranks: Iterable[SpaceRank | None], i: int, j: int) -> list[SpaceRank | None]:
+    """Each rank of D's space ^n u with its digits i and j exchanged (None
+    stays None): for digits d_k of weight w_k = u**(n-1-k), rank r gains
+    (d_j - d_i)(w_i - w_j)."""
+    u, wi, wj = D.u, D.u ** (D.n - 1 - i), D.u ** (D.n - 1 - j)
+    return [None if r is None else r + (r // wj % u - r // wi % u) * (wi - wj) for r in ranks]
+
+
 def is_permutable(D: Carrier) -> bool:
-    """Whether D is closed under swapping any two coordinates of its members.
+    """Whether D is closed under swapping any two coordinates of its
+    members, decided by the n - 1 neighbouring swaps, which generate every
+    coordinate permutation.
 
     Computed once per carrier and cached.
     """
     if D._permutable is None:
-        D._permutable = _compute_permutable(D)
+        idx = D.member_index
+        D._permutable = all(r in idx for i in range(D.n - 1) for r in _swapped_at(D, D.members, i, i + 1))
     return D._permutable
 
 
-def _compute_permutable(D: Carrier) -> bool:
-    idx = D.member_index
-    u = D.u
-    for i in range(D.n):
-        for j in range(i + 1, D.n):
-            for s in D.seqs:
-                if s[i] == s[j]:
-                    continue
-                t = list(s)
-                t[i], t[j] = t[j], t[i]
-                if _rank_unchecked(t, u) not in idx:
-                    return False
-    return True
-
-
-def permutable_closure(D: Carrier, *, max_members: int | None = None) -> Carrier:
-    """Smallest permutable carrier containing D (the orbit closure of its
-    members under all coordinate swaps)."""
-    cap = MAX_CARRIER_MEMBERS if max_members is None else max_members
-    seen: dict[SpaceRank, Seq] = {r: s for r, s in zip(D.members, D.seqs)}
-    swaps = [(i, j) for i in range(D.n) for j in range(i + 1, D.n)]
-    frontier = list(D.seqs)
-    u = D.u
+def permutable_closure(D: Carrier) -> Carrier:
+    """Smallest permutable carrier containing D: the union of its members'
+    orbits.  It is sized before it is built, at n!/prod(m_v!) members per
+    distinct sorted content of D's members (m_v the count of value v), and
+    then walked from D over the neighbouring swaps."""
+    cap = MAX_CARRIER_MEMBERS
+    contents = {tuple(sorted(s)) for s in D.seqs}
+    size = sum(math.factorial(D.n) // math.prod(math.factorial(c.count(v)) for v in set(c))
+               for c in contents)
+    if size > cap:
+        raise SizeCapExceeded(f"closure exceeds cap of {cap} members")
+    seen = set(D.members)
+    frontier = list(D.members)
     while frontier:
         nxt = []
-        for s in frontier:
-            for i, j in swaps:
-                if s[i] == s[j]:
-                    continue
-                t = list(s)
-                t[i], t[j] = t[j], t[i]
-                r = _rank_unchecked(t, u)
+        for i in range(D.n - 1):
+            for r in _swapped_at(D, frontier, i, i + 1):
                 if r not in seen:
-                    if len(seen) >= cap:
-                        raise SizeCapExceeded(f"closure exceeds cap of {cap} members")
-                    tt = tuple(t)
-                    seen[r] = tt
-                    nxt.append(tt)
+                    seen.add(r)
+                    nxt.append(r)
         frontier = nxt
     c = Carrier(D.n, D.u, sorted(seen))
     c._permutable = True
     return c
 
 
-def permutable_subsets(n: int, u: int, *, max_subsets: int = 1 << 16) -> list[Carrier]:
+def permutable_subsets(n: int, u: int) -> list[Carrier]:
     """All permutable subsets of ^n u, i.e. all unions of coordinate-swap
-    orbits.  Exponential in the orbit count, so guarded by a cap."""
+    orbits, one orbit per sorted content.  Exponential in the orbit count,
+    C(n + u - 1, n), so that count is checked against a cap first."""
     count = _capped_power(u, n, MAX_CARRIER_MEMBERS)
     if count > MAX_CARRIER_MEMBERS:
         raise SizeCapExceeded(f"space ^{n} {u} exceeds the cap of {MAX_CARRIER_MEMBERS} sequences")
-    orbits: list[tuple[SpaceRank, ...]] = []
-    claimed: set[SpaceRank] = set()
-    for r in range(count):
-        if r in claimed:
-            continue
-        orbit = permutable_closure(Carrier(n, u, [r])).members
-        claimed.update(orbit)
-        orbits.append(orbit)
-    if 1 << len(orbits) > max_subsets:
-        raise SizeCapExceeded(f"{1 << len(orbits)} orbit unions exceed cap of {max_subsets}")
+    # ^0 0 holds one sequence, the empty one, where the formula reads C(-1, 0)
+    orbit_count = math.comb(n + u - 1, n) if n + u else 1
+    if 1 << orbit_count > MAX_ORBIT_UNIONS:
+        raise SizeCapExceeded(f"2^{orbit_count} orbit unions exceed cap of {MAX_ORBIT_UNIONS}")
+    # contents in lexicographic order: each is its orbit's least member
+    orbits = [permutable_closure(Carrier(n, u, [_rank_unchecked(c, u)])).members
+              for c in itertools.combinations_with_replacement(range(u), n)]
     out = []
     for pick in range(1 << len(orbits)):
         members = sorted(
@@ -550,14 +549,14 @@ def subst(D: Carrier, f: Perm, x: Elem) -> Elem:
     return Elem(D, _apply_gather(D._gather_for(f), x.bits, D.size))
 
 
-def generate_subalgebra(D: Carrier, generators: Iterable[Elem], *, max_elems: int | None = None) -> list[Elem]:
+def generate_subalgebra(D: Carrier, generators: Iterable[Elem]) -> list[Elem]:
     """Least set of elements containing the generators and 0/1, closed
     under meet, complement, and substitution by every transposition.
 
     Returns the closure in increasing bit-vector order.  On the empty
     carrier the result is the single element 0 (= 1).
     """
-    cap = MAX_SUBALGEBRA_ELEMS if max_elems is None else max_elems
+    cap = MAX_SUBALGEBRA_ELEMS
     full = (1 << D.size) - 1
     tgathers = [
         D._gather_for(transposition(D.n, i, j))

@@ -47,6 +47,7 @@ from .algebra import (
     SizeCapExceeded,
     _apply_gather,
     _capped_power,
+    _swapped_at,
     atom,
     carrier_from_seqs,
     complement,
@@ -103,10 +104,6 @@ def unit_carrier(n: int, u: int = 2) -> Carrier:
     return carrier_from_seqs(n, u, (unit_seq(n, i) for i in range(n)))
 
 
-def _transpositions(n: int) -> list[Perm]:
-    return [transposition(n, i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 # --- relativization ----------------------------------------------------
 
 
@@ -139,7 +136,9 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode = Auto()) -> HomRep
     h y, h(~x) = ~h x and h(s_t x) = s_t h x for every transposition t.
 
     h is the gather table G._gather_from(E) and each s_t a gather too, so
-    the tables decide every law over all pairs.  A gather commutes with
+    the tables decide every law over all pairs; both sides of an s_t law
+    are read at G's members alone through algebra._swapped_at, so no whole
+    s_t table is compiled.  A gather commutes with
     meet; complement breaks at every x when table reads nothing somewhere;
     and the s_t law breaks at x just where x differs at the two positions
     of E that its sides read at some member of G.  The least violating pair
@@ -169,9 +168,11 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode = Auto()) -> HomRep
     # nothing), and the law on elements
     laws = [({"op": "complement"}, set(), lambda X: h(complement(X)) == complement(h(X)))]
     ranks = [None if src is None else E.members[src] for src in table]
-    for t in _transpositions(E.n):
-        lhs = _swapped_at(E, ranks, t)
-        rhs = [None if q is None else table[q] for q in G._gather_for(t)]
+    for i, j in itertools.combinations(range(E.n), 2):
+        t = transposition(E.n, i, j)
+        lhs = map(E.member_index.get, _swapped_at(E, ranks, i, j))
+        rhs = [None if q is None else table[q]
+               for q in map(G.member_index.get, _swapped_at(G, G.members, i, j))]
         apart = {(a, b) for a, b in zip(lhs, rhs) if a != b}
         laws.append(({"op": "subst", "perm": list(t.images)}, apart,
                      lambda X, t=t: h(subst(E, t, X)) == subst(G, t, h(X))))
@@ -207,16 +208,6 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode = Auto()) -> HomRep
         pairs = index + 1
         elements = pairs if isinstance(mode, Random) else x + 1
     return HomReport(E, G, ("meet", "complement", "subst"), mode.label, mode.seed, elements, pairs, violation)
-
-
-def _swapped_at(E: Carrier, ranks: list[int | None], t: Perm) -> list[int | None]:
-    """E._gather_for(t) for t = (i j) at the members of the given ranks (None
-    gives None), compiling no other entry: swapping digits i and j of rank r
-    adds (d_j - d_i)(w_i - w_j) to r, for digits d_k of weight u**(n-1-k)."""
-    i, j = (v for v, w in enumerate(t.images) if v != w)
-    u, wi, wj = E.u, E.u ** (E.n - 1 - i), E.u ** (E.n - 1 - j)
-    return [None if r is None else E.member_index.get(r + (r // wj % u - r // wi % u) * (wi - wj))
-            for r in ranks]
 
 
 def _bit(x: int, p: int | None) -> int:

@@ -6,6 +6,7 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
+from tsalg import algebra
 from tsalg.algebra import (
     Carrier,
     CarrierMismatch,
@@ -54,6 +55,7 @@ from oracles import (
     brute_relativize,
     brute_subst,
     elem_set,
+    lex_sequences,
     orbit,
     seq_compose,
 )
@@ -112,13 +114,16 @@ def test_carrier_from_seqs_validates_entries():
         carrier_from_seqs(2, 2, [(0, 2)])
 
 
-def test_size_caps():
+def test_size_caps(monkeypatch):
+    monkeypatch.setattr(algebra, "MAX_CARRIER_MEMBERS", 15)
     with pytest.raises(SizeCapExceeded):
-        full_carrier(2, 4, max_members=15)
+        full_carrier(2, 4)
+    monkeypatch.setattr(algebra, "MAX_CARRIER_MEMBERS", 3)
     with pytest.raises(SizeCapExceeded):
-        carrier_from_seqs(2, 2, all_seqs(2, 2), max_members=3)
+        carrier_from_seqs(2, 2, all_seqs(2, 2))
+    monkeypatch.setattr(algebra, "MAX_CARRIER_MEMBERS", 5)
     with pytest.raises(SizeCapExceeded):
-        permutable_closure(carrier_from_seqs(3, 3, [(0, 1, 2)]), max_members=5)
+        permutable_closure(carrier_from_seqs(3, 3, [(0, 1, 2)]))
 
 
 # --- permutability ---------------------------------------------------------
@@ -166,9 +171,55 @@ def test_permutable_subsets_of_2_3():
     assert sizes[0] == 0 and sizes[-1] == 9
 
 
-def test_permutable_subsets_cap():
+def test_permutable_subsets_cap(monkeypatch):
+    monkeypatch.setattr(algebra, "MAX_ORBIT_UNIONS", 64)
     with pytest.raises(SizeCapExceeded):
-        permutable_subsets(2, 4, max_subsets=64)  # ten orbits -> 1024 unions
+        permutable_subsets(2, 4)  # ten orbits -> 1024 unions
+
+
+@strat.composite
+def orbit_unions(draw):
+    """(n, u, members): a union of coordinate-swap orbits of ^n u, n = 3..5,
+    with or without one member removed, so both verdicts occur; n = 3 is
+    the first dimension with a swap of coordinates that are not neighbours."""
+    n, u = draw(strat.sampled_from([(3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]))
+    orbits = sorted({orbit(q) for q in lex_sequences(n, u)}, key=min)
+    members = sorted(set().union(*draw(strat.lists(strat.sampled_from(orbits), min_size=1, unique=True))))
+    if draw(strat.booleans()):
+        members.remove(draw(strat.sampled_from(members)))
+    return n, u, members
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(orbit_unions())
+@hypothesis.example((4, 2, [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)]))  # (1,0,0,0) missing
+def test_permutability_and_closure_match_brute_force_on_orbit_unions(case):
+    n, u, members = case
+    D = carrier_from_seqs(n, u, members)
+    assert is_permutable(D) == brute_permutable(members, n)
+    closed = permutable_closure(D)
+    assert set(closed.seqs) == set().union(*map(orbit, members))
+    assert brute_permutable(closed.seqs, n)
+
+
+def _peak_bytes(call) -> int:
+    """tracemalloc's peak over call(), which must raise SizeCapExceeded."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_permutable_subsets_refuses_before_it_walks_an_orbit():
+    # the orbit count, C(n + u - 1, n), is checked before any orbit is
+    # walked: walking the 65,536 ranks of ^16 2 first peaks at 7.5 MB, and
+    # writing the 2^20000 unions of ^1 20000 out in full in the message
+    # fails int-to-str conversion with a ValueError
+    for n, u in [(16, 2), (20, 2), (1, 20000)]:
+        assert _peak_bytes(lambda: permutable_subsets(n, u)) < 5 << 20, (n, u)
 
 
 # --- elements and boolean structure ----------------------------------------
@@ -461,11 +512,12 @@ def test_generate_subalgebra_on_empty_carrier():
     assert len(got) == 1 and is_zero(got[0])
 
 
-def test_generate_subalgebra_cap():
+def test_generate_subalgebra_cap(monkeypatch):
     D = full_carrier(2, 3)
     gens = [atom(D, s) for s in D.seqs]
+    monkeypatch.setattr(algebra, "MAX_SUBALGEBRA_ELEMS", 10)
     with pytest.raises(SizeCapExceeded):
-        generate_subalgebra(D, gens, max_elems=10)
+        generate_subalgebra(D, gens)
 
 
 # --- relativization and base canonicalization --------------------------------

@@ -730,14 +730,17 @@ def routed_relativizations(draw):
 @hypothesis.example((full_carrier(2, 3), carrier_from_seqs(2, 3, [(0, 1), (1, 0)]), [3, None]))
 def test_relativization_reads_the_bigger_carriers_gathers_where_the_table_points(case):
     # the s_t law reads E's s_t at the positions table points at, and each
-    # such read must agree with E's whole gather there
+    # such read must agree with E's whole gather there; the swaps of G's
+    # own members, for the law's other side, are not recorded
     E, G, table = case
     G._gather_from(E)[:] = table
     reads, swapped_at = [], theorems._swapped_at
 
-    def spy(big, ranks, t):
-        reads.append((t, swapped_at(big, ranks, t)))
-        return reads[-1][1]
+    def spy(D, ranks, i, j):
+        swapped = swapped_at(D, ranks, i, j)
+        if D is E:
+            reads.append((transposition(E.n, i, j), [E.member_index.get(r) for r in swapped]))
+        return swapped
 
     with mock.patch.object(theorems, "_swapped_at", spy), \
             mock.patch.object(theorems, "is_permutable", return_value=True):
@@ -749,13 +752,14 @@ def test_relativization_reads_the_bigger_carriers_gathers_where_the_table_points
 
 def test_relativization_compiles_no_gather_of_the_bigger_carrier():
     # from full (16,2) onto its units the laws read 16 entries of each of
-    # E's 120 transposition gathers, never the 65,536 of a whole one
+    # E's 120 transposition gathers, never the 65,536 of a whole one, and
+    # the swaps of G's own members compile no gather of G either
     cases = [(full_carrier(2, 3), G) for G in permutable_subsets(2, 3)]
     cases += [(full_carrier(n, 2), carrier_from_seqs(n, 2, [unit_seq(n, i) for i in range(n)]))
               for n in (3, 16)]
     for E, G in cases:
         assert theorems.verify_relativization(E, G).passed
-        assert not [key for key in E._gathers if not isinstance(key, Carrier)], (E, G)
+        assert not [key for D in (E, G) for key in D._gathers if not isinstance(key, Carrier)], (E, G)
 
 
 @strat.composite

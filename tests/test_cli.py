@@ -569,6 +569,22 @@ def test_size_guards_do_not_build_the_size(tmp_path, capsys):
     assert "budget is 1048576" in capsys.readouterr().err
 
 
+def test_closure_is_sized_before_it_is_built(tmp_path, capsys):
+    # one seed with 20 distinct values: its orbit has 20! members, so the
+    # closure is refused from its size; walking the orbit up to the member
+    # cap first took 10 s and 323 MB
+    seed = tmp_path / "seed20.alg"
+    seed.write_text(f"n = 20\nbase = 20\ncarrier = [{list(range(20))}]\n")
+    tracemalloc.start()
+    try:
+        assert main(["closure", "--spec", str(seed)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20, peak
+    assert "closure exceeds cap of 1048576 members" in capsys.readouterr().err
+
+
 def test_sigma_demo_json_replay(capsys):
     argv = ["sigma-demo", "--n", "3", "--json"]
     assert main(argv) == 0
