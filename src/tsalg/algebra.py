@@ -91,10 +91,11 @@ class Carrier:
     members holds ranks in strictly increasing order, so position in the
     carrier is itself a canonical order.  Structurally equal carriers
     (same n, u, members) are interchangeable; the permutability flag and
-    the compiled gathers are write-once caches.
+    the compiled gathers are write-once caches.  full says whether the
+    carrier is the whole space ^n u.
     """
 
-    __slots__ = ("n", "u", "members", "member_index", "_seqs", "_permutable", "_gathers",
+    __slots__ = ("n", "u", "members", "member_index", "full", "_seqs", "_permutable", "_gathers",
                  "_networks", "_tiles", "_hash")
 
     def __init__(self, n: int, u: int, members: Iterable[SpaceRank]):
@@ -114,6 +115,7 @@ class Carrier:
                 raise ValueError(f"rank {r} out of range for dimension {n} over base {u}")
             prev = r
         self.member_index: dict[SpaceRank, int] = {r: p for p, r in enumerate(self.members)}
+        self.full = _capped_power(u, n, self.size) == self.size
         self._seqs: tuple[Seq, ...] | None = None
         self._permutable: bool | None = None
         # keyed by permutation images (see _gather_for) or by a super-carrier
@@ -137,8 +139,7 @@ class Carrier:
         """Member sequences in carrier (= rank) order, which is product's
         order on a full carrier."""
         if self._seqs is None:
-            full = self.size == self.u**self.n
-            self._seqs = tuple(itertools.product(range(self.u), repeat=self.n) if full
+            self._seqs = tuple(itertools.product(range(self.u), repeat=self.n) if self.full
                                else (unrank(r, self.n, self.u) for r in self.members))
         return self._seqs
 
@@ -171,7 +172,7 @@ class Carrier:
                 )
             idx = self.member_index
             u = self.u
-            if self.n and _capped_power(u, self.n, self.size) == self.size:
+            if self.n and self.full:
                 # the full carrier: digit w of p is digit f^-1(w) of p . f,
                 # so walk p's digits from the most significant, looking the
                 # last one up as it goes
@@ -193,7 +194,7 @@ class Carrier:
                 raise DimensionMismatch(
                     f"permutation of dimension {f.n} on a carrier of dimension {self.n}"
                 )
-            if _capped_power(self.u, self.n, self.size) == self.size:
+            if self.full:
                 # s_f applies, in order, the transpositions sorting f's images
                 images, swaps = list(f.images), []
                 for v in range(self.n):
@@ -348,9 +349,7 @@ def full_carrier(n: int, u: int) -> Carrier:
     count = _capped_power(u, n, cap)
     if count > cap:
         raise SizeCapExceeded(f"full carrier of ^{n} {u} would exceed the cap of {cap} members")
-    c = Carrier(n, u, range(count))
-    c._permutable = True
-    return c
+    return Carrier(n, u, range(count))
 
 
 def carrier_from_seqs(n: int, u: int, seqs: Iterable[Seq]) -> Carrier:
@@ -375,24 +374,31 @@ def _swapped_at(D: Carrier, ranks: Iterable[SpaceRank | None], i: int, j: int) -
     return [None if r is None else r + (r // wj % u - r // wi % u) * (wi - wj) for r in ranks]
 
 
-def is_permutable(D: Carrier) -> bool:
+def _swap_closed(D: Carrier) -> bool:
     """Whether D is closed under swapping any two coordinates of its
-    members, decided by the n - 1 neighbouring swaps, which generate every
-    coordinate permutation.
+    members, decided afresh: the whole space is, and otherwise the n - 1
+    neighbouring swaps, which generate every coordinate permutation, are
+    tried on every member."""
+    idx = D.member_index
+    return D.full or all(r in idx for i in range(D.n - 1) for r in _swapped_at(D, D.members, i, i + 1))
 
-    Computed once per carrier and cached.
-    """
+
+def is_permutable(D: Carrier) -> bool:
+    """Whether D is closed under every coordinate swap (_swap_closed),
+    computed once per carrier and cached."""
     if D._permutable is None:
-        idx = D.member_index
-        D._permutable = all(r in idx for i in range(D.n - 1) for r in _swapped_at(D, D.members, i, i + 1))
+        D._permutable = _swap_closed(D)
     return D._permutable
 
 
 def permutable_closure(D: Carrier) -> Carrier:
-    """Smallest permutable carrier containing D: the union of its members'
-    orbits.  It is sized before it is built, at n!/prod(m_v!) members per
-    distinct sorted content of D's members (m_v the count of value v), and
-    then walked from D over the neighbouring swaps."""
+    """Smallest permutable carrier containing D: D itself when it is
+    permutable, else the union of its members' orbits.  That is sized
+    before it is built, at n!/prod(m_v!) members per distinct sorted
+    content of D's members (m_v the count of value v), and then walked from
+    D over the neighbouring swaps."""
+    if is_permutable(D):
+        return D
     cap = MAX_CARRIER_MEMBERS
     contents = {tuple(sorted(s)) for s in D.seqs}
     size = sum(math.factorial(D.n) // math.prod(math.factorial(c.count(v)) for v in set(c))
@@ -409,9 +415,7 @@ def permutable_closure(D: Carrier) -> Carrier:
                     seen.add(r)
                     nxt.append(r)
         frontier = nxt
-    c = Carrier(D.n, D.u, sorted(seen))
-    c._permutable = True
-    return c
+    return Carrier(D.n, D.u, sorted(seen))
 
 
 def permutable_subsets(n: int, u: int) -> list[Carrier]:

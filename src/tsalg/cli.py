@@ -49,9 +49,9 @@ from typing import NoReturn
 from .algebra import (
     Carrier,
     Elem,
+    _swap_closed,
     carrier_from_seqs,
     full_carrier,
-    is_permutable,
     permutable_closure,
 )
 from .seqspace import Perm, Seq, fmt_seq
@@ -546,8 +546,8 @@ def _cmd_closure(args: argparse.Namespace, budget: int) -> RunReport:
     spec = load_algebra_spec(args.spec)
     carrier = spec.to_carrier()
     closed = permutable_closure(carrier)
-    # re-check on a fresh carrier so the flag is computed, not assumed
-    verified = is_permutable(Carrier(closed.n, closed.u, closed.members))
+    # re-checked, not read from the flag that is_permutable caches
+    verified = _swap_closed(closed)
     return RunReport(
         command="closure",
         inputs={"spec": spec},

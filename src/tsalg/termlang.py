@@ -12,16 +12,19 @@ Grammar (whitespace-insensitive)::
     eq    := term '=' term ;
     quasi := eq (',' eq)* '=>' eq .
 
-Each '(', '~' and 's[..]'/'s{..}' opens one nesting level; a term nesting
-deeper than MAX_NESTING levels is refused at the opener that passes it,
-and one with more than MAX_HEIGHT operators on a path from its root to a
-leaf, as a long chain 'x & x & ...' has, at the operator that passes it.
+A chain 'x & y & z' (or 'x | y | z') is one And (Or) node over all its
+operands, and a parenthesized chain first in a chain of its kind gives its
+operands in its place: '(x & y) & z' is 'x & y & z'.  Each '(', '~' and
+'s[..]'/'s{..}' opens one nesting level, and a term nesting deeper than
+MAX_NESTING levels is refused at the opener that passes it; a path from a
+term's root to a leaf holds at most two chains per level.
 
 's[i,j]' applies the substitution operator of the transposition swapping
 coordinates i and j; 's{a0,a1,...}' that of the permutation with the given
 image list.  Precedence: '~' and 's' bind tightest, then '&', then '|';
-'&' and '|' associate to the left.  print_term emits a canonical form that
-parses back to a structurally identical tree.
+a chain is folded from the left, as if '&' and '|' associated to the
+left.  print_term emits a canonical form that parses back to a
+structurally identical tree.
 
 Checkers enumerate assignments with variables in sorted name order, each
 variable running through bit vectors in increasing numeric value, so the
@@ -100,14 +103,11 @@ DEFAULT_ASSIGNMENT_BUDGET = 1 << 20
 DEFAULT_TRIALS = 2000
 
 #: Most '(', '~' and 's[..]'/'s{..}' a term may nest, one inside the
-#: other.  The parser takes up to five frames per level, so the limit
-#: keeps well inside Python's default recursion limit of 1000.
+#: other.  The parser takes up to seven frames per level, and any walk of
+#: the term (the dataclass ==, repr and hash included) a few per node on a
+#: path, which holds at most two chains per level: well inside Python's
+#: default recursion limit of 1000.
 MAX_NESTING = 100
-
-#: Most operators on one path from a term's root to a leaf.  The tree walkers
-#: (_compile, print_term, eval_term) take a frame per operator, print_term
-#: two per '~' or 's', which MAX_NESTING bounds: 600 frames at most.
-MAX_HEIGHT = 500
 
 
 def fmt_count(k: int) -> str:
@@ -162,14 +162,12 @@ class Not:
 
 @dataclass(frozen=True)
 class And:
-    left: "Term"
-    right: "Term"
+    args: tuple["Term", ...]  # two or more, folded from the left
 
 
 @dataclass(frozen=True)
 class Or:
-    left: "Term"
-    right: "Term"
+    args: tuple["Term", ...]  # two or more, folded from the left
 
 
 @dataclass(frozen=True)
@@ -273,23 +271,14 @@ class _Parser:
             raise self.error("expected an identifier")
         return t[start : self.pos]
 
-    def nested(self, at: int, parse: Callable[[], tuple[Term, int]],
-               make: Callable[[Term], Term] | None = None) -> tuple[Term, int]:
-        """parse() one nesting level deeper, for the opener at offset at, and
-        make, if given, builds the operator there over what parse gives."""
+    def nested(self, at: int, parse: Callable[[], Term]) -> Term:
+        """parse() one nesting level deeper, for the opener at offset at."""
         if self.depth == MAX_NESTING:
             raise self.error(f"term nests deeper than {MAX_NESTING} levels", at)
         self.depth += 1
-        node, height = parse()
+        node = parse()
         self.depth -= 1
-        return (node, height) if make is None else (make(node), self.over(at, height))
-
-    def over(self, at: int, *heights: int) -> int:
-        """The height of the operator at offset at over operands this tall."""
-        height = max(heights) + 1
-        if height > MAX_HEIGHT:
-            raise self.error(f"term is taller than {MAX_HEIGHT} operators", at)
-        return height
+        return node
 
     def nat_list(self, close: str) -> tuple[int, ...]:
         out = [self.nat()]
@@ -298,29 +287,30 @@ class _Parser:
         self.expect(close)
         return tuple(out)
 
-    # grammar rules: each gives a term and its height
-
-    def or_(self) -> tuple[Term, int]:
+    def or_(self) -> Term:
         return self.chain("|", Or, self.and_)
 
-    def and_(self) -> tuple[Term, int]:
+    def and_(self) -> Term:
         return self.chain("&", And, self.unary)
 
-    def chain(self, op: str, node: type, operand: Callable[[], tuple[Term, int]]) -> tuple[Term, int]:
-        """operand (op operand)*, associating to the left."""
-        t, height = operand()
+    def chain(self, op: str, node: type[And] | type[Or], operand: Callable[[], Term]) -> Term:
+        """operand (op operand)*, as one node when op occurs.  A first
+        operand of node's kind can only be parenthesized; its operands are
+        spliced in, which gives the tree of left association."""
+        first = operand()
+        if self.peek() != op:
+            return first
+        args = list(first.args) if type(first) is node else [first]
         while self.peek() == op:
-            at = self.pos
             self.pos += 1
-            right, h = operand()
-            t, height = node(t, right), self.over(at, height, h)
-        return t, height
+            args.append(operand())
+        return node(tuple(args))
 
-    def unary(self) -> tuple[Term, int]:
+    def unary(self) -> Term:
         self.skip_ws()
         here = self.pos
         if self.take("~"):
-            return self.nested(here, self.unary, Not)
+            return Not(self.nested(here, self.unary))
         c = self.peek()
         if c.isalpha() or c == "_":
             name = self.ident()
@@ -332,39 +322,39 @@ class _Parser:
                     self.expect("]")
                     if i == j:
                         raise self.error(f"s[{i},{j}] does not name a transposition", here)
-                    return self.nested(here, self.unary, lambda arg: Subst(Transposition(i, j), arg))
+                    return Subst(Transposition(i, j), self.nested(here, self.unary))
                 self.expect("{")
                 images = self.nat_list("}")
                 try:
                     spec = Images(images)
                 except NotAPermutation as exc:
                     raise self.error(str(exc), here) from None
-                return self.nested(here, self.unary, lambda arg: Subst(spec, arg))
-            return Var(name), 0
+                return Subst(spec, self.nested(here, self.unary))
+            return Var(name)
         return self.atom()
 
-    def atom(self) -> tuple[Term, int]:
+    def atom(self) -> Term:
         if self.take("0"):
-            return Zero(), 0
+            return Zero()
         if self.take("1"):
-            return One(), 0
+            return One()
         here = self.pos
         if self.take("("):
-            node, height = self.nested(here, self.or_)
+            node = self.nested(here, self.or_)
             self.expect(")")
-            return node, height
+            return node
         c = self.peek()
         if c.isalpha() or c == "_":
-            return Var(self.ident()), 0
+            return Var(self.ident())
         raise self.error("expected '0', '1', a variable, or '('")
 
     def equation(self) -> Equation:
-        lhs = self.or_()[0]
+        lhs = self.or_()
         self.skip_ws()
         if not (self.text.startswith("=", self.pos) and not self.text.startswith("=>", self.pos)):
             raise self.error("expected '='")
         self.pos += 1
-        return Equation(lhs, self.or_()[0])
+        return Equation(lhs, self.or_())
 
     def quasi(self) -> QuasiEquation:
         eqs = [self.equation()]
@@ -382,7 +372,7 @@ class _Parser:
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    node = p.or_()[0]
+    node = p.or_()
     p.finish()
     return node
 
@@ -428,20 +418,16 @@ def print_term(t: Term) -> str:
         return "~" + _unary_operand(t.arg)
     if isinstance(t, Subst):
         return _spec_str(t.perm) + " " + _unary_operand(t.arg)
-    if isinstance(t, And):
-        left = print_term(t.left)
-        if isinstance(t.left, Or):
-            left = f"({left})"
-        right = print_term(t.right)
-        if isinstance(t.right, (And, Or)):
-            right = f"({right})"
-        return f"{left} & {right}"
-    if isinstance(t, Or):
-        left = print_term(t.left)
-        right = print_term(t.right)
-        if isinstance(t.right, Or):
-            right = f"({right})"
-        return f"{left} | {right}"
+    if isinstance(t, (And, Or)):
+        # a join inside a meet takes parentheses, as does a chain of t's own
+        # kind after the first operand
+        text = []
+        for k, arg in enumerate(t.args):
+            s = print_term(arg)
+            if isinstance(arg, Or) and isinstance(t, And) or k and type(arg) is type(t):
+                s = f"({s})"
+            text.append(s)
+        return (" & " if isinstance(t, And) else " | ").join(text)
     raise TypeError(f"not a term node: {t!r}")
 
 
@@ -473,7 +459,8 @@ def spec_perm(spec: PermSpec, n: int) -> Perm:
 
 
 def eval_term(t: Term, D: Carrier, assignment: Mapping[str, Elem]) -> Elem:
-    if isinstance(t, Var):
+    kind = type(t)
+    if kind is Var:
         try:
             x = assignment[t.name]
         except KeyError:
@@ -481,17 +468,21 @@ def eval_term(t: Term, D: Carrier, assignment: Mapping[str, Elem]) -> Elem:
         if x.carrier is not D and x.carrier != D:
             raise CarrierMismatch(f"assignment for {t.name!r} lives on a different carrier")
         return x
-    if isinstance(t, Zero):
+    if kind is And or kind is Or:
+        fold = meet if kind is And else join
+        args = t.args
+        value = fold(eval_term(args[0], D, assignment), eval_term(args[1], D, assignment))
+        if len(args) > 2:  # a two-operand chain makes no slice
+            for arg in args[2:]:
+                value = fold(value, eval_term(arg, D, assignment))
+        return value
+    if kind is Zero:
         return zero(D)
-    if isinstance(t, One):
+    if kind is One:
         return one(D)
-    if isinstance(t, Not):
+    if kind is Not:
         return complement(eval_term(t.arg, D, assignment))
-    if isinstance(t, And):
-        return meet(eval_term(t.left, D, assignment), eval_term(t.right, D, assignment))
-    if isinstance(t, Or):
-        return join(eval_term(t.left, D, assignment), eval_term(t.right, D, assignment))
-    if isinstance(t, Subst):
+    if kind is Subst:
         return subst(D, spec_perm(t.perm, D.n), eval_term(t.arg, D, assignment))
     raise TypeError(f"not a term node: {t!r}")
 
@@ -630,12 +621,16 @@ def _compile(qe: QuasiEquation, n: int) -> tuple[list[str], list[tuple], list[tu
 
     def emit(t: Term) -> int:
         kind = type(t)
-        if kind is And:
-            op = ("and", emit(t.left), emit(t.right))
-        elif kind is Or:
-            op = ("or", emit(t.left), emit(t.right))
-        elif kind is Var:
+        if kind is Var:
             op = ("var", t.name)
+        elif kind is And or kind is Or:
+            # folded from the left: each partial chain takes a slot of its own
+            name = "and" if kind is And else "or"
+            args = t.args
+            op = (name, emit(args[0]), emit(args[1]))
+            if len(args) > 2:  # a two-operand chain makes no slice
+                for arg in args[2:]:
+                    op = (name, slots.setdefault(op, len(slots)), emit(arg))
         elif kind is Not:
             op = ("not", emit(t.arg))
         elif kind is Subst:
@@ -917,5 +912,5 @@ def sigma(n: int, f: Perm, g: Perm) -> QuasiEquation:
     if f.n != n or g.n != n:
         raise DimensionMismatch(f"permutation dimensions {f.n}, {g.n} do not match n={n}")
     x = Var("x")
-    hypothesis = Equation(Or(Subst(Images(f.images), x), Subst(Images(g.images), x)), Not(x))
+    hypothesis = Equation(Or((Subst(Images(f.images), x), Subst(Images(g.images), x))), Not(x))
     return QuasiEquation((hypothesis,), Equation(Zero(), One()))

@@ -635,7 +635,7 @@ def principal_ultraproduct(factors: list[Carrier], i0: int) -> UltraproductRepor
     if not 0 <= i0 < len(factors):
         raise ValueError(f"index {i0} out of range for {len(factors)} factors")
     for c in factors:
-        if c.size != c.u**c.n:
+        if not c.full:
             raise ValueError("principal ultraproducts are built over full carriers")
     prod = ProductAlgebra(factors)  # validates shared dimension
     target = factors[i0]

@@ -274,12 +274,21 @@ def brute_first_violation(members, nvars, laws):
 
 def law_names(qe):
     """The sorted names of a quasi-equation's variables, by a plain walk of
-    its terms' fields: a Var has a name, every other node its operands
-    among left, right and arg."""
+    its terms' fields: a Var has a name, every other node its operands in
+    args or arg."""
     def names(t):
         if hasattr(t, "name"):
             return {t.name}
-        return set().union(*(names(getattr(t, f)) for f in ("left", "right", "arg") if hasattr(t, f)))
+        operands = t.args if hasattr(t, "args") else (t.arg,) if hasattr(t, "arg") else ()
+        return set().union(*map(names, operands))
 
     return sorted(set().union(*(names(side) for eq in (*qe.hypotheses, qe.conclusion)
                                 for side in (eq.lhs, eq.rhs))))
+
+
+def chain(node, operands):
+    """The node (And or Or) that the parser builds over operands: a first
+    operand of node's own kind gives its operands in its place, as a
+    parenthesized chain does."""
+    first, *rest = operands
+    return node((*first.args, *rest) if type(first) is node else (first, *rest))

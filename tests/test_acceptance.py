@@ -55,6 +55,8 @@ from tsalg.theorems import (
     verify_relativization,
 )
 
+from oracles import chain
+
 SEED = 1729
 
 
@@ -291,9 +293,9 @@ def _random_term(rng, depth):
         return rng.choice(leaves)
     kind = rng.randrange(4)
     if kind == 0:
-        return And(_random_term(rng, depth - 1), _random_term(rng, depth - 1))
+        return chain(And, (_random_term(rng, depth - 1), _random_term(rng, depth - 1)))
     if kind == 1:
-        return Or(_random_term(rng, depth - 1), _random_term(rng, depth - 1))
+        return chain(Or, (_random_term(rng, depth - 1), _random_term(rng, depth - 1)))
     if kind == 2:
         return Not(_random_term(rng, depth - 1))
     if rng.random() < 0.5:

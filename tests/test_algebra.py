@@ -144,6 +144,18 @@ def test_is_permutable_matches_brute_force(members):
     assert is_permutable(D) == brute_permutable(members, 3)
 
 
+def test_carrier_knows_whether_it_is_the_whole_space():
+    # counted once, at construction; a full carrier is permutable without a
+    # walk, and no flag is preset
+    for n, u in [(0, 0), (0, 3), (2, 0), (1, 2), (2, 3), (3, 2)]:
+        D = full_carrier(n, u)
+        assert D.full and D._permutable is None and is_permutable(D)
+        assert Carrier(n, u, range(u**n)).full
+    assert not Carrier(0, 0, []).full  # ^0 0 holds the empty sequence
+    assert not carrier_from_seqs(2, 2, [(0, 0), (1, 1)]).full
+    assert not carrier_from_seqs(2, 2, []).full
+
+
 def test_permutable_closure_frozen_example():
     D = carrier_from_seqs(3, 3, [(0, 1, 2)])
     closed = permutable_closure(D)
@@ -200,6 +212,10 @@ def test_permutability_and_closure_match_brute_force_on_orbit_unions(case):
     closed = permutable_closure(D)
     assert set(closed.seqs) == set().union(*map(orbit, members))
     assert brute_permutable(closed.seqs, n)
+    # a permutable carrier is its own closure; a closure that is built
+    # computes its flag when asked
+    assert (closed is D) == brute_permutable(members, n)
+    assert closed._permutable is None or closed is D
 
 
 def _peak_bytes(call) -> int:

@@ -54,6 +54,7 @@ from oracles import (
     brute_relativization,
     brute_separation,
     brute_subst,
+    chain,
     law_names,
     lex_sequences,
     orbit,
@@ -76,10 +77,9 @@ def oracle_value(t, n, members, env):
         return frozenset(members)
     if isinstance(t, Not):
         return frozenset(members) - oracle_value(t.arg, n, members, env)
-    if isinstance(t, And):
-        return oracle_value(t.left, n, members, env) & oracle_value(t.right, n, members, env)
-    if isinstance(t, Or):
-        return oracle_value(t.left, n, members, env) | oracle_value(t.right, n, members, env)
+    if isinstance(t, (And, Or)):
+        values = [oracle_value(arg, n, members, env) for arg in t.args]
+        return frozenset.intersection(*values) if isinstance(t, And) else frozenset.union(*values)
     if isinstance(t.perm, Transposition):
         images = swap_images(n, t.perm.i, t.perm.j)
     else:
@@ -152,8 +152,8 @@ def terms(n, names):
 
     def extend(children):
         return strat.one_of(
-            strat.tuples(children, children).map(lambda p: And(*p)),
-            strat.tuples(children, children).map(lambda p: Or(*p)),
+            strat.lists(children, min_size=2, max_size=4).map(lambda p: chain(And, p)),
+            strat.lists(children, min_size=2, max_size=4).map(lambda p: chain(Or, p)),
             children.map(Not),
             strat.tuples(specs, children).map(lambda p: Subst(*p)),
         )
@@ -559,7 +559,9 @@ def compiled(qe, D, names, rows=False):
 def term_keyed_compile(qe, D, names, rows=False):
     """The program as it was compiled with slots keyed by the terms
     themselves: an op emitted again, a map keyed by its table's identity,
-    kept the slot it held."""
+    kept the slot it held.  A chain is folded from the left: the op over
+    the chain of its operands but the last, keyed as a term, and the
+    last."""
     ops, by_op, slots, tables = [], {}, {}, {}
 
     def emit(t):
@@ -573,10 +575,10 @@ def term_keyed_compile(qe, D, names, rows=False):
             op = ("one",)
         elif isinstance(t, Not):
             op = ("not", emit(t.arg))
-        elif isinstance(t, And):
-            op = ("and", emit(t.left), emit(t.right))
-        elif isinstance(t, Or):
-            op = ("or", emit(t.left), emit(t.right))
+        elif isinstance(t, (And, Or)):
+            *init, last = t.args
+            op = ("and" if isinstance(t, And) else "or",
+                  emit(type(t)(tuple(init)) if len(init) > 1 else init[0]), emit(last))
         else:
             if t.perm not in tables:
                 f = termlang.spec_perm(t.perm, D.n)
@@ -610,7 +612,7 @@ def shared_subterms(draw):
     for _ in range(draw(strat.integers(0, 12))):
         a, b = draw(strat.sampled_from(pool)), draw(strat.sampled_from(pool))
         kind = draw(strat.sampled_from(["and", "or", "not", "s"]))
-        t = {"and": lambda: And(a, b), "or": lambda: Or(a, b), "not": lambda: Not(a),
+        t = {"and": lambda: chain(And, (a, b)), "or": lambda: chain(Or, (a, b)), "not": lambda: Not(a),
              "s": lambda: Subst(draw(specs), a)}[kind]()
         pool.append(copy.deepcopy(t) if draw(strat.booleans()) else t)
     equations = strat.builds(Equation, strat.sampled_from(pool), strat.sampled_from(pool))

@@ -255,6 +255,23 @@ def test_closure_cli(tmp_path, capsys):
     assert "permutable: True" in out
 
 
+def test_closure_report_rechecks_the_closure(tmp_path, capsys, monkeypatch):
+    # a closure that is not permutable yet carries the cached flag of one:
+    # the report re-checks it rather than reading the flag
+    spec = tmp_path / "seed.alg"
+    spec.write_text("n = 3\nbase = 3\ncarrier = [[0,1,2]]\n")
+
+    def unclosed(D):
+        D._permutable = True
+        return D
+
+    monkeypatch.setattr(cli, "permutable_closure", unclosed)
+    assert main(["closure", "--spec", str(spec), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False and report["details"]["permutable"] is False
+    assert report["counts"] == {"closure_size": 1, "input_size": 1}
+
+
 def test_ultraproduct_cli(full22, full32, capsys):
     assert main(["ultraproduct", "--spec", full22, "--spec", full22, "--index", "0"]) == 0
     out = capsys.readouterr().out

@@ -23,7 +23,7 @@ import pytest
 
 from tsalg import cli
 from tsalg.cli import main, parse_algebra_spec
-from tsalg.termlang import (MAX_HEIGHT, MAX_NESTING, TermSyntaxError, parse_equation, parse_term,
+from tsalg.termlang import (MAX_NESTING, TermSyntaxError, parse_equation, parse_term,
                             print_equation)
 
 #: Ints past every cap and past 2**64, both signs.
@@ -307,51 +307,34 @@ def test_term_past_the_nesting_limit_exits_two_at_its_opener(tmp_path, name, dep
     assert time.perf_counter() - started < 5
 
 
-# --- the term parser's height limit -----------------------------------------
+# --- long chains --------------------------------------------------------------
 
-#: name -> (a failing law whose lhs is height operators tall, and the offset
-#: of the operator that passes the limit in the law one operator taller)
-TALL = {
-    # a left-deep chain: operator k is at offset 2 + 4 * (k - 1)
-    "meet": (lambda height: " & ".join(["x"] * (height + 1)) + " = 0", 2 + 4 * MAX_HEIGHT),
-    "join": (lambda height: " | ".join(["x"] * (height + 1)) + " = 0", 2 + 4 * MAX_HEIGHT),
-    # a chain under MAX_NESTING - 1 complements, the most '~' a path may
-    # hold besides the '(': print_term takes two frames for each; past the
-    # limit the outermost '~' passes it
-    "not": (lambda height: "~" * (MAX_NESTING - 1) + "(" + " & ".join(["x"] * (height - MAX_NESTING + 2))
-            + ") = 1", 0),
+#: name -> a failing law whose lhs holds a chain of the given operand count
+LONG = {
+    "meet": lambda operands: " & ".join(["x"] * operands) + " = 0",
+    "join": lambda operands: " | ".join(["x"] * operands) + " = 0",
+    # the chain under MAX_NESTING - 1 complements, the most '~' a path may
+    # hold besides the '('
+    "not": lambda operands: "~" * (MAX_NESTING - 1) + "(" + " & ".join(["x"] * operands) + ") = 1",
 }
 
 
-@pytest.mark.parametrize("name", TALL)
-def test_term_at_the_height_limit_checks_and_prints(tmp_path, name):
-    # the witness re-check walks the whole tree, as do the compile walk and
-    # the printer, from main under pytest
+@pytest.mark.parametrize("operands", [502, 30_000])
+@pytest.mark.parametrize("name", LONG)
+def test_long_chain_checks_and_prints(tmp_path, name, operands):
+    # a chain is one node, so its length is not limited: 502 operands pass
+    # the 500-operator height limit the parser once had, and at 30,000 the
+    # compile walk, the witness re-check and the printer still run from main
+    # under pytest
     spec = tmp_path / "full22.alg"
     spec.write_text("n = 2\nbase = 2\ncarrier = full\n")
-    text = TALL[name][0](MAX_HEIGHT)
+    text = LONG[name](operands)
     eq = parse_equation(text)
     assert print_equation(parse_equation(print_equation(eq))) == print_equation(eq)
     for flags in ([], ["--json"]):
         got, out, err = _check(str(spec), text, *flags)
         assert (got, err) == (1, ""), err
     assert json.loads(out)["inputs"]["canonical"] == print_equation(eq)
-
-
-@pytest.mark.parametrize("name", TALL)
-def test_term_past_the_height_limit_exits_two_at_its_operator(tmp_path, name):
-    spec = tmp_path / "full22.alg"
-    spec.write_text("n = 2\nbase = 2\ncarrier = full\n")
-    make, offset = TALL[name]
-    message = f"term is taller than {MAX_HEIGHT} operators (at offset {offset})"
-    with pytest.raises(TermSyntaxError) as exc:
-        parse_equation(make(MAX_HEIGHT + 1))
-    assert str(exc.value) == message and exc.value.position == offset
-    for flags in ([], ["--json"]):
-        assert _check(str(spec), make(MAX_HEIGHT + 1), *flags) == (2, "", f"error: {message}\n")
-    # 1,000 operands, more than a walk of the tree could get through
-    if name == "meet":
-        assert _check(str(spec), make(999))[0] == 2
 
 
 # --- argument routing --------------------------------------------------------

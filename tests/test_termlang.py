@@ -4,6 +4,7 @@ import pytest
 
 from tsalg.algebra import Elem, atom, carrier_from_seqs, complement, elem_from_seqs, full_carrier, one, zero
 from tsalg.seqspace import DimensionMismatch, Perm
+from tsalg import termlang
 from tsalg.termlang import (
     DEFAULT_ASSIGNMENT_BUDGET,
     DEFAULT_SEED,
@@ -15,6 +16,7 @@ from tsalg.termlang import (
     EvalError,
     Exhaustive,
     Images,
+    MAX_NESTING,
     Not,
     One,
     Or,
@@ -41,24 +43,36 @@ from tsalg.termlang import (
     spec_perm,
 )
 
-from oracles import elem_set
+from oracles import chain, elem_set
 
 
 # --- parsing ---------------------------------------------------------------
 
 
 def test_parse_precedence_and_associativity():
-    assert parse_term("x | y & z") == Or(Var("x"), And(Var("y"), Var("z")))
-    assert parse_term("x & y | z") == Or(And(Var("x"), Var("y")), Var("z"))
-    assert parse_term("x & y & z") == And(And(Var("x"), Var("y")), Var("z"))
-    assert parse_term("x | y | z") == Or(Or(Var("x"), Var("y")), Var("z"))
+    assert parse_term("x | y & z") == Or((Var("x"), And((Var("y"), Var("z")))))
+    assert parse_term("x & y | z") == Or((And((Var("x"), Var("y"))), Var("z")))
+    assert parse_term("x & y & z") == And((Var("x"), Var("y"), Var("z")))
+    assert parse_term("x | y | z") == Or((Var("x"), Var("y"), Var("z")))
+
+
+def test_parse_chain_is_one_node_as_left_association_gives():
+    # a parenthesized chain first in a chain of its own kind is spliced in;
+    # anywhere else it stays a node of its own
+    x, y, z = Var("x"), Var("y"), Var("z")
+    assert parse_term("(x & y) & z") == parse_term("((x & y)) & z") == And((x, y, z))
+    assert parse_term("(x | y) | z") == Or((x, y, z))
+    assert parse_term("x & (y & z)") == And((x, And((y, z))))
+    assert parse_term("(x | y) & z") == And((Or((x, y)), z))
+    assert parse_term("(x & y) | z") == Or((And((x, y)), z))
+    assert parse_term("~(x & y) & z") == And((Not(And((x, y))), z))
 
 
 def test_parse_unary_binds_tightest():
-    assert parse_term("~x & y") == And(Not(Var("x")), Var("y"))
-    assert parse_term("s[0,1] x | y") == Or(Subst(Transposition(0, 1), Var("x")), Var("y"))
+    assert parse_term("~x & y") == And((Not(Var("x")), Var("y")))
+    assert parse_term("s[0,1] x | y") == Or((Subst(Transposition(0, 1), Var("x")), Var("y")))
     assert parse_term("~s[0,1] ~x") == Not(Subst(Transposition(0, 1), Not(Var("x"))))
-    assert parse_term("s{1,0} (x | y)") == Subst(Images((1, 0)), Or(Var("x"), Var("y")))
+    assert parse_term("s{1,0} (x | y)") == Subst(Images((1, 0)), Or((Var("x"), Var("y"))))
 
 
 def test_parse_constants_parens_idents():
@@ -68,7 +82,7 @@ def test_parse_constants_parens_idents():
     assert parse_term("_a1") == Var("_a1")
     # 's' alone is an ordinary variable; only s[ / s{ start an operator
     assert parse_term("s") == Var("s")
-    assert parse_term("s & x") == And(Var("s"), Var("x"))
+    assert parse_term("s & x") == And((Var("s"), Var("x")))
 
 
 def test_parse_whitespace_insensitive():
@@ -79,13 +93,13 @@ def test_parse_whitespace_insensitive():
 
 def test_parse_equation_and_quasi():
     eq = parse_equation("s[0,1] x = x & 1")
-    assert eq == Equation(Subst(Transposition(0, 1), Var("x")), And(Var("x"), One()))
+    assert eq == Equation(Subst(Transposition(0, 1), Var("x")), And((Var("x"), One())))
     qe = parse_quasi("x = 0, y = 1 => x & y = 0")
     assert qe.hypotheses == (
         Equation(Var("x"), Zero()),
         Equation(Var("y"), One()),
     )
-    assert qe.conclusion == Equation(And(Var("x"), Var("y")), Zero())
+    assert qe.conclusion == Equation(And((Var("x"), Var("y"))), Zero())
 
 
 def test_parse_errors_carry_positions():
@@ -142,6 +156,7 @@ def test_print_frozen_examples():
     assert print_term(parse_term("s[0,1](x|y)")) == "s[0,1] (x | y)"
     assert print_term(parse_term("~(x&y)")) == "~(x & y)"
     assert print_term(parse_term("x&(y&z)")) == "x & (y & z)"
+    assert print_term(parse_term("(x&y)&z")) == "x & y & z"
     assert print_term(parse_term("x|(y|z)")) == "x | (y | z)"
 
 
@@ -165,8 +180,8 @@ def terms(max_depth=5):
 
     def extend(children):
         return strat.one_of(
-            strat.tuples(children, children).map(lambda p: And(*p)),
-            strat.tuples(children, children).map(lambda p: Or(*p)),
+            strat.lists(children, min_size=2, max_size=4).map(lambda p: chain(And, p)),
+            strat.lists(children, min_size=2, max_size=4).map(lambda p: chain(Or, p)),
             children.map(Not),
             strat.tuples(specs, children).map(lambda p: Subst(*p)),
         )
@@ -183,6 +198,40 @@ def test_print_parse_round_trip(t):
 def test_equation_round_trip(lhs, rhs):
     eq = Equation(lhs, rhs)
     assert parse_equation(print_equation(eq)) == eq
+
+
+# --- long chains and deep nesting -------------------------------------------
+
+#: name -> (a term equal to x, in canonical form, and its compiled op count)
+LONG_TERMS = {
+    # 500 operands raised RecursionError on ==, repr and hash when a chain
+    # was a left-deep tree of binary nodes
+    "meet-500": (" & ".join(["x"] * 500), 500),
+    "join-30000": (" | ".join(["x"] * 30_000), 30_000),
+    # the tallest term MAX_NESTING levels allow: two chain nodes on each of
+    # its MAX_NESTING + 1 levels
+    "paren": ("x | x & (" * MAX_NESTING + "x | x & x" + ")" * MAX_NESTING, 3 + 2 * MAX_NESTING),
+    # three operators per two levels, '~' and s[0,1] in turn
+    "unary": ("".join("x | x & " + ("~(" if k % 2 else "s[0,1] (") for k in range(MAX_NESTING // 2))
+              + "x | x & x" + ")" * (MAX_NESTING // 2), 3 + 3 * (MAX_NESTING // 2)),
+}
+
+
+@pytest.mark.parametrize("name", LONG_TERMS)
+def test_long_and_deep_terms_are_walked(name):
+    # every walk of a term under pytest's own frames: the dataclass ==, repr
+    # and hash, the printer, the compile walk and eval_term
+    text, nops = LONG_TERMS[name]
+    t, again = parse_term(text), parse_term(text)
+    assert t == again and t is not again
+    assert hash(t) == hash(again) and repr(t) == repr(again)
+    assert print_term(t) == text and parse_term(print_term(t)) == t
+    names, ops, equations, unfit = termlang._compile(QuasiEquation((), Equation(t, Var("x"))), 2)
+    assert (names, len(ops), equations, unfit) == (["x"], nops, [(nops - 1, 0)], None)
+    D = full_carrier(2, 2)
+    x = elem_from_seqs(D, [(0, 1), (1, 1)])
+    assert eval_term(t, D, {"x": x}) == x
+    assert check_equation(D, Equation(t, Var("x"))).outcome == "holds-exhaustive"
 
 
 # --- evaluation ---------------------------------------------------------------
