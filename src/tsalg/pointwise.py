@@ -1,14 +1,16 @@
-"""Deciding laws member by member, and the counter columns that this
-decision shares with termlang's exhaustive enumeration.
+"""Deciding laws target by target, and the counter columns that this
+decision shares with termlang's one-chunk enumeration.
 
 A termlang program on columns is pointwise after reindexing: '~', '&' and
 '|' at member p read their operands at p, and the gather of s_f at
-table[p], or is empty where that is None.  Each s_f is
-the complete operator of the map q -> q . f (Jónsson and Tarski, "Boolean
+table[p], or is empty where that is None.  Each s_f is the complete
+operator of the map q -> q . f, and the complex algebra of a disjoint
+union of frames is the product of theirs (Jónsson and Tarski, "Boolean
 algebras with operators I", 1951; Goldblatt, "Varieties of complex
-algebras", 1989).  So a law's sides at p are Boolean functions of the few
-bits of an assignment that p's leaf paths reach, and truth tables over
-those bits decide the law without enumerating every assignment.
+algebras", 1989).  So the members that the gathers link split P(D) into
+factors, a law's sides at p are Boolean functions of the few bits of an
+assignment that p's leaf paths reach, and truth tables over those bits
+decide a law, hypotheses and all, without enumerating every assignment.
 """
 
 from __future__ import annotations
@@ -48,48 +50,75 @@ def counters(bits: int, chunk_bits: int) -> Iterator[tuple[int, list[int]]]:
         yield width, periodic + [full if chunk >> b & 1 else 0 for b in range(bits - low)]
 
 
-def least_violation(program: _Program, law: tuple[int, int], chunk_bits: int) -> int | None:
-    """The least assignment to the variables of program, a termlang
-    _Program on columns, under which the slots of law, an (lhs, rhs) pair,
-    differ, in the canonical enumeration (variable j holds bits size *
-    (nvars - 1 - j) + q for its members q), or None.
+def _components(program: _Program) -> list[list[int]]:
+    """The members of program's carrier in the classes that its gathers
+    link, member q with table[q], each class increasing and the classes by
+    least member.  Each class is closed under every op of program."""
+    root = list(range(program.size))
 
-    The atoms that the law's sides reach at member p, in increasing bit
-    order, count through their truth tables in the canonical order, so the
-    lowest differing entry is the least assignment breaking the law at p
-    with every other bit clear.  Clearing those bits keeps any violation at
-    p, so the least of these over all p is the least violating assignment.
-    The tables are taken chunk_bits atoms at a time, so no int is wider
-    than an enumeration's chunk."""
+    def find(p: int) -> int:
+        while root[p] != p:
+            root[p] = root[root[p]]  # path halving
+            p = root[p]
+        return p
+
+    for op in program:
+        if op[0] == "gather":
+            for q, src in enumerate(op[2]):
+                if src is not None:
+                    root[find(q)] = find(src)
+    classes: dict[int, list[int]] = {}
+    for p in range(program.size):
+        classes.setdefault(find(p), []).append(p)
+    return list(classes.values())
+
+
+def least_violation(program: _Program, hypotheses: list[tuple[int, int]], law: tuple[int, int],
+                    chunk_bits: int) -> int | None:
+    """The least assignment to the variables of program, a termlang
+    _Program on columns, under which every (lhs, rhs) pair of slots in
+    hypotheses agrees and the pair law differs, in the canonical
+    enumeration (variable j holds bits size * (nvars - 1 - j) + q for its
+    members q), or None.
+
+    The atoms the sides reach at a target, in increasing bit order, count
+    through truth tables in the canonical order with every other bit
+    clear, chunk_bits atoms at a time: the lowest entry where the
+    hypotheses agree is its least solution, where the law differs too its
+    least violation.  A target is one member without hypotheses (its least
+    solution is 0, and clearing other bits keeps a violation), else one of
+    _components, which hold disjoint bits: nothing violates once one has
+    no solution, else the least violation is the least, over C*, of C*'s
+    least violation joined with every other one's least solution."""
     size, nvars = program.size, program.nvars
     lhs, rhs = law
     # node s * size + q stands for slot s at member q
     val = [0] * (len(program) * size)
-    least = None
-    for p in range(size):
-        # the nodes the law's sides read at p, and the atoms among them
-        need, todo, atoms = set(), [lhs * size + p, rhs * size + p], []
+    base, least = 0, None  # the least solutions' join; a least violation's least excess over it
+    for members in _components(program) if hypotheses else [[p] for p in range(size)]:
+        # the nodes the equations' sides read at the target, and the atoms among them
+        need, atoms = set(), []
+        todo = [s * size + p for eq in (*hypotheses, law) for s in eq for p in members]
         while todo:
             node = todo.pop()
             if node not in need:
                 need.add(node)
                 s, q = divmod(node, size)
                 op = program[s]
-                kind = op[0]
-                if kind == "var":
+                if op[0] == "var":
                     atoms.append(size * (nvars - 1 - op[1]) + q)
-                elif kind == "gather":
+                elif op[0] == "gather":
                     if op[2][q] is not None:
                         todo.append(op[1] * size + op[2][q])
-                elif kind == "not":
+                elif op[0] == "not":
                     todo.append(op[1] * size + q)
-                elif kind == "and" or kind == "or":
+                elif op[0] != "zero" and op[0] != "one":  # and, or
                     todo += (op[1] * size + q, op[2] * size + q)
         atoms.sort()
         index = {b: i for i, b in enumerate(atoms)}
         # children hold lower slots than their parents
         order = sorted(need)
-        start = 0
+        start, solution, violation = 0, None, None
         for width, counter in counters(len(atoms), chunk_bits):
             full = (1 << width) - 1
             for node in order:
@@ -98,10 +127,8 @@ def least_violation(program: _Program, law: tuple[int, int], chunk_bits: int) ->
                 kind = op[0]
                 if kind == "var":
                     v = counter[index[size * (nvars - 1 - op[1]) + q]]
-                elif kind == "zero":
-                    v = 0
-                elif kind == "one":
-                    v = full
+                elif kind == "zero" or kind == "one":
+                    v = 0 if kind == "zero" else full
                 elif kind == "not":
                     v = val[op[1] * size + q] ^ full
                 elif kind == "and":
@@ -112,11 +139,23 @@ def least_violation(program: _Program, law: tuple[int, int], chunk_bits: int) ->
                     src = op[2][q]
                     v = 0 if src is None else val[op[1] * size + src]
                 val[node] = v
-            diff = val[lhs * size + p] ^ val[rhs * size + p]
-            if diff:
-                c = start + (diff & -diff).bit_length() - 1
-                a = sum(1 << b for i, b in enumerate(atoms) if c >> i & 1)
-                least = a if least is None else min(least, a)
+            agree, diff = full, 0
+            for p in members:
+                for a, b in hypotheses:
+                    agree &= ~(val[a * size + p] ^ val[b * size + p])
+                diff |= val[lhs * size + p] ^ val[rhs * size + p]
+            if solution is None and agree:
+                solution = start + (agree & -agree).bit_length() - 1
+            bad = agree & diff
+            if bad:
+                violation = start + (bad & -bad).bit_length() - 1
                 break
             start += width
-    return least
+        if solution is None:
+            return None
+        lifted = sum(1 << b for i, b in enumerate(atoms) if solution >> i & 1) if solution else 0
+        base += lifted
+        if violation is not None:
+            excess = sum(1 << b for i, b in enumerate(atoms) if violation >> i & 1) - lifted
+            least = excess if least is None else min(least, excess)
+    return None if least is None else base + least

@@ -33,28 +33,21 @@ each variable's bit vector as independent fair coin bits from a seeded
 generator, rng.getrandbits(|D|) per variable per trial in sorted name
 order (_draws), and always reports the seed it used.
 
-Every check evaluates a chunk of assignments at once rather than one at
-a time, in one of two layouts, and the mode alone picks it.  Exhaustive
-mode takes 2**16 assignments of the canonical order by columns: each
-carrier position holds one int whose bit a says whether that position is
-in the value under assignment a of the chunk, '~', '&' and '|' act on
-whole columns, and s_f gathers columns through a table.  Random mode
-goes by packed rows: each variable's bit vectors, one per trial, sit side
-by side in one int at a fixed stride, so '~', '&' and '|' act on every
-row of the chunk at once and s_f is a network of delta swaps with its
-masks repeated once per row; a carrier of 4096 members or
-more gives each row its own chunk.  Either way the assignments that meet
-every hypothesis and break the conclusion form one set of flag bits; its
-lowest is the least (or first sampled) violation, so verdicts, witnesses
-and counts are those of the one-at-a-time scan.
-
-An exhaustive check without hypotheses that needs more than one chunk is
-decided member by member instead (pointwise.least_violation): an op's
-value at a member reads its operands at one member, so a law's sides at
-member p are Boolean functions of the few (variable, member) bits p
-reaches, and their truth tables give the least violating assignment.
-assignments_tested still counts the canonical order: all of it when the
-check holds, the least witness's index + 1 when it fails.
+Exhaustive mode evaluates by columns when the canonical order fits one
+chunk of 2**16 assignments: each carrier position holds one int whose bit
+a says whether that position is in the value under assignment a, '~', '&'
+and '|' act on whole columns, and s_f gathers columns through a table.
+Past one chunk, width alone sends the check to pointwise.least_violation,
+which decides it member by member, or component by component under
+hypotheses, from truth tables over the few (variable, member) bits each
+reaches.  Random mode goes by packed rows: each variable's bit vectors, one
+per trial, sit side by side in one int at a fixed stride, so '~', '&' and
+'|' act on every row of the chunk at once and s_f is a network of delta
+swaps with its masks repeated once per row; a carrier of 4096 members or
+more gives each row its own chunk.  Either way the verdict, the least (or
+first sampled) witness and the count are those of the one-at-a-time scan:
+assignments_tested counts the canonical order, all of it when the check
+holds, the least witness's index + 1 when it fails.
 
 check_quasi walks the law once (_compile) for its sorted variable names
 and ops, each spec resolved to a Perm, and weighs the work (resolve_mode)
@@ -583,7 +576,7 @@ class Verdict:
 
 # --- evaluation by columns and by packed rows (see the module docstring) ----
 
-#: An exhaustive chunk holds 2 ** EXHAUSTIVE_CHUNK_BITS assignments.
+#: An exhaustive check of at most 2 ** EXHAUSTIVE_CHUNK_BITS assignments is one chunk of columns.
 EXHAUSTIVE_CHUNK_BITS = 16
 
 #: A sampled chunk packs up to ROW_CHUNK_BITS bits of rows per variable,
@@ -689,16 +682,6 @@ def _run(program: _Program, inputs: list[list[int]], full: int) -> list[list[int
     return vals
 
 
-def _differs(vals: list[list[int]], lhs: int, rhs: int) -> int:
-    """Bit set of the chunk's assignments under which slots lhs and rhs differ."""
-    return functools.reduce(operator.or_, map(operator.xor, vals[lhs], vals[rhs]), 0)
-
-
-def _row(columns: list[int], a: int) -> int:
-    """The bit vector that columns give assignment a of their chunk."""
-    return sum((col >> a & 1) << p for p, col in enumerate(columns))
-
-
 def _rechecked(violates: Callable[[list[int]], object], rows: list[int]) -> object:
     """violates(rows): the caller's element-by-element re-check of a
     violation the evaluator found, under the variables' bit vectors rows.
@@ -713,55 +696,39 @@ def _rechecked(violates: Callable[[list[int]], object], rows: list[int]) -> obje
 def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
                      law: tuple[int, int], mode: Mode,
                      violates: Callable[[list[int]], object]) -> tuple[int, object] | None:
-    """The violation scan of check_quasi, over mode's assignments to
-    program's variables: Exhaustive by columns over the canonical
-    enumeration, Random by packed rows over the sample stream (program's
-    layout must be mode's).
-
-    Returns the least (or first sampled) assignment under which every
-    (lhs, rhs) pair of slots in hypotheses agrees and the pair law
-    differs, as (its index, its witness), or None; the witness is
-    _rechecked through violates."""
+    """The least (or first sampled) of mode's assignments to program's
+    variables under which every (lhs, rhs) pair of slots in hypotheses
+    agrees and the pair law differs, as (its index, its witness
+    _rechecked through violates), or None.  Exhaustive goes by columns in
+    one chunk, or past it by pointwise.least_violation; Random by packed
+    rows over the sample stream (program's layout must be mode's)."""
     if program.rows:
         return _first_row_violation(program, hypotheses, law, mode, violates)
     size, nvars = program.size, program.nvars
-    if not hypotheses and size * nvars > EXHAUSTIVE_CHUNK_BITS:
-        least = least_violation(program, law, EXHAUSTIVE_CHUNK_BITS)
-        if least is None:
-            return None
-        rows = [least >> size * (nvars - 1 - j) & ((1 << size) - 1) for j in range(nvars)]
-        return least, _rechecked(violates, rows)
-    chunks = _one_chunk if size * nvars <= EXHAUSTIVE_CHUNK_BITS else _exhaustive_chunks
-    start = 0
-    for width, columns in chunks(size, nvars):
-        live = (1 << width) - 1
-        vals = _run(program, columns, live)
-        for lhs, rhs in hypotheses:
-            live &= ~_differs(vals, lhs, rhs)
-        bad = live & _differs(vals, *law)
-        if bad:
-            a = (bad & -bad).bit_length() - 1
-            return start + a, _rechecked(violates, [_row(cols, a) for cols in columns])
-        start += width
-    return None
-
-
-def _exhaustive_chunks(size: int, nvars: int) -> Iterator[tuple[int, list[list[int]]]]:
-    """(width, columns of each variable) for every chunk of the canonical
-    enumeration, EXHAUSTIVE_CHUNK_BITS counter bits at a time
-    (pointwise.counters).
-
-    Assignment a gives variable j (in sorted name order) the bit vector
-    (a >> size * (nvars - 1 - j)) mod 2 ** size, so the first name is most
-    significant."""
-    for width, counter in counters(size * nvars, EXHAUSTIVE_CHUNK_BITS):
-        yield width, [counter[size * (nvars - 1 - j): size * (nvars - j)] for j in range(nvars)]
+    if size * nvars > EXHAUSTIVE_CHUNK_BITS:
+        least = least_violation(program, hypotheses, law, EXHAUSTIVE_CHUNK_BITS)
+    else:
+        width, columns = _one_chunk(size, nvars)
+        vals = _run(program, columns, (1 << width) - 1)
+        # the assignments under which each equation's sides differ, the law's first
+        differ = [functools.reduce(operator.or_, map(operator.xor, vals[a], vals[b]), 0)
+                  for a, b in (law, *hypotheses)]
+        bad = functools.reduce(lambda bad, d: bad & ~d, differ)
+        least = (bad & -bad).bit_length() - 1 if bad else None
+    if least is None:
+        return None
+    rows = [least >> size * (nvars - 1 - j) & ((1 << size) - 1) for j in range(nvars)]
+    return least, _rechecked(violates, rows)
 
 
 @functools.cache
-def _one_chunk(size: int, nvars: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-    """_exhaustive_chunks when it has one chunk, sliced once and frozen."""
-    return tuple((w, tuple(map(tuple, cols))) for w, cols in _exhaustive_chunks(size, nvars))
+def _one_chunk(size: int, nvars: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(width, columns of each variable) of the canonical enumeration in
+    one chunk (pointwise.counters), built once: assignment a gives variable
+    j (in sorted name order) the bit vector (a >> size * (nvars - 1 - j))
+    mod 2 ** size, so the first name is most significant."""
+    [(width, counter)] = counters(size * nvars, EXHAUSTIVE_CHUNK_BITS)
+    return width, tuple(tuple(counter[size * (nvars - 1 - j): size * (nvars - j)]) for j in range(nvars))
 
 
 def _draws(size: int, nvars: int, mode: Random) -> Iterator[int]:
@@ -872,8 +839,8 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
 
     Exhaustive mode scans assignments in canonical order (variables sorted
     by name, bit vectors increasing), so a fails verdict carries the least
-    violating assignment; it evaluates by columns, or decides an equation
-    wider than one chunk member by member.  Random mode reports
+    violating assignment; it evaluates one chunk by columns, or decides a
+    wider check target by target.  Random mode reports
     the first violating trial; it evaluates packed rows.  Either way the
     witness is re-checked through quasi_violated.
     """

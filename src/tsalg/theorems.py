@@ -23,8 +23,8 @@ decides its laws from the compiled tables its maps read.  Relativizing
 and every s_t are gathers, each s_t the complete operator of q -> q . t
 (Jónsson and Tarski, "Boolean algebras with operators I", 1951), so
 whether the relativization laws hold comes down to whether two
-compositions of tables agree, and separation to whether the atom routes
-read every member.  The ultraproduct map reads one table too, and
+compositions of tables agree, and each atom's survival and separation
+to which members the atom routes read.  The ultraproduct map reads one table too, and
 whether that table is the identity decides every class at once.  Sampled
 modes walk the seeded sample stream (termlang._draws) only to report
 what the sample covers.  Every violation is re-checked element by
@@ -48,7 +48,6 @@ from .algebra import (
     _apply_gather,
     _capped_power,
     _swapped_at,
-    atom,
     carrier_from_seqs,
     complement,
     elem_from_seqs,
@@ -252,11 +251,12 @@ def decompose_small(n: int, k: int,
     'relativize to ^n range(q), then relabel the base'; check each atom
     survives its own map, and that the maps jointly separate elements.
 
-    Separation fails iff the routes' tables leave some member unread; the
-    least unseparated pair of the x-major order over x < y is then (0, {the
-    least such member}).  Sampled mode walks the sample stream (x, then y,
-    per trial) once, counting the trials that drew x != y up to the first
-    unseparated one.  An unseparated pair is re-checked through relativize.
+    An atom survives iff its route's table reads it.  Separation fails iff
+    the routes' tables leave some member unread; the least unseparated pair
+    of the x-major order over x < y is then (0, {the least such member}).
+    Sampled mode walks the sample stream (x, then y, per trial) once,
+    counting the trials that drew x != y up to the first unseparated one.
+    A lost atom or an unseparated pair is re-checked through relativize.
     """
     if _capped_power(k, n, MAX_SUBALGEBRA_ELEMS) > MAX_SUBALGEBRA_ELEMS:
         raise SizeCapExceeded(
@@ -268,14 +268,15 @@ def decompose_small(n: int, k: int,
         rec = DecompositionRecord(None, (), 0, {}, {"n": n, "k": 0}, True, degenerate=True)
         return [rec], SeparationReport(1, 0, "exhaustive", None, True, None)
 
-    # atoms over the same base values share their route: at most 2**k - 1
-    routes: dict[tuple[int, ...], tuple[Carrier, Carrier, dict[int, int]]] = {}
+    # atoms over the same base values share their route: at most 2**k - 1,
+    # each with the positions of A its table reads
+    routes: dict[tuple[int, ...], tuple[Carrier, dict[int, int], set[int]]] = {}
     records: list[DecompositionRecord] = []
-    for q in A.seqs:
+    for p, q in enumerate(A.seqs):
         base_used = tuple(sorted(set(q)))
         if base_used not in routes:
-            # the route over all k values is A itself: relativize then takes
-            # its identity shortcut instead of comparing member tuples
+            # the route over all k values is A itself, which the re-checks
+            # relativize by its identity shortcut
             if len(base_used) == k:
                 gq = A
             else:
@@ -283,12 +284,15 @@ def decompose_small(n: int, k: int,
             canon, renaming = canonicalize_base(gq)
             # increasing relabel of a full sub-base space
             assert canon == full_carrier(n, len(base_used))
-            routes[base_used] = (gq, canon, renaming)
-        gq, canon, renaming = routes[base_used]
-        image = Elem(canon, relativize(atom(A, q), gq).bits)
+            routes[base_used] = (gq, renaming, set(gq._gather_from(A)))
+        gq, renaming, reads = routes[base_used]
+        # the atom's image is nonzero iff the route's table reads its
+        # position; an image the table calls zero is re-checked
+        if p not in reads:
+            _rechecked(lambda rows: is_zero(relativize(Elem(A, rows[0]), gq)) or None, [1 << p])
         records.append(
             DecompositionRecord(q, base_used, len(base_used), renaming,
-                                {"n": n, "k": len(base_used)}, not is_zero(image))
+                                {"n": n, "k": len(base_used)}, p in reads)
         )
 
     space = 1 << A.size
@@ -298,7 +302,7 @@ def decompose_small(n: int, k: int,
     # under every route just where they agree on the members some route
     # reads.  pairs_tested counts the pairs x < y of the x-major order, or
     # the trials that drew x != y, up to and including the witness
-    read = set().union(*(gq._gather_from(A) for gq, *_ in routes.values()))
+    read = set().union(*(reads for *_, reads in routes.values()))
     unread = [p for p in range(A.size) if p not in read]
     found: tuple[int, int] | None = None
     if isinstance(mode, Random):

@@ -5,6 +5,7 @@ from the definitions rather than on top of the package, so agreement is
 evidence and not circularity.
 """
 
+import functools
 import random
 from itertools import permutations, product
 
@@ -264,11 +265,12 @@ def brute_first_violation(members, nvars, laws):
     first variable most significant; laws holds pairs of functions from
     the list of the variables' frozensets to a frozenset."""
     members = sorted(members)
-    sets = [_as_set(members, bits) for bits in range(1 << len(members))]
-    for index, env in enumerate(product(sets, repeat=nvars)):
+    as_set = functools.cache(lambda bits: _as_set(members, bits))  # built as first reached
+    for index, combo in enumerate(product(range(1 << len(members)), repeat=nvars)):
+        env = list(map(as_set, combo))
         broken = [lhs(env) != rhs(env) for lhs, rhs in laws]
         if True in broken:
-            return index, broken.index(True), [sets.index(x) for x in env]
+            return index, broken.index(True), list(combo)
     return None
 
 

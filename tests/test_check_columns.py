@@ -230,7 +230,7 @@ def test_decider_matches_frozenset_enumeration(case):
             return rows if termlang.equation_violated(D, eq, env) else None
 
         expected = brute_laws(D, names, [eq])
-        assert pointwise.least_violation(program, law, 16) == (expected and expected[0])
+        assert pointwise.least_violation(program, [], law, 16) == (expected and expected[0])
         # the scan, with its witness, on truth tables of one entry per chunk
         with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 0), \
                 mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
@@ -352,15 +352,66 @@ def test_exhaustive_relativization_matches_pairwise_enumeration():
     (2, 4, 10, "x | y = y | x", "holds-exhaustive"),
 ])
 def test_wide_exhaustive_equations_match_the_column_scan(n, u, count, text, outcome):
-    # 17 to 20 bits per assignment; a hypothesis that always holds keeps
-    # the column scan
+    # 17 to 20 bits per assignment, decided member by member; against the
+    # column scan in one chunk as wide as the enumeration, and against
+    # brute_first_violation where the law fails (it stops at the least
+    # witness, but would take seconds over every assignment of a holding law)
     D = carrier_from_seqs(n, u, lex_sequences(n, u)[:count])
     eq = parse_equation(text)
+    names = law_names(QuasiEquation((), eq))
     with mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
         v = check_equation(D, eq, Exhaustive())
-    ref = check_quasi(D, QuasiEquation((Equation(Zero(), Zero()),), eq), Exhaustive())
+    with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", D.size * len(names)):
+        ref = check_equation(D, eq, Exhaustive())
     assert decided.called and v.outcome == outcome
     assert (v.outcome, v.witness, v.assignments_tested) == (ref.outcome, ref.witness, ref.assignments_tested)
+    if outcome == "fails":
+        index, _, rows = brute_laws(D, names, [eq])
+        assert (v.witness, v.assignments_tested) == ({nm: Elem(D, b) for nm, b in zip(names, rows)}, index + 1)
+
+
+# --- deciding component by component ----------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_sigma_on_unit_sequences_is_one_component(n):
+    # the two n-cycles link every unit sequence into one component, whose
+    # truth table is read four entries to a chunk
+    D = theorems.unit_carrier(n)
+    qe = termlang.sigma(n, theorems.forward_cycle(n), theorems.backward_cycle(n))
+    expected = tree_walk(D, qe, canonical(D, ["x"]), "holds-exhaustive")
+    with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 2):
+        same_verdict(check_quasi(D, qe, Exhaustive()), expected)
+    assert expected[0] == "fails"
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_a_component_without_solutions_decides_the_check(n):
+    # s_f x = ~x alternates around the forward cycle, which no set does on
+    # an odd one: on the unit sequences of odd n the hypothesis has no
+    # solution, so every table entry is read.  (0,...,0), which every s_f
+    # fixes, is a component of its own without one, whatever the rest
+    qe = parse_quasi("s{%s} x = ~x => 0 = 1" % ",".join(map(str, theorems.forward_cycle(n).images)))
+    units = theorems.unit_carrier(n)
+    D = carrier_from_seqs(n, 2, [(0,) * n, *units.seqs])
+    expected = tree_walk(units, qe, canonical(units, ["x"]), "holds-exhaustive")
+    with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 2):
+        same_verdict(check_quasi(units, qe, Exhaustive()), expected)
+        v = check_quasi(D, qe, Exhaustive())
+    assert expected[0] == ("holds-exhaustive" if n % 2 else "fails")
+    assert (v.outcome, v.assignments_tested) == ("holds-exhaustive", 1 << D.size)
+
+
+@pytest.mark.parametrize("n,u", [(3, 2), (2, 3)])
+def test_the_least_violation_is_the_least_over_components(n, u):
+    # s[0,1] pairs members off; each pair of distinct members breaks the
+    # conclusion, joined with the others' least solutions, and the least of
+    # these candidates is reported
+    D = full_carrier(n, u)
+    qe = parse_quasi("s[0,1] x = x => s[0,1] (x & y) = x & y")
+    expected = tree_walk(D, qe, canonical(D, ["x", "y"]), "holds-exhaustive")
+    with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 2):
+        same_verdict(check_quasi(D, qe, Exhaustive()), expected)
 
 
 # --- chunk boundaries --------------------------------------------------------
@@ -375,7 +426,7 @@ def test_one_chunk_columns_stay_those_of_a_fresh_counter():
     assert check_equation(D, parse_equation("x & y = x")).outcome == "fails"
     assert termlang._one_chunk.cache_info()[:2] == (1, 1)  # one hit, one miss
     [(width, counter)] = pointwise.counters(8, termlang.EXHAUSTIVE_CHUNK_BITS)
-    assert termlang._one_chunk(4, 2) == ((width, (tuple(counter[4:8]), tuple(counter[0:4]))),)
+    assert termlang._one_chunk(4, 2) == (width, (tuple(counter[4:8]), tuple(counter[0:4])))
 
 
 def test_counter_columns_match_their_definition():

@@ -364,6 +364,24 @@ def test_closed_stdout_exits_two_without_traceback(argv):
     assert done.stderr == "error: standard output closed before the report was written\n"
 
 
+@pytest.mark.parametrize("n,base,quasi,status,tested", [
+    # s[0,1] pairs the members off; the least witness is x = {rank 16,
+    # rank 32}, y = {rank 16}
+    (6, 2, "s[0,1] x = x => s[0,1] (x & y) = x & y", 1, 2**96 + 2**80 + 2**16 + 1),
+    # sigma with the 4-cycles: the constant sequences have no solution
+    (4, 3, "s{1,2,3,0} x | s{3,0,1,2} x = ~x => 0 = 1", 0, 2**81),
+])
+def test_wide_exhaustive_quasi_equations_end(tmp_path, n, base, quasi, status, tested):
+    # 2^128 and 2^81 assignments, decided component by component
+    spec = tmp_path / "full.alg"
+    spec.write_text(f"n = {n}\nbase = {base}\ncarrier = full\n")
+    done = subprocess.run([sys.executable, "-m", "tsalg.cli", "check", "--spec", str(spec), "--quasi", quasi,
+                           "--exhaustive", "--json"], capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": str(SRC), "TRA_BUDGET": str(1 << 255)})
+    report = json.loads(done.stdout)
+    assert (done.returncode, report["passed"], report["counts"]["assignments_tested"]) == (status, not status, tested)
+
+
 # --- report plumbing ------------------------------------------------------------------
 
 

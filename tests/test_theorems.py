@@ -271,9 +271,9 @@ def test_decompose_shares_one_route_per_base():
 
 
 def test_decompose_walks_member_tuples_once_per_route(monkeypatch):
-    # the route over all k values is the full carrier itself, so relativize
-    # takes its identity shortcut for those atoms; only the per-route
-    # target check compares two equal-length member tuples
+    # the route over all k values is the full carrier itself, and each atom
+    # is decided from its route's table; only the per-route target check
+    # compares two equal-length member tuples
     walks = []
     eq = Carrier.__eq__
 
@@ -357,6 +357,26 @@ def test_decompose_sampled_pass_counts_distinct_draws():
     draws = [(rng.getrandbits(4), rng.getrandbits(4)) for _ in range(300)]
     _, sep = decompose_small(2, 2, mode=Random(300, 5))
     assert sep.separated and sep.pairs_tested == sum(x != y for x, y in draws) < 300
+
+
+def test_decompose_blinded_route_loses_its_atom(monkeypatch):
+    # the atom's image is decided from its route's table, and only the atom
+    # the table does not read is relativized, to re-check that its image is 0
+    _blind_route(monkeypatch)
+    spy = []
+    monkeypatch.setattr(theorems, "relativize", lambda x, G: spy.append(x) or relativize(x, G))
+    records, _ = decompose_small(2, 3, mode=Random(1, 1))
+    assert [r.atom_seq for r in records if not r.image_nonzero] == [(0, 1)]
+    assert [elem_set(x) for x in spy] == [{(0, 1)}]
+
+
+def test_decompose_relativizes_no_atom_when_it_holds(monkeypatch):
+    # 15,625 atoms over 31 routes, each atom decided from its route's table
+    calls = []
+    monkeypatch.setattr(theorems, "relativize", lambda x, G: calls.append(G) or relativize(x, G))
+    records, sep = decompose_small(6, 5, mode=Random(1, 1))
+    assert len(records) == 5**6 and all(r.image_nonzero for r in records) and sep.separated
+    assert calls == []
 
 
 def test_decompose_witness_disagreement_raises(monkeypatch):
