@@ -38,13 +38,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import json
 import os
 import re
 import sys
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from .algebra import (
     Carrier,
@@ -54,7 +55,7 @@ from .algebra import (
     full_carrier,
     permutable_closure,
 )
-from .seqspace import Perm, Seq, fmt_seq
+from .seqspace import Perm, Seq
 from .termlang import (
     DEFAULT_ASSIGNMENT_BUDGET,
     DEFAULT_SEED,
@@ -86,10 +87,8 @@ _COMMENT = re.compile("#.*")
 #: A key, '=' (empty when missing) and a word (empty at a line break, a
 #: list when it starts with "["), each after blanks.
 _ENTRY = re.compile(r"\s*(\w*)[ \t]*(=?)[ \t]*(\S*)")
-_NAT = re.compile("[0-9]+")
 #: A list of sequences of naturals, two deep, trailing commas allowed.
 _SEQ_LIST = re.compile(r"\[\s*(?:\[\s*(?:[0-9]+\s*(?:,\s*|(?=\])))*\]\s*(?:,\s*|(?=\])))*\]")
-_SEQ = re.compile(r"\[([^\]]*)\]")
 _BRACKET = re.compile(r"[\[\]]")
 #: A character that no list of naturals holds.
 _STRAY = re.compile(r"[^\s\[\],0-9]")
@@ -134,14 +133,14 @@ def parse_algebra_spec(text: str, source: str = "<spec>") -> AlgebraSpec:
             fail(pos, f"missing value for {key!r}")
         if word[0] != "[":
             try:
-                fields[key] = int(word) if _NAT.fullmatch(word) else word
+                fields[key] = int(word) if word.isascii() and word.isdigit() else word
             except ValueError as exc:  # past int's digit limit
                 fail(pos, f"bad value for {key!r}: {exc}")
             pos = m.end()
         elif seqs := _SEQ_LIST.match(cleaned, pos):
+            rows = cleaned[pos + 1:seqs.end() - 1].replace(",", " ").replace("[", " ").split("]")
             try:
-                fields[key] = tuple(tuple(map(int, _NAT.findall(seq)))
-                                    for seq in _SEQ.findall(cleaned, pos + 1, seqs.end() - 1))
+                fields[key] = tuple([tuple(map(int, row.split())) for row in rows[:-1]])
             except ValueError as exc:  # an entry past int's digit limit
                 fail(pos, f"bad list for {key!r}: {exc}")
             pos = seqs.end()
@@ -173,11 +172,15 @@ def parse_algebra_spec(text: str, source: str = "<spec>") -> AlgebraSpec:
 
 
 def load_algebra_spec(path: str) -> AlgebraSpec:
+    """The .alg file at path, read as UTF-8; its lines may end in CRLF."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            text = (data := fh.read()).decode()
     except OSError as exc:
         raise SpecFileError(f"cannot read spec file {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:  # "x" for the bad byte: lines as the parser counts them
+        line = len((data[:exc.start].decode() + "x").splitlines())
+        raise SpecFileError(f"{path}:{line}: not UTF-8: byte {data[exc.start]:#04x} ({exc.reason})") from None
     return parse_algebra_spec(text, source=path)
 
 
@@ -186,11 +189,8 @@ def load_algebra_spec(path: str) -> AlgebraSpec:
 
 @dataclass
 class RunReport:
-    """Everything one invocation did: echoed inputs, verdict, counts.
-
-    Fields may hold library objects (carriers, elements, report
-    dataclasses); _encode turns them into JSON data.
-    """
+    """Everything one invocation did: echoed inputs, verdict, counts, as
+    library objects that both report forms read through _fields."""
 
     command: str
     inputs: dict
@@ -204,140 +204,139 @@ class RunReport:
     wall_time_s: float = 0.0
 
     def to_json(self) -> str:
-        seen: dict = {}
-        data = _encode(self, seen)
-        return _to_json(data, shared={id(d): {} for _, d in seen.values()})
+        return _json(self, "\n", {})
 
     def to_text(self) -> str:
-        r = _encode(self, {})
         lines = [f"command: {self.command}"]
-        for k, v in r["inputs"].items():
-            lines.append(f"  {k}: {_fmt_value(v)}")
+        lines += [f"  {k}: {_display(v)}" for k, v in _fields(self.inputs).items()]
         lines.append(f"mode: {self.mode}" + (f"  seed: {self.seed}" if self.seed is not None else ""))
-        for k, v in r["counts"].items():
-            lines.append(f"  {k}: {v}")
-        if r["details"]:
-            lines.extend(_render(r["details"], 0))
+        lines += [f"  {k}: {_repr(v, str)}" for k, v in _fields(self.counts).items()]
+        if details := _fields(self.details):
+            lines += _render(details, "")
         lines.append(f"outcome: {self.outcome}")
-        if r["witness"]:
-            for name, seqs in sorted(r["witness"].items()):
-                lines.append(f"witness: {name} = {_fmt_seq_set(seqs)}")
+        if self.witness:  # each an element, its rows a set of sequences
+            lines += [f"witness: {name} = {_fields(x).fill('{', ', ', '}', '(', ',', ')')}"
+                      for name, x in sorted(_fields(self.witness).items())]
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}  ({self.wall_time_s:.3f}s)")
         return "\n".join(lines)
 
 
-def _encode(value: object, seen: dict) -> object:
-    """JSON data for a report value: dataclasses give their fields (under
-    the field's metadata "key" when set) then their public properties;
-    carriers, elements, permutations and verdicts have fixed forms, and
-    ints wider than 256 bits become fmt_count text (str() and json refuse
-    integers past 4300 digits); plain values are checked first.  seen
-    keeps each carrier met, by id, with its dict: a report may hold one twice."""
-    if type(value) in (str, bool, float) or value is None:
+def _fields(value: object) -> object:
+    """One level of a report value, the one description both report forms
+    read: a dict of str keys, in report order, for a dict, a carrier (n,
+    base, size and up to 64 members), a verdict (its fields not None) or a
+    dataclass (its fields, under their metadata "key" when set, then public
+    properties); an element's member rows, a permutation's images; an int
+    of 2^256 or wider, but a carrier's base or entry, as fmt_count text."""
+    if isinstance(value, dict):
+        return {str(k): v for k, v in value.items()}
+    if isinstance(value, (list, tuple, str, float)) or value is None:
         return value
     if isinstance(value, int):
-        return value if value.bit_length() <= 256 else fmt_count(value)
-    if isinstance(value, dict):
-        return {str(k): _encode(v, seen) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v, seen) for v in value]
+        return fmt_count(value) if value.bit_length() > 256 and type(value) is not _Digits else value
     if isinstance(value, Carrier):
-        if id(value) not in seen:
-            d: dict = {"n": value.n, "base": value.u, "size": value.size}
-            if value.size <= 64:
-                d["members"] = [list(s) for s in value.seqs]
-            seen[id(value)] = value, d
-        return seen[id(value)][1]
+        return {"n": value.n, "base": value.u if value.u.bit_length() <= 256 else _Digits(value.u),
+                "size": value.size, **({"members": _Rows(value.seqs)} if value.size <= 64 else {})}
     if isinstance(value, Elem):
-        return [list(s) for s in value.seqs()]
+        return _Rows(value.seqs())
     if isinstance(value, Perm):
-        return list(value.images)
-    if isinstance(value, Verdict):  # its fields that are not None, in this order
-        d = {"outcome": value.outcome, "assignments_tested": value.assignments_tested,
-             "trials": value.trials, "seed": value.seed,
-             "witness": value.witness and dict(sorted(value.witness.items()))}
-        return {k: _encode(v, seen) for k, v in d.items() if v is not None}
+        return value.images
+    if isinstance(value, Verdict):
+        level = dict(outcome=value.outcome, assignments_tested=value.assignments_tested, trials=value.trials,
+                     seed=value.seed, witness=value.witness and dict(sorted(value.witness.items())))
+        return {k: v for k, v in level.items() if v is not None}
     if dataclasses.is_dataclass(value):
-        return {key: _encode(getattr(value, name), seen) for key, name in _report_fields(type(value))}
+        return {key: getattr(value, name) for key, name in _report_fields(type(value))}
     return value
 
 
 @functools.cache
 def _report_fields(cls: type) -> tuple[tuple[str, str], ...]:
-    """(key, attribute) pairs that _encode reports for a dataclass."""
+    """(key, attribute) pairs that _fields reports for a dataclass."""
     return tuple([(f.metadata.get("key", f.name), f.name) for f in dataclasses.fields(cls)]
                  + [(name, name) for name, attr in vars(cls).items()
                     if isinstance(attr, property) and not name.startswith("_")])
 
 
-def _to_json(value: object, pad: str = "\n", shared: dict | None = None,
-             kind: type | None = None) -> str:
-    """value as json.dumps(value, indent=2, sort_keys=True) writes it (its
-    keys str, as _encode makes them) in one pass; pad is the line break and
-    indent before value's closing bracket, shared maps the id of each dict
-    that value may hold more than once (_encode's carriers) to its text by
-    pad, and kind is the type to write value as.  Only those dicts keep
-    their text: a report's other dicts are written once each."""
-    kind = kind or type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool or value is None:
-        return "null" if value is None else "true" if value else "false"
-    if kind is float:  # json writes nan and ±inf as NaN and ±Infinity
-        return float.__repr__(value).replace("nan", "NaN").replace("inf", "Infinity")
-    if not value and kind in (list, tuple, dict):
-        return "{}" if kind is dict else "[]"
-    inner = pad + "  "
-    shared = {} if shared is None else shared
-    if kind is list or kind is tuple:
-        if all(type(v) is int for v in value):  # members, witnesses, permutations
-            return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + pad + "]"
-        return "[" + inner + ("," + inner).join([_to_json(v, inner, shared) for v in value]) + pad + "]"
-    if kind is dict:
-        texts = shared.get(id(value), {})
-        if pad not in texts:
-            texts[pad] = "{" + inner + ("," + inner).join(
-                [encode_basestring_ascii(k) + ": " + _to_json(v, inner, shared)
-                 for k, v in sorted(value.items())]) + pad + "}"
-        return texts[pad]
-    for base in (str, int, float, list, tuple, dict):  # a subclass goes as json sends it
-        if isinstance(value, base):
-            return _to_json(value, pad, shared, base)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+class _Digits(int):
+    """An int that reports write in digits however wide."""
 
 
-def _fmt_seq_set(seqs: list) -> str:
-    return "{" + ", ".join(fmt_seq(tuple(s)) for s in seqs) + "}"
+class _Rows(tuple):
+    """A carrier's or an element's members: equally long sequences of plain ints."""
+
+    def fill(self, open_: str, sep: str, close: str, row_open: str, row_sep: str, row_close: str) -> str:
+        """The rows, sep between each two inside open_ and close, each through one % template."""
+        row = row_open + row_sep.join(["%d"] * (len(self[0]) if self else 0)) + row_close
+        return open_ + sep.join(map(row.__mod__, self)) + close
 
 
-def _fmt_value(v: object) -> str:
-    if isinstance(v, list) and v and isinstance(v[0], list) and all(isinstance(e, int) for e in v[0]):
-        return _fmt_seq_set(v)
-    if isinstance(v, dict):
-        return "{" + ", ".join(f"{k}: {_fmt_value(x)}" for k, x in v.items()) + "}"
-    return str(v)
+def _json(value: object, pad: str, carriers: dict) -> str:
+    """value as json.dumps(..., indent=2, sort_keys=True) writes its levels, in one walk; pad
+    is the line break and indent before its closing bracket, carriers holds each carrier's texts."""
+    if isinstance(value, Carrier):  # kept alive in carriers, so its id is its own
+        texts = carriers.setdefault(id(value), (value, {}))[1]
+        return texts.get(pad) or texts.setdefault(pad, _json(_fields(value), pad, carriers))
+    level, inner, deeper = _fields(value), pad + "  ", pad + "    "
+    if isinstance(level, _Rows) and level and level[0]:  # rows of no ints go as empty lists
+        return level.fill("[" + inner, "," + inner, pad + "]", "[" + deeper, "," + deeper, inner + "]")
+    if not isinstance(level, (dict, list, tuple)) or not level:
+        return json.dumps(level)  # a scalar, an empty dict or list, or refused
+    keys, brackets = (sorted(level), "{}") if isinstance(level, dict) else (None, "[]")
+    texts = [encode_basestring_ascii(v) if type(v) is str  # the common scalars inline
+             else repr(v) if type(v) is int and v.bit_length() <= 256
+             else ("true" if v else "false") if type(v) is bool
+             else "null" if v is None
+             else _json(v, inner, carriers) for v in (map(level.__getitem__, keys) if keys else level)]
+    if keys:
+        texts = map(str.__add__, [encode_basestring_ascii(k) + ": " for k in keys], texts)
+    return brackets[0] + inner + ("," + inner).join(texts) + pad + brackets[1]
 
 
-def _render(value: object, depth: int) -> list[str]:
-    pad = "  " * depth
-    out: list[str] = []
-    if isinstance(value, dict):
-        for k, v in value.items():
-            if isinstance(v, dict):
-                out.append(f"{pad}{k}:")
-                out.extend(_render(v, depth + 1))
-            elif isinstance(v, list) and v and isinstance(v[0], dict):
-                out.append(f"{pad}{k}:")
-                for i, item in enumerate(v):
-                    out.append(f"{pad}  [{i}]")
-                    out.extend(_render(item, depth + 2))
-            else:
-                out.append(f"{pad}{k}: {_fmt_value(v)}")
-    else:
-        out.append(f"{pad}{_fmt_value(value)}")
+def _render(level: object, pad: str) -> list[str]:
+    """The text report's lines for a level: one per key of a dict, with a
+    dict or a list of dicts below it one level deeper, else one _display."""
+    if not isinstance(level, dict):
+        return [pad + _display(level)]
+    out = []
+    for k, v in level.items():
+        sub = _fields(v)
+        if isinstance(sub, dict):
+            out += [f"{pad}{k}:", *_render(sub, pad + "  ")]
+        elif isinstance(sub, (list, tuple)) and sub and isinstance(_fields(sub[0]), dict):
+            out.append(f"{pad}{k}:")
+            for i, item in enumerate(sub):
+                out += [f"{pad}  [{i}]", *_render(_fields(item), pad + "    ")]
+        else:
+            out.append(f"{pad}{k}: {_display(sub) if isinstance(sub, (list, tuple)) else str(sub)}")
     return out
+
+
+def _display(value: object) -> str:
+    """value on a line of the text report: a dict as {key: value, ...}, a list
+    whose first item is a sequence of ints as {(0,1), (1,0)}, else str()."""
+    level = _fields(value)
+    if isinstance(level, dict):
+        return "{" + ", ".join([f"{k}: {_display(v)}" for k, v in level.items()]) + "}"
+    if isinstance(level, _Rows) and level:
+        return level.fill("{", ", ", "}", "(", ",", ")")
+    if (isinstance(level, (list, tuple)) and level and isinstance(first := _fields(level[0]), (list, tuple))
+            and all(isinstance(_fields(e), int) for e in first)):
+        return "{" + ", ".join("(" + ",".join([_repr(e, str) for e in _fields(s)]) + ")" for s in level) + "}"
+    return _repr(level, str) if isinstance(level, (list, tuple)) else str(level)
+
+
+def _repr(value: object, show: Callable[[object], str] = repr) -> str:
+    """show() of value's level, a dict or a list as repr() of its levels."""
+    level = _fields(value)
+    if isinstance(level, dict):
+        return "{" + ", ".join([f"{k!r}: {_repr(v)}" for k, v in level.items()]) + "}"
+    if isinstance(level, _Rows):
+        return level.fill("[", ", ", "]", "[", ", ", "]")
+    if isinstance(level, (list, tuple)):
+        texts = [repr(v) if type(v) is int and v.bit_length() <= 256 else _repr(v) for v in level]
+        return "[" + ", ".join(texts) + "]"
+    return show(level)
 
 
 # --- argument handling ---------------------------------------------------
@@ -423,8 +422,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _echoable(what: str, value: int) -> int:
-    """value, refused where a report could not echo it exactly: _encode
-    writes ints wider than 256 bits as "at least 2^m"."""
+    """value, refused where a report could not echo it exactly: reports
+    write ints wider than 256 bits as "at least 2^m" (see _fields)."""
     if value.bit_length() > 256:
         raise UsageError(f"{what} must be below 2^256 in absolute value, "
                          "since a report gives wider integers only as a power-of-two bound")

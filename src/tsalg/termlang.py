@@ -96,10 +96,10 @@ DEFAULT_ASSIGNMENT_BUDGET = 1 << 20
 DEFAULT_TRIALS = 2000
 
 #: Most '(', '~' and 's[..]'/'s{..}' a term may nest, one inside the
-#: other.  The parser takes up to seven frames per level, and any walk of
-#: the term (the dataclass ==, repr and hash included) a few per node on a
-#: path, which holds at most two chains per level: well inside Python's
-#: default recursion limit of 1000.
+#: other.  At the limit (measured by lowering sys.setrecursionlimit) the
+#: parser takes about 710 frames, seven per level, and a term's == and repr
+#: about 805: of Python's default recursion limit of 1000, that leaves a
+#: caller about 190.  Hash takes about 405, and print or check about 205.
 MAX_NESTING = 100
 
 

@@ -5,6 +5,7 @@ from the definitions rather than on top of the package, so agreement is
 evidence and not circularity.
 """
 
+import dataclasses
 import functools
 import random
 from itertools import permutations, product
@@ -294,3 +295,104 @@ def chain(node, operands):
     parenthesized chain does."""
     first, *rest = operands
     return node((*first.args, *rest) if type(first) is node else (first, *rest))
+
+
+# --- reports: package values, read through their public fields and ranks ---
+
+
+def _digits(r, n, u):
+    """The length-n sequence over range(u) of rank r, as a list."""
+    out = []
+    for _ in range(n):
+        r, d = divmod(r, u)
+        out.append(d)
+    return out[::-1]
+
+
+def report_json(value):
+    """A report value as JSON data, by the rules the CLI's reports follow.
+    Dicts get str keys, and lists, tuples, verdicts (their fields that are
+    not None) and dataclasses (their fields, under the field's metadata
+    "key" when set, then their public properties) hold JSON data in turn;
+    ints of 2^256 or wider in absolute value become "at least 2^m" text.
+    A carrier gives n, base, size and, up to 64 members, its members; an
+    element its members; a permutation its images: these ints as they are.
+    Any other value stays, for json to write or refuse."""
+    from tsalg import Carrier, Elem, Perm, Verdict
+
+    if type(value) in (str, bool, float) or value is None:
+        return value
+    if isinstance(value, int):
+        return value if value.bit_length() <= 256 else f"at least 2^{value.bit_length() - 1}"
+    if isinstance(value, dict):
+        return {str(k): report_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [report_json(v) for v in value]
+    if isinstance(value, Carrier):
+        d = {"n": value.n, "base": value.u, "size": len(value.members)}
+        if len(value.members) <= 64:
+            d["members"] = [_digits(r, value.n, value.u) for r in value.members]
+        return d
+    if isinstance(value, Elem):
+        D = value.carrier
+        return [_digits(r, D.n, D.u) for p, r in enumerate(D.members) if value.bits >> p & 1]
+    if isinstance(value, Perm):
+        return list(value.images)
+    if isinstance(value, Verdict):
+        d = {"outcome": value.outcome, "assignments_tested": value.assignments_tested,
+             "trials": value.trials, "seed": value.seed,
+             "witness": value.witness and dict(sorted(value.witness.items()))}
+        return {k: report_json(v) for k, v in d.items() if v is not None}
+    if dataclasses.is_dataclass(value):
+        keys = [(f.metadata.get("key", f.name), f.name) for f in dataclasses.fields(value)]
+        keys += [(name, name) for name, attr in vars(type(value)).items()
+                 if isinstance(attr, property) and not name.startswith("_")]
+        return {key: report_json(getattr(value, name)) for key, name in keys}
+    return value
+
+
+def _seq_set(seqs):
+    return "{" + ", ".join("(" + ",".join(map(str, tuple(s))) + ")" for s in seqs) + "}"
+
+
+def _shown(v):
+    """One line of a text report for JSON data v."""
+    if isinstance(v, list) and v and isinstance(v[0], list) and all(isinstance(e, int) for e in v[0]):
+        return _seq_set(v)
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{k}: {_shown(x)}" for k, x in v.items()) + "}"
+    return str(v)
+
+
+def _set_out(v, depth):
+    """The lines of a text report for JSON data v, depth levels in."""
+    pad = "  " * depth
+    if not isinstance(v, dict):
+        return [pad + _shown(v)]
+    out = []
+    for k, x in v.items():
+        if isinstance(x, dict):
+            out += [f"{pad}{k}:", *_set_out(x, depth + 1)]
+        elif isinstance(x, list) and x and isinstance(x[0], dict):
+            out.append(f"{pad}{k}:")
+            for i, item in enumerate(x):
+                out += [f"{pad}  [{i}]", *_set_out(item, depth + 2)]
+        else:
+            out.append(f"{pad}{k}: {_shown(x)}")
+    return out
+
+
+def report_text(report):
+    """The text form of a cli.RunReport, read from its report_json data."""
+    r = report_json(report)
+    lines = [f"command: {report.command}"]
+    lines += [f"  {k}: {_shown(v)}" for k, v in r["inputs"].items()]
+    lines.append(f"mode: {report.mode}" + (f"  seed: {report.seed}" if report.seed is not None else ""))
+    lines += [f"  {k}: {v}" for k, v in r["counts"].items()]
+    if r["details"]:
+        lines += _set_out(r["details"], 0)
+    lines.append(f"outcome: {report.outcome}")
+    if r["witness"]:
+        lines += [f"witness: {name} = {_seq_set(seqs)}" for name, seqs in sorted(r["witness"].items())]
+    lines.append(f"result: {'PASS' if report.passed else 'FAIL'}  ({report.wall_time_s:.3f}s)")
+    return "\n".join(lines)

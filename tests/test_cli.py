@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import enum
 import json
 import os
@@ -12,11 +13,12 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
+import oracles
 from tsalg import cli
-from tsalg.algebra import carrier_from_seqs, elem_from_seqs, full_carrier
+from tsalg.algebra import Carrier, Elem, carrier_from_seqs, elem_from_seqs, full_carrier
 from tsalg.cli import AlgebraSpec, SpecFileError, main, parse_algebra_spec
 from tsalg.seqspace import Perm
-from tsalg.termlang import DEFAULT_SEED, parse_equation, parse_quasi, equation_violated, quasi_violated
+from tsalg.termlang import DEFAULT_SEED, Verdict, parse_equation, parse_quasi, equation_violated, quasi_violated
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -128,6 +130,45 @@ def test_spec_file_errors_report_the_source_name():
     with pytest.raises(SpecFileError) as err:
         parse_algebra_spec("n = 2\nbase = 2\n", source="algebra.alg")
     assert str(err.value).startswith("algebra.alg")
+
+
+@pytest.mark.parametrize("data, line, byte, reason", [
+    (b"n = 2\nbase = 2\ncarrier = full  # caf\xff\n", 3, "0xff", "invalid start byte"),
+    (b"# \xc3\xa9t\xc3\xa9\r\n\r\nn = 2\r\nbase = 2\r\ncarrier = [[0,1]] # \xe2\x82", 5, "0xe2", "unexpected end of data"),
+], ids=["byte-in-a-comment", "cut-short-after-crlf-lines"])
+def test_spec_file_not_utf8_names_file_and_line(tmp_path, capsys, data, line, byte, reason):
+    bad = tmp_path / "bad.alg"
+    bad.write_bytes(data)
+    assert main(["closure", "--spec", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}:{line}: not UTF-8: byte {byte} ({reason})\n"
+    assert captured.out == ""
+
+
+def test_crlf_spec_file_reads_as_its_lf_twin(tmp_path, capsys):
+    def twins(name, text):
+        lf, crlf = tmp_path / f"{name}-lf.alg", tmp_path / f"{name}-crlf.alg"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        return str(lf), str(crlf)
+
+    lf, crlf = twins("units", "# the unit sequences\nn = 3\nbase = 2\n\ncarrier = [[0,0,1],  # first\n"
+                              "  [0,1,0],\n  [1,0,0],\n]\n")
+    assert cli.load_algebra_spec(crlf) == cli.load_algebra_spec(lf) == AlgebraSpec(3, 2, ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+    for argv in (["closure", "--spec", "{}"], ["check", "--spec", "{}", "--eq", "s[0,1] x = x"]):
+        reports = []
+        for path in (lf, crlf):
+            code = main([a.format(path) for a in argv] + ["--json"])
+            reports.append((code, {k: v for k, v in json.loads(capsys.readouterr().out).items() if k != "wall_time_s"}))
+        assert reports[0] == reports[1], argv
+    # an error names the same line in both
+    for text in ("n = 2\nbase = 2\n\ncarrier = [[0,1]\n", "n = 2\n# note\nbase = 2\nbase = 3\ncarrier = full\n"):
+        messages = []
+        for path in twins("bad", text):
+            with pytest.raises(SpecFileError) as err:
+                cli.load_algebra_spec(path)
+            messages.append(str(err.value).removeprefix(path))
+        assert messages[0] == messages[1] and messages[0].startswith(":4: "), messages
 
 
 # --- exit codes ----------------------------------------------------------------
@@ -413,10 +454,27 @@ def test_json_random_mode_reports_seed(full22, capsys):
 class _Level(enum.IntEnum):
     LOW = -3
     HIGH = 1 << 70
+    WIDE = 1 << 300
 
 
 class _Name(str):
     pass
+
+
+@dataclasses.dataclass
+class _Record:
+    """A report dataclass: a field reported under another key, and properties."""
+
+    seq: object = dataclasses.field(metadata={"key": "atom"})
+    rest: object = None
+
+    @property
+    def kind(self):
+        return type(self.seq).__name__
+
+    @property
+    def _hidden(self):  # not reported
+        return 0
 
 
 #: Characters json escapes, text past ASCII and lone surrogates among any others.
@@ -425,55 +483,126 @@ _json_text = strat.text(strat.one_of(
                         "\ud800", "\udfff"]),
     strat.characters(exclude_categories=()),
 ))
-_json_trees = strat.recursive(
+#: Ints on both sides of 2^256, where reports start writing "at least 2^m".
+_ints = strat.one_of(
+    strat.integers(), strat.integers(min_value=1 << 64), strat.integers(max_value=-(1 << 64)),
+    strat.sampled_from([(1 << 256) - 1, 1 << 256, 1 - (1 << 256), -(1 << 256), 1 << 5000]),
+)
+
+
+@strat.composite
+def _carriers(draw):
+    """A carrier of any size up to 625 members, the empty one included,
+    and now and then one whose base is wider than 2^256."""
+    if draw(strat.integers(0, 9)) == 0:
+        return Carrier(1, 1 << 300, [5, (1 << 300) - 1])
+    n = draw(strat.integers(0, 4))
+    u = draw(strat.integers(1, 5))
+    bits = draw(strat.integers(0, (1 << u**n) - 1))
+    return Carrier(n, u, [r for r in range(u**n) if bits >> r & 1])
+
+
+@strat.composite
+def _elems(draw):
+    D = draw(_carriers())
+    return Elem(D, draw(strat.integers(0, (1 << D.size) - 1)))
+
+
+_perms = strat.integers(0, 5).flatmap(lambda n: strat.permutations(range(n))).map(lambda p: Perm(tuple(p)))
+
+
+@strat.composite
+def _verdicts(draw):
+    witness = draw(strat.none() | strat.dictionaries(_json_text, _elems(), max_size=3))
+    return Verdict(draw(strat.sampled_from(["holds-exhaustive", "holds-sampled", "fails"])), witness,
+                   draw(strat.none() | strat.integers(1, 5000)), draw(strat.none() | _ints),
+                   draw(_ints))
+
+
+#: Rows of ints, as witnesses and violations hold them outside an element:
+#: mostly w small ints each, and now and then one row wider, a bool or a
+#: wide int.
+_rows = strat.integers(0, 3).flatmap(lambda w: strat.lists(
+    strat.lists(strat.integers(0, 9), min_size=w, max_size=w)
+    | strat.lists(_ints | strat.booleans(), min_size=w, max_size=w + 1).map(tuple), max_size=5))
+
+#: What a report holds: the JSON values, carriers (one of them met at
+#: several places), elements, permutations, verdicts and dataclasses, nested.
+_report_values = strat.recursive(
     strat.one_of(
-        strat.none(), strat.booleans(), strat.integers(), strat.integers(min_value=1 << 64),
-        strat.integers(max_value=-(1 << 64)), strat.floats(), strat.sampled_from([-0.0, 1e308]),
-        _json_text, _json_text.map(_Name), strat.sampled_from(_Level),
+        strat.none(), strat.booleans(), _ints, strat.floats(), strat.sampled_from([-0.0, 1e308]),
+        _json_text, _json_text.map(_Name), strat.sampled_from(_Level), _rows,
+        _carriers(), strat.shared(_carriers(), key="twice"), _elems(), _perms, _verdicts(),
     ),
     lambda children: strat.one_of(
         strat.lists(children, max_size=4), strat.lists(children, max_size=4).map(tuple),
-        strat.dictionaries(strat.one_of(_json_text, _json_text.map(_Name)), children, max_size=4),
+        strat.dictionaries(strat.one_of(_json_text, _json_text.map(_Name), strat.integers(-2, 2)),
+                           children, max_size=4),
+        strat.builds(_Record, children, children),
     ),
     max_leaves=25,
 )
 
+_TWICE = carrier_from_seqs(2, 2, [(0, 1), (1, 0)])
+
 
 @hypothesis.settings(deadline=None, max_examples=500)
-@hypothesis.given(_json_trees)
+@hypothesis.given(_report_values)
 @hypothesis.example([[0, 1], [], {}, [[]], {"b": [True, 1], "a": {"": None}}, (2, -3)])
 @hypothesis.example([float("nan"), float("inf"), float("-inf"), -0.0, _Level.HIGH, _Name("\ud800")])
-def test_json_writer_matches_the_stdlib(tree):
-    assert cli._to_json(tree) == json.dumps(tree, indent=2, sort_keys=True)
+@hypothesis.example({"a": _TWICE, "b": [_TWICE, {"c": _TWICE}], "d": [[_TWICE]]})
+@hypothesis.example([full_carrier(3, 4), Carrier(3, 5, range(65)), Carrier(0, 3, []), Carrier(0, 0, [0])])
+@hypothesis.example([[1 << 256, 2], [3, 4], [(1 << 256) - 1, 5], [True, 0], [(), ()], [(7,), (8, 9)]])
+def test_report_writer_matches_the_stdlib(value):
+    assert cli._json(value, "\n", {}) == json.dumps(oracles.report_json(value), indent=2, sort_keys=True)
 
 
-def test_report_encodes_each_carrier_once_and_writes_it_in_full():
+@hypothesis.settings(deadline=None, max_examples=300)
+@hypothesis.given(strat.dictionaries(_json_text, _report_values, max_size=3), _report_values,
+                  strat.none() | strat.dictionaries(_json_text, _elems(), max_size=2))
+@hypothesis.example({"spec": [[0, 1], [1 << 300]], "f": Perm((1, 0))}, {"x": [[0, 1], {"a": 1}, "bc"]}, None)
+def test_text_report_matches_the_reference(inputs, details, witness):
+    report = cli.RunReport(command="c", inputs=inputs, outcome="o", passed=True, mode="m", seed=None,
+                           counts={"k": 3, "wide": 1 << 300}, witness=witness, details=details)
+    try:
+        expected = oracles.report_text(report)
+    except TypeError:  # a list of rows that holds an item with no entries
+        with pytest.raises(TypeError):
+            report.to_text()
+    else:
+        assert report.to_text() == expected
+
+
+def test_report_writes_each_carrier_once_per_indent_and_in_full(monkeypatch):
     c = full_carrier(2, 2)
     twin = full_carrier(2, 2)  # equal to c, another object
     report = cli.RunReport(command="shared", inputs={"c": c, "nested": [c, {"deep": c}], "twin": twin},
                            outcome="o", passed=True, mode="m", seed=None, counts={},
                            details={"c": c, "twin": twin})
-    encoded = cli._encode(report, {})
-    inputs = encoded["inputs"]
-    assert inputs["c"] is inputs["nested"][0] is inputs["nested"][1]["deep"] is encoded["details"]["c"]
-    assert inputs["twin"] == inputs["c"] and inputs["twin"] is not inputs["c"]
-    # json.dumps writes every occurrence of a shared dict in full
-    assert report.to_json() == json.dumps(encoded, indent=2, sort_keys=True)
-    assert json.loads(report.to_json())["details"]["twin"] == {
+    described = []
+    fields = cli._fields
+    monkeypatch.setattr(cli, "_fields", lambda value: fields(described.append(value) or value))
+    text = report.to_json()
+    # c sits at three indents, under inputs and details at the same one
+    assert [v is c for v in described].count(True) == 3
+    assert [v is twin for v in described].count(True) == 1
+    # json.dumps writes every occurrence of a carrier in full
+    assert text == json.dumps(oracles.report_json(report), indent=2, sort_keys=True)
+    assert json.loads(text)["details"]["twin"] == {
         "n": 2, "base": 2, "size": 4, "members": [[0, 0], [0, 1], [1, 0], [1, 1]]}
 
 
-def test_json_writer_refuses_what_json_refuses():
+def test_report_writer_refuses_what_json_refuses():
     for value in ({1, 2}, [object()], {"a": frozenset()}):
         with pytest.raises(TypeError) as ours:
-            cli._to_json(value)
+            cli._json(value, "\n", {})
         with pytest.raises(TypeError) as stdlib:
             json.dumps(value, indent=2, sort_keys=True)
         assert str(ours.value) == str(stdlib.value)
-    # keys are str, as _encode makes them; any other key is refused
-    for value in ({(1,): 2}, {1: 2}):
-        with pytest.raises(TypeError):
-            cli._to_json(value)
+    # keys go through str(), as report_json's do, so no key is refused
+    for value in ({(1,): 2}, {1: 2, "0": [1]}):
+        assert cli._json(value, "\n", {}) == json.dumps({str(k): v for k, v in value.items()},
+                                                         indent=2, sort_keys=True)
 
 
 def test_random_seed_changes_nothing_when_exhaustive(full22, capsys):
@@ -558,9 +687,9 @@ def test_budget_and_seed_reach_every_auto_mode_verifier(full22, capsys, monkeypa
     assert (r["mode"], r["seed"], r["outcome"]) == ("exhaustive", None, "holds-exhaustive")
 
 
-def test_json_writer_keeps_the_text_of_shared_dicts_only():
-    # a decompose report holds one record dict per atom, none of them
-    # shared: their text must not stay alive until the report is written
+def test_report_writer_keeps_the_text_of_carriers_only():
+    # a decompose report holds one record per atom, none of them a
+    # carrier: their text must not stay alive until the report is written
     args = cli._parse_args(["decompose", "--n", "10", "--k", "2"])
     report = cli._HANDLERS["decompose"](args, cli.DEFAULT_ASSIGNMENT_BUDGET)
     tracemalloc.start()
