@@ -224,10 +224,10 @@ class RunReport:
 def _fields(value: object) -> object:
     """One level of a report value, the one description both report forms
     read: a dict of str keys, in report order, for a dict, a carrier (n,
-    base, size and up to 64 members), a verdict (its fields not None) or a
-    dataclass (its fields, under their metadata "key" when set, then public
-    properties); an element's member rows, a permutation's images; an int
-    of 2^256 or wider, but a carrier's base or entry, as fmt_count text."""
+    base, size and up to 64 members), a spec, a verdict (its fields not
+    None) or a dataclass (its fields, under their metadata "key" when set,
+    then public properties); an element's member rows, a permutation's
+    images; an int of 2^256 or wider, but a base or entry, as fmt_count."""
     if isinstance(value, dict):
         return {str(k): v for k, v in value.items()}
     if isinstance(value, (list, tuple, str, float)) or value is None:
@@ -241,6 +241,9 @@ def _fields(value: object) -> object:
         return _Rows(value.seqs())
     if isinstance(value, Perm):
         return value.images
+    if isinstance(value, AlgebraSpec):  # its base and entries replay in full digits
+        return {"n": value.n, "base": _Digits(value.base),
+                "carrier": value.carrier if isinstance(value.carrier, str) else _Rows(value.carrier)}
     if isinstance(value, Verdict):
         level = dict(outcome=value.outcome, assignments_tested=value.assignments_tested, trials=value.trials,
                      seed=value.seed, witness=value.witness and dict(sorted(value.witness.items())))

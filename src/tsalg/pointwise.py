@@ -95,10 +95,11 @@ def least_violation(program: _Program, hypotheses: list[tuple[int, int]], law: t
     # node s * size + q stands for slot s at member q
     val = [0] * (len(program) * size)
     base, least = 0, None  # the least solutions' join; a least violation's least excess over it
+    roots = [s for eq in (*hypotheses, law) for s in eq]
     for members in _components(program) if hypotheses else [[p] for p in range(size)]:
         # the nodes the equations' sides read at the target, and the atoms among them
         need, atoms = set(), []
-        todo = [s * size + p for eq in (*hypotheses, law) for s in eq for p in members]
+        todo = [s * size + p for s in roots for p in members]
         while todo:
             node = todo.pop()
             if node not in need:
@@ -139,14 +140,17 @@ def least_violation(program: _Program, hypotheses: list[tuple[int, int]], law: t
                     src = op[2][q]
                     v = 0 if src is None else val[op[1] * size + src]
                 val[node] = v
-            agree, diff = full, 0
-            for p in members:
-                for a, b in hypotheses:
-                    agree &= ~(val[a * size + p] ^ val[b * size + p])
-                diff |= val[lhs * size + p] ^ val[rhs * size + p]
-            if solution is None and agree:
-                solution = start + (agree & -agree).bit_length() - 1
-            bad = agree & diff
+            if hypotheses:
+                agree, diff = full, 0
+                for p in members:
+                    for a, b in hypotheses:
+                        agree &= ~(val[a * size + p] ^ val[b * size + p])
+                    diff |= val[lhs * size + p] ^ val[rhs * size + p]
+                if solution is None and agree:
+                    solution = start + (agree & -agree).bit_length() - 1
+                bad = agree & diff
+            else:  # one member, whose least solution is entry 0
+                solution, bad = 0, val[lhs * size + members[0]] ^ val[rhs * size + members[0]]
             if bad:
                 violation = start + (bad & -bad).bit_length() - 1
                 break

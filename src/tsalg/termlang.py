@@ -49,6 +49,13 @@ first sampled) witness and the count are those of the one-at-a-time scan:
 assignments_tested counts the canonical order, all of it when the check
 holds, the least witness's index + 1 when it fails.
 
+A sampled check, or an exhaustive one past one chunk, first tries the
+law's leaves (_leaf_identity).  On a D closed under each s_f it names,
+s_f is a Boolean automorphism, the complete operator of p -> p . f
+(Jónsson and Tarski, 1951): s_f s_g x = s_(f.g) x, and s_f passes through
+'~', '&', '|', 0 and 1.  A law that no valuation of its leaves (each a
+variable under one composed permutation, at most 16) breaks holds on D.
+
 check_quasi walks the law once (_compile) for its sorted variable names
 and ops, each spec resolved to a Perm, and weighs the work (resolve_mode)
 before it reports a spec that does not fit D; _attach then gives each s_f
@@ -833,6 +840,30 @@ def _first_row_violation(program: _Program, hypotheses: list[tuple[int, int]],
     return None
 
 
+def _leaf_identity(qe: QuasiEquation, D: Carrier, ops: list[tuple]) -> bool:
+    """Whether qe, with _compile's ops, holds on D as a Boolean identity of
+    its leaf instances (see the module docstring): x under s_f is the
+    variable named x followed by f's image list, whose '(' comes last."""
+    if not D.full and any(None in D._gather_for(op[2]) for op in ops if op[0] == "subst"):
+        return False
+    perms: dict[PermSpec, tuple[int, ...]] = {}
+
+    def push(t: Term, f: tuple[int, ...] = tuple(range(D.n))) -> Term:  # t under s_f, f as images
+        kind = type(t)
+        if kind is Subst:
+            g = perms.get(t.perm) or perms.setdefault(t.perm, spec_perm(t.perm, D.n).images)
+            return push(t.arg, tuple(map(f.__getitem__, g)))  # f . g
+        if kind is And or kind is Or:
+            return kind(tuple(map(push, t.args, repeat(f))))
+        return Var(f"{t.name}{f}") if kind is Var else Not(push(t.arg, f)) if kind is Not else t
+
+    pushed = [Equation(push(eq.lhs), push(eq.rhs)) for eq in (*qe.hypotheses, qe.conclusion)]
+    names, ops, equations, _ = _compile(QuasiEquation(tuple(pushed[:-1]), pushed[-1]), 0)
+    program = _attach(ops, Carrier(0, 2, [0]), names, rows=False)
+    return len(names) <= EXHAUSTIVE_CHUNK_BITS and not _first_violation(
+        program, equations[:-1], equations[-1], Exhaustive(), lambda rows: True)
+
+
 def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Verdict:
     """Check a quasi-equation over the algebra on D, in mode as
     resolve_mode resolves it for 2**(|D| * v) assignments to v variables.
@@ -840,7 +871,7 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     Exhaustive mode scans assignments in canonical order (variables sorted
     by name, bit vectors increasing), so a fails verdict carries the least
     violating assignment; it evaluates one chunk by columns, or decides a
-    wider check target by target.  Random mode reports
+    wider check from its leaves or target by target.  Random mode reports
     the first violating trial; it evaluates packed rows.  Either way the
     witness is re-checked through quasi_violated.
     """
@@ -850,16 +881,17 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     if unfit is not None:
         raise unfit
     sampled = {"trials": mode.trials, "seed": mode.seed} if isinstance(mode, Random) else {}
-    program = _attach(ops, D, names, rows=bool(sampled))
+    if not ((sampled or D.size * len(names) > EXHAUSTIVE_CHUNK_BITS) and _leaf_identity(qe, D, ops)):
+        program = _attach(ops, D, names, rows=bool(sampled))
 
-    def violates(rows: list[int]) -> dict[str, Elem] | None:
-        witness = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
-        return witness if quasi_violated(D, qe, witness) else None
+        def violates(rows: list[int]) -> dict[str, Elem] | None:
+            witness = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
+            return witness if quasi_violated(D, qe, witness) else None
 
-    found = _first_violation(program, equations[:-1], equations[-1], mode, violates)
-    if found:
-        index, witness = found
-        return Verdict("fails", witness=witness, assignments_tested=index + 1, **sampled)
+        found = _first_violation(program, equations[:-1], equations[-1], mode, violates)
+        if found:
+            index, witness = found
+            return Verdict("fails", witness=witness, assignments_tested=index + 1, **sampled)
     outcome = "holds-sampled" if sampled else "holds-exhaustive"
     return Verdict(outcome, assignments_tested=mode.trials if sampled else work, **sampled)
 

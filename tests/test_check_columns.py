@@ -44,6 +44,7 @@ from tsalg.termlang import (
     check_quasi,
     parse_equation,
     parse_quasi,
+    print_quasi,
     quasi_violated,
 )
 
@@ -119,6 +120,11 @@ def row_wise(D, names, trials, seed):
         yield {nm: Elem(D, rng.getrandbits(D.size) if D.size else 0) for nm in names}
 
 
+def by_leaves(D, qe):
+    """Whether check_quasi's leaf step, where it runs, decides qe on D."""
+    return termlang._leaf_identity(qe, D, termlang._compile(qe, D.n)[1])
+
+
 def same_verdict(verdict, expected):
     outcome, witness, tested = expected
     assert (verdict.outcome, verdict.witness, verdict.assignments_tested) == (outcome, witness, tested)
@@ -140,14 +146,19 @@ def instances(draw):
     return D, QuasiEquation(tuple(hypotheses), draw(equations))
 
 
-def terms(n, names):
-    """Terms over names, 0 and 1, with s[i,j] and s{...} of dimension n."""
-    specs = strat.one_of(
+def perm_specs(n):
+    """s[i,j] and s{...} of dimension n."""
+    return strat.one_of(
         strat.tuples(strat.integers(0, n - 1), strat.integers(0, n - 1))
         .filter(lambda ij: ij[0] != ij[1])
         .map(lambda ij: Transposition(*ij)),
         strat.permutations(range(n)).map(lambda p: Images(tuple(p))),
     )
+
+
+def terms(n, names):
+    """Terms over names, 0 and 1, with s[i,j] and s{...} of dimension n."""
+    specs = perm_specs(n)
     leaves = strat.sampled_from([Zero(), One(), *map(Var, names)])
 
     def extend(children):
@@ -244,7 +255,10 @@ def test_decider_matches_frozenset_enumeration(case):
     with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 1), \
             mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
         v = check_equation(D, eq, Exhaustive())
-    assert decided.called == (D.size * len(used) > 1)
+        leafed = by_leaves(D, QuasiEquation((), eq))
+    # past one chunk of two assignments, a law goes member by member unless
+    # the leaf step, here over at most one leaf instance, decides it
+    assert decided.called == (D.size * len(used) > 1 and not leafed)
     if expected is None:
         assert (v.outcome, v.witness, v.assignments_tested) == ("holds-exhaustive", None, 1 << D.size * len(used))
     else:
@@ -350,12 +364,14 @@ def test_exhaustive_relativization_matches_pairwise_enumeration():
     (3, 3, 17, "~s[0,2] x = s[0,2] ~x", "fails"),
     (3, 3, 20, "s[0,1] s[0,1] x = x", "fails"),
     (2, 4, 10, "x | y = y | x", "holds-exhaustive"),
+    (3, 3, 9, "s[0,1] (x & y) = s[0,1] x & s[0,1] y", "holds-exhaustive"),
 ])
 def test_wide_exhaustive_equations_match_the_column_scan(n, u, count, text, outcome):
-    # 17 to 20 bits per assignment, decided member by member; against the
-    # column scan in one chunk as wide as the enumeration, and against
-    # brute_first_violation where the law fails (it stops at the least
-    # witness, but would take seconds over every assignment of a holding law)
+    # 17 to 20 bits per assignment, decided from the leaf instances or
+    # member by member; against the column scan in one chunk as wide as the
+    # enumeration, and against brute_first_violation where the law fails (it
+    # stops at the least witness, but would take seconds over every
+    # assignment of a holding law)
     D = carrier_from_seqs(n, u, lex_sequences(n, u)[:count])
     eq = parse_equation(text)
     names = law_names(QuasiEquation((), eq))
@@ -363,11 +379,153 @@ def test_wide_exhaustive_equations_match_the_column_scan(n, u, count, text, outc
         v = check_equation(D, eq, Exhaustive())
     with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", D.size * len(names)):
         ref = check_equation(D, eq, Exhaustive())
-    assert decided.called and v.outcome == outcome
+    # these holding laws are leaf identities on a full carrier or without s;
+    # on the first 9 members of ^3 3, which s[0,1] leaves, no step decides
+    leafed = outcome == "holds-exhaustive" and (D.full or "s" not in text)
+    assert by_leaves(D, QuasiEquation((), eq)) == leafed
+    assert decided.called != leafed and v.outcome == outcome
     assert (v.outcome, v.witness, v.assignments_tested) == (ref.outcome, ref.witness, ref.assignments_tested)
     if outcome == "fails":
         index, _, rows = brute_laws(D, names, [eq])
         assert (v.witness, v.assignments_tested) == ({nm: Elem(D, b) for nm, b in zip(names, rows)}, index + 1)
+
+
+# --- deciding from leaf instances --------------------------------------------
+
+
+def pushed_down(t, n, reverse=False):
+    """t with each s pushed down to its variables, from the definitions:
+    s_f s_g x reads x at p . f . g, whose image list is f[g[i]] (g[f[i]]
+    with reverse, a near miss), and s_f of 0, 1, '~', '&' or '|' is that
+    node over s_f of its operands.  Equal to t on carriers closed under
+    every s of t."""
+    def push(t, images):
+        if isinstance(t, Var):
+            return t if images == tuple(range(n)) else Subst(Images(images), t)
+        if isinstance(t, (Zero, One)):
+            return t
+        if isinstance(t, Not):
+            return Not(push(t.arg, images))
+        if isinstance(t, (And, Or)):
+            return type(t)(tuple(push(arg, images) for arg in t.args))
+        g = swap_images(n, t.perm.i, t.perm.j) if isinstance(t.perm, Transposition) else t.perm.images
+        outer, inner = (g, images) if reverse else (images, g)
+        return push(t.arg, tuple(outer[inner[i]] for i in range(n)))
+
+    return push(t, tuple(range(n)))
+
+
+@strat.composite
+def leaf_laws(draw):
+    """A full, unit, permutable or holed carrier, and a law over x (and y
+    where |D| <= 5) with 0 or 1 hypotheses, each side a random term or the
+    other's push-down, composed in the right or in the wrong order: many
+    leaf identities, and many near misses."""
+    n = draw(strat.integers(2, 3))
+    u = draw(strat.integers(1, 3)) if n == 2 else 2
+    kind = draw(strat.sampled_from(["full", "unit", "permutable", "holed"]))
+    if kind == "holed":
+        D = carrier_from_seqs(n, u, draw(strat.lists(strat.sampled_from(lex_sequences(n, u)), max_size=5,
+                                                     unique=True)))
+    else:
+        D = draw(strat.sampled_from(permutable_subsets(n, u))) if kind == "permutable" else \
+            full_carrier(n, u) if kind == "full" else theorems.unit_carrier(n)
+    names = ["x", "y"][: 1 if D.size > 5 else draw(strat.integers(1, 2))]
+
+    def side():  # under zero to three more s
+        t = draw(terms(n, names))
+        for _ in range(draw(strat.integers(0, 3))):
+            t = Subst(draw(perm_specs(n)), t)
+        return t
+
+    def equation():
+        t = side()
+        how = draw(strat.sampled_from(["random", "pushed", "reversed"]))
+        other = side() if how == "random" else pushed_down(t, n, how == "reversed")
+        return Equation(t, other) if draw(strat.booleans()) else Equation(other, t)
+
+    hypotheses = tuple(equation() for _ in range(draw(strat.integers(0, 1))))
+    return D, QuasiEquation(hypotheses, equation())
+
+
+def brute_quasi(D, qe):
+    """brute_first_violation of qe over D: its conclusion, read as equal
+    wherever a hypothesis breaks."""
+    names = law_names(qe)
+
+    def side(t):
+        def value(env):
+            env = dict(zip(names, env))
+            if any(oracle_value(h.lhs, D.n, D.seqs, env) != oracle_value(h.rhs, D.n, D.seqs, env)
+                   for h in qe.hypotheses):
+                return None
+            return oracle_value(t, D.n, D.seqs, env)
+        return value
+
+    return brute_first_violation(D.seqs, len(names), [(side(qe.conclusion.lhs), side(qe.conclusion.rhs))])
+
+
+def law_of(text):
+    return parse_quasi(text) if "=>" in text else QuasiEquation((), parse_equation(text))
+
+
+def verdict_of(v):
+    return v.outcome, v.witness, v.assignments_tested
+
+
+SIGMA_F42 = print_quasi(termlang.sigma(4, theorems.forward_cycle(4), theorems.backward_cycle(4)))
+HOLED = carrier_from_seqs(3, 2, [(0, 0, 1), (1, 1, 0), (0, 1, 1)])
+
+
+@hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.given(leaf_laws(), strat.integers(1, 30), strat.integers(0, 1 << 31))
+@hypothesis.example((full_carrier(3, 2), law_of("s[0,1] s[1,2] x = s{1,2,0} x")), 20, 1)
+@hypothesis.example((full_carrier(3, 2), law_of("s[0,1] s[1,2] x = s{2,0,1} x")), 20, 1)
+@hypothesis.example((HOLED, law_of("~s[0,1] x = s[0,1] ~x")), 20, 1)
+@hypothesis.example((full_carrier(4, 2), law_of(SIGMA_F42)), 20, 1)
+def test_leaf_identities_hold_and_keep_every_verdict(case, trials, seed):
+    # a law the step decides breaks under no assignment, and check_quasi
+    # gives with the step what it gives without it, sampled and past one
+    # chunk (of 2**4 assignments here)
+    D, qe = case
+    if by_leaves(D, qe):
+        assert brute_quasi(D, qe) is None
+    with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 4):
+        with mock.patch.object(termlang, "_leaf_identity", return_value=False):
+            expected = [verdict_of(check_quasi(D, qe, mode)) for mode in (Random(trials, seed), Exhaustive())]
+        assert [verdict_of(check_quasi(D, qe, mode)) for mode in (Random(trials, seed), Exhaustive())] == expected
+
+
+@pytest.mark.parametrize("D,text,leafed,outcome", [
+    (full_carrier(3, 2), "s[0,1] s[1,2] x = s{1,2,0} x", True, "holds-sampled"),
+    (full_carrier(3, 2), "s[0,1] s[1,2] x = s{2,0,1} x", False, "fails"),
+    (HOLED, "~s[0,1] x = s[0,1] ~x", False, "fails"),
+    (full_carrier(4, 2), SIGMA_F42, False, "holds-sampled"),
+])
+def test_leaf_step_decides_only_identities_on_closed_carriers(D, text, leafed, outcome):
+    # s[0,1] s[1,2] is s{1,2,0}; ~s[0,1] x = s[0,1] ~x is a leaf identity
+    # that fails where s[0,1] leaves the carrier; sigma holds on full (4,2)
+    # though its leaves do not force it
+    qe = law_of(text)
+    assert by_leaves(D, qe) == leafed
+    assert check_quasi(D, qe, Random(200, 1)).outcome == outcome
+
+
+def test_a_leaf_identity_reads_no_member():
+    # on full (20,2) and full (16,2): no gather, no network, no draw, the
+    # verdict a holding law gets; one chunk of exhaustive columns takes no
+    # leaf step
+    eq = parse_equation("s[0,1] (x & y) = s[0,1] x & s[0,1] y")
+    with mock.patch.object(Carrier, "_gather_for", side_effect=AssertionError("gather built")), \
+            mock.patch.object(Carrier, "_network_for", side_effect=AssertionError("network built")), \
+            mock.patch.object(termlang, "_draws", side_effect=AssertionError("trials drawn")):
+        sampled = check_equation(full_carrier(20, 2), eq, Random(100000, 1))
+        wide = check_equation(full_carrier(16, 2), eq, Exhaustive(1 << (1 << 17)))
+    assert (sampled.outcome, sampled.trials, sampled.seed, sampled.assignments_tested) == \
+        ("holds-sampled", 100000, 1, 100000)
+    assert (wide.outcome, wide.assignments_tested) == ("holds-exhaustive", 1 << (1 << 17))
+    with mock.patch.object(termlang, "_leaf_identity", side_effect=AssertionError("leaf step taken")):
+        assert check_equation(full_carrier(2, 2), eq, Exhaustive()).outcome == "holds-exhaustive"
 
 
 # --- deciding component by component ----------------------------------------
@@ -498,8 +656,12 @@ def test_row_flags_see_every_bit_of_a_row(nbytes):
 
 
 @pytest.mark.parametrize("text", ["s[0,1] (x & y) = s[0,1] x & s[0,1] y", "x & y = x",
-                                  "x = y => s{2,0,1,3,4,5,6,7,8,9,10,11} x = s[0,2] s[1,2] y"])
+                                  "x = y => s{2,0,1,3,4,5,6,7,8,9,10,11} x = s[0,2] s[1,2] y",
+                                  print_quasi(termlang.sigma(12, theorems.forward_cycle(12),
+                                                             theorems.backward_cycle(12)))])
 def test_sampled_wide_carrier_one_trial_per_chunk(text):
+    # a leaf identity (the first) draws no trial; sigma holds on full
+    # carriers without being one, and runs every trial
     D = full_carrier(12, 2)
     assert D.size >= termlang.WIDE_ROW_BITS
     qe = parse_quasi(text) if "=>" in text else QuasiEquation((), parse_equation(text))
@@ -507,25 +669,39 @@ def test_sampled_wide_carrier_one_trial_per_chunk(text):
     expected = tree_walk(D, qe, row_wise(D, names, 12, 9), "holds-sampled")
     with mock.patch.object(termlang, "_run_rows", wraps=termlang._run_rows) as run:
         same_verdict(check_quasi(D, qe, Random(12, 9)), expected)
-    assert run.call_count == expected[2]
+    assert run.call_count == (0 if by_leaves(D, qe) else expected[2])
+    assert by_leaves(D, qe) == (text == "s[0,1] (x & y) = s[0,1] x & s[0,1] y")
 
 
 def test_sampled_chunks_narrow_on_wide_carriers():
-    # rows of 1312 bits (1310 members, whole bytes), 99 to a chunk
-    D = carrier_from_seqs(11, 2, lex_sequences(11, 2)[:termlang.ROW_CHUNK_BITS // 100])
+    # rows of 2192 bits (2187 members, whole bytes), 59 to a chunk: sigma
+    # holds on full carriers and is no identity of its leaf instances
+    D = full_carrier(7, 3)
     assert D.size < termlang.WIDE_ROW_BITS
+    qe = termlang.sigma(7, theorems.forward_cycle(7), theorems.backward_cycle(7))
     with mock.patch.object(termlang, "_run_rows", wraps=termlang._run_rows) as run:
-        v = check_equation(D, parse_equation("x & y = y & x"), Random(1000, 1))
-    assert v.outcome == "holds-sampled" and run.call_count == -(-1000 // 99)
+        v = check_quasi(D, qe, Random(1000, 1))
+    assert v.outcome == "holds-sampled" and run.call_count == -(-1000 // 59)
 
 
 @pytest.mark.parametrize("text", ["x & y = y & x", "x & y = x", "x = ~y => x | y = 0"])
 def test_sampled_laws_without_subst_go_row_by_row(text):
+    # no columns over the carrier: only the leaf step's one-member program
+    # runs by columns, and a law that is no identity of its leaves goes on
+    # by rows
     D = full_carrier(10, 2)
     qe = parse_quasi(text) if "=>" in text else QuasiEquation((), parse_equation(text))
     expected = tree_walk(D, qe, row_wise(D, ["x", "y"], 20, 3), "holds-sampled")
-    with mock.patch.object(termlang, "_run", side_effect=AssertionError("columns built")):
+    run = termlang._run
+
+    def on_one_member(program, inputs, full):
+        assert program.size == 1, "columns built"
+        return run(program, inputs, full)
+
+    with mock.patch.object(termlang, "_run", on_one_member), \
+            mock.patch.object(termlang, "_run_rows", wraps=termlang._run_rows) as rows:
         same_verdict(check_quasi(D, qe, Random(20, 3)), expected)
+    assert rows.called == (text != "x & y = y & x")
 
 
 def test_exhaustive_checks_build_no_network():

@@ -660,6 +660,26 @@ def test_int_flags_too_wide_to_echo_exit_two(full22, capsys):
     assert json.loads(capsys.readouterr().out)["inputs"]["k"] == edge
 
 
+def test_spec_echo_of_wide_values_replays(tmp_path, capsys):
+    # a base and an entry past 2^256 are echoed in full digits, as the
+    # closure that details reports writes them, so the echoed spec replays
+    wide = 1 << 300
+    path = tmp_path / "wide.alg"
+    path.write_text(f"n = 1\nbase = {wide}\ncarrier = [[{wide - 1}], [5]]\n")
+    assert main(["closure", "--spec", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert f"  spec: {{n: 1, base: {wide}, carrier: {{({wide - 1}), (5)}}}}\n" in text
+    assert "at least" not in text
+    assert main(["closure", "--spec", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["inputs"]["spec"] == {"n": 1, "base": wide, "carrier": [[wide - 1], [5]]}
+    assert report["details"]["closure"]["base"] == wide
+    echo = tmp_path / "echo.alg"
+    echo.write_text("n = {n}\nbase = {base}\ncarrier = {carrier}\n".format(**report["inputs"]["spec"]))
+    assert main(["closure", "--spec", str(echo), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["inputs"] == report["inputs"]
+
+
 def test_budget_and_seed_reach_every_auto_mode_verifier(full22, capsys, monkeypatch):
     # without --exhaustive or --random, each check runs in auto mode with
     # TRA_BUDGET as its budget and --seed as the seed it samples with
