@@ -58,14 +58,15 @@ variable under one composed permutation, at most 16) breaks holds on D.
 
 check_quasi walks the law once (_compile) for its sorted variable names
 and ops, each spec resolved to a Perm, and weighs the work (resolve_mode)
-before it reports a spec that does not fit D; _attach then gives each s_f
-the mode's gather table or algebra.Network, and one-chunk checks read
-cached counter columns.  _first_violation is check_quasi's scan of one
-conclusion under its hypotheses.  It re-checks each witness through an
-element-wise test (_rechecked): eval_term and quasi_violated walk the tree
-for a single assignment.  The verifiers in theorems share that re-check
-and the sample stream (_draws), but decide their laws from their tables
-and compile no program.
+before it reports a spec that does not fit D; the leaf step walks it once
+more, under a pending permutation, for its leaf law.  _attach then gives
+each s_f the mode's gather table or algebra.Network, and one-chunk checks
+read cached counter columns.  _first_violation, check_quasi's scan of one
+conclusion under its hypotheses, hands back a witness's rows, and
+check_quasi re-checks them element-wise (_rechecked): eval_term and
+quasi_violated walk the tree for a single assignment.  The verifiers in
+theorems share that re-check and the sample stream (_draws), but decide
+their laws from their tables and compile no program.
 """
 
 from __future__ import annotations
@@ -607,32 +608,37 @@ class _Program(list):
         self.size, self.nvars, self.rows = size, nvars, rows
 
 
-def _compile(qe: QuasiEquation, n: int) -> tuple[list[str], list[tuple], list[tuple[int, int]],
-                                                  DimensionMismatch | None]:
+def _compile(qe: QuasiEquation, n: int, leaves: bool = False) -> tuple[list, list[tuple], list[tuple[int, int]],
+                                                                   DimensionMismatch | None]:
     """qe in one walk: its variables' names, sorted; its ops, each over its
     children's slots, ("var", name) for a variable and ("subst", a, f) for
     s_f, with f its spec resolved once against dimension n; the (lhs, rhs)
     slots of each equation, the conclusion last; and the DimensionMismatch
     of the first spec that does not fit n, or None.  Equal ops share one
-    slot, as do s[0,1] and s{1,0}, and no lookup hashes a whole subtree."""
+    slot, as do s[0,1] and s{1,0}, and no lookup hashes a whole subtree.
+
+    With leaves, every spec must fit n, and the ops are qe's leaf law (see
+    the module docstring): each s_f becomes a permutation pending over its
+    operand, composed on the right of the one pending over it, and a
+    variable x under pending images g the leaf ("var", (x, g)), a name."""
     slots: dict[tuple, int] = {}
     perms: dict[PermSpec, Perm | DimensionMismatch] = {}
     unfit: list[DimensionMismatch] = []  # in the order met
 
-    def emit(t: Term) -> int:
+    def emit(t: Term, under: tuple[int, ...] | None) -> int:  # under: the pending images with leaves, else None
         kind = type(t)
         if kind is Var:
-            op = ("var", t.name)
+            op = ("var", t.name if under is None else (t.name, under))
         elif kind is And or kind is Or:
             # folded from the left: each partial chain takes a slot of its own
             name = "and" if kind is And else "or"
             args = t.args
-            op = (name, emit(args[0]), emit(args[1]))
+            op = (name, emit(args[0], under), emit(args[1], under))
             if len(args) > 2:  # a two-operand chain makes no slice
                 for arg in args[2:]:
-                    op = (name, slots.setdefault(op, len(slots)), emit(arg))
+                    op = (name, slots.setdefault(op, len(slots)), emit(arg, under))
         elif kind is Not:
-            op = ("not", emit(t.arg))
+            op = ("not", emit(t.arg, under))
         elif kind is Subst:
             f = perms.get(t.perm)
             if f is None:
@@ -642,7 +648,9 @@ def _compile(qe: QuasiEquation, n: int) -> tuple[list[str], list[tuple], list[tu
                     f = exc
                     unfit.append(exc)
                 perms[t.perm] = f
-            op = ("subst", emit(t.arg), f)
+            if under is not None:  # under . f
+                return emit(t.arg, tuple(map(under.__getitem__, f.images)))
+            op = ("subst", emit(t.arg, None), f)
         elif kind is Zero or kind is One:
             op = ("zero",) if kind is Zero else ("one",)
         else:
@@ -650,7 +658,8 @@ def _compile(qe: QuasiEquation, n: int) -> tuple[list[str], list[tuple], list[tu
         # a new op takes the next slot; the keys are the ops in slot order
         return slots.setdefault(op, len(slots))
 
-    equations = [(emit(eq.lhs), emit(eq.rhs)) for eq in (*qe.hypotheses, qe.conclusion)]
+    top = tuple(range(n)) if leaves else None
+    equations = [(emit(eq.lhs, top), emit(eq.rhs, top)) for eq in (*qe.hypotheses, qe.conclusion)]
     names = sorted([op[1] for op in slots if op[0] == "var"])
     return names, list(slots), equations, unfit[0] if unfit else None
 
@@ -701,16 +710,16 @@ def _rechecked(violates: Callable[[list[int]], object], rows: list[int]) -> obje
 
 
 def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
-                     law: tuple[int, int], mode: Mode,
-                     violates: Callable[[list[int]], object]) -> tuple[int, object] | None:
+                     law: tuple[int, int], mode: Mode) -> tuple[int, list[int]] | None:
     """The least (or first sampled) of mode's assignments to program's
     variables under which every (lhs, rhs) pair of slots in hypotheses
-    agrees and the pair law differs, as (its index, its witness
-    _rechecked through violates), or None.  Exhaustive goes by columns in
-    one chunk, or past it by pointwise.least_violation; Random by packed
-    rows over the sample stream (program's layout must be mode's)."""
+    agrees and the pair law differs, as (its index, each variable's bit
+    vector), or None; the caller re-checks it (_rechecked).  Exhaustive
+    goes by columns in one chunk, or past it by pointwise.least_violation;
+    Random by packed rows over the sample stream (program's layout must be
+    mode's)."""
     if program.rows:
-        return _first_row_violation(program, hypotheses, law, mode, violates)
+        return _first_row_violation(program, hypotheses, law, mode)
     size, nvars = program.size, program.nvars
     if size * nvars > EXHAUSTIVE_CHUNK_BITS:
         least = least_violation(program, hypotheses, law, EXHAUSTIVE_CHUNK_BITS)
@@ -724,8 +733,7 @@ def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
         least = (bad & -bad).bit_length() - 1 if bad else None
     if least is None:
         return None
-    rows = [least >> size * (nvars - 1 - j) & ((1 << size) - 1) for j in range(nvars)]
-    return least, _rechecked(violates, rows)
+    return least, [least >> size * (nvars - 1 - j) & ((1 << size) - 1) for j in range(nvars)]
 
 
 @functools.cache
@@ -803,9 +811,9 @@ def _row_flags(vals: list[int], stride: int, height: int, lhs: int, rhs: int) ->
 
 
 def _first_row_violation(program: _Program, hypotheses: list[tuple[int, int]],
-                         law: tuple[int, int], mode: Random,
-                         violates: Callable[[list[int]], object]) -> tuple[int, object] | None:
-    """_first_violation on packed rows, over mode's sample stream (_draws).
+                         law: tuple[int, int], mode: Random) -> tuple[int, list[int]] | None:
+    """_first_violation on packed rows, over mode's sample stream (_draws):
+    the first violating trial's index and rows, or None.
 
     A chunk packs each variable's rows into one int, whole bytes apart and
     no narrower than any network's row, so row r of the chunk has flag bit
@@ -836,32 +844,20 @@ def _first_row_violation(program: _Program, hypotheses: list[tuple[int, int]],
         bad = live & _row_flags(vals, stride, height, *law)
         if bad:
             r = ((bad & -bad).bit_length() - 1) // stride
-            return start + r, _rechecked(violates, chunk[r * nvars:(r + 1) * nvars])
+            return start + r, chunk[r * nvars:(r + 1) * nvars]
     return None
 
 
 def _leaf_identity(qe: QuasiEquation, D: Carrier, ops: list[tuple]) -> bool:
     """Whether qe, with _compile's ops, holds on D as a Boolean identity of
-    its leaf instances (see the module docstring): x under s_f is the
-    variable named x followed by f's image list, whose '(' comes last."""
+    its leaf instances (see the module docstring), scanned on one member."""
     if not D.full and any(None in D._gather_for(op[2]) for op in ops if op[0] == "subst"):
         return False
-    perms: dict[PermSpec, tuple[int, ...]] = {}
-
-    def push(t: Term, f: tuple[int, ...] = tuple(range(D.n))) -> Term:  # t under s_f, f as images
-        kind = type(t)
-        if kind is Subst:
-            g = perms.get(t.perm) or perms.setdefault(t.perm, spec_perm(t.perm, D.n).images)
-            return push(t.arg, tuple(map(f.__getitem__, g)))  # f . g
-        if kind is And or kind is Or:
-            return kind(tuple(map(push, t.args, repeat(f))))
-        return Var(f"{t.name}{f}") if kind is Var else Not(push(t.arg, f)) if kind is Not else t
-
-    pushed = [Equation(push(eq.lhs), push(eq.rhs)) for eq in (*qe.hypotheses, qe.conclusion)]
-    names, ops, equations, _ = _compile(QuasiEquation(tuple(pushed[:-1]), pushed[-1]), 0)
-    program = _attach(ops, Carrier(0, 2, [0]), names, rows=False)
-    return len(names) <= EXHAUSTIVE_CHUNK_BITS and not _first_violation(
-        program, equations[:-1], equations[-1], Exhaustive(), lambda rows: True)
+    names, ops, equations, _ = _compile(qe, D.n, leaves=True)
+    if len(names) > EXHAUSTIVE_CHUNK_BITS:
+        return False
+    program = _Program([("var", names.index(op[1])) if op[0] == "var" else op for op in ops], 1, len(names), False)
+    return not _first_violation(program, equations[:-1], equations[-1], Exhaustive())
 
 
 def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Verdict:
@@ -873,7 +869,8 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     violating assignment; it evaluates one chunk by columns, or decides a
     wider check from its leaves or target by target.  Random mode reports
     the first violating trial; it evaluates packed rows.  Either way the
-    witness is re-checked through quasi_violated.
+    scan hands back the witness's rows, and they are re-checked here, in
+    one place, through quasi_violated (_rechecked).
     """
     names, ops, equations, unfit = _compile(qe, D.n)
     work = 1 << (D.size * len(names))
@@ -888,10 +885,10 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
             witness = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
             return witness if quasi_violated(D, qe, witness) else None
 
-        found = _first_violation(program, equations[:-1], equations[-1], mode, violates)
+        found = _first_violation(program, equations[:-1], equations[-1], mode)
         if found:
-            index, witness = found
-            return Verdict("fails", witness=witness, assignments_tested=index + 1, **sampled)
+            index, rows = found
+            return Verdict("fails", witness=_rechecked(violates, rows), assignments_tested=index + 1, **sampled)
     outcome = "holds-sampled" if sampled else "holds-exhaustive"
     return Verdict(outcome, assignments_tested=mode.trials if sampled else work, **sampled)
 

@@ -1,0 +1,135 @@
+"""The mutant gate: each mutant is one exact edit to a decider's source, and
+the tests named with it must fail on the edited copy.
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py --list     # each mutant's name and target
+
+The gate copies src/ to a temporary directory.  There the named tests of
+all the mutants first run once on the unedited copy, where they must pass,
+so a mutant counts as killed only by its own edit.  Then, one mutant at a
+time, it replaces the mutant's snippet (which must occur exactly once, so
+a refactor that removes it fails here loudly, and the list is updated with
+it), runs pytest on the mutant's tests against the copy under a timeout,
+and restores the file: the tests must fail (pytest exit status 1) or time
+out.  Exits 0 when every mutant is killed, else 1.  Standard library only;
+pytest collects no file of this name.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600  # per pytest run
+
+LEAF_TESTS = (
+    "tests/test_check_columns.py::test_leaf_step_decides_only_identities_on_closed_carriers",
+    "tests/test_check_columns.py::test_leaf_identities_hold_and_keep_every_verdict",
+)
+COMPONENT_TESTS = (
+    "tests/test_check_columns.py::test_sigma_on_unit_sequences_is_one_component",
+    "tests/test_check_columns.py::test_a_component_without_solutions_decides_the_check",
+    "tests/test_check_columns.py::test_the_least_violation_is_the_least_over_components",
+)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/
+    snippet: str  # occurs exactly once in file
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids under the repository root
+
+
+MUTANTS = [
+    # termlang._leaf_identity and the leaf walk of termlang._compile
+    Mutant("leaf-composition-reversed", "tsalg/termlang.py",
+           "tuple(map(under.__getitem__, f.images))",
+           "tuple(map(f.images.__getitem__, under))", LEAF_TESTS),
+    Mutant("leaf-closure-skipped", "tsalg/termlang.py",
+           "if not D.full and any(None in D._gather_for(op[2])",
+           "if False and any(None in D._gather_for(op[2])", LEAF_TESTS),
+    Mutant("leaf-keyed-without-permutation", "tsalg/termlang.py",
+           '("var", t.name if under is None else (t.name, under))',
+           '("var", t.name)', LEAF_TESTS),
+    Mutant("leaf-hypotheses-dropped", "tsalg/termlang.py",
+           "_first_violation(program, equations[:-1], equations[-1], Exhaustive())",
+           "_first_violation(program, [], equations[-1], Exhaustive())", LEAF_TESTS),
+    # pointwise.least_violation, component by component
+    Mutant("components-split-by-path-halving", "tsalg/pointwise.py",
+           "root[p] = root[root[p]]  # path halving\n            p = root[p]\n",
+           "p = root[p] = root[root[p]]\n", COMPONENT_TESTS),
+    Mutant("component-without-solution-skipped", "tsalg/pointwise.py",
+           "if solution is None:\n            return None\n",
+           "if solution is None:\n            continue\n", COMPONENT_TESTS),
+    Mutant("least-violation-by-max", "tsalg/pointwise.py",
+           "min(least, excess)", "max(least, excess)", COMPONENT_TESTS),
+]
+
+
+def target(m: Mutant) -> str:
+    """file:line of m's snippet; exits with status 1 unless it occurs exactly once."""
+    text = (ROOT / "src" / m.file).read_text()
+    count = text.count(m.snippet)
+    if count != 1:
+        raise SystemExit(f"mutant {m.name}: its snippet occurs {count} times in src/{m.file}, not once")
+    line = text.count("\n", 0, text.index(m.snippet)) + 1
+    return f"src/{m.file}:{line}"
+
+
+def run_tests(src: Path, tests: tuple[str, ...], cwd: Path) -> int | None:
+    """pytest's exit status on tests with src first on the path, or None on timeout."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *(str(ROOT / t) for t in tests)]
+    try:
+        return subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--list", action="store_true", help="print each mutant's name and target, and exit")
+    args = parser.parse_args(argv)
+    targets = [target(m) for m in MUTANTS]
+    if args.list:
+        for m, where in zip(MUTANTS, targets):
+            print(f"{m.name}  {where}")
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        # the tests run from here, so their caches (.hypothesis) stay in it
+        src = tmp / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        status = run_tests(src, tests, tmp)
+        if status != 0:
+            print(f"the mutants' tests do not pass on the unedited source (pytest status {status})")
+            return 1
+        survived = []
+        for m, where in zip(MUTANTS, targets):
+            path = src / m.file
+            clean = path.read_text()
+            path.write_text(clean.replace(m.snippet, m.replacement))
+            status = run_tests(src, m.tests, tmp)
+            path.write_text(clean)
+            killed = status is None or status == 1
+            print(f"{'killed' if killed else 'SURVIVED'}  {m.name}  {where}"
+                  f"  ({'timeout' if status is None else f'pytest status {status}'})", flush=True)
+            if not killed:
+                survived.append(m.name)
+    print(f"{len(MUTANTS) - len(survived)} of {len(MUTANTS)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

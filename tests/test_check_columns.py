@@ -236,16 +236,12 @@ def test_decider_matches_frozenset_enumeration(case):
     D, names, eqs = case
     program, laws = compiled(QuasiEquation(tuple(eqs[:-1]), eqs[-1]), D, names)
     for eq, law in zip(eqs, laws):
-        def violates(rows, eq=eq):
-            env = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
-            return rows if termlang.equation_violated(D, eq, env) else None
-
         expected = brute_laws(D, names, [eq])
         assert pointwise.least_violation(program, [], law, 16) == (expected and expected[0])
         # the scan, with its witness, on truth tables of one entry per chunk
         with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 0), \
                 mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
-            found = termlang._first_violation(program, [], law, Exhaustive(), violates)
+            found = termlang._first_violation(program, [], law, Exhaustive())
         assert found == (expected and (expected[0], expected[2]))
         assert decided.called == (D.size > 0)
     # through check_equation, with truth tables in chunks of two entries
@@ -501,11 +497,13 @@ def test_leaf_identities_hold_and_keep_every_verdict(case, trials, seed):
     (full_carrier(3, 2), "s[0,1] s[1,2] x = s{2,0,1} x", False, "fails"),
     (HOLED, "~s[0,1] x = s[0,1] ~x", False, "fails"),
     (full_carrier(4, 2), SIGMA_F42, False, "holds-sampled"),
+    (full_carrier(3, 2), "s[0,1] x = x => s[0,1] ~x = ~x", True, "holds-sampled"),
 ])
 def test_leaf_step_decides_only_identities_on_closed_carriers(D, text, leafed, outcome):
     # s[0,1] s[1,2] is s{1,2,0}; ~s[0,1] x = s[0,1] ~x is a leaf identity
     # that fails where s[0,1] leaves the carrier; sigma holds on full (4,2)
-    # though its leaves do not force it
+    # though its leaves do not force it; s[0,1] ~x = ~x follows from its
+    # hypothesis only, so the leaf scan must read the hypotheses
     qe = law_of(text)
     assert by_leaves(D, qe) == leafed
     assert check_quasi(D, qe, Random(200, 1)).outcome == outcome

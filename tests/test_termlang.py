@@ -220,7 +220,8 @@ LONG_TERMS = {
 @pytest.mark.parametrize("name", LONG_TERMS)
 def test_long_and_deep_terms_are_walked(name):
     # every walk of a term under pytest's own frames: the dataclass ==, repr
-    # and hash, the printer, the compile walk and eval_term
+    # and hash, the printer, the compile walk and eval_term; and the leaf
+    # step's walk, sampled and past one chunk (2**32 assignments)
     text, nops = LONG_TERMS[name]
     t, again = parse_term(text), parse_term(text)
     assert t == again and t is not again
@@ -232,6 +233,9 @@ def test_long_and_deep_terms_are_walked(name):
     x = elem_from_seqs(D, [(0, 1), (1, 1)])
     assert eval_term(t, D, {"x": x}) == x
     assert check_equation(D, Equation(t, Var("x"))).outcome == "holds-exhaustive"
+    assert check_equation(D, Equation(t, Var("x")), Random(10, 1)).outcome == "holds-sampled"
+    assert check_equation(full_carrier(5, 2), Equation(t, Var("x")), Exhaustive(1 << 40)).outcome == \
+        "holds-exhaustive"
 
 
 # --- evaluation ---------------------------------------------------------------
