@@ -3,12 +3,10 @@ and equation / quasi-equation checkers.
 
 Grammar (whitespace-insensitive)::
 
-    term  := or ;  or := and ('|' and)* ;  and := unary ('&' unary)* ;
-    unary := '~' unary
+    term  := and ('|' and)* ;  and := unary ('&' unary)* ;
+    unary := '0' | '1' | ident | '(' term ')' | '~' unary
            | 's[' nat ',' nat ']' unary
-           | 's{' nat (',' nat)* '}' unary
-           | atom ;
-    atom  := '0' | '1' | ident | '(' term ')' ;
+           | 's{' nat (',' nat)* '}' unary ;
     eq    := term '=' term ;
     quasi := eq (',' eq)* '=>' eq .
 
@@ -63,10 +61,11 @@ more, under a pending permutation, for its leaf law.  _attach then gives
 each s_f the mode's gather table or algebra.Network, and one-chunk checks
 read cached counter columns.  _first_violation, check_quasi's scan of one
 conclusion under its hypotheses, hands back a witness's rows, and
-check_quasi re-checks them element-wise (_rechecked): eval_term and
-quasi_violated walk the tree for a single assignment.  The verifiers in
-theorems share that re-check and the sample stream (_draws), but decide
-their laws from their tables and compile no program.
+check_quasi re-checks them element-wise: eval_term and quasi_violated
+walk the tree for a single assignment, and _confirm refuses a witness the
+re-check does not confirm.  The verifiers in theorems re-check their own
+witnesses through _confirm and share the sample stream (_draws), but
+decide their laws from their tables and compile no program.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ import operator
 import random as _random
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .algebra import (
     Carrier,
@@ -105,9 +104,10 @@ DEFAULT_TRIALS = 2000
 
 #: Most '(', '~' and 's[..]'/'s{..}' a term may nest, one inside the
 #: other.  At the limit (measured by lowering sys.setrecursionlimit) the
-#: parser takes about 710 frames, seven per level, and a term's == and repr
-#: about 805: of Python's default recursion limit of 1000, that leaves a
-#: caller about 190.  Hash takes about 405, and print or check about 205.
+#: parser takes about 305 frames, three per '(' level and one per '~' or
+#: 's', and print or check about 205: of Python's default recursion limit
+#: of 1000, that leaves a caller who parses and checks about 695.  A term's
+#: == and repr take about 805, which leaves about 195, and hash about 405.
 MAX_NESTING = 100
 
 
@@ -254,11 +254,14 @@ class _Parser:
     def nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a natural number")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise self.error(f"natural number too long ({self.pos - start} digits)", start) from None
 
     def ident(self) -> str:
         self.skip_ws()
@@ -272,15 +275,6 @@ class _Parser:
             raise self.error("expected an identifier")
         return t[start : self.pos]
 
-    def nested(self, at: int, parse: Callable[[], Term]) -> Term:
-        """parse() one nesting level deeper, for the opener at offset at."""
-        if self.depth == MAX_NESTING:
-            raise self.error(f"term nests deeper than {MAX_NESTING} levels", at)
-        self.depth += 1
-        node = parse()
-        self.depth -= 1
-        return node
-
     def nat_list(self, close: str) -> tuple[int, ...]:
         out = [self.nat()]
         while self.take(","):
@@ -288,74 +282,70 @@ class _Parser:
         self.expect(close)
         return tuple(out)
 
-    def or_(self) -> Term:
-        return self.chain("|", Or, self.and_)
-
-    def and_(self) -> Term:
-        return self.chain("&", And, self.unary)
-
-    def chain(self, op: str, node: type[And] | type[Or], operand: Callable[[], Term]) -> Term:
-        """operand (op operand)*, as one node when op occurs.  A first
-        operand of node's kind can only be parenthesized; its operands are
-        spliced in, which gives the tree of left association."""
-        first = operand()
-        if self.peek() != op:
-            return first
-        args = list(first.args) if type(first) is node else [first]
+    def chain(self, op: str = "|") -> Term:
+        """A '|' chain of '&' chains (op "|"), or an '&' chain of unary
+        terms (op "&"), as one node when op occurs.  A first operand of the
+        node's kind can only be parenthesized; its operands are spliced in,
+        which gives the tree of left association."""
+        args = [self.chain("&") if op == "|" else self.unary()]
         while self.peek() == op:
             self.pos += 1
-            args.append(operand())
-        return node(tuple(args))
+            args.append(self.chain("&") if op == "|" else self.unary())
+        if len(args) == 1:
+            return args[0]
+        node = Or if op == "|" else And
+        first = args[0]
+        return node((*first.args, *args[1:]) if type(first) is node else tuple(args))
 
     def unary(self) -> Term:
-        self.skip_ws()
-        here = self.pos
-        if self.take("~"):
-            return Not(self.nested(here, self.unary))
+        """'0', '1', a variable, or an opener ('(', '~', 's[..]'/'s{..}')
+        and its operand one nesting level deeper."""
         c = self.peek()
-        if c.isalpha() or c == "_":
+        here = self.pos
+        if c == "0" or c == "1":
+            self.pos += 1
+            return Zero() if c == "0" else One()
+        if c == "~" or c == "(":
+            self.pos += 1
+        elif c.isalpha() or c == "_":
             name = self.ident()
-            if name == "s" and self.peek() in ("[", "{"):
-                if self.take("["):
-                    i = self.nat()
-                    self.expect(",")
-                    j = self.nat()
-                    self.expect("]")
-                    if i == j:
-                        raise self.error(f"s[{i},{j}] does not name a transposition", here)
-                    return Subst(Transposition(i, j), self.nested(here, self.unary))
+            if name != "s" or self.peek() not in ("[", "{"):
+                return Var(name)
+            if self.take("["):
+                i = self.nat()
+                self.expect(",")
+                j = self.nat()
+                self.expect("]")
+                if i == j:
+                    raise self.error(f"s[{i},{j}] does not name a transposition", here)
+                spec = Transposition(i, j)
+            else:
                 self.expect("{")
                 images = self.nat_list("}")
                 try:
                     spec = Images(images)
                 except NotAPermutation as exc:
                     raise self.error(str(exc), here) from None
-                return Subst(spec, self.nested(here, self.unary))
-            return Var(name)
-        return self.atom()
-
-    def atom(self) -> Term:
-        if self.take("0"):
-            return Zero()
-        if self.take("1"):
-            return One()
-        here = self.pos
-        if self.take("("):
-            node = self.nested(here, self.or_)
+        else:
+            raise self.error("expected '0', '1', a variable, or '('")
+        if self.depth == MAX_NESTING:
+            raise self.error(f"term nests deeper than {MAX_NESTING} levels", here)
+        self.depth += 1
+        if c == "(":
+            node = self.chain()
             self.expect(")")
-            return node
-        c = self.peek()
-        if c.isalpha() or c == "_":
-            return Var(self.ident())
-        raise self.error("expected '0', '1', a variable, or '('")
+        else:
+            node = self.unary()
+        self.depth -= 1
+        return node if c == "(" else Not(node) if c == "~" else Subst(spec, node)
 
     def equation(self) -> Equation:
-        lhs = self.or_()
+        lhs = self.chain()
         self.skip_ws()
         if not (self.text.startswith("=", self.pos) and not self.text.startswith("=>", self.pos)):
             raise self.error("expected '='")
         self.pos += 1
-        return Equation(lhs, self.or_())
+        return Equation(lhs, self.chain())
 
     def quasi(self) -> QuasiEquation:
         eqs = [self.equation()]
@@ -373,7 +363,7 @@ class _Parser:
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    node = p.or_()
+    node = p.chain()
     p.finish()
     return node
 
@@ -698,15 +688,12 @@ def _run(program: _Program, inputs: list[list[int]], full: int) -> list[list[int
     return vals
 
 
-def _rechecked(violates: Callable[[list[int]], object], rows: list[int]) -> object:
-    """violates(rows): the caller's element-by-element re-check of a
-    violation the evaluator found, under the variables' bit vectors rows.
-    It gives the witness in the caller's terms, or None where the law
-    holds, which means the evaluator was wrong."""
-    witness = violates(rows)
-    if witness is None:
+def _confirm(violated: bool) -> None:
+    """Refuse a witness the evaluator found unless its element-by-element
+    re-check, violated, confirms it: where the law holds, the evaluator
+    was wrong."""
+    if not violated:
         raise RuntimeError("the chunked evaluation and the element-wise re-check disagree on a witness")
-    return witness
 
 
 def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
@@ -714,7 +701,7 @@ def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
     """The least (or first sampled) of mode's assignments to program's
     variables under which every (lhs, rhs) pair of slots in hypotheses
     agrees and the pair law differs, as (its index, each variable's bit
-    vector), or None; the caller re-checks it (_rechecked).  Exhaustive
+    vector), or None; the caller re-checks it (_confirm).  Exhaustive
     goes by columns in one chunk, or past it by pointwise.least_violation;
     Random by packed rows over the sample stream (program's layout must be
     mode's)."""
@@ -870,7 +857,7 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     wider check from its leaves or target by target.  Random mode reports
     the first violating trial; it evaluates packed rows.  Either way the
     scan hands back the witness's rows, and they are re-checked here, in
-    one place, through quasi_violated (_rechecked).
+    one place, through quasi_violated (_confirm).
     """
     names, ops, equations, unfit = _compile(qe, D.n)
     work = 1 << (D.size * len(names))
@@ -880,15 +867,12 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     sampled = {"trials": mode.trials, "seed": mode.seed} if isinstance(mode, Random) else {}
     if not ((sampled or D.size * len(names) > EXHAUSTIVE_CHUNK_BITS) and _leaf_identity(qe, D, ops)):
         program = _attach(ops, D, names, rows=bool(sampled))
-
-        def violates(rows: list[int]) -> dict[str, Elem] | None:
-            witness = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
-            return witness if quasi_violated(D, qe, witness) else None
-
         found = _first_violation(program, equations[:-1], equations[-1], mode)
         if found:
             index, rows = found
-            return Verdict("fails", witness=_rechecked(violates, rows), assignments_tested=index + 1, **sampled)
+            witness = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
+            _confirm(quasi_violated(D, qe, witness))
+            return Verdict("fails", witness=witness, assignments_tested=index + 1, **sampled)
     outcome = "holds-sampled" if sampled else "holds-exhaustive"
     return Verdict(outcome, assignments_tested=mode.trials if sampled else work, **sampled)
 

@@ -28,8 +28,9 @@ to which members the atom routes read.  The ultraproduct map reads one table too
 whether that table is the identity decides every class at once.  Sampled
 modes walk the seeded sample stream (termlang._draws) only to report
 what the sample covers.  Every violation is re-checked element by
-element: through relativize, subst and complement, or through the
-ultraproduct map applied to the class's lift.
+element where it is built: through relativize, subst and complement, or
+through the ultraproduct map applied to the class's lift; termlang._confirm
+refuses one the re-check does not confirm.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ from .termlang import (
     Mode,
     Random,
     Verdict,
+    _confirm,
     _draws,
-    _rechecked,
     check_quasi,
     fmt_count,
     quasi_violated,
@@ -198,12 +199,9 @@ def verify_relativization(E: Carrier, G: Carrier, mode: Mode = Auto()) -> HomRep
     if found:
         index, x = found
         record, _, law = laws[broken(x)]
-
-        def violates(rows: list[int]) -> Elem | None:
-            X = Elem(E, rows[0])
-            return None if law(X) else X
-
-        violation = dict(record, x=_seq_lists(_rechecked(violates, [x])))
+        X = Elem(E, x)
+        _confirm(not law(X))
+        violation = dict(record, x=_seq_lists(X))
         pairs = index + 1
         elements = pairs if isinstance(mode, Random) else x + 1
     return HomReport(E, G, ("meet", "complement", "subst"), mode.label, mode.seed, elements, pairs, violation)
@@ -289,7 +287,7 @@ def decompose_small(n: int, k: int,
         # the atom's image is nonzero iff the route's table reads its
         # position; an image the table calls zero is re-checked
         if p not in reads:
-            _rechecked(lambda rows: is_zero(relativize(Elem(A, rows[0]), gq)) or None, [1 << p])
+            _confirm(is_zero(relativize(Elem(A, 1 << p), gq)))
         records.append(
             DecompositionRecord(q, base_used, len(base_used), renaming,
                                 {"n": n, "k": len(base_used)}, p in reads)
@@ -325,13 +323,8 @@ def decompose_small(n: int, k: int,
 
     violation: dict | None = None
     if found:
-        def violates(rows: list[int]) -> tuple[Elem, Elem] | None:
-            X, Y = (Elem(A, bits) for bits in rows)
-            if X == Y or any(relativize(X, gq) != relativize(Y, gq) for gq, *_ in routes.values()):
-                return None
-            return X, Y
-
-        X, Y = _rechecked(violates, list(found))
+        X, Y = (Elem(A, bits) for bits in found)
+        _confirm(X != Y and all(relativize(X, gq) == relativize(Y, gq) for gq, *_ in routes.values()))
         violation = {"x": _seq_lists(X), "y": _seq_lists(Y)}
     sep = SeparationReport(space, pairs, mode.label, mode.seed, violation is None, violation)
     return records, sep
@@ -648,13 +641,10 @@ def principal_ultraproduct(factors: list[Carrier], i0: int) -> UltraproductRepor
     if not moved:
         return UltraproductReport(len(factors), i0, 1 << target.size, True, "exhaustive", None)
 
-    def misprojected(rows: list[int]) -> dict | None:
-        # on the lift with empty components outside i0; ψ reads only i0
-        xc = Elem(target, rows[0])
-        lift = prod.element(Elem(c, xc.bits if i == i0 else 0) for i, c in enumerate(factors))
-        image = _psi(lift, table, i0, target)
-        return None if image == xc else {"check": "projection", "class": _seq_lists(xc)}
-
     least = 1 << min(moved)
+    # on the lift with empty components outside i0; ψ reads only i0
+    xc = Elem(target, least)
+    lift = prod.element(Elem(c, least if i == i0 else 0) for i, c in enumerate(factors))
+    _confirm(_psi(lift, table, i0, target) != xc)
     return UltraproductReport(len(factors), i0, least + 1, False, "exhaustive",
-                              _rechecked(misprojected, [least]))
+                              {"check": "projection", "class": _seq_lists(xc)})

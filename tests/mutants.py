@@ -38,6 +38,7 @@ COMPONENT_TESTS = (
     "tests/test_check_columns.py::test_a_component_without_solutions_decides_the_check",
     "tests/test_check_columns.py::test_the_least_violation_is_the_least_over_components",
 )
+DECIDER_TESTS = ("tests/test_check_columns.py::test_decider_matches_frozenset_enumeration",)
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,40 @@ MUTANTS = [
            "if solution is None:\n            continue\n", COMPONENT_TESTS),
     Mutant("least-violation-by-max", "tsalg/pointwise.py",
            "min(least, excess)", "max(least, excess)", COMPONENT_TESTS),
+    # pointwise.least_violation's truth tables, member by member
+    Mutant("empty-gather-read-as-full", "tsalg/pointwise.py",
+           "v = 0 if src is None", "v = full if src is None", DECIDER_TESTS),
+    Mutant("atoms-by-wrong-variable-weight", "tsalg/pointwise.py",
+           "atoms.append(size * (nvars - 1 - op[1]) + q)", "atoms.append(size * op[1] + q)", DECIDER_TESTS),
+    # algebra.permutable_closure
+    Mutant("closure-returns-its-input", "tsalg/algebra.py",
+           "if is_permutable(D):", "if True:", ("tests/test_algebra.py::test_permutable_closure_frozen_example",)),
+    # termlang._Parser
+    Mutant("nesting-limit-off-by-one", "tsalg/termlang.py",
+           "self.depth == MAX_NESTING", "self.depth > MAX_NESTING",
+           ("tests/test_cli_fuzz.py::test_term_past_the_nesting_limit_exits_two_at_its_opener",)),
+    Mutant("chain-splices-the-other-kind", "tsalg/termlang.py",
+           "type(first) is node", "isinstance(first, (And, Or))",
+           ("tests/test_termlang.py::test_parse_chain_is_one_node_as_left_association_gives",)),
+    Mutant("nesting-level-never-closed", "tsalg/termlang.py",
+           "        self.depth -= 1\n", "",
+           ("tests/test_cli_fuzz.py::test_term_at_the_nesting_limit_checks_prints_and_round_trips",)),
+    # each witness's element-wise re-check, through termlang._confirm
+    Mutant("quasi-recheck-skipped", "tsalg/termlang.py",
+           "_confirm(quasi_violated(D, qe, witness))", "_confirm(True)",
+           ("tests/test_check_columns.py::test_witness_disagreement_raises",)),
+    Mutant("relativization-recheck-skipped", "tsalg/theorems.py",
+           "_confirm(not law(X))", "_confirm(True)",
+           ("tests/test_theorems.py::test_relativization_witness_disagreement_raises",)),
+    Mutant("atom-recheck-skipped", "tsalg/theorems.py",
+           "_confirm(is_zero(relativize(Elem(A, 1 << p), gq)))", "_confirm(True)",
+           ("tests/test_theorems.py::test_decompose_blinded_route_loses_its_atom",)),
+    Mutant("separation-recheck-skipped", "tsalg/theorems.py",
+           "_confirm(X != Y and all(relativize(X, gq) == relativize(Y, gq) for gq, *_ in routes.values()))",
+           "_confirm(True)", ("tests/test_theorems.py::test_decompose_separation_disagreement_raises",)),
+    Mutant("ultraproduct-recheck-skipped", "tsalg/theorems.py",
+           "_confirm(_psi(lift, table, i0, target) != xc)", "_confirm(True)",
+           ("tests/test_theorems.py::test_ultraproduct_witness_disagreement_raises",)),
 ]
 
 

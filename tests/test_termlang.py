@@ -1,3 +1,5 @@
+import sys
+
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
@@ -130,6 +132,18 @@ def test_parse_rejects_bad_operator_specs():
         parse_term("s[0] x")
     with pytest.raises(TermSyntaxError):
         parse_term("s{} x")
+    # a numeral int() cannot read is refused at its offset: a digit that is
+    # not decimal (superscript two), or one past Python's int digit limit
+    with pytest.raises(TermSyntaxError) as err:
+        parse_term("s[0,\u00b2] x")
+    assert err.value.position == 4
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        digits = "9" * (limit + 1)
+        for text, at in ((f"s[0,{digits}] x", 4), (f"s{{{digits}}} x", 2)):
+            with pytest.raises(TermSyntaxError, match=rf"natural number too long \({limit + 1} digits\)") as err:
+                parse_term(text)
+            assert err.value.position == at
 
 
 def test_equation_eq_not_confused_with_implication_arrow():
@@ -201,6 +215,23 @@ def test_equation_round_trip(lhs, rhs):
 
 
 # --- long chains and deep nesting -------------------------------------------
+
+
+def test_term_at_the_nesting_limit_parses_and_checks_in_400_frames():
+    # parsing takes three frames per '(' level (unary, the '|' chain and the
+    # '&' chain), so the caller keeps most of Python's default limit of 1000
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    text = "x | x & (" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 400)
+    try:
+        verdict = check_equation(full_carrier(2, 2), parse_equation(f"{text} = x"))
+    finally:
+        sys.setrecursionlimit(old)
+    assert verdict.outcome == "holds-exhaustive"
+
 
 #: name -> (a term equal to x, in canonical form, and its compiled op count)
 LONG_TERMS = {

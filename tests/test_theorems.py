@@ -386,6 +386,16 @@ def test_decompose_witness_disagreement_raises(monkeypatch):
         decompose_small(2, 3, mode=Exhaustive())
 
 
+def test_decompose_separation_disagreement_raises(monkeypatch):
+    # the atom re-check is passed, so the blinded route reaches separation,
+    # whose re-check relativizes independently and separates the pair
+    _blind_route(monkeypatch)
+    monkeypatch.setattr(theorems, "is_zero", lambda x: True)
+    monkeypatch.setattr(theorems, "relativize", _independent_relativize)
+    with pytest.raises(RuntimeError, match="disagree"):
+        decompose_small(2, 3, mode=Exhaustive())
+
+
 # --- sigma in the small algebras ---------------------------------------------
 
 
