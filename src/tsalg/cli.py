@@ -325,7 +325,9 @@ def _display(value: object) -> str:
         return level.fill("{", ", ", "}", "(", ",", ")")
     if (isinstance(level, (list, tuple)) and level and isinstance(first := _fields(level[0]), (list, tuple))
             and all(isinstance(_fields(e), int) for e in first)):
-        return "{" + ", ".join("(" + ",".join([_repr(e, str) for e in _fields(s)]) + ")" for s in level) + "}"
+        rows = [s.fill("(", ",", ")", "[", ", ", "]") if isinstance(s, _Rows)  # an element's rows, in digits
+                else "(" + ",".join([_repr(e, str) for e in s]) + ")" for s in map(_fields, level)]
+        return "{" + ", ".join(rows) + "}"
     return _repr(level, str) if isinstance(level, (list, tuple)) else str(level)
 
 

@@ -6,9 +6,9 @@ Grammar (whitespace-insensitive)::
     term  := and ('|' and)* ;  and := unary ('&' unary)* ;
     unary := '0' | '1' | ident | '(' term ')' | '~' unary
            | 's[' nat ',' nat ']' unary
-           | 's{' nat (',' nat)* '}' unary ;
+           | 's{' [nat (',' nat)*] '}' unary ;
     eq    := term '=' term ;
-    quasi := eq (',' eq)* '=>' eq .
+    quasi := eq (',' eq)* '=>' eq ;   nat := ASCII digits '0'..'9' .
 
 A chain 'x & y & z' (or 'x | y | z') is one And (Or) node over all its
 operands, and a parenthesized chain first in a chain of its kind gives its
@@ -19,10 +19,10 @@ term's root to a leaf holds at most two chains per level.
 
 's[i,j]' applies the substitution operator of the transposition swapping
 coordinates i and j; 's{a0,a1,...}' that of the permutation with the given
-image list.  Precedence: '~' and 's' bind tightest, then '&', then '|';
-a chain is folded from the left, as if '&' and '|' associated to the
-left.  print_term emits a canonical form that parses back to a
-structurally identical tree.
+image list, 's{}' that of dimension 0.  Precedence: '~' and 's' bind
+tightest, then '&', then '|'; a chain is folded from the left, as if '&'
+and '|' associated to the left.  print_term emits a canonical form that
+parses back to a structurally identical tree.
 
 Checkers enumerate assignments with variables in sorted name order, each
 variable running through bit vectors in increasing numeric value, so the
@@ -59,9 +59,9 @@ and ops, each spec resolved to a Perm, and weighs the work (resolve_mode)
 before it reports a spec that does not fit D; the leaf step walks it once
 more, under a pending permutation, for its leaf law.  _attach then gives
 each s_f the mode's gather table or algebra.Network, and one-chunk checks
-read cached counter columns.  _first_violation, check_quasi's scan of one
-conclusion under its hypotheses, hands back a witness's rows, and
-check_quasi re-checks them element-wise: eval_term and quasi_violated
+read cached counter columns.  check_quasi alone picks the decider (the leaf
+step, _one_chunk_violation, least_violation or _first_row_violation), and
+re-checks the witness it finds element-wise: eval_term and quasi_violated
 walk the tree for a single assignment, and _confirm refuses a witness the
 re-check does not confirm.  The verifiers in theorems re-check their own
 witnesses through _confirm and share the sample stream (_draws), but
@@ -254,7 +254,7 @@ class _Parser:
     def nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a natural number")
@@ -263,16 +263,12 @@ class _Parser:
         except ValueError:  # past sys.get_int_max_str_digits()
             raise self.error(f"natural number too long ({self.pos - start} digits)", start) from None
 
-    def ident(self) -> str:
-        self.skip_ws()
+    def ident(self) -> str:  # unary has checked the first character at pos: a letter or '_'
         start = self.pos
         t = self.text
-        if self.pos < len(t) and (t[self.pos].isalpha() or t[self.pos] == "_"):
+        self.pos += 1
+        while self.pos < len(t) and (t[self.pos].isalnum() or t[self.pos] == "_"):
             self.pos += 1
-            while self.pos < len(t) and (t[self.pos].isalnum() or t[self.pos] == "_"):
-                self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an identifier")
         return t[start : self.pos]
 
     def nat_list(self, close: str) -> tuple[int, ...]:
@@ -321,7 +317,7 @@ class _Parser:
                 spec = Transposition(i, j)
             else:
                 self.expect("{")
-                images = self.nat_list("}")
+                images = () if self.take("}") else self.nat_list("}")
                 try:
                     spec = Images(images)
                 except NotAPermutation as exc:
@@ -587,15 +583,15 @@ WIDE_ROW_BITS = 1 << 12
 
 class _Program(list):
     """A straight-line program over a chunk of assignments to nvars
-    variables, each a bit vector over size members, by packed rows (rows)
-    or by columns.  Ops: ("var", j), ("zero",), ("one",), ("not", a),
+    variables, each a bit vector over size members, by columns or by
+    packed rows.  Ops: ("var", j), ("zero",), ("one",), ("not", a),
     ("and", a, b), ("or", a, b), and s_f: on columns ("gather", a, table),
     whose column p is column table[p] of slot a, or 0 where that is None;
     on rows ("net", a, network), an algebra.Network."""
 
-    def __init__(self, ops: list[tuple], size: int, nvars: int, rows: bool):
+    def __init__(self, ops: list[tuple], size: int, nvars: int):
         super().__init__(ops)
-        self.size, self.nvars, self.rows = size, nvars, rows
+        self.size, self.nvars = size, nvars
 
 
 def _compile(qe: QuasiEquation, n: int, leaves: bool = False) -> tuple[list, list[tuple], list[tuple[int, int]],
@@ -660,7 +656,7 @@ def _attach(ops: list[tuple], D: Carrier, names: list[str], rows: bool) -> _Prog
     kind, table = ("net", D._network_for) if rows else ("gather", D._gather_for)
     return _Program([("var", names.index(op[1])) if op[0] == "var" else
                      (kind, op[1], table(op[2])) if op[0] == "subst" else op for op in ops],
-                    D.size, len(names), rows)
+                    D.size, len(names))
 
 
 def _run(program: _Program, inputs: list[list[int]], full: int) -> list[list[int]]:
@@ -696,31 +692,18 @@ def _confirm(violated: bool) -> None:
         raise RuntimeError("the chunked evaluation and the element-wise re-check disagree on a witness")
 
 
-def _first_violation(program: _Program, hypotheses: list[tuple[int, int]],
-                     law: tuple[int, int], mode: Mode) -> tuple[int, list[int]] | None:
-    """The least (or first sampled) of mode's assignments to program's
-    variables under which every (lhs, rhs) pair of slots in hypotheses
-    agrees and the pair law differs, as (its index, each variable's bit
-    vector), or None; the caller re-checks it (_confirm).  Exhaustive
-    goes by columns in one chunk, or past it by pointwise.least_violation;
-    Random by packed rows over the sample stream (program's layout must be
-    mode's)."""
-    if program.rows:
-        return _first_row_violation(program, hypotheses, law, mode)
-    size, nvars = program.size, program.nvars
-    if size * nvars > EXHAUSTIVE_CHUNK_BITS:
-        least = least_violation(program, hypotheses, law, EXHAUSTIVE_CHUNK_BITS)
-    else:
-        width, columns = _one_chunk(size, nvars)
-        vals = _run(program, columns, (1 << width) - 1)
-        # the assignments under which each equation's sides differ, the law's first
-        differ = [functools.reduce(operator.or_, map(operator.xor, vals[a], vals[b]), 0)
-                  for a, b in (law, *hypotheses)]
-        bad = functools.reduce(lambda bad, d: bad & ~d, differ)
-        least = (bad & -bad).bit_length() - 1 if bad else None
-    if least is None:
-        return None
-    return least, [least >> size * (nvars - 1 - j) & ((1 << size) - 1) for j in range(nvars)]
+def _one_chunk_violation(program: _Program, hypotheses: list[tuple[int, int]],
+                         law: tuple[int, int]) -> int | None:
+    """The least assignment to program's variables, in one chunk of columns
+    (_one_chunk), under which every (lhs, rhs) pair of slots in hypotheses
+    agrees and the pair law differs, or None."""
+    width, columns = _one_chunk(program.size, program.nvars)
+    vals = _run(program, columns, (1 << width) - 1)
+    # the assignments under which each equation's sides differ, the law's first
+    differ = [functools.reduce(operator.or_, map(operator.xor, vals[a], vals[b]), 0)
+              for a, b in (law, *hypotheses)]
+    bad = functools.reduce(lambda bad, d: bad & ~d, differ)
+    return (bad & -bad).bit_length() - 1 if bad else None
 
 
 @functools.cache
@@ -799,8 +782,8 @@ def _row_flags(vals: list[int], stride: int, height: int, lhs: int, rhs: int) ->
 
 def _first_row_violation(program: _Program, hypotheses: list[tuple[int, int]],
                          law: tuple[int, int], mode: Random) -> tuple[int, list[int]] | None:
-    """_first_violation on packed rows, over mode's sample stream (_draws):
-    the first violating trial's index and rows, or None.
+    """The first trial of mode's sample stream (_draws), by packed rows, that
+    violates law under hypotheses: its index and its rows, or None.
 
     A chunk packs each variable's rows into one int, whole bytes apart and
     no narrower than any network's row, so row r of the chunk has flag bit
@@ -843,8 +826,8 @@ def _leaf_identity(qe: QuasiEquation, D: Carrier, ops: list[tuple]) -> bool:
     names, ops, equations, _ = _compile(qe, D.n, leaves=True)
     if len(names) > EXHAUSTIVE_CHUNK_BITS:
         return False
-    program = _Program([("var", names.index(op[1])) if op[0] == "var" else op for op in ops], 1, len(names), False)
-    return not _first_violation(program, equations[:-1], equations[-1], Exhaustive())
+    program = _Program([("var", names.index(op[1])) if op[0] == "var" else op for op in ops], 1, len(names))
+    return _one_chunk_violation(program, equations[:-1], equations[-1]) is None
 
 
 def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Verdict:
@@ -856,23 +839,33 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     violating assignment; it evaluates one chunk by columns, or decides a
     wider check from its leaves or target by target.  Random mode reports
     the first violating trial; it evaluates packed rows.  Either way the
-    scan hands back the witness's rows, and they are re-checked here, in
-    one place, through quasi_violated (_confirm).
+    witness's rows (an exhaustive scan's least index, decoded here) are
+    re-checked here, in one place, through quasi_violated (_confirm).
     """
     names, ops, equations, unfit = _compile(qe, D.n)
-    work = 1 << (D.size * len(names))
+    size, nvars = D.size, len(names)
+    work = 1 << (size * nvars)
     mode = resolve_mode(work, mode)
     if unfit is not None:
         raise unfit
     sampled = {"trials": mode.trials, "seed": mode.seed} if isinstance(mode, Random) else {}
-    if not ((sampled or D.size * len(names) > EXHAUSTIVE_CHUNK_BITS) and _leaf_identity(qe, D, ops)):
-        program = _attach(ops, D, names, rows=bool(sampled))
-        found = _first_violation(program, equations[:-1], equations[-1], mode)
-        if found:
-            index, rows = found
-            witness = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
-            _confirm(quasi_violated(D, qe, witness))
-            return Verdict("fails", witness=witness, assignments_tested=index + 1, **sampled)
+    *hypotheses, law = equations
+    wide = size * nvars > EXHAUSTIVE_CHUNK_BITS
+    if (sampled or wide) and _leaf_identity(qe, D, ops):
+        found = None
+    elif sampled:
+        found = _first_row_violation(_attach(ops, D, names, rows=True), hypotheses, law, mode)
+    else:
+        program = _attach(ops, D, names, rows=False)
+        least = (least_violation(program, hypotheses, law, EXHAUSTIVE_CHUNK_BITS) if wide
+                 else _one_chunk_violation(program, hypotheses, law))
+        found = None if least is None else (least, [least >> size * (nvars - 1 - j) & ((1 << size) - 1)
+                                                    for j in range(nvars)])
+    if found:
+        index, rows = found
+        witness = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}
+        _confirm(quasi_violated(D, qe, witness))
+        return Verdict("fails", witness=witness, assignments_tested=index + 1, **sampled)
     outcome = "holds-sampled" if sampled else "holds-exhaustive"
     return Verdict(outcome, assignments_tested=mode.trials if sampled else work, **sampled)
 

@@ -39,6 +39,10 @@ COMPONENT_TESTS = (
     "tests/test_check_columns.py::test_the_least_violation_is_the_least_over_components",
 )
 DECIDER_TESTS = ("tests/test_check_columns.py::test_decider_matches_frozenset_enumeration",)
+COMPILE_TESTS = (
+    "tests/test_check_columns.py::test_compile_by_op_matches_term_keyed_reference",
+    "tests/test_check_columns.py::test_program_gives_each_op_one_slot",
+)
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,20 @@ MUTANTS = [
            '("var", t.name if under is None else (t.name, under))',
            '("var", t.name)', LEAF_TESTS),
     Mutant("leaf-hypotheses-dropped", "tsalg/termlang.py",
-           "_first_violation(program, equations[:-1], equations[-1], Exhaustive())",
-           "_first_violation(program, [], equations[-1], Exhaustive())", LEAF_TESTS),
+           "_one_chunk_violation(program, equations[:-1], equations[-1]) is None",
+           "_one_chunk_violation(program, [], equations[-1]) is None", LEAF_TESTS),
+    # termlang._compile: one slot per op, each spec resolved once
+    Mutant("spec-perm-cached-without-its-spec", "tsalg/termlang.py",
+           "f = perms.get(t.perm)", "f = perms.get(t.perm) or next(iter(perms.values()), None)", COMPILE_TESTS),
+    Mutant("ops-never-shared", "tsalg/termlang.py",
+           "return slots.setdefault(op, len(slots))",
+           'return slots.setdefault(op if op[0] == "var" else (*op, len(slots)), len(slots))', COMPILE_TESTS),
+    # termlang.check_quasi's choice of decider by width
+    Mutant("always-wide", "tsalg/termlang.py",
+           "wide = size * nvars > EXHAUSTIVE_CHUNK_BITS", "wide = True", DECIDER_TESTS),
+    Mutant("wide-at-one-chunk", "tsalg/termlang.py",
+           "wide = size * nvars > EXHAUSTIVE_CHUNK_BITS", "wide = size * nvars >= EXHAUSTIVE_CHUNK_BITS",
+           DECIDER_TESTS),
     # pointwise.least_violation, component by component
     Mutant("components-split-by-path-halving", "tsalg/pointwise.py",
            "root[p] = root[root[p]]  # path halving\n            p = root[p]\n",

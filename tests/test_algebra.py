@@ -547,6 +547,15 @@ def test_relativize_is_intersection():
         assert elem_set(relativize(x, G)) == brute_relativize(elem_set(x), G.seqs)
 
 
+def test_relativize_onto_an_equal_carrier_gives_an_element_of_it():
+    E = full_carrier(2, 2)
+    G = carrier_from_seqs(2, 2, E.seqs)  # equal to E, another object
+    assert G == E and G is not E
+    x = Elem(E, 0b1010)
+    r = relativize(x, G)
+    assert r.carrier is G and r.bits == x.bits
+
+
 def test_relativize_requires_a_sub_carrier():
     E = full_carrier(2, 2)
     G = carrier_from_seqs(2, 3, [(0, 1)])

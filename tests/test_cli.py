@@ -229,6 +229,16 @@ def test_quasi_check_via_cli(full22, capsys):
     assert "canonical: x = 0 => s[0,1] x = 0" in out
 
 
+def test_empty_image_list_checks_only_at_dimension_zero(tmp_path, full22, capsys):
+    # s{} names the permutation of dimension 0, as print_term writes it
+    spec = tmp_path / "n0.alg"
+    spec.write_text("n = 0\nbase = 2\ncarrier = full\n")
+    assert main(["check", "--spec", str(spec), "--eq", "s{} x = x"]) == 0
+    assert "outcome: holds-exhaustive" in capsys.readouterr().out
+    assert main(["check", "--spec", full22, "--eq", "s{} x = x"]) == 2
+    assert "image list of length 0 does not fit dimension 2" in capsys.readouterr().err
+
+
 def test_non_permutable_carrier_is_an_input_error(tmp_path, full22, capsys):
     sub = tmp_path / "bad.alg"
     sub.write_text("n = 2\nbase = 2\ncarrier = [[0,1]]\n")
@@ -544,6 +554,7 @@ _report_values = strat.recursive(
 )
 
 _TWICE = carrier_from_seqs(2, 2, [(0, 1), (1, 0)])
+_WIDE = Carrier(1, 2**300, [5, 2**300 - 1])
 
 
 @hypothesis.settings(deadline=None, max_examples=500)
@@ -561,6 +572,8 @@ def test_report_writer_matches_the_stdlib(value):
 @hypothesis.given(strat.dictionaries(_json_text, _report_values, max_size=3), _report_values,
                   strat.none() | strat.dictionaries(_json_text, _elems(), max_size=2))
 @hypothesis.example({"spec": [[0, 1], [1 << 300]], "f": Perm((1, 0))}, {"x": [[0, 1], {"a": 1}, "bc"]}, None)
+# an empty element first: the rows of the next, a coordinate past 2^256 among them, go in digits
+@hypothesis.example({}, [Elem(_WIDE, 0), Elem(_WIDE, 2)], None)
 def test_text_report_matches_the_reference(inputs, details, witness):
     report = cli.RunReport(command="c", inputs=inputs, outcome="o", passed=True, mode="m", seed=None,
                            counts={"k": 3, "wide": 1 << 300}, witness=witness, details=details)

@@ -118,6 +118,11 @@ def test_parse_errors_carry_positions():
         parse_quasi("x = y")  # no '=>'
     with pytest.raises(TermSyntaxError):
         parse_term("")
+    # an equation's '=' is missing at the end, or '=>' stands in its place
+    for text, at in (("x", 1), ("x => y", 2)):
+        with pytest.raises(TermSyntaxError, match="expected '='") as err:
+            parse_equation(text)
+        assert err.value.position == at
 
 
 def test_parse_rejects_bad_operator_specs():
@@ -130,13 +135,15 @@ def test_parse_rejects_bad_operator_specs():
         parse_term("s{0,2} x")
     with pytest.raises(TermSyntaxError):
         parse_term("s[0] x")
-    with pytest.raises(TermSyntaxError):
-        parse_term("s{} x")
-    # a numeral int() cannot read is refused at its offset: a digit that is
-    # not decimal (superscript two), or one past Python's int digit limit
-    with pytest.raises(TermSyntaxError) as err:
-        parse_term("s[0,\u00b2] x")
-    assert err.value.position == 4
+    # the empty image list is the permutation of dimension 0, as print_term writes it
+    assert parse_term("s{} x") == Subst(Images(()), Var("x"))
+    # a numeral is ASCII digits, as in .alg files: a digit that is not
+    # decimal (superscript two) or of another script is refused at its
+    # offset, as is one past Python's int digit limit
+    for text, at in (("s[0,\u00b2] x", 4), ("s[0,\u0663] x", 4), ("s{\u0661,\u0660} x", 2)):
+        with pytest.raises(TermSyntaxError, match="expected a natural number") as err:
+            parse_term(text)
+        assert err.value.position == at
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         digits = "9" * (limit + 1)
@@ -177,6 +184,10 @@ def test_print_frozen_examples():
 def test_print_sigma():
     qe = sigma(3, Perm((1, 2, 0)), Perm((2, 0, 1)))
     assert print_quasi(qe) == "s{1,2,0} x | s{2,0,1} x = ~x => 0 = 1"
+    # at dimension 0 the image lists are empty, and the text still reads back
+    qe = sigma(0, Perm(()), Perm(()))
+    assert print_quasi(qe) == "s{} x | s{} x = ~x => 0 = 1"
+    assert parse_quasi(print_quasi(qe)) == qe
 
 
 def test_print_equation_and_hypothesis_free_quasi():

@@ -22,7 +22,7 @@ from tsalg.algebra import (
 )
 from tsalg.cli import main
 from tsalg.seqspace import Perm, all_seqs, perm_compose, perm_inverse, rank, unit_seq
-from tsalg.termlang import Auto, BudgetExceeded, Exhaustive, Random, check_quasi, quasi_violated, sigma
+from tsalg.termlang import Auto, BudgetExceeded, Exhaustive, Random, Verdict, check_quasi, quasi_violated, sigma
 from tsalg.theorems import (
     backward_cycle,
     build_counterexample,
@@ -442,6 +442,24 @@ def test_sigma_small_base_may_exceed_dimension():
     assert r.constants_checked == 3 and r.pairs_checked == 4
 
 
+def test_sigma_small_reports_a_brute_failure_as_disagreement(monkeypatch):
+    # the brute route fails the last pair while the certificate holds
+    swap = Perm((1, 0))
+    real = theorems.check_quasi
+
+    def failing(D, qe, mode):
+        if qe != sigma(2, swap, swap):
+            return real(D, qe, mode)
+        return Verdict("fails", witness={"x": Elem(D, 0b0110)}, assignments_tested=7)
+
+    monkeypatch.setattr(theorems, "check_quasi", failing)
+    r = sigma_holds_small(2, 2)
+    assert r.certificate_holds and r.brute_ran and r.brute_holds is False
+    assert r.counterexample == {"f": [1, 0], "g": [1, 0], "witness": {"x": [[0, 1], [1, 0]]}}
+    assert not r.agree and not r.holds
+    assert r.assignments_tested == 3 * 16 + 7
+
+
 def test_sigma_small_rejects_bad_input():
     with pytest.raises(ValueError):
         sigma_holds_small(6, 2)  # all-pairs capped at dimension 5
@@ -536,6 +554,14 @@ def test_h_escape_uses_the_same_cycle_pair_on_both_floors():
     r = verify_h_escape(2)
     assert r.sigma_big.pairs_mode == "given {1,0} {1,0}"
     assert r.sigma_sub.witness is not None
+
+
+def test_h_escape_reports_a_relativization_that_is_not_onto(monkeypatch):
+    # every lift relativizes to the empty set, so no nonzero element is reached
+    monkeypatch.setattr(theorems, "relativize", lambda x, G: Elem(G, 0))
+    r = verify_h_escape(2)
+    assert not r.surjective and not r.passed
+    assert r.hom.passed and r.sigma_big.holds and r.sigma_sub.outcome == "fails"
 
 
 def test_h_escape_rejects_n1():
@@ -667,6 +693,16 @@ def test_ultraproduct_bounds_violation(monkeypatch):
     assert not r.passed
     assert r.violation == {"check": "projection", "class": [[1, 1]]}
     assert r.classes_tested == 9
+
+
+def test_ultraproduct_cli_exits_one_when_the_check_fails(monkeypatch, tmp_path, capsys):
+    _misroute_psi(monkeypatch, {1: 2, 2: 1})
+    spec22, spec23 = tmp_path / "a.alg", tmp_path / "b.alg"
+    spec22.write_text("n = 2\nbase = 2\ncarrier = full\n")
+    spec23.write_text("n = 2\nbase = 3\ncarrier = full\n")
+    assert main(["ultraproduct", "--spec", str(spec22), "--spec", str(spec23)]) == 1
+    out = capsys.readouterr().out
+    assert "outcome: ultraproduct check failed" in out and "result: FAIL" in out
 
 
 def test_ultraproduct_witness_disagreement_raises(monkeypatch, tmp_path, capsys):
