@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .seqspace import (
     DimensionMismatch,
@@ -124,7 +124,7 @@ class Carrier:
         # keyed by permutation images (see _network_for) or by
         # ("swap", i, j) (see _digit_swaps)
         self._networks: dict[tuple, object] = {}
-        # masks of the networks repeated for packed rows (see Network.tiled)
+        # rows of bits repeated for packed rows (see _tiled)
         self._tiles: dict[tuple[int, int, int], int] = {}
         # cached: a carrier keys its sub-carriers' gather caches, looked up
         # on every relativize
@@ -186,8 +186,10 @@ class Carrier:
             self._gathers[key] = gather
         return gather
 
-    def _network_for(self, f: Perm) -> "Network":
-        """s_f compiled as a Network: the same map as _gather_for(f)."""
+    def _network_for(self, f: Perm) -> tuple[int, tuple[tuple[int, int], ...], int | None]:
+        """s_f as (width, swaps, defined), the map of _gather_for(f) on a row
+        of width bits: each (d, m) of swaps in turn exchanges each bit p of m
+        with bit p + d in the row, then defined, if not None, masks the row."""
         net = self._networks.get(f.images)
         if net is None:
             if f.n != self.n:
@@ -202,11 +204,22 @@ class Carrier:
                         w = images.index(v, v + 1)
                         images[v], images[w] = v, images[v]
                         swaps += self._digit_swaps(v, w)
-                net = Network(self.size, tuple(swaps), None, self._tiles)
+                net = (self.size, tuple(swaps), None)
             else:
-                net = _benes_network(self._gather_for(f), self._tiles)
+                net = _benes_network(self._gather_for(f))
             self._networks[f.images] = net
         return net
+
+    def _tiled(self, mask: int, nbytes: int, rows: int) -> int:
+        """mask, a row's bits, repeated for rows rows nbytes bytes apart and
+        cached per carrier, so networks sharing a transposition share it."""
+        if rows == 1:
+            return mask
+        key = (mask, nbytes, rows)
+        tiled = self._tiles.get(key)
+        if tiled is None:
+            tiled = self._tiles[key] = _repeat_row(mask, nbytes, rows)
+        return tiled
 
     def _digit_swaps(self, i: int, j: int) -> list[tuple[int, int]]:
         """s_t for t = (i j), i < j, on the full carrier ^n u: per c in
@@ -240,35 +253,6 @@ class Carrier:
                 raise ValueError("not a sub-carrier of the bigger carrier")
             self._gathers[E] = gather
         return gather
-
-
-class Network:
-    """s_f on a row of width bits: each (d, mask) of swaps, in order,
-    exchanges bit p with bit p + d for every bit p of mask, then defined,
-    unless None, clears what s_f leaves empty.  No swap leaves the row."""
-
-    __slots__ = ("width", "swaps", "defined", "_tiles")
-
-    def __init__(self, width: int, swaps: tuple[tuple[int, int], ...], defined: int | None,
-                 tiles: dict[tuple[int, int, int], int]):
-        self.width = width
-        self.swaps = swaps
-        self.defined = defined
-        self._tiles = tiles  # the carrier's, shared by all its networks
-
-    def tiled(self, nbytes: int, rows: int) -> tuple[Sequence[tuple[int, int]], int | None]:
-        """swaps and defined for up to rows rows packed nbytes bytes apart,
-        each mask repeated per row and cached per carrier and mask, so
-        networks sharing a transposition share it."""
-        def tile(m: int) -> int:
-            key = (m, nbytes, rows)
-            if key not in self._tiles:
-                self._tiles[key] = _repeat_row(m, nbytes, rows)
-            return self._tiles[key]
-
-        if rows == 1:
-            return self.swaps, self.defined
-        return [(d, tile(m)) for d, m in self.swaps], None if self.defined is None else tile(self.defined)
 
 
 def _repeat_row(bits: int, nbytes: int, rows: int) -> int:
@@ -323,7 +307,7 @@ def _benes(dest: list[int]) -> list[tuple[int, int]]:
     return [(h, _mask(upper[:h])), *inner, (h, _mask([upper[src[t]] for t in range(h)]))]
 
 
-def _benes_network(gather: list[int | None], tiles: dict) -> Network:
+def _benes_network(gather: list[int | None]) -> tuple[int, tuple[tuple[int, int], ...], int | None]:
     """The gather, a partial injection of its own positions into
     themselves, extended to a permutation of a power-of-two row (empty
     entries take the unused positions), routed through _benes, masked.
@@ -340,7 +324,7 @@ def _benes_network(gather: list[int | None], tiles: dict) -> Network:
         dest[src] = p
     swaps = tuple((d, m) for d, m in _benes(dest) if m)
     defined = _mask([src is not None for src in gather]) if None in gather else None
-    return Network(width, swaps, defined, tiles)
+    return width, swaps, defined
 
 
 def full_carrier(n: int, u: int) -> Carrier:

@@ -140,17 +140,14 @@ def least_violation(program: _Program, hypotheses: list[tuple[int, int]], law: t
                     src = op[2][q]
                     v = 0 if src is None else val[op[1] * size + src]
                 val[node] = v
-            if hypotheses:
-                agree, diff = full, 0
-                for p in members:
-                    for a, b in hypotheses:
-                        agree &= ~(val[a * size + p] ^ val[b * size + p])
-                    diff |= val[lhs * size + p] ^ val[rhs * size + p]
-                if solution is None and agree:
-                    solution = start + (agree & -agree).bit_length() - 1
-                bad = agree & diff
-            else:  # one member, whose least solution is entry 0
-                solution, bad = 0, val[lhs * size + members[0]] ^ val[rhs * size + members[0]]
+            agree, diff = full, 0
+            for p in members:
+                for a, b in hypotheses:
+                    agree &= ~(val[a * size + p] ^ val[b * size + p])
+                diff |= val[lhs * size + p] ^ val[rhs * size + p]
+            if solution is None and agree:
+                solution = start + (agree & -agree).bit_length() - 1
+            bad = agree & diff
             if bad:
                 violation = start + (bad & -bad).bit_length() - 1
                 break

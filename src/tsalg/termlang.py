@@ -57,15 +57,16 @@ variable under one composed permutation, at most 16) breaks holds on D.
 check_quasi walks the law once (_compile) for its sorted variable names
 and ops, each spec resolved to a Perm, and weighs the work (resolve_mode)
 before it reports a spec that does not fit D; the leaf step walks it once
-more, under a pending permutation, for its leaf law.  _attach then gives
-each s_f the mode's gather table or algebra.Network, and one-chunk checks
-read cached counter columns.  check_quasi alone picks the decider (the leaf
-step, _one_chunk_violation, least_violation or _first_row_violation), and
-re-checks the witness it finds element-wise: eval_term and quasi_violated
-walk the tree for a single assignment, and _confirm refuses a witness the
-re-check does not confirm.  The verifiers in theorems re-check their own
-witnesses through _confirm and share the sample stream (_draws), but
-decide their laws from their tables and compile no program.
+more, under a pending permutation, for its leaf law.  _attach gives each
+s_f its gather table on columns, and _first_row_violation its tiled
+network on rows; one-chunk checks read cached counter columns.
+check_quasi alone picks the decider (the leaf step, _one_chunk_violation,
+least_violation or _first_row_violation), and re-checks the witness it
+finds element-wise: eval_term and quasi_violated walk the tree for a
+single assignment, and _confirm refuses a witness the re-check does not
+confirm.  The verifiers in theorems re-check their own witnesses through
+_confirm and share the sample stream (_draws), but decide their laws from
+their tables and compile no program.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ from .algebra import (
     Carrier,
     CarrierMismatch,
     Elem,
-    _repeat_row,
     complement,
     join,
     meet,
@@ -583,11 +583,10 @@ WIDE_ROW_BITS = 1 << 12
 
 class _Program(list):
     """A straight-line program over a chunk of assignments to nvars
-    variables, each a bit vector over size members, by columns or by
-    packed rows.  Ops: ("var", j), ("zero",), ("one",), ("not", a),
-    ("and", a, b), ("or", a, b), and s_f: on columns ("gather", a, table),
-    whose column p is column table[p] of slot a, or 0 where that is None;
-    on rows ("net", a, network), an algebra.Network."""
+    variables, each a bit vector over size members, by columns.  Ops:
+    ("var", j), ("zero",), ("one",), ("not", a), ("and", a, b),
+    ("or", a, b), and s_f as ("gather", a, table), whose column p is column
+    table[p] of slot a, or 0 where that is None."""
 
     def __init__(self, ops: list[tuple], size: int, nvars: int):
         super().__init__(ops)
@@ -650,12 +649,11 @@ def _compile(qe: QuasiEquation, n: int, leaves: bool = False) -> tuple[list, lis
     return names, list(slots), equations, unfit[0] if unfit else None
 
 
-def _attach(ops: list[tuple], D: Carrier, names: list[str], rows: bool) -> _Program:
-    """_compile's ops on D in the given layout, in one pass: names[j] is
-    ("var", j), each s_f D's gather table (columns) or network (rows)."""
-    kind, table = ("net", D._network_for) if rows else ("gather", D._gather_for)
+def _attach(ops: list[tuple], D: Carrier, names: list[str]) -> _Program:
+    """_compile's ops on D by columns, in one pass: names[j] is ("var", j),
+    each s_f D's gather table."""
     return _Program([("var", names.index(op[1])) if op[0] == "var" else
-                     (kind, op[1], table(op[2])) if op[0] == "subst" else op for op in ops],
+                     ("gather", op[1], D._gather_for(op[2])) if op[0] == "subst" else op for op in ops],
                     D.size, len(names))
 
 
@@ -722,25 +720,8 @@ def _draws(size: int, nvars: int, mode: Random) -> Iterator[int]:
     return map(_random.Random(mode.seed).getrandbits, repeat(size, mode.trials * nvars))
 
 
-def _tiled(program: _Program, nbytes: int, height: int) -> list[tuple]:
-    """program's ops for chunks of height rows nbytes bytes apart: "one"
-    and "not" with the rows of program.size ones, each network as its
-    tiled swaps and mask (Network.tiled)."""
-    if any(op[0] == "one" or op[0] == "not" for op in program):
-        ones = _repeat_row((1 << program.size) - 1, nbytes, height)
-    out = []
-    for op in program:
-        kind = op[0]
-        if kind == "one" or kind == "not":
-            op = (*op, ones)
-        elif kind == "net":
-            op = ("net", op[1], *op[2].tiled(nbytes, height))
-        out.append(op)
-    return out
-
-
 def _run_rows(ops: list[tuple], values: list[int]) -> list[int]:
-    """Every slot's rows for one chunk, from _tiled ops and each variable's rows."""
+    """Every slot's rows for one chunk of _first_row_violation's program, from each variable's rows."""
     vals: list[int] = []
     for op in ops:
         kind = op[0]
@@ -780,23 +761,33 @@ def _row_flags(vals: list[int], stride: int, height: int, lhs: int, rhs: int) ->
     return z | z >> (stride - span)
 
 
-def _first_row_violation(program: _Program, hypotheses: list[tuple[int, int]],
+def _first_row_violation(D: Carrier, ops: list[tuple], names: list[str], hypotheses: list[tuple[int, int]],
                          law: tuple[int, int], mode: Random) -> tuple[int, list[int]] | None:
-    """The first trial of mode's sample stream (_draws), by packed rows, that
-    violates law under hypotheses: its index and its rows, or None.
+    """The first trial of mode's sample stream (_draws), by packed rows, to
+    violate law under hypotheses (slots of ops): its index and rows, or None.
 
     A chunk packs each variable's rows into one int, whole bytes apart and
     no narrower than any network's row, so row r of the chunk has flag bit
     stride * r.  It holds ROW_CHUNK_BITS bits per variable, or one row on a
-    carrier of WIDE_ROW_BITS members or more."""
-    width = max([program.size] + [op[2].width for op in program if op[0] == "net"])
+    carrier of WIDE_ROW_BITS members or more.  Its program gives "one" and
+    "not" rows of ones, and s_f its tiled network ("net", a, swaps, defined)."""
+    width = max([D.size] + [D._network_for(op[2])[0] for op in ops if op[0] == "subst"])
     nbytes = max(1, -(-width // 8))
     stride = 8 * nbytes
-    trials, nvars = mode.trials, program.nvars
+    trials, nvars = mode.trials, len(names)
     height = max(1, min(trials, ROW_CHUNK_BITS // stride)) if width < WIDE_ROW_BITS else 1
-    rows = _draws(program.size, nvars, mode)
-    ops = _tiled(program, nbytes, height)
-    every_row = _repeat_row(1, nbytes, height)
+    program = []
+    for op in ops:
+        if op[0] == "var":
+            op = ("var", names.index(op[1]))
+        elif op[0] == "one" or op[0] == "not":
+            op = (*op, D._tiled((1 << D.size) - 1, nbytes, height))
+        elif op[0] == "subst":
+            _, swaps, defined = D._network_for(op[2])
+            op = ("net", op[1], [(d, D._tiled(m, nbytes, height)) for d, m in swaps],
+                  None if defined is None else D._tiled(defined, nbytes, height))
+        program.append(op)
+    rows = _draws(D.size, nvars, mode)
 
     def packed(chunk: list[int]) -> int:
         return int.from_bytes(b"".join([r.to_bytes(nbytes, "little") for r in chunk]), "little")
@@ -807,8 +798,8 @@ def _first_row_violation(program: _Program, hypotheses: list[tuple[int, int]],
         values = chunk if h == 1 else [packed(chunk[j::nvars]) for j in range(nvars)]
         # the ops act on height rows; in a shorter last chunk the flags of
         # the rows past h are not live
-        vals = _run_rows(ops, values)
-        live = every_row if h == height else _repeat_row(1, nbytes, h)
+        vals = _run_rows(program, values)
+        live = D._tiled(1, nbytes, h)
         for lhs, rhs in hypotheses:
             live &= ~_row_flags(vals, stride, height, lhs, rhs)
         bad = live & _row_flags(vals, stride, height, *law)
@@ -854,9 +845,9 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     if (sampled or wide) and _leaf_identity(qe, D, ops):
         found = None
     elif sampled:
-        found = _first_row_violation(_attach(ops, D, names, rows=True), hypotheses, law, mode)
+        found = _first_row_violation(D, ops, names, hypotheses, law, mode)
     else:
-        program = _attach(ops, D, names, rows=False)
+        program = _attach(ops, D, names)
         least = (least_violation(program, hypotheses, law, EXHAUSTIVE_CHUNK_BITS) if wide
                  else _one_chunk_violation(program, hypotheses, law))
         found = None if least is None else (least, [least >> size * (nvars - 1 - j) & ((1 << size) - 1)

@@ -252,8 +252,10 @@ def decompose_small(n: int, k: int,
     An atom survives iff its route's table reads it.  Separation fails iff
     the routes' tables leave some member unread; the least unseparated pair
     of the x-major order over x < y is then (0, {the least such member}).
-    Sampled mode walks the sample stream (x, then y, per trial) once,
-    counting the trials that drew x != y up to the first unseparated one.
+    Neither happens on any input the CLI accepts, as each atom q lies on its
+    own route (over q's values); only tests that blind a route reach them.
+    So sampled mode walks the sample stream (x, then y, per trial) once, only
+    to count the trials that drew x != y up to the first unseparated one.
     A lost atom or an unseparated pair is re-checked through relativize.
     """
     if _capped_power(k, n, MAX_SUBALGEBRA_ELEMS) > MAX_SUBALGEBRA_ELEMS:

@@ -43,6 +43,7 @@ COMPILE_TESTS = (
     "tests/test_check_columns.py::test_compile_by_op_matches_term_keyed_reference",
     "tests/test_check_columns.py::test_program_gives_each_op_one_slot",
 )
+ROW_TESTS = ("tests/test_check_columns.py::test_sampled_checks_on_a_carrier_with_holes_at_every_chunk_height",)
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,16 @@ MUTANTS = [
     Mutant("wide-at-one-chunk", "tsalg/termlang.py",
            "wide = size * nvars > EXHAUSTIVE_CHUNK_BITS", "wide = size * nvars >= EXHAUSTIVE_CHUNK_BITS",
            DECIDER_TESTS),
+    # termlang._first_row_violation on packed rows: each s_f's tiled mask,
+    # the per-row flag fold (the fold a step short, 4 * span; 2 * span <
+    # stride gives the same flags), and algebra.Carrier._tiled's cache key
+    Mutant("tiled-defined-dropped", "tsalg/termlang.py",
+           "None if defined is None else D._tiled(defined, nbytes, height))", "None)", ROW_TESTS),
+    Mutant("row-flags-fold-short", "tsalg/termlang.py",
+           "while 2 * span <= stride:", "while 4 * span <= stride:",
+           ("tests/test_check_columns.py::test_row_flags_see_every_bit_of_a_row",)),
+    Mutant("tile-cache-keyed-without-rows", "tsalg/algebra.py",
+           "key = (mask, nbytes, rows)", "key = (mask, nbytes)", ROW_TESTS),
     # pointwise.least_violation, component by component
     Mutant("components-split-by-path-halving", "tsalg/pointwise.py",
            "root[p] = root[root[p]]  # path halving\n            p = root[p]\n",

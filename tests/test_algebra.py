@@ -367,11 +367,12 @@ def test_gather_on_full_carriers_matches_the_ranking_loop(n, u):
 
 
 def _through_network(net, bits):
-    for d, mask in net.swaps:
-        assert (mask << d) >> net.width == 0  # no swap leaves the row
+    width, swaps, defined = net
+    for d, mask in swaps:
+        assert (mask << d) >> width == 0  # no swap leaves the row
         t = ((bits >> d) ^ bits) & mask
         bits ^= t ^ (t << d)
-    return bits if net.defined is None else bits & net.defined
+    return bits if defined is None else bits & defined
 
 
 def _network_agrees_with_gather(D, perms, rng, samples=8):
@@ -393,9 +394,10 @@ def test_network_matches_gather_on_full_carriers(n, u):
     D = full_carrier(n, u)
     swaps = [transposition(n, i, j) for i, j in combinations(range(n), 2)]
     _network_agrees_with_gather(D, [Perm(tuple(range(n)))] + swaps + _random_perms(n, rng, 6), rng)
-    assert D._network_for(Perm(tuple(range(n)))).swaps == ()
+    assert D._network_for(Perm(tuple(range(n)))) == (D.size, (), None)
     for t in swaps:
-        assert len(D._network_for(t).swaps) == u - 1 and D._network_for(t).width == D.size
+        width, t_swaps, defined = D._network_for(t)
+        assert len(t_swaps) == u - 1 and width == D.size and defined is None
 
 
 def test_network_matches_gather_on_other_carriers():
@@ -411,7 +413,7 @@ def test_network_matches_gather_on_other_carriers():
     for D in carriers:
         assert D.size != D.u**D.n or D.size <= 1
         _network_agrees_with_gather(D, list(all_perms(D.n))[:24], rng)
-        width = D._network_for(Perm(tuple(range(D.n)))).width
+        width, _, _ = D._network_for(Perm(tuple(range(D.n))))
         assert width >= D.size and width & (width - 1) == 0
     assert any(not is_permutable(D) and None in D._gather_for(transposition(D.n, 0, 1)) for D in carriers[4:])
 
@@ -421,7 +423,7 @@ def test_benes_network_routes_only_partial_injections(gather):
     # two entries reading one position, or a position outside the row, has
     # no network; routing it anyway would move bits by some other map
     with pytest.raises(ValueError, match="partial injection"):
-        _benes_network(gather, {})
+        _benes_network(gather)
 
 
 def test_subst_on_atoms_of_a_permutable_carrier_moves_the_point():

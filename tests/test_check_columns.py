@@ -24,7 +24,7 @@ import pytest
 from tsalg.algebra import (Carrier, Elem, carrier_from_seqs, full_carrier, permutable_closure,
                           permutable_subsets)
 from tsalg.cli import main
-from tsalg import pointwise, termlang, theorems
+from tsalg import algebra, pointwise, termlang, theorems
 from tsalg.seqspace import DimensionMismatch, transposition, unit_seq
 from tsalg.termlang import (
     And,
@@ -650,7 +650,7 @@ def test_row_flags_see_every_bit_of_a_row(nbytes):
     for r in range(height):
         for p in range(stride):
             flags = termlang._row_flags([1 << (r * stride + p), 0], stride, height, 0, 1)
-            assert flags & termlang._repeat_row(1, nbytes, height) == 1 << (r * stride), (r, p)
+            assert flags & algebra._repeat_row(1, nbytes, height) == 1 << (r * stride), (r, p)
 
 
 @pytest.mark.parametrize("text", ["s[0,1] (x & y) = s[0,1] x & s[0,1] y", "x & y = x",
@@ -718,6 +718,31 @@ def test_sampled_holds_across_a_partial_last_chunk():
     assert v.outcome == "holds-sampled" and v.assignments_tested == trials
 
 
+@pytest.mark.parametrize("text", [
+    "s[0,1] s[0,1] x | (x & ~s[0,1] 1) = x",
+    "s[0,1] x & ~s[0,1] 1 = 0",
+    "x & y & z = 0 => s[0,1] (x | y | z) & ~s[0,1] 1 = 0",
+    "s[0,1] x & ~s[0,1] y & x & ~y & z = 0",
+    "s[0,1] (x & y & z) & ~x & ~y = 0",  # first broken by trial 4 of 7, row 4 of 5
+    "s[0,1] x = x",
+])
+def test_sampled_checks_on_a_carrier_with_holes_at_every_chunk_height(text):
+    # 12 of the 16 members of ^2 4: s[0,1] leaves members empty, so it goes
+    # through a Benes network of 16-bit rows and its mask, here 5 rows to a
+    # chunk.  One carrier's checks, in increasing chunk height and the last
+    # two with a short last chunk, against the row-wise tree walk and the
+    # frozenset oracle: masks tiled for fewer rows, or the mask dropped,
+    # break them
+    D = carrier_from_seqs(2, 4, lex_sequences(2, 4)[:12])
+    assert None in D._gather_for(transposition(2, 0, 1))
+    qe = parse_quasi(text) if "=>" in text else QuasiEquation((), parse_equation(text))
+    names = law_names(qe)
+    with mock.patch.object(termlang, "ROW_CHUNK_BITS", 16 * 5):
+        for trials in (2, 3, 7, 13):  # chunks of 2, 3, 5 + 2 and 5 + 5 + 3 rows
+            expected = tree_walk(D, qe, row_wise(D, names, trials, trials), "holds-sampled")
+            same_verdict(check_quasi(D, qe, Random(trials, trials)), expected)
+
+
 def test_witness_disagreement_raises(tmp_path, capsys):
     # the columns find s[0,1] x = x broken while the re-check says it holds
     D = full_carrier(2, 2)
@@ -773,15 +798,31 @@ def test_over_budget_exhaustive_check_exits_on_its_budget_before_an_unfit_spec(t
 # --- compiling: slots shared by op ------------------------------------------
 
 
-def compiled(qe, D, names, rows=False):
-    """qe's program on D over names, in the given layout, and its (lhs, rhs)
-    slots, as check_quasi builds them: one walk, then the tables attached."""
+def compiled(qe, D, names):
+    """qe's program on D over names, by columns, and its (lhs, rhs) slots,
+    as check_quasi builds them: one walk, then the tables attached."""
     _, ops, equations, unfit = termlang._compile(qe, D.n)
     assert unfit is None
-    return termlang._attach(ops, D, names, rows), equations
+    return termlang._attach(ops, D, names), equations
 
 
-def term_keyed_compile(qe, D, names, rows=False):
+def chunk_program(qe, D, names):
+    """The program the row sampler runs on each chunk of qe's trials on D,
+    from _compile's ops as check_quasi passes them."""
+    _, ops, equations, _ = termlang._compile(qe, D.n)
+    *hypotheses, law = equations
+    with mock.patch.object(termlang, "_run_rows", wraps=termlang._run_rows) as run:
+        termlang._first_row_violation(D, ops, names, hypotheses, law, Random(3, 1))
+    return run.call_args.args[0]
+
+
+def op_shape(op):
+    """An op's kind, s_f as "net" in either layout, and its operand slots."""
+    kind = "net" if op[0] == "gather" else op[0]
+    return (kind, *op[1:1 + {"var": 1, "not": 1, "net": 1, "and": 2, "or": 2}.get(kind, 0)])
+
+
+def term_keyed_compile(qe, D, names):
     """The program as it was compiled with slots keyed by the terms
     themselves: an op emitted again, a map keyed by its table's identity,
     kept the slot it held.  A chain is folded from the left: the op over
@@ -806,9 +847,8 @@ def term_keyed_compile(qe, D, names, rows=False):
                   emit(type(t)(tuple(init)) if len(init) > 1 else init[0]), emit(last))
         else:
             if t.perm not in tables:
-                f = termlang.spec_perm(t.perm, D.n)
-                tables[t.perm] = D._network_for(f) if rows else D._gather_for(f)
-            op = ("net" if rows else "gather", emit(t.arg), tables[t.perm])
+                tables[t.perm] = D._gather_for(termlang.spec_perm(t.perm, D.n))
+            op = ("gather", emit(t.arg), tables[t.perm])
         key = (op[0], op[1], id(op[2])) if op[0] == "gather" else op
         if key not in by_op:
             by_op[key] = len(ops)
@@ -847,10 +887,13 @@ def shared_subterms(draw):
 @hypothesis.settings(deadline=None, max_examples=150)
 @hypothesis.given(shared_subterms())
 def test_compile_by_op_matches_term_keyed_reference(instance):
+    # by columns against the reference; the row sampler's chunk program has
+    # one op per slot of the same program
     D, qe = instance
     names = law_names(qe)
-    for rows in (False, True):
-        assert compiled(qe, D, names, rows) == term_keyed_compile(qe, D, names, rows)
+    program, equations = compiled(qe, D, names)
+    assert (program, equations) == term_keyed_compile(qe, D, names)
+    assert list(map(op_shape, chunk_program(qe, D, names))) == list(map(op_shape, program))
 
 
 def test_program_gives_each_op_one_slot():
@@ -858,9 +901,11 @@ def test_program_gives_each_op_one_slot():
     # either layout; different Perms keep different slots
     D = full_carrier(2, 2)
     qe = QuasiEquation((), parse_equation("s[0,1] x & ~y = s{1,0} x & ~y"))
-    for rows in (False, True):
-        program, [(lhs, rhs)] = compiled(qe, D, ["x", "y"], rows)
-        assert lhs == rhs and len(program) == 5
+    program, [(lhs, rhs)] = compiled(qe, D, ["x", "y"])
+    assert lhs == rhs and len(program) == 5
+    rows = chunk_program(qe, D, ["x", "y"])
+    assert list(map(op_shape, rows)) == list(map(op_shape, program))
+    assert [op[0] for op in rows] == ["var", "net", "var", "not", "and"]
     _, ops, [(lhs, rhs)], _ = termlang._compile(QuasiEquation((), parse_equation("s[0,1] x = s[1,2] x")), 3)
     assert ops == [("var", "x"), ("subst", 0, transposition(3, 0, 1)), ("subst", 0, transposition(3, 1, 2))]
     assert (lhs, rhs) == (1, 2)
