@@ -124,8 +124,8 @@ class Carrier:
         # keyed by permutation images (see _network_for) or by
         # ("swap", i, j) (see _digit_swaps)
         self._networks: dict[tuple, object] = {}
-        # rows of bits repeated for packed rows (see _tiled)
-        self._tiles: dict[tuple[int, int, int], int] = {}
+        # rows of bits repeated for packed rows, with their height (see _tiled)
+        self._tiles: dict[tuple[int, int], tuple[int, int]] = {}
         # cached: a carrier keys its sub-carriers' gather caches, looked up
         # on every relativize
         self._hash = hash((n, u, self.members))
@@ -212,14 +212,14 @@ class Carrier:
 
     def _tiled(self, mask: int, nbytes: int, rows: int) -> int:
         """mask, a row's bits, repeated for rows rows nbytes bytes apart and
-        cached per carrier, so networks sharing a transposition share it."""
+        cached per carrier, so networks sharing a transposition share it:
+        one tile per (mask, nbytes), rebuilt when asked for another height."""
         if rows == 1:
             return mask
-        key = (mask, nbytes, rows)
-        tiled = self._tiles.get(key)
-        if tiled is None:
-            tiled = self._tiles[key] = _repeat_row(mask, nbytes, rows)
-        return tiled
+        held = self._tiles.get((mask, nbytes))
+        if held is None or held[0] != rows:
+            held = self._tiles[mask, nbytes] = (rows, _repeat_row(mask, nbytes, rows))
+        return held[1]
 
     def _digit_swaps(self, i: int, j: int) -> list[tuple[int, int]]:
         """s_t for t = (i j), i < j, on the full carrier ^n u: per c in

@@ -1,25 +1,24 @@
 """Deciding laws target by target, and the counter columns that this
 decision shares with termlang's one-chunk enumeration.
 
-A termlang program on columns is pointwise after reindexing: '~', '&' and
-'|' at member p read their operands at p, and the gather of s_f at
-table[p], or is empty where that is None.  Each s_f is the complete
-operator of the map q -> q . f, and the complex algebra of a disjoint
-union of frames is the product of theirs (Jónsson and Tarski, "Boolean
-algebras with operators I", 1951; Goldblatt, "Varieties of complex
-algebras", 1989).  So the members that the gathers link split P(D) into
-factors, a law's sides at p are Boolean functions of the few bits of an
-assignment that p's leaf paths reach, and truth tables over those bits
-decide a law, hypotheses and all, without enumerating every assignment.
+termlang's compiled ops are pointwise on columns: '~', '&' and '|' at
+member p read their operands at p, and s_f at table[p] of its gather
+table, or is empty where that is None.  Each s_f is the complete operator
+of the map q -> q . f, and the complex algebra of a disjoint union of
+frames is the product of theirs (Jónsson and Tarski, "Boolean algebras
+with operators I", 1951; Goldblatt, "Varieties of complex algebras",
+1989).  So the members that the gathers link split P(D) into factors, a
+law's sides at p are Boolean functions of the few bits of an assignment
+that p's leaf paths reach, and truth tables over those bits decide a law,
+hypotheses and all, without enumerating every assignment.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Iterator
+from typing import Callable, Iterator
 
-if TYPE_CHECKING:
-    from .termlang import _Program
+from .seqspace import Perm
 
 
 @functools.cache
@@ -50,11 +49,11 @@ def counters(bits: int, chunk_bits: int) -> Iterator[tuple[int, list[int]]]:
         yield width, periodic + [full if chunk >> b & 1 else 0 for b in range(bits - low)]
 
 
-def _components(program: _Program) -> list[list[int]]:
-    """The members of program's carrier in the classes that its gathers
-    link, member q with table[q], each class increasing and the classes by
-    least member.  Each class is closed under every op of program."""
-    root = list(range(program.size))
+def _components(tables: list[list[int | None] | None], size: int) -> list[list[int]]:
+    """The size members in the classes that the gather tables link, member
+    q with table[q], each class increasing and the classes by least member.
+    Each class is closed under every op whose table is among them."""
+    root = list(range(size))
 
     def find(p: int) -> int:
         while root[p] != p:
@@ -62,24 +61,24 @@ def _components(program: _Program) -> list[list[int]]:
             p = root[p]
         return p
 
-    for op in program:
-        if op[0] == "gather":
-            for q, src in enumerate(op[2]):
+    for table in tables:
+        if table is not None:
+            for q, src in enumerate(table):
                 if src is not None:
                     root[find(q)] = find(src)
     classes: dict[int, list[int]] = {}
-    for p in range(program.size):
+    for p in range(size):
         classes.setdefault(find(p), []).append(p)
     return list(classes.values())
 
 
-def least_violation(program: _Program, hypotheses: list[tuple[int, int]], law: tuple[int, int],
-                    chunk_bits: int) -> int | None:
-    """The least assignment to the variables of program, a termlang
-    _Program on columns, under which every (lhs, rhs) pair of slots in
-    hypotheses agrees and the pair law differs, in the canonical
-    enumeration (variable j holds bits size * (nvars - 1 - j) + q for its
-    members q), or None.
+def least_violation(ops: list[tuple], size: int, nvars: int, gather: Callable[[Perm], list[int | None]],
+                    hypotheses: list[tuple[int, int]], law: tuple[int, int], chunk_bits: int) -> int | None:
+    """The least assignment to the nvars variables of ops, termlang's
+    compiled ops over size members, each s_f gathering through gather(f),
+    under which every (lhs, rhs) pair of slots in hypotheses agrees and the
+    pair law differs, in the canonical enumeration (variable j holds bits
+    size * (nvars - 1 - j) + q for its members q), or None.
 
     The atoms the sides reach at a target, in increasing bit order, count
     through truth tables in the canonical order with every other bit
@@ -90,13 +89,13 @@ def least_violation(program: _Program, hypotheses: list[tuple[int, int]], law: t
     _components, which hold disjoint bits: nothing violates once one has
     no solution, else the least violation is the least, over C*, of C*'s
     least violation joined with every other one's least solution."""
-    size, nvars = program.size, program.nvars
     lhs, rhs = law
+    tables = [gather(op[2]) if op[0] == "subst" else None for op in ops]
     # node s * size + q stands for slot s at member q
-    val = [0] * (len(program) * size)
+    val = [0] * (len(ops) * size)
     base, least = 0, None  # the least solutions' join; a least violation's least excess over it
     roots = [s for eq in (*hypotheses, law) for s in eq]
-    for members in _components(program) if hypotheses else [[p] for p in range(size)]:
+    for members in _components(tables, size) if hypotheses else [[p] for p in range(size)]:
         # the nodes the equations' sides read at the target, and the atoms among them
         need, atoms = set(), []
         todo = [s * size + p for s in roots for p in members]
@@ -105,12 +104,12 @@ def least_violation(program: _Program, hypotheses: list[tuple[int, int]], law: t
             if node not in need:
                 need.add(node)
                 s, q = divmod(node, size)
-                op = program[s]
+                op = ops[s]
                 if op[0] == "var":
                     atoms.append(size * (nvars - 1 - op[1]) + q)
-                elif op[0] == "gather":
-                    if op[2][q] is not None:
-                        todo.append(op[1] * size + op[2][q])
+                elif op[0] == "subst":
+                    if tables[s][q] is not None:
+                        todo.append(op[1] * size + tables[s][q])
                 elif op[0] == "not":
                     todo.append(op[1] * size + q)
                 elif op[0] != "zero" and op[0] != "one":  # and, or
@@ -124,7 +123,7 @@ def least_violation(program: _Program, hypotheses: list[tuple[int, int]], law: t
             full = (1 << width) - 1
             for node in order:
                 s, q = divmod(node, size)
-                op = program[s]
+                op = ops[s]
                 kind = op[0]
                 if kind == "var":
                     v = counter[index[size * (nvars - 1 - op[1]) + q]]
@@ -137,7 +136,7 @@ def least_violation(program: _Program, hypotheses: list[tuple[int, int]], law: t
                 elif kind == "or":
                     v = val[op[1] * size + q] | val[op[2] * size + q]
                 else:
-                    src = op[2][q]
+                    src = tables[s][q]
                     v = 0 if src is None else val[op[1] * size + src]
                 val[node] = v
             agree, diff = full, 0

@@ -55,11 +55,12 @@ s_f is a Boolean automorphism, the complete operator of p -> p . f
 variable under one composed permutation, at most 16) breaks holds on D.
 
 check_quasi walks the law once (_compile) for its sorted variable names
-and ops, each spec resolved to a Perm, and weighs the work (resolve_mode)
-before it reports a spec that does not fit D; the leaf step walks it once
-more, under a pending permutation, for its leaf law.  _attach gives each
-s_f its gather table on columns, and _first_row_violation its tiled
-network on rows; one-chunk checks read cached counter columns.
+and ops, names[j] read as ("var", j) and each spec resolved to a Perm, and
+weighs the work (resolve_mode) before it reports a spec that does not fit
+D; the leaf step walks it once more, under a pending permutation, for its
+leaf law.  Every decider runs those ops and binds each s_f itself: the
+column scan and least_violation to D's gather table, _first_row_violation
+to a tiled network on rows; one-chunk checks read cached counter columns.
 check_quasi alone picks the decider (the leaf step, _one_chunk_violation,
 least_violation or _first_row_violation), and re-checks the witness it
 finds element-wise: eval_term and quasi_violated walk the tree for a
@@ -76,7 +77,7 @@ import operator
 import random as _random
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .algebra import (
     Carrier,
@@ -581,23 +582,11 @@ ROW_CHUNK_BITS = 1 << 17
 WIDE_ROW_BITS = 1 << 12
 
 
-class _Program(list):
-    """A straight-line program over a chunk of assignments to nvars
-    variables, each a bit vector over size members, by columns.  Ops:
-    ("var", j), ("zero",), ("one",), ("not", a), ("and", a, b),
-    ("or", a, b), and s_f as ("gather", a, table), whose column p is column
-    table[p] of slot a, or 0 where that is None."""
-
-    def __init__(self, ops: list[tuple], size: int, nvars: int):
-        super().__init__(ops)
-        self.size, self.nvars = size, nvars
-
-
 def _compile(qe: QuasiEquation, n: int, leaves: bool = False) -> tuple[list, list[tuple], list[tuple[int, int]],
                                                                    DimensionMismatch | None]:
     """qe in one walk: its variables' names, sorted; its ops, each over its
-    children's slots, ("var", name) for a variable and ("subst", a, f) for
-    s_f, with f its spec resolved once against dimension n; the (lhs, rhs)
+    children's slots, ("var", j) for the variable names[j] and ("subst", a, f)
+    for s_f, with f its spec resolved once against dimension n; the (lhs, rhs)
     slots of each equation, the conclusion last; and the DimensionMismatch
     of the first spec that does not fit n, or None.  Equal ops share one
     slot, as do s[0,1] and s{1,0}, and no lookup hashes a whole subtree.
@@ -605,7 +594,7 @@ def _compile(qe: QuasiEquation, n: int, leaves: bool = False) -> tuple[list, lis
     With leaves, every spec must fit n, and the ops are qe's leaf law (see
     the module docstring): each s_f becomes a permutation pending over its
     operand, composed on the right of the one pending over it, and a
-    variable x under pending images g the leaf ("var", (x, g)), a name."""
+    variable x under pending images g the leaf named (x, g)."""
     slots: dict[tuple, int] = {}
     perms: dict[PermSpec, Perm | DimensionMismatch] = {}
     unfit: list[DimensionMismatch] = []  # in the order met
@@ -646,29 +635,25 @@ def _compile(qe: QuasiEquation, n: int, leaves: bool = False) -> tuple[list, lis
     top = tuple(range(n)) if leaves else None
     equations = [(emit(eq.lhs, top), emit(eq.rhs, top)) for eq in (*qe.hypotheses, qe.conclusion)]
     names = sorted([op[1] for op in slots if op[0] == "var"])
-    return names, list(slots), equations, unfit[0] if unfit else None
+    index = {name: j for j, name in enumerate(names)}
+    ops = [("var", index[op[1]]) if op[0] == "var" else op for op in slots]
+    return names, ops, equations, unfit[0] if unfit else None
 
 
-def _attach(ops: list[tuple], D: Carrier, names: list[str]) -> _Program:
-    """_compile's ops on D by columns, in one pass: names[j] is ("var", j),
-    each s_f D's gather table."""
-    return _Program([("var", names.index(op[1])) if op[0] == "var" else
-                     ("gather", op[1], D._gather_for(op[2])) if op[0] == "subst" else op for op in ops],
-                    D.size, len(names))
-
-
-def _run(program: _Program, inputs: list[list[int]], full: int) -> list[list[int]]:
-    """Every slot's columns for one chunk, from each variable's columns
-    inputs; full has one bit per assignment."""
+def _run(ops: list[tuple], size: int, gather: Callable[[Perm], list[int | None]] | None,
+         inputs: list[list[int]], full: int) -> list[list[int]]:
+    """Every slot's columns of _compile's ops over size members for one
+    chunk, from each variable's columns inputs; full has one bit per
+    assignment, and s_f's column p is column gather(f)[p] of its operand."""
     vals: list[list[int]] = []
-    for op in program:
+    for op in ops:
         kind = op[0]
         if kind == "var":
             col = inputs[op[1]]
         elif kind == "zero":
-            col = [0] * program.size
+            col = [0] * size
         elif kind == "one":
-            col = [full] * program.size
+            col = [full] * size
         elif kind == "not":
             col = [c ^ full for c in vals[op[1]]]
         elif kind == "and":
@@ -677,7 +662,7 @@ def _run(program: _Program, inputs: list[list[int]], full: int) -> list[list[int
             col = list(map(operator.or_, vals[op[1]], vals[op[2]]))
         else:
             arg = vals[op[1]]
-            col = [0 if src is None else arg[src] for src in op[2]]
+            col = [0 if src is None else arg[src] for src in gather(op[2])]
         vals.append(col)
     return vals
 
@@ -690,13 +675,15 @@ def _confirm(violated: bool) -> None:
         raise RuntimeError("the chunked evaluation and the element-wise re-check disagree on a witness")
 
 
-def _one_chunk_violation(program: _Program, hypotheses: list[tuple[int, int]],
-                         law: tuple[int, int]) -> int | None:
-    """The least assignment to program's variables, in one chunk of columns
-    (_one_chunk), under which every (lhs, rhs) pair of slots in hypotheses
-    agrees and the pair law differs, or None."""
-    width, columns = _one_chunk(program.size, program.nvars)
-    vals = _run(program, columns, (1 << width) - 1)
+def _one_chunk_violation(ops: list[tuple], size: int, nvars: int,
+                         gather: Callable[[Perm], list[int | None]] | None,
+                         hypotheses: list[tuple[int, int]], law: tuple[int, int]) -> int | None:
+    """The least assignment to the nvars variables of ops over size
+    members, in one chunk of columns (_one_chunk, _run), under which every
+    (lhs, rhs) pair of slots in hypotheses agrees and the pair law differs,
+    or None."""
+    width, columns = _one_chunk(size, nvars)
+    vals = _run(ops, size, gather, columns, (1 << width) - 1)
     # the assignments under which each equation's sides differ, the law's first
     differ = [functools.reduce(operator.or_, map(operator.xor, vals[a], vals[b]), 0)
               for a, b in (law, *hypotheses)]
@@ -761,10 +748,11 @@ def _row_flags(vals: list[int], stride: int, height: int, lhs: int, rhs: int) ->
     return z | z >> (stride - span)
 
 
-def _first_row_violation(D: Carrier, ops: list[tuple], names: list[str], hypotheses: list[tuple[int, int]],
+def _first_row_violation(D: Carrier, ops: list[tuple], nvars: int, hypotheses: list[tuple[int, int]],
                          law: tuple[int, int], mode: Random) -> tuple[int, list[int]] | None:
     """The first trial of mode's sample stream (_draws), by packed rows, to
-    violate law under hypotheses (slots of ops): its index and rows, or None.
+    violate law under hypotheses (slots of _compile's ops over nvars
+    variables): its index and rows, or None.
 
     A chunk packs each variable's rows into one int, whole bytes apart and
     no narrower than any network's row, so row r of the chunk has flag bit
@@ -774,13 +762,10 @@ def _first_row_violation(D: Carrier, ops: list[tuple], names: list[str], hypothe
     width = max([D.size] + [D._network_for(op[2])[0] for op in ops if op[0] == "subst"])
     nbytes = max(1, -(-width // 8))
     stride = 8 * nbytes
-    trials, nvars = mode.trials, len(names)
-    height = max(1, min(trials, ROW_CHUNK_BITS // stride)) if width < WIDE_ROW_BITS else 1
+    height = max(1, min(mode.trials, ROW_CHUNK_BITS // stride)) if width < WIDE_ROW_BITS else 1
     program = []
     for op in ops:
-        if op[0] == "var":
-            op = ("var", names.index(op[1]))
-        elif op[0] == "one" or op[0] == "not":
+        if op[0] == "one" or op[0] == "not":
             op = (*op, D._tiled((1 << D.size) - 1, nbytes, height))
         elif op[0] == "subst":
             _, swaps, defined = D._network_for(op[2])
@@ -792,14 +777,16 @@ def _first_row_violation(D: Carrier, ops: list[tuple], names: list[str], hypothe
     def packed(chunk: list[int]) -> int:
         return int.from_bytes(b"".join([r.to_bytes(nbytes, "little") for r in chunk]), "little")
 
-    for start in range(0, trials, height):
-        h = min(height, trials - start)
+    for start in range(0, mode.trials, height):
+        h = min(height, mode.trials - start)
         chunk = list(islice(rows, h * nvars))
         values = chunk if h == 1 else [packed(chunk[j::nvars]) for j in range(nvars)]
-        # the ops act on height rows; in a shorter last chunk the flags of
-        # the rows past h are not live
+        # the ops act on height rows; in a shorter last chunk the rows past
+        # h are cut from the live flags, so a check tiles for one height
         vals = _run_rows(program, values)
-        live = D._tiled(1, nbytes, h)
+        live = D._tiled(1, nbytes, height)
+        if h < height:
+            live &= (1 << stride * h) - 1
         for lhs, rhs in hypotheses:
             live &= ~_row_flags(vals, stride, height, lhs, rhs)
         bad = live & _row_flags(vals, stride, height, *law)
@@ -817,8 +804,7 @@ def _leaf_identity(qe: QuasiEquation, D: Carrier, ops: list[tuple]) -> bool:
     names, ops, equations, _ = _compile(qe, D.n, leaves=True)
     if len(names) > EXHAUSTIVE_CHUNK_BITS:
         return False
-    program = _Program([("var", names.index(op[1])) if op[0] == "var" else op for op in ops], 1, len(names))
-    return _one_chunk_violation(program, equations[:-1], equations[-1]) is None
+    return _one_chunk_violation(ops, 1, len(names), None, equations[:-1], equations[-1]) is None
 
 
 def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Verdict:
@@ -845,11 +831,10 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     if (sampled or wide) and _leaf_identity(qe, D, ops):
         found = None
     elif sampled:
-        found = _first_row_violation(D, ops, names, hypotheses, law, mode)
+        found = _first_row_violation(D, ops, nvars, hypotheses, law, mode)
     else:
-        program = _attach(ops, D, names)
-        least = (least_violation(program, hypotheses, law, EXHAUSTIVE_CHUNK_BITS) if wide
-                 else _one_chunk_violation(program, hypotheses, law))
+        args = (ops, size, nvars, D._gather_for, hypotheses, law)
+        least = least_violation(*args, EXHAUSTIVE_CHUNK_BITS) if wide else _one_chunk_violation(*args)
         found = None if least is None else (least, [least >> size * (nvars - 1 - j) & ((1 << size) - 1)
                                                     for j in range(nvars)])
     if found:

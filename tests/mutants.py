@@ -43,6 +43,10 @@ COMPILE_TESTS = (
     "tests/test_check_columns.py::test_compile_by_op_matches_term_keyed_reference",
     "tests/test_check_columns.py::test_program_gives_each_op_one_slot",
 )
+NUMBERING_TESTS = (
+    "tests/test_check_columns.py::test_compile_numbers_the_variables_in_sorted_name_order",
+    "tests/test_check_columns.py::test_decider_matches_frozenset_enumeration",
+)
 ROW_TESTS = ("tests/test_check_columns.py::test_sampled_checks_on_a_carrier_with_holes_at_every_chunk_height",)
 
 
@@ -67,14 +71,24 @@ MUTANTS = [
            '("var", t.name if under is None else (t.name, under))',
            '("var", t.name)', LEAF_TESTS),
     Mutant("leaf-hypotheses-dropped", "tsalg/termlang.py",
-           "_one_chunk_violation(program, equations[:-1], equations[-1]) is None",
-           "_one_chunk_violation(program, [], equations[-1]) is None", LEAF_TESTS),
-    # termlang._compile: one slot per op, each spec resolved once
+           "_one_chunk_violation(ops, 1, len(names), None, equations[:-1], equations[-1]) is None",
+           "_one_chunk_violation(ops, 1, len(names), None, [], equations[-1]) is None", LEAF_TESTS),
+    # termlang._compile: one slot per op, each spec resolved once, and
+    # ("var", j) for the j-th name in sorted order
     Mutant("spec-perm-cached-without-its-spec", "tsalg/termlang.py",
            "f = perms.get(t.perm)", "f = perms.get(t.perm) or next(iter(perms.values()), None)", COMPILE_TESTS),
     Mutant("ops-never-shared", "tsalg/termlang.py",
            "return slots.setdefault(op, len(slots))",
            'return slots.setdefault(op if op[0] == "var" else (*op, len(slots)), len(slots))', COMPILE_TESTS),
+    Mutant("vars-numbered-in-first-met-order", "tsalg/termlang.py",
+           "index = {name: j for j, name in enumerate(names)}",
+           'index = {op[1]: j for j, op in enumerate(op for op in slots if op[0] == "var")}', NUMBERING_TESTS),
+    # termlang._run: the column scan binds each s_f to its own gather table
+    Mutant("column-gather-through-first-table", "tsalg/termlang.py",
+           "for src in gather(op[2])]", 'for src in gather(next(o for o in ops if o[0] == "subst")[2])]',
+           DECIDER_TESTS),
+    Mutant("column-gather-through-identity", "tsalg/termlang.py",
+           "for src in gather(op[2])]", "for src in range(size)]", DECIDER_TESTS),
     # termlang.check_quasi's choice of decider by width
     Mutant("always-wide", "tsalg/termlang.py",
            "wide = size * nvars > EXHAUSTIVE_CHUNK_BITS", "wide = True", DECIDER_TESTS),
@@ -83,14 +97,17 @@ MUTANTS = [
            DECIDER_TESTS),
     # termlang._first_row_violation on packed rows: each s_f's tiled mask,
     # the per-row flag fold (the fold a step short, 4 * span; 2 * span <
-    # stride gives the same flags), and algebra.Carrier._tiled's cache key
+    # stride gives the same flags), the live rows of a short last chunk, and
+    # algebra.Carrier._tiled's height check
     Mutant("tiled-defined-dropped", "tsalg/termlang.py",
            "None if defined is None else D._tiled(defined, nbytes, height))", "None)", ROW_TESTS),
     Mutant("row-flags-fold-short", "tsalg/termlang.py",
            "while 2 * span <= stride:", "while 4 * span <= stride:",
            ("tests/test_check_columns.py::test_row_flags_see_every_bit_of_a_row",)),
-    Mutant("tile-cache-keyed-without-rows", "tsalg/algebra.py",
-           "key = (mask, nbytes, rows)", "key = (mask, nbytes)", ROW_TESTS),
+    Mutant("tile-cache-ignores-height", "tsalg/algebra.py",
+           "if held is None or held[0] != rows:", "if held is None:", ROW_TESTS),
+    Mutant("short-chunk-rows-live", "tsalg/termlang.py",
+           "if h < height:\n", "if False:\n", ROW_TESTS),
     # pointwise.least_violation, component by component
     Mutant("components-split-by-path-halving", "tsalg/pointwise.py",
            "root[p] = root[root[p]]  # path halving\n            p = root[p]\n",

@@ -231,19 +231,22 @@ def brute_laws(D, names, eqs):
 @hypothesis.example((carrier_from_seqs(2, 2, []), ["x", "y"], [parse_equation("0 = 1")]))
 @hypothesis.example((carrier_from_seqs(2, 2, [(0, 1)]), ["x"], [parse_equation("x = x"), parse_equation("s[0,1] 1 = 1")]))
 @hypothesis.example((carrier_from_seqs(2, 2, [(0, 1)]), ["x"], [parse_equation("s[0,1] x = x")]))
+@hypothesis.example((full_carrier(3, 2), ["x"], [parse_equation("s[0,1] x = s[1,2] x")]))
+@hypothesis.example((full_carrier(2, 2), ["x", "y"], [parse_equation("y = s[0,1] x")]))
 def test_decider_matches_frozenset_enumeration(case):
     # each equation's law alone, in one program holding them all, over
     # names, some perhaps unread
     D, names, eqs = case
-    program, laws = compiled(QuasiEquation(tuple(eqs[:-1]), eqs[-1]), D, names)
+    ops, laws = over_names(QuasiEquation(tuple(eqs[:-1]), eqs[-1]), D, names)
+    scan = (ops, D.size, len(names), D._gather_for, [])
     for eq, law in zip(eqs, laws):
         expected = brute_laws(D, names, [eq])
         least = expected and expected[0]
-        assert pointwise.least_violation(program, [], law, 16) == least
+        assert pointwise.least_violation(*scan, law, 16) == least
         # on truth tables of one entry per chunk, and in one chunk of columns
-        assert pointwise.least_violation(program, [], law, 0) == least
+        assert pointwise.least_violation(*scan, law, 0) == least
         if D.size * len(names) <= 16:
-            assert termlang._one_chunk_violation(program, [], law) == least
+            assert termlang._one_chunk_violation(*scan, law) == least
     # through check_equation, with truth tables in chunks of two entries
     eq = eqs[0]
     used = law_names(QuasiEquation((), eq))
@@ -682,6 +685,18 @@ def test_sampled_chunks_narrow_on_wide_carriers():
     assert v.outcome == "holds-sampled" and run.call_count == -(-1000 // 59)
 
 
+def test_tiles_are_kept_one_per_mask_and_row_width():
+    # sigma with the 6-cycles at 400 trial counts on one full (6,2) asks
+    # for tiles of 400 heights: each (mask, nbytes) keeps one tile, rebuilt
+    # at another height, and each verdict is that of a carrier with no
+    # tiles yet
+    qe = termlang.sigma(6, theorems.forward_cycle(6), theorems.backward_cycle(6))
+    D = full_carrier(6, 2)
+    for t in range(1, 401):
+        assert check_quasi(D, qe, Random(t, 1)) == check_quasi(full_carrier(6, 2), qe, Random(t, 1))
+    assert len(D._tiles) == len({key[:2] for key in D._tiles}) <= 11
+
+
 @pytest.mark.parametrize("text", ["x & y = y & x", "x & y = x", "x = ~y => x | y = 0"])
 def test_sampled_laws_without_subst_go_row_by_row(text):
     # no columns over the carrier: only the leaf step's one-member program
@@ -692,9 +707,9 @@ def test_sampled_laws_without_subst_go_row_by_row(text):
     expected = tree_walk(D, qe, row_wise(D, ["x", "y"], 20, 3), "holds-sampled")
     run = termlang._run
 
-    def on_one_member(program, inputs, full):
-        assert program.size == 1, "columns built"
-        return run(program, inputs, full)
+    def on_one_member(ops, size, gather, inputs, full):
+        assert size == 1, "columns built"
+        return run(ops, size, gather, inputs, full)
 
     with mock.patch.object(termlang, "_run", on_one_member), \
             mock.patch.object(termlang, "_run_rows", wraps=termlang._run_rows) as rows:
@@ -725,14 +740,15 @@ def test_sampled_holds_across_a_partial_last_chunk():
     "s[0,1] x & ~s[0,1] y & x & ~y & z = 0",
     "s[0,1] (x & y & z) & ~x & ~y = 0",  # first broken by trial 4 of 7, row 4 of 5
     "s[0,1] x = x",
+    "x = 0 => 0 = 1",  # broken only where x is empty, as in rows past a short last chunk
 ])
 def test_sampled_checks_on_a_carrier_with_holes_at_every_chunk_height(text):
     # 12 of the 16 members of ^2 4: s[0,1] leaves members empty, so it goes
     # through a Benes network of 16-bit rows and its mask, here 5 rows to a
     # chunk.  One carrier's checks, in increasing chunk height and the last
     # two with a short last chunk, against the row-wise tree walk and the
-    # frozenset oracle: masks tiled for fewer rows, or the mask dropped,
-    # break them
+    # frozenset oracle: masks tiled for fewer rows, the mask dropped, or
+    # the rows past a short last chunk read as live, break them
     D = carrier_from_seqs(2, 4, lex_sequences(2, 4)[:12])
     assert None in D._gather_for(transposition(2, 0, 1))
     qe = parse_quasi(text) if "=>" in text else QuasiEquation((), parse_equation(text))
@@ -798,37 +814,45 @@ def test_over_budget_exhaustive_check_exits_on_its_budget_before_an_unfit_spec(t
 # --- compiling: slots shared by op ------------------------------------------
 
 
-def compiled(qe, D, names):
-    """qe's program on D over names, by columns, and its (lhs, rhs) slots,
-    as check_quasi builds them: one walk, then the tables attached."""
+def compiled(qe, D):
+    """qe's ops on D and its (lhs, rhs) slots, as check_quasi compiles
+    them: one walk, each spec resolved."""
     _, ops, equations, unfit = termlang._compile(qe, D.n)
     assert unfit is None
-    return termlang._attach(ops, D, names), equations
+    return ops, equations
 
 
-def chunk_program(qe, D, names):
+def over_names(qe, D, names):
+    """compiled(qe, D) with variable j of its sorted names renumbered to
+    its index in names, a superset of them."""
+    used = law_names(qe)
+    ops, equations = compiled(qe, D)
+    return [("var", names.index(used[op[1]])) if op[0] == "var" else op for op in ops], equations
+
+
+def chunk_program(qe, D):
     """The program the row sampler runs on each chunk of qe's trials on D,
     from _compile's ops as check_quasi passes them."""
-    _, ops, equations, _ = termlang._compile(qe, D.n)
+    names, ops, equations, _ = termlang._compile(qe, D.n)
     *hypotheses, law = equations
     with mock.patch.object(termlang, "_run_rows", wraps=termlang._run_rows) as run:
-        termlang._first_row_violation(D, ops, names, hypotheses, law, Random(3, 1))
+        termlang._first_row_violation(D, ops, len(names), hypotheses, law, Random(3, 1))
     return run.call_args.args[0]
 
 
 def op_shape(op):
     """An op's kind, s_f as "net" in either layout, and its operand slots."""
-    kind = "net" if op[0] == "gather" else op[0]
+    kind = "net" if op[0] == "subst" else op[0]
     return (kind, *op[1:1 + {"var": 1, "not": 1, "net": 1, "and": 2, "or": 2}.get(kind, 0)])
 
 
 def term_keyed_compile(qe, D, names):
-    """The program as it was compiled with slots keyed by the terms
-    themselves: an op emitted again, a map keyed by its table's identity,
-    kept the slot it held.  A chain is folded from the left: the op over
-    the chain of its operands but the last, keyed as a term, and the
-    last."""
-    ops, by_op, slots, tables = [], {}, {}, {}
+    """The ops as they were compiled with slots keyed by the terms
+    themselves: an op emitted again, s_f keyed by its permutation's
+    images, kept the slot it held.  A chain is folded from the left: the
+    op over the chain of its operands but the last, keyed as a term, and
+    the last."""
+    ops, by_op, slots = [], {}, {}
 
     def emit(t):
         if t in slots:
@@ -846,10 +870,8 @@ def term_keyed_compile(qe, D, names):
             op = ("and" if isinstance(t, And) else "or",
                   emit(type(t)(tuple(init)) if len(init) > 1 else init[0]), emit(last))
         else:
-            if t.perm not in tables:
-                tables[t.perm] = D._gather_for(termlang.spec_perm(t.perm, D.n))
-            op = ("gather", emit(t.arg), tables[t.perm])
-        key = (op[0], op[1], id(op[2])) if op[0] == "gather" else op
+            op = ("subst", emit(t.arg), termlang.spec_perm(t.perm, D.n))
+        key = (op[0], op[1], op[2].images) if op[0] == "subst" else op
         if key not in by_op:
             by_op[key] = len(ops)
             ops.append(op)
@@ -857,7 +879,7 @@ def term_keyed_compile(qe, D, names):
         return slots[t]
 
     equations = [(emit(eq.lhs), emit(eq.rhs)) for eq in (*qe.hypotheses, qe.conclusion)]
-    return termlang._Program(ops, D.size, len(names)), equations
+    return ops, equations
 
 
 @strat.composite
@@ -887,13 +909,12 @@ def shared_subterms(draw):
 @hypothesis.settings(deadline=None, max_examples=150)
 @hypothesis.given(shared_subterms())
 def test_compile_by_op_matches_term_keyed_reference(instance):
-    # by columns against the reference; the row sampler's chunk program has
-    # one op per slot of the same program
+    # _compile's ops against the reference; the row sampler's chunk program
+    # has one op per slot of them
     D, qe = instance
-    names = law_names(qe)
-    program, equations = compiled(qe, D, names)
-    assert (program, equations) == term_keyed_compile(qe, D, names)
-    assert list(map(op_shape, chunk_program(qe, D, names))) == list(map(op_shape, program))
+    ops, equations = compiled(qe, D)
+    assert (ops, equations) == term_keyed_compile(qe, D, law_names(qe))
+    assert list(map(op_shape, chunk_program(qe, D))) == list(map(op_shape, ops))
 
 
 def test_program_gives_each_op_one_slot():
@@ -901,13 +922,13 @@ def test_program_gives_each_op_one_slot():
     # either layout; different Perms keep different slots
     D = full_carrier(2, 2)
     qe = QuasiEquation((), parse_equation("s[0,1] x & ~y = s{1,0} x & ~y"))
-    program, [(lhs, rhs)] = compiled(qe, D, ["x", "y"])
-    assert lhs == rhs and len(program) == 5
-    rows = chunk_program(qe, D, ["x", "y"])
-    assert list(map(op_shape, rows)) == list(map(op_shape, program))
+    ops, [(lhs, rhs)] = compiled(qe, D)
+    assert lhs == rhs and len(ops) == 5
+    rows = chunk_program(qe, D)
+    assert list(map(op_shape, rows)) == list(map(op_shape, ops))
     assert [op[0] for op in rows] == ["var", "net", "var", "not", "and"]
     _, ops, [(lhs, rhs)], _ = termlang._compile(QuasiEquation((), parse_equation("s[0,1] x = s[1,2] x")), 3)
-    assert ops == [("var", "x"), ("subst", 0, transposition(3, 0, 1)), ("subst", 0, transposition(3, 1, 2))]
+    assert ops == [("var", 0), ("subst", 0, transposition(3, 0, 1)), ("subst", 0, transposition(3, 1, 2))]
     assert (lhs, rhs) == (1, 2)
 
 
@@ -916,6 +937,20 @@ def test_compile_names_the_variables_sorted():
     qe = parse_quasi("z = 0, y = y => s[0,1] (x & ~y) | z & x = x")
     assert termlang._compile(qe, 2)[0] == ["x", "y", "z"] == law_names(qe)
     assert termlang._compile(parse_quasi("0 = 1 => 1 = 0"), 2)[0] == []
+
+
+def test_compile_numbers_the_variables_in_sorted_name_order():
+    # met as z, x, y: ("var", j) is the variable names[j], whatever order
+    # the walk meets them in, and the columns and rows read them so
+    names, ops, [(lhs, rhs)], _ = termlang._compile(QuasiEquation((), parse_equation("z | s[0,1] x = y")), 2)
+    assert names == ["x", "y", "z"]
+    assert ops == [("var", 2), ("var", 0), ("subst", 1, transposition(2, 0, 1)), ("or", 0, 2), ("var", 1)]
+    assert (lhs, rhs) == (3, 4)
+    # z, last in sorted order, is least significant: the least witness
+    # gives z the first member and x, y nothing
+    v = check_equation(full_carrier(2, 2), parse_equation("z | s[0,1] x = y"), Exhaustive())
+    assert v.outcome == "fails" and v.assignments_tested == 2
+    assert {nm: e.bits for nm, e in v.witness.items()} == {"x": 0, "y": 0, "z": 1}
 
 
 # --- re-imports --------------------------------------------------------------
