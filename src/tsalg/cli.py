@@ -376,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sigma-demo", help="reproduce the quasi-equation story at dimension N")
     p.add_argument("--n", type=int, required=True, help="dimension, between 2 and 6")
     p.add_argument("--all-perm-pairs", action="store_true",
-                   help="check sigma for every permutation pair instead of the two n-cycles")
+                   help="check sigma for every permutation pair (n <= 5) instead of the two n-cycles")
     common(p)
 
     p = sub.add_parser("check", help="check an equation or quasi-equation over an algebra")

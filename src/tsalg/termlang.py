@@ -31,26 +31,30 @@ each variable's bit vector as independent fair coin bits from a seeded
 generator, rng.getrandbits(|D|) per variable per trial in sorted name
 order (_draws), and always reports the seed it used.
 
-Exhaustive mode evaluates by columns when the canonical order fits one
-chunk of 2**16 assignments: each carrier position holds one int whose bit
-a says whether that position is in the value under assignment a, '~', '&'
-and '|' act on whole columns, and s_f gathers columns through a table.
-Past one chunk, width alone sends the check to pointwise.least_violation,
-which decides it member by member, or component by component under
-hypotheses, from truth tables over the few (variable, member) bits each
-reaches.  Random mode goes by packed rows: each variable's bit vectors, one
-per trial, sit side by side in one int at a fixed stride, so '~', '&' and
-'|' act on every row of the chunk at once and s_f is a network of delta
-swaps with its masks repeated once per row; a carrier of 4096 members or
-more gives each row its own chunk.  Either way the verdict, the least (or
-first sampled) witness and the count are those of the one-at-a-time scan:
-assignments_tested counts the canonical order, all of it when the check
-holds, the least witness's index + 1 when it fails.
+Exhaustive mode (least_violation) evaluates by columns when the canonical
+order fits one chunk of 2**16 assignments: each carrier position holds one
+int whose bit a says whether that position is in the value under
+assignment a, '~', '&' and '|' act on whole columns, and s_f gathers
+columns through a table, column p from its operand's column table[p] (none
+where that is None).  As s_f is the complete operator of q -> q . f, and
+the complex algebra of a disjoint union of frames is the product of theirs
+(Jónsson and Tarski, 1951; Goldblatt, "Varieties of complex algebras",
+1989), P(D) splits into factors over the classes of members that the
+gathers link: past one chunk, truth tables over the few (variable, member)
+bits that a member's leaf paths reach decide a law member by member, or
+component by component under hypotheses.  Random mode goes by packed rows:
+each variable's bit vectors, one per trial, sit side by side in one int at
+a fixed stride, so '~', '&' and '|' act on every row of the chunk at once
+and s_f is a network of delta swaps with its masks repeated once per row;
+a carrier of 4096 members or more gives each row its own chunk.  Either
+way the verdict, the least (or first sampled) witness and the count are
+those of the one-at-a-time scan: assignments_tested counts the canonical
+order, all of it when the check holds, the least witness's index + 1 when
+it fails.
 
 A sampled check, or an exhaustive one past one chunk, first tries the
-law's leaves (_leaf_identity).  On a D closed under each s_f it names,
-s_f is a Boolean automorphism, the complete operator of p -> p . f
-(Jónsson and Tarski, 1951): s_f s_g x = s_(f.g) x, and s_f passes through
+law's leaves (_leaf_identity).  On a D closed under each s_f it names, s_f
+is a Boolean automorphism: s_f s_g x = s_(f.g) x, and s_f passes through
 '~', '&', '|', 0 and 1.  A law that no valuation of its leaves (each a
 variable under one composed permutation, at most 16) breaks holds on D.
 
@@ -58,10 +62,9 @@ check_quasi walks the law once (_compile) for its sorted variable names
 and ops, names[j] read as ("var", j) and each spec resolved to a Perm, and
 weighs the work (resolve_mode) before it reports a spec that does not fit
 D; the leaf step walks it once more, under a pending permutation, for its
-leaf law.  Every decider runs those ops and binds each s_f itself: the
-column scan and least_violation to D's gather table, _first_row_violation
-to a tiled network on rows; one-chunk checks read cached counter columns.
-check_quasi alone picks the decider (the leaf step, _one_chunk_violation,
+leaf law.  Every decider runs those ops and binds each s_f itself:
+least_violation to D's gather table, _first_row_violation to a tiled
+network on rows.  check_quasi alone picks the decider (the leaf step,
 least_violation or _first_row_violation), and re-checks the witness it
 finds element-wise: eval_term and quasi_violated walk the tree for a
 single assignment, and _confirm refuses a witness the re-check does not
@@ -90,7 +93,6 @@ from .algebra import (
     subst,
     zero,
 )
-from .pointwise import counters, least_violation
 from .seqspace import DimensionMismatch, NotAPermutation, Perm, transposition
 
 #: Documented default seed for every sampled check in the package.
@@ -675,30 +677,172 @@ def _confirm(violated: bool) -> None:
         raise RuntimeError("the chunked evaluation and the element-wise re-check disagree on a witness")
 
 
-def _one_chunk_violation(ops: list[tuple], size: int, nvars: int,
-                         gather: Callable[[Perm], list[int | None]] | None,
-                         hypotheses: list[tuple[int, int]], law: tuple[int, int]) -> int | None:
-    """The least assignment to the nvars variables of ops over size
-    members, in one chunk of columns (_one_chunk, _run), under which every
-    (lhs, rhs) pair of slots in hypotheses agrees and the pair law differs,
-    or None."""
-    width, columns = _one_chunk(size, nvars)
-    vals = _run(ops, size, gather, columns, (1 << width) - 1)
-    # the assignments under which each equation's sides differ, the law's first
-    differ = [functools.reduce(operator.or_, map(operator.xor, vals[a], vals[b]), 0)
-              for a, b in (law, *hypotheses)]
-    bad = functools.reduce(lambda bad, d: bad & ~d, differ)
-    return (bad & -bad).bit_length() - 1 if bad else None
+@functools.cache
+def _periodic(low: int) -> tuple[int, ...]:
+    """The column of each counter bit b < low over 2 ** low counts: bit a
+    set where bit b of a is.  Below the top bit's column, column b is column
+    b + 1 xor itself shifted down 2 ** b bits, one shift and one xor each."""
+    if not low:
+        return ()
+    half = 1 << (low - 1)
+    periodic = [((1 << half) - 1) << half]
+    while half > 1:
+        half >>= 1
+        periodic.append(periodic[-1] ^ periodic[-1] >> half)
+    return tuple(reversed(periodic))
+
+
+def counters(bits: int, chunk_bits: int) -> Iterator[tuple[int, list[int]]]:
+    """(width, column of each bit) for every chunk of the count through
+    2 ** bits, chunk_bits bits at a time.  Counter bits below the chunk
+    width are periodic columns, built once per width; the ones above it are
+    constant within a chunk."""
+    low = min(bits, chunk_bits)
+    width = 1 << low
+    full = (1 << width) - 1
+    periodic = list(_periodic(low))
+    for chunk in range(1 << (bits - low)):
+        yield width, periodic + [full if chunk >> b & 1 else 0 for b in range(bits - low)]
 
 
 @functools.cache
 def _one_chunk(size: int, nvars: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(width, columns of each variable) of the canonical enumeration in
-    one chunk (pointwise.counters), built once: assignment a gives variable
-    j (in sorted name order) the bit vector (a >> size * (nvars - 1 - j))
-    mod 2 ** size, so the first name is most significant."""
-    [(width, counter)] = counters(size * nvars, EXHAUSTIVE_CHUNK_BITS)
-    return width, tuple(tuple(counter[size * (nvars - 1 - j): size * (nvars - j)]) for j in range(nvars))
+    one chunk (_periodic), built once: assignment a gives variable j (in
+    sorted name order) the bit vector (a >> size * (nvars - 1 - j)) mod
+    2 ** size, so the first name is most significant."""
+    counter = _periodic(size * nvars)
+    return 1 << size * nvars, tuple(tuple(counter[size * (nvars - 1 - j): size * (nvars - j)])
+                                    for j in range(nvars))
+
+
+def _components(tables: list[list[int | None] | None], size: int) -> list[list[int]]:
+    """The size members in the classes that the gather tables link, member
+    q with table[q], each class increasing and the classes by least member.
+    Each class is closed under every op whose table is among them."""
+    root = list(range(size))
+
+    def find(p: int) -> int:
+        while root[p] != p:
+            root[p] = root[root[p]]  # path halving
+            p = root[p]
+        return p
+
+    for table in tables:
+        if table is not None:
+            for q, src in enumerate(table):
+                if src is not None:
+                    root[find(q)] = find(src)
+    classes: dict[int, list[int]] = {}
+    for p in range(size):
+        classes.setdefault(find(p), []).append(p)
+    return list(classes.values())
+
+
+def least_violation(ops: list[tuple], size: int, nvars: int, gather: Callable[[Perm], list[int | None]] | None,
+                    hypotheses: list[tuple[int, int]], law: tuple[int, int],
+                    chunk_bits: int) -> tuple[int, list[int]] | None:
+    """The least assignment to the nvars variables of ops, _compile's ops
+    over size members, each s_f gathering through gather(f), under which
+    every (lhs, rhs) pair of slots in hypotheses agrees and the pair law
+    differs, in the canonical enumeration (variable j holds bits
+    size * (nvars - 1 - j) + q for its members q): its index and each
+    variable's rows, or None.
+
+    An enumeration of at most chunk_bits bits is one chunk of columns
+    (_one_chunk, _run).  Past that, the atoms the sides reach at a target,
+    in increasing bit order, count through truth tables in the canonical
+    order with every other bit clear, chunk_bits atoms at a time: the
+    lowest entry where the hypotheses agree is its least solution, where
+    the law differs too its least violation.  A target is one member
+    without hypotheses (its least solution is 0, and clearing other bits
+    keeps a violation), else one of _components, which hold disjoint bits:
+    nothing violates once one has no solution, else the least violation is
+    the least, over C*, of C*'s least violation joined with every other
+    one's least solution."""
+    if size * nvars <= chunk_bits:
+        width, columns = _one_chunk(size, nvars)
+        vals = _run(ops, size, gather, columns, (1 << width) - 1)
+        # the assignments under which each equation's sides differ, the law's first
+        differ = [functools.reduce(operator.or_, map(operator.xor, vals[a], vals[b]), 0)
+                  for a, b in (law, *hypotheses)]
+        bad = functools.reduce(lambda bad, d: bad & ~d, differ)
+        least = (bad & -bad).bit_length() - 1 if bad else None
+    else:
+        lhs, rhs = law
+        tables = [gather(op[2]) if op[0] == "subst" else None for op in ops]
+        # node s * size + q stands for slot s at member q
+        val = [0] * (len(ops) * size)
+        base, least = 0, None  # the least solutions' join; a least violation's least excess over it
+        roots = [s for eq in (*hypotheses, law) for s in eq]
+        for members in _components(tables, size) if hypotheses else [[p] for p in range(size)]:
+            # the nodes the equations' sides read at the target, and the atoms among them
+            need, atoms = set(), []
+            todo = [s * size + p for s in roots for p in members]
+            while todo:
+                node = todo.pop()
+                if node not in need:
+                    need.add(node)
+                    s, q = divmod(node, size)
+                    op = ops[s]
+                    if op[0] == "var":
+                        atoms.append(size * (nvars - 1 - op[1]) + q)
+                    elif op[0] == "subst":
+                        if tables[s][q] is not None:
+                            todo.append(op[1] * size + tables[s][q])
+                    elif op[0] == "not":
+                        todo.append(op[1] * size + q)
+                    elif op[0] != "zero" and op[0] != "one":  # and, or
+                        todo += (op[1] * size + q, op[2] * size + q)
+            atoms.sort()
+            index = {b: i for i, b in enumerate(atoms)}
+            # children hold lower slots than their parents
+            order = sorted(need)
+            start, solution, violation = 0, None, None
+            for width, counter in counters(len(atoms), chunk_bits):
+                full = (1 << width) - 1
+                for node in order:
+                    s, q = divmod(node, size)
+                    op = ops[s]
+                    kind = op[0]
+                    if kind == "var":
+                        v = counter[index[size * (nvars - 1 - op[1]) + q]]
+                    elif kind == "zero" or kind == "one":
+                        v = 0 if kind == "zero" else full
+                    elif kind == "not":
+                        v = val[op[1] * size + q] ^ full
+                    elif kind == "and":
+                        v = val[op[1] * size + q] & val[op[2] * size + q]
+                    elif kind == "or":
+                        v = val[op[1] * size + q] | val[op[2] * size + q]
+                    else:
+                        src = tables[s][q]
+                        v = 0 if src is None else val[op[1] * size + src]
+                    val[node] = v
+                agree, diff = full, 0
+                for p in members:
+                    for a, b in hypotheses:
+                        agree &= ~(val[a * size + p] ^ val[b * size + p])
+                    diff |= val[lhs * size + p] ^ val[rhs * size + p]
+                if solution is None and agree:
+                    solution = start + (agree & -agree).bit_length() - 1
+                bad = agree & diff
+                if bad:
+                    violation = start + (bad & -bad).bit_length() - 1
+                    break
+                start += width
+            if solution is None:
+                return None
+            lifted = sum(1 << b for i, b in enumerate(atoms) if solution >> i & 1) if solution else 0
+            base += lifted
+            if violation is not None:
+                excess = sum(1 << b for i, b in enumerate(atoms) if violation >> i & 1) - lifted
+                least = excess if least is None else min(least, excess)
+        if least is not None:
+            least += base
+    if least is None:
+        return None
+    return least, [least >> size * (nvars - 1 - j) & ((1 << size) - 1) for j in range(nvars)]
 
 
 def _draws(size: int, nvars: int, mode: Random) -> Iterator[int]:
@@ -804,7 +948,8 @@ def _leaf_identity(qe: QuasiEquation, D: Carrier, ops: list[tuple]) -> bool:
     names, ops, equations, _ = _compile(qe, D.n, leaves=True)
     if len(names) > EXHAUSTIVE_CHUNK_BITS:
         return False
-    return _one_chunk_violation(ops, 1, len(names), None, equations[:-1], equations[-1]) is None
+    return least_violation(ops, 1, len(names), None, equations[:-1], equations[-1],
+                           EXHAUSTIVE_CHUNK_BITS) is None
 
 
 def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Verdict:
@@ -816,8 +961,8 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     violating assignment; it evaluates one chunk by columns, or decides a
     wider check from its leaves or target by target.  Random mode reports
     the first violating trial; it evaluates packed rows.  Either way the
-    witness's rows (an exhaustive scan's least index, decoded here) are
-    re-checked here, in one place, through quasi_violated (_confirm).
+    witness's rows are re-checked here, in one place, through
+    quasi_violated (_confirm).
     """
     names, ops, equations, unfit = _compile(qe, D.n)
     size, nvars = D.size, len(names)
@@ -833,10 +978,7 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     elif sampled:
         found = _first_row_violation(D, ops, nvars, hypotheses, law, mode)
     else:
-        args = (ops, size, nvars, D._gather_for, hypotheses, law)
-        least = least_violation(*args, EXHAUSTIVE_CHUNK_BITS) if wide else _one_chunk_violation(*args)
-        found = None if least is None else (least, [least >> size * (nvars - 1 - j) & ((1 << size) - 1)
-                                                    for j in range(nvars)])
+        found = least_violation(ops, size, nvars, D._gather_for, hypotheses, law, EXHAUSTIVE_CHUNK_BITS)
     if found:
         index, rows = found
         witness = {nm: Elem(D, bits) for nm, bits in zip(names, rows)}

@@ -39,6 +39,10 @@ COMPONENT_TESTS = (
     "tests/test_check_columns.py::test_the_least_violation_is_the_least_over_components",
 )
 DECIDER_TESTS = ("tests/test_check_columns.py::test_decider_matches_frozenset_enumeration",)
+PATH_TESTS = (
+    "tests/test_check_columns.py::test_decider_matches_frozenset_enumeration",
+    "tests/test_check_columns.py::test_wide_exhaustive_equations_match_the_column_scan",
+)
 COMPILE_TESTS = (
     "tests/test_check_columns.py::test_compile_by_op_matches_term_keyed_reference",
     "tests/test_check_columns.py::test_program_gives_each_op_one_slot",
@@ -71,8 +75,8 @@ MUTANTS = [
            '("var", t.name if under is None else (t.name, under))',
            '("var", t.name)', LEAF_TESTS),
     Mutant("leaf-hypotheses-dropped", "tsalg/termlang.py",
-           "_one_chunk_violation(ops, 1, len(names), None, equations[:-1], equations[-1]) is None",
-           "_one_chunk_violation(ops, 1, len(names), None, [], equations[-1]) is None", LEAF_TESTS),
+           "least_violation(ops, 1, len(names), None, equations[:-1], equations[-1],",
+           "least_violation(ops, 1, len(names), None, [], equations[-1],", LEAF_TESTS),
     # termlang._compile: one slot per op, each spec resolved once, and
     # ("var", j) for the j-th name in sorted order
     Mutant("spec-perm-cached-without-its-spec", "tsalg/termlang.py",
@@ -89,12 +93,21 @@ MUTANTS = [
            DECIDER_TESTS),
     Mutant("column-gather-through-identity", "tsalg/termlang.py",
            "for src in gather(op[2])]", "for src in range(size)]", DECIDER_TESTS),
-    # termlang.check_quasi's choice of decider by width
+    # termlang.check_quasi's width test for the leaf step
     Mutant("always-wide", "tsalg/termlang.py",
-           "wide = size * nvars > EXHAUSTIVE_CHUNK_BITS", "wide = True", DECIDER_TESTS),
+           "wide = size * nvars > EXHAUSTIVE_CHUNK_BITS", "wide = True", PATH_TESTS),
     Mutant("wide-at-one-chunk", "tsalg/termlang.py",
            "wide = size * nvars > EXHAUSTIVE_CHUNK_BITS", "wide = size * nvars >= EXHAUSTIVE_CHUNK_BITS",
-           DECIDER_TESTS),
+           PATH_TESTS),
+    # termlang.least_violation: one chunk of columns or the targets, by
+    # width, and the least index decoded into rows
+    Mutant("targets-at-one-chunk", "tsalg/termlang.py",
+           "if size * nvars <= chunk_bits:", "if size * nvars < chunk_bits:", PATH_TESTS),
+    Mutant("always-targets", "tsalg/termlang.py",
+           "if size * nvars <= chunk_bits:", "if False:", PATH_TESTS),
+    Mutant("rows-decoded-in-reversed-order", "tsalg/termlang.py",
+           "& ((1 << size) - 1) for j in range(nvars)]", "& ((1 << size) - 1) for j in reversed(range(nvars))]",
+           NUMBERING_TESTS),
     # termlang._first_row_violation on packed rows: each s_f's tiled mask,
     # the per-row flag fold (the fold a step short, 4 * span; 2 * span <
     # stride gives the same flags), the live rows of a short last chunk, and
@@ -108,19 +121,19 @@ MUTANTS = [
            "if held is None or held[0] != rows:", "if held is None:", ROW_TESTS),
     Mutant("short-chunk-rows-live", "tsalg/termlang.py",
            "if h < height:\n", "if False:\n", ROW_TESTS),
-    # pointwise.least_violation, component by component
-    Mutant("components-split-by-path-halving", "tsalg/pointwise.py",
+    # termlang.least_violation's targets, component by component
+    Mutant("components-split-by-path-halving", "tsalg/termlang.py",
            "root[p] = root[root[p]]  # path halving\n            p = root[p]\n",
            "p = root[p] = root[root[p]]\n", COMPONENT_TESTS),
-    Mutant("component-without-solution-skipped", "tsalg/pointwise.py",
-           "if solution is None:\n            return None\n",
-           "if solution is None:\n            continue\n", COMPONENT_TESTS),
-    Mutant("least-violation-by-max", "tsalg/pointwise.py",
+    Mutant("component-without-solution-skipped", "tsalg/termlang.py",
+           "if solution is None:\n                return None\n",
+           "if solution is None:\n                continue\n", COMPONENT_TESTS),
+    Mutant("least-violation-by-max", "tsalg/termlang.py",
            "min(least, excess)", "max(least, excess)", COMPONENT_TESTS),
-    # pointwise.least_violation's truth tables, member by member
-    Mutant("empty-gather-read-as-full", "tsalg/pointwise.py",
+    # termlang.least_violation's truth tables, member by member
+    Mutant("empty-gather-read-as-full", "tsalg/termlang.py",
            "v = 0 if src is None", "v = full if src is None", DECIDER_TESTS),
-    Mutant("atoms-by-wrong-variable-weight", "tsalg/pointwise.py",
+    Mutant("atoms-by-wrong-variable-weight", "tsalg/termlang.py",
            "atoms.append(size * (nvars - 1 - op[1]) + q)", "atoms.append(size * op[1] + q)", DECIDER_TESTS),
     # algebra.permutable_closure
     Mutant("closure-returns-its-input", "tsalg/algebra.py",

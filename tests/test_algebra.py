@@ -12,6 +12,7 @@ from tsalg.algebra import (
     CarrierMismatch,
     Elem,
     ProductAlgebra,
+    ProductElem,
     SizeCapExceeded,
     atom,
     canonicalize_base,
@@ -98,6 +99,8 @@ def test_carrier_rejects_bad_ranks():
         Carrier(2, 2, [2, 1])
     with pytest.raises(ValueError):
         Carrier(2, 2, [4])
+    with pytest.raises(ValueError):
+        Carrier(-1, 2, [])
 
 
 def test_carrier_equality_is_structural():
@@ -105,6 +108,8 @@ def test_carrier_equality_is_structural():
     b = Carrier(2, 2, [1])
     assert a == b and hash(a) == hash(b)
     assert a != Carrier(2, 3, [1])
+    D = full_carrier(2, 2)
+    assert D == D and (D == 5) is False
 
 
 def test_carrier_from_seqs_validates_entries():
@@ -187,6 +192,8 @@ def test_permutable_subsets_cap(monkeypatch):
     monkeypatch.setattr(algebra, "MAX_ORBIT_UNIONS", 64)
     with pytest.raises(SizeCapExceeded):
         permutable_subsets(2, 4)  # ten orbits -> 1024 unions
+    with pytest.raises(SizeCapExceeded):
+        permutable_subsets(21, 2)  # 2**21 sequences, before any orbit is counted
 
 
 @strat.composite
@@ -259,6 +266,8 @@ def test_atom_and_formatting():
         atom(D, (0, 1, 0))
     with pytest.raises(ValueError):
         atom(carrier_from_seqs(2, 2, [(0, 0)]), (0, 1))
+    # past 64 members, a count instead of the members
+    assert repr(Elem(full_carrier(7, 2), 0b101)) == "Elem(<2 of 128 members>)"
 
 
 @pytest.mark.parametrize("width", [0, 1, 2, 7, 8, 9, 64, 65, 1000, 4099])
@@ -416,6 +425,11 @@ def test_network_matches_gather_on_other_carriers():
         width, _, _ = D._network_for(Perm(tuple(range(D.n))))
         assert width >= D.size and width & (width - 1) == 0
     assert any(not is_permutable(D) and None in D._gather_for(transposition(D.n, 0, 1)) for D in carriers[4:])
+    # a permutation of another dimension compiles to neither, here on the
+    # unit sequences of ^5 2
+    for compile_ in (carriers[3]._gather_for, carriers[3]._network_for):
+        with pytest.raises(DimensionMismatch):
+            compile_(transposition(3, 0, 1))
 
 
 @pytest.mark.parametrize("gather", [[1, 1], [0, 2], [0, None, 0], [None, 2, 3]])
@@ -618,6 +632,10 @@ def test_product_validates_components():
         ProductAlgebra([full_carrier(2, 2), full_carrier(3, 2)])
     with pytest.raises(ValueError):
         ProductAlgebra([])
+    a = P.element([atom(P.factors[0], (0, 1)), zero(P.factors[1])])
+    assert repr(a) == "ProductElem(Elem({(0,1)}), Elem({}))"
+    with pytest.raises(CarrierMismatch):
+        P.meet(a, ProductElem(a.components[:1]))
 
 
 def test_product_boolean_laws_spot_checks():

@@ -2,9 +2,9 @@
 one-assignment-at-a-time references: the package's own tree walk
 (quasi_violated) in canonical or sampled order, and the frozenset oracle
 built on oracles.brute_subst.  Checks decided member by member
-(tsalg.pointwise) against oracles.brute_first_violation and the column
-scan.  The relativization, separation and principal ultraproduct checks,
-decided from their tables, against the elementwise oracles in
+(termlang.least_violation) against oracles.brute_first_violation and the
+column scan.  The relativization, separation and principal ultraproduct
+checks, decided from their tables, against the elementwise oracles in
 tests/oracles.py: exhaustive relativization against
 oracles.brute_first_violation over every pair."""
 
@@ -24,7 +24,7 @@ import pytest
 from tsalg.algebra import (Carrier, Elem, carrier_from_seqs, full_carrier, permutable_closure,
                           permutable_subsets)
 from tsalg.cli import main
-from tsalg import algebra, pointwise, termlang, theorems
+from tsalg import algebra, termlang, theorems
 from tsalg.seqspace import DimensionMismatch, transposition, unit_seq
 from tsalg.termlang import (
     And,
@@ -241,23 +241,28 @@ def test_decider_matches_frozenset_enumeration(case):
     scan = (ops, D.size, len(names), D._gather_for, [])
     for eq, law in zip(eqs, laws):
         expected = brute_laws(D, names, [eq])
-        least = expected and expected[0]
-        assert pointwise.least_violation(*scan, law, 16) == least
-        # on truth tables of one entry per chunk, and in one chunk of columns
-        assert pointwise.least_violation(*scan, law, 0) == least
-        if D.size * len(names) <= 16:
-            assert termlang._one_chunk_violation(*scan, law) == least
+        found = expected and (expected[0], expected[2])
+        # in one chunk of columns (at most 9 bits here), and target by
+        # target on truth tables of one and of two entries per chunk
+        assert D.size * len(names) <= 16
+        assert termlang.least_violation(*scan, law, 16) == found
+        assert termlang.least_violation(*scan, law, 0) == found
+        assert termlang.least_violation(*scan, law, 1) == found
     # through check_equation, with truth tables in chunks of two entries
     eq = eqs[0]
     used = law_names(QuasiEquation((), eq))
     expected = brute_laws(D, used, [eq])
-    with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 1), \
-            mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
-        v = check_equation(D, eq, Exhaustive())
+    with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 1):
         leafed = by_leaves(D, QuasiEquation((), eq))
-    # past one chunk of two assignments, a law goes member by member unless
-    # the leaf step, here over at most one leaf instance, decides it
-    assert decided.called == (D.size * len(used) > 1 and not leafed)
+        with mock.patch.object(termlang, "_leaf_identity", wraps=termlang._leaf_identity) as leaf, \
+                mock.patch.object(termlang, "counters", wraps=termlang.counters) as targets:
+            v = check_equation(D, eq, Exhaustive())
+    # within one chunk of two assignments, a law goes by columns alone;
+    # past it, the leaf step, here over at most one leaf instance, runs
+    # first, and a law it does not decide goes member by member (the
+    # targets' truth tables count through counters, the columns do not)
+    wide = D.size * len(used) > 1
+    assert (leaf.called, targets.called) == (wide, wide and not leafed)
     if expected is None:
         assert (v.outcome, v.witness, v.assignments_tested) == ("holds-exhaustive", None, 1 << D.size * len(used))
     else:
@@ -374,15 +379,20 @@ def test_wide_exhaustive_equations_match_the_column_scan(n, u, count, text, outc
     D = carrier_from_seqs(n, u, lex_sequences(n, u)[:count])
     eq = parse_equation(text)
     names = law_names(QuasiEquation((), eq))
-    with mock.patch.object(termlang, "least_violation", wraps=pointwise.least_violation) as decided:
-        v = check_equation(D, eq, Exhaustive())
-    with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", D.size * len(names)):
-        ref = check_equation(D, eq, Exhaustive())
+    # (verdict, leaf step taken, targets counted) by default, and in one
+    # chunk as wide as the enumeration
+    paths = []
+    for chunk_bits in (termlang.EXHAUSTIVE_CHUNK_BITS, D.size * len(names)):
+        with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", chunk_bits), \
+                mock.patch.object(termlang, "_leaf_identity", wraps=termlang._leaf_identity) as leaf, \
+                mock.patch.object(termlang, "counters", wraps=termlang.counters) as targets:
+            paths.append((check_equation(D, eq, Exhaustive()), leaf.called, targets.called))
+    (v, *wide), (ref, *one_chunk) = paths
     # these holding laws are leaf identities on a full carrier or without s;
     # on the first 9 members of ^3 3, which s[0,1] leaves, no step decides
     leafed = outcome == "holds-exhaustive" and (D.full or "s" not in text)
     assert by_leaves(D, QuasiEquation((), eq)) == leafed
-    assert decided.called != leafed and v.outcome == outcome
+    assert wide == [True, not leafed] and one_chunk == [False, False] and v.outcome == outcome
     assert (v.outcome, v.witness, v.assignments_tested) == (ref.outcome, ref.witness, ref.assignments_tested)
     if outcome == "fails":
         index, _, rows = brute_laws(D, names, [eq])
@@ -584,14 +594,14 @@ def test_one_chunk_columns_stay_those_of_a_fresh_counter():
     assert check_equation(D, parse_equation("x & y = y & x")).outcome == "holds-exhaustive"
     assert check_equation(D, parse_equation("x & y = x")).outcome == "fails"
     assert termlang._one_chunk.cache_info()[:2] == (1, 1)  # one hit, one miss
-    [(width, counter)] = pointwise.counters(8, termlang.EXHAUSTIVE_CHUNK_BITS)
+    [(width, counter)] = termlang.counters(8, termlang.EXHAUSTIVE_CHUNK_BITS)
     assert termlang._one_chunk(4, 2) == (width, (tuple(counter[4:8]), tuple(counter[0:4])))
 
 
 def test_counter_columns_match_their_definition():
     # bit a of column b is bit b of a, for every count a of a chunk
     for low in range(13):
-        columns = pointwise._periodic(low)
+        columns = termlang._periodic(low)
         assert columns == tuple(sum(1 << a for a in range(1 << low) if a >> b & 1) for b in range(low))
 
 

@@ -193,6 +193,19 @@ def test_main_exits_0_1_or_2(case):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_all_perm_pairs_past_dimension_five_exits_two(flags):
+    # 720**2 pairs at n = 6: a usage error with its cap, which the flag's
+    # help line names
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["sigma-demo", "--n", "6", "--all-perm-pairs", *flags])
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", "error: all-pairs mode is capped at dimension 5\n")
+    with contextlib.redirect_stdout(out):
+        assert main(["sigma-demo", "--help"]) == 0
+    assert "every permutation pair (n <= 5)" in " ".join(out.getvalue().split())
+
+
 # --- the .alg parser on its own ------------------------------------------------
 
 #: What may stand between a list's tokens: blanks, line breaks, comments.

@@ -60,6 +60,8 @@ def test_compose_is_left_after_right():
     assert all(fg(i) == f(g(i)) for i in range(3))
     # frozen example: the 3-cycle squared
     assert perm_compose(f, f).images == (2, 0, 1)
+    with pytest.raises(DimensionMismatch):
+        perm_compose(f, Perm((1, 0)))
 
 
 def test_inverse():
@@ -113,6 +115,8 @@ def test_rank_rejects_out_of_range_entries():
         rank((0, 2), 2)
     with pytest.raises(ValueError):
         rank((-1, 0), 2)
+    with pytest.raises(ValueError):
+        unrank(4, 2, 2)
 
 
 # --- the coordinate action -----------------------------------------------

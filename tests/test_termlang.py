@@ -4,7 +4,8 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from tsalg.algebra import Elem, atom, carrier_from_seqs, complement, elem_from_seqs, full_carrier, one, zero
+from tsalg.algebra import (CarrierMismatch, Elem, atom, carrier_from_seqs, complement, elem_from_seqs,
+                          full_carrier, one, zero)
 from tsalg.seqspace import DimensionMismatch, Perm
 from tsalg import termlang
 from tsalg.termlang import (
@@ -303,6 +304,14 @@ def test_eval_error_cases():
         eval_term(parse_term("s[0,5] x"), D, {"x": one(D)})
     with pytest.raises(DimensionMismatch):
         eval_term(parse_term("s{0,2,1} x"), D, {"x": one(D)})
+    with pytest.raises(CarrierMismatch):
+        eval_term(parse_term("x"), D, {"x": one(full_carrier(2, 3))})
+    # what is not a term is refused by the printer, the evaluator and the
+    # compile walk
+    for refuse in (print_term, lambda t: eval_term(t, D, {}),
+                   lambda t: check_quasi(D, QuasiEquation((), Equation(t, Zero())))):
+        with pytest.raises(TypeError, match="not a term node"):
+            refuse("x")
 
 
 def test_spec_perm():
