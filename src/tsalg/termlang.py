@@ -52,11 +52,16 @@ those of the one-at-a-time scan: assignments_tested counts the canonical
 order, all of it when the check holds, the least witness's index + 1 when
 it fails.
 
-A sampled check, or an exhaustive one past one chunk, first tries the
-law's leaves (_leaf_identity).  On a D closed under each s_f it names, s_f
-is a Boolean automorphism: s_f s_g x = s_(f.g) x, and s_f passes through
-'~', '&', '|', 0 and 1.  A law that no valuation of its leaves (each a
-variable under one composed permutation, at most 16) breaks holds on D.
+A quasi-equation first tries one point (_one_point): at a constant
+sequence p, p . f = p for every f, so a term's value at p reads the
+variables' bits at p alone, each s_f the identity.  Where D holds such a p
+and the hypotheses have no solution there, none has one on D, holes or
+not, and the law holds.  Next a sampled check, or an exhaustive one past
+one chunk, tries the law's leaves (_leaf_identity).  On a D closed under
+each s_f it names, s_f is a Boolean automorphism: s_f s_g x = s_(f.g) x,
+and s_f passes through '~', '&', '|', 0 and 1.  A law that no valuation of
+its leaves (each a variable under one composed permutation, at most 16)
+breaks holds on D.
 
 check_quasi walks the law once (_compile) for its sorted variable names
 and ops, names[j] read as ("var", j) and each spec resolved to a Perm, and
@@ -64,13 +69,13 @@ weighs the work (resolve_mode) before it reports a spec that does not fit
 D; the leaf step walks it once more, under a pending permutation, for its
 leaf law.  Every decider runs those ops and binds each s_f itself:
 least_violation to D's gather table, _first_row_violation to a tiled
-network on rows.  check_quasi alone picks the decider (the leaf step,
-least_violation or _first_row_violation), and re-checks the witness it
-finds element-wise: eval_term and quasi_violated walk the tree for a
-single assignment, and _confirm refuses a witness the re-check does not
-confirm.  The verifiers in theorems re-check their own witnesses through
-_confirm and share the sample stream (_draws), but decide their laws from
-their tables and compile no program.
+network on rows.  check_quasi alone picks the decider (the one-point or
+leaf step, least_violation or _first_row_violation), and re-checks the
+witness it finds element-wise: eval_term and quasi_violated walk the tree
+for a single assignment, and _confirm refuses a witness the re-check does
+not confirm.  The verifiers in theorems re-check their own witnesses
+through _confirm and share the sample stream (_draws), but decide their
+laws from their tables and compile no program.
 """
 
 from __future__ import annotations
@@ -940,6 +945,23 @@ def _first_row_violation(D: Carrier, ops: list[tuple], nvars: int, hypotheses: l
     return None
 
 
+def _one_point(D: Carrier, ops: list[tuple], nvars: int, hypotheses: list[tuple[int, int]]) -> bool:
+    """Whether D holds a constant sequence (sought in min(u, |D|) member
+    tests or lookups) at which the hypotheses, slots of _compile's ops over
+    nvars variables, have no solution (see the module docstring)."""
+    if not D.size or nvars > EXHAUSTIVE_CHUNK_BITS:
+        return False
+    if not D.full and D.n > 1:  # else 0...0 is in D, or every member is constant
+        unit = (D.u ** D.n - 1) // (D.u - 1)  # the rank of 1...1; c...c has rank c * unit
+        if not (any(r % unit == 0 for r in D.members) if D.size <= D.u
+                else any(c * unit in D.member_index for c in range(D.u))):
+            return False
+    width, columns = _one_chunk(1, nvars)
+    full = (1 << width) - 1
+    vals = _run(ops, 1, lambda f: [0], columns, full)  # at p, each s_f reads p
+    return not functools.reduce(operator.and_, [~(vals[a][0] ^ vals[b][0]) for a, b in hypotheses], full)
+
+
 def _leaf_identity(qe: QuasiEquation, D: Carrier, ops: list[tuple]) -> bool:
     """Whether qe, with _compile's ops, holds on D as a Boolean identity of
     its leaf instances (see the module docstring), scanned on one member."""
@@ -973,7 +995,8 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     sampled = {"trials": mode.trials, "seed": mode.seed} if isinstance(mode, Random) else {}
     *hypotheses, law = equations
     wide = size * nvars > EXHAUSTIVE_CHUNK_BITS
-    if (sampled or wide) and _leaf_identity(qe, D, ops):
+    if (hypotheses and _one_point(D, ops, nvars, hypotheses)
+            or (sampled or wide) and _leaf_identity(qe, D, ops)):
         found = None
     elif sampled:
         found = _first_row_violation(D, ops, nvars, hypotheses, law, mode)

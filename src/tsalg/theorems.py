@@ -376,9 +376,10 @@ def sigma_holds_small(n: int, k: int, pairs: str | tuple[Perm, Perm] = "all",
     coordinate permutation, so for constant q and any X we get
     q in s_f X | s_g X  iff  q in X — the hypothesis of sigma therefore
     has no solutions on a nonempty carrier, and on the empty carrier the
-    conclusion 0 = 1 holds outright.  Brute route: check_quasi per pair,
-    2**|D| assignments each against mode's budget; an Exhaustive mode over
-    budget leaves only the certificate, and the report says so.
+    conclusion 0 = 1 holds outright.  Brute route: check_quasi per pair
+    (its one-point step reads the same constants), 2**|D| assignments each
+    against mode's budget; an Exhaustive mode over budget leaves only the
+    certificate, and the report says so.
     """
     if n < 0 or k < 0:
         raise ValueError("dimension and base size must be naturals")

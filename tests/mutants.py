@@ -51,6 +51,11 @@ NUMBERING_TESTS = (
     "tests/test_check_columns.py::test_compile_numbers_the_variables_in_sorted_name_order",
     "tests/test_check_columns.py::test_decider_matches_frozenset_enumeration",
 )
+ONE_POINT_TESTS = (
+    "tests/test_check_columns.py::test_one_point_step_matches_the_brute_oracle",
+    "tests/test_check_columns.py::test_one_point_step_at_its_edges",
+    "tests/test_check_columns.py::test_the_one_point_step_reads_no_member",
+)
 ROW_TESTS = ("tests/test_check_columns.py::test_sampled_checks_on_a_carrier_with_holes_at_every_chunk_height",)
 
 
@@ -77,6 +82,16 @@ MUTANTS = [
     Mutant("leaf-hypotheses-dropped", "tsalg/termlang.py",
            "least_violation(ops, 1, len(names), None, equations[:-1], equations[-1],",
            "least_violation(ops, 1, len(names), None, [], equations[-1],", LEAF_TESTS),
+    # termlang._one_point: the constant sought by lookup (|D| > u) or by
+    # member test, n = 2 taken as n <= 1, and the hypotheses' agreement
+    Mutant("one-point-lookup-finds-a-nonconstant", "tsalg/termlang.py",
+           "c * unit in D.member_index", "c in D.member_index", ONE_POINT_TESTS),
+    Mutant("one-point-test-finds-a-nonconstant", "tsalg/termlang.py",
+           "r % unit == 0", "r % D.u == 0", ONE_POINT_TESTS),
+    Mutant("one-point-every-member-constant-at-n-2", "tsalg/termlang.py",
+           "if not D.full and D.n > 1:", "if not D.full and D.n > 2:", ONE_POINT_TESTS),
+    Mutant("one-point-hypotheses-joined-by-or", "tsalg/termlang.py",
+           "operator.and_, [~(vals[a][0]", "operator.or_, [~(vals[a][0]", ONE_POINT_TESTS),
     # termlang._compile: one slot per op, each spec resolved once, and
     # ("var", j) for the j-th name in sorted order
     Mutant("spec-perm-cached-without-its-spec", "tsalg/termlang.py",

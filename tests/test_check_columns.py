@@ -14,6 +14,7 @@ import itertools
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -25,7 +26,7 @@ from tsalg.algebra import (Carrier, Elem, carrier_from_seqs, full_carrier, permu
                           permutable_subsets)
 from tsalg.cli import main
 from tsalg import algebra, termlang, theorems
-from tsalg.seqspace import DimensionMismatch, transposition, unit_seq
+from tsalg.seqspace import DimensionMismatch, Perm, transposition, unit_seq
 from tsalg.termlang import (
     And,
     Equation,
@@ -482,6 +483,8 @@ def verdict_of(v):
     return v.outcome, v.witness, v.assignments_tested
 
 
+# x fixed by s[0,1] and s[1,2] is fixed by the group they generate
+SYMMETRIC_012 = "x = s[0,1] x & s[1,2] x => x = s[0,2] x"
 SIGMA_F42 = print_quasi(termlang.sigma(4, theorems.forward_cycle(4), theorems.backward_cycle(4)))
 HOLED = carrier_from_seqs(3, 2, [(0, 0, 1), (1, 1, 0), (0, 1, 1)])
 
@@ -559,7 +562,9 @@ def test_a_component_without_solutions_decides_the_check(n):
     # s_f x = ~x alternates around the forward cycle, which no set does on
     # an odd one: on the unit sequences of odd n the hypothesis has no
     # solution, so every table entry is read.  (0,...,0), which every s_f
-    # fixes, is a component of its own without one, whatever the rest
+    # fixes, is a component of its own without one, whatever the rest:
+    # check_quasi's one-point step settles that carrier first, so
+    # least_violation is asked about it directly too
     qe = parse_quasi("s{%s} x = ~x => 0 = 1" % ",".join(map(str, theorems.forward_cycle(n).images)))
     units = theorems.unit_carrier(n)
     D = carrier_from_seqs(n, 2, [(0,) * n, *units.seqs])
@@ -569,6 +574,8 @@ def test_a_component_without_solutions_decides_the_check(n):
         v = check_quasi(D, qe, Exhaustive())
     assert expected[0] == ("holds-exhaustive" if n % 2 else "fails")
     assert (v.outcome, v.assignments_tested) == ("holds-exhaustive", 1 << D.size)
+    _, ops, (*hypotheses, law), _ = termlang._compile(qe, n)
+    assert termlang.least_violation(ops, D.size, 1, D._gather_for, hypotheses, law, 2) is None
 
 
 @pytest.mark.parametrize("n,u", [(3, 2), (2, 3)])
@@ -581,6 +588,173 @@ def test_the_least_violation_is_the_least_over_components(n, u):
     expected = tree_walk(D, qe, canonical(D, ["x", "y"]), "holds-exhaustive")
     with mock.patch.object(termlang, "EXHAUSTIVE_CHUNK_BITS", 2):
         same_verdict(check_quasi(D, qe, Exhaustive()), expected)
+
+
+# --- the one-point step -------------------------------------------------------
+
+
+@strat.composite
+def one_point_laws(draw):
+    """A full carrier, a carrier with holes that holds a constant sequence,
+    or one that holds none, and a law over x (and y where |D| <= 4) with one
+    or two hypotheses, each a random equation or a term under zero to two s
+    set equal to the complement of that term under zero to two s: at a
+    constant, which every s fixes, the latter has no solution."""
+    n = draw(strat.integers(2, 3))
+    u = draw(strat.integers(1, 3 if n == 2 else 2))
+    space = lex_sequences(n, u)
+    kind = draw(strat.sampled_from(["full", "constant", "none"]))
+    if kind == "full":
+        D = full_carrier(n, u)
+    else:
+        pool = [s for s in space if len(set(s)) > 1]
+        picks = draw(strat.lists(strat.sampled_from(pool), max_size=5, unique=True)) if pool else []
+        if kind == "constant":
+            picks.append(draw(strat.sampled_from([s for s in space if len(set(s)) == 1])))
+        D = carrier_from_seqs(n, u, sorted(picks))
+    names = ["x", "y"][: 1 if D.size > 4 else draw(strat.integers(1, 2))]
+    sides = terms(n, names)
+
+    def under_s(t):
+        for _ in range(draw(strat.integers(0, 2))):
+            t = Subst(draw(perm_specs(n)), t)
+        return t
+
+    def hypothesis_():
+        if draw(strat.booleans()):
+            return draw(strat.builds(Equation, sides, sides))
+        t = draw(sides)
+        return Equation(under_s(t), Not(under_s(t)))
+
+    hypotheses = tuple(hypothesis_() for _ in range(draw(strat.integers(1, 2))))
+    return D, QuasiEquation(hypotheses, draw(strat.builds(Equation, sides, sides)))
+
+
+def one_point_expected(D, qe):
+    """Whether the one-point step should decide qe on D, from the
+    definitions: D holds a constant p, and no assignment of subsets of {p}
+    satisfies every hypothesis over the carrier {p}."""
+    constants = [p for p in D.seqs if len(set(p)) <= 1][:1]
+    names = law_names(qe)
+    envs = (dict(zip(names, combo)) for combo in itertools.product([frozenset(), frozenset(constants)],
+                                                                     repeat=len(names)))
+    return bool(constants) and not any(
+        all(oracle_value(h.lhs, D.n, constants, env) == oracle_value(h.rhs, D.n, constants, env)
+            for h in qe.hypotheses) for env in envs)
+
+
+def brute_verdict(D, qe):
+    """(outcome, witness, assignments tested) of an exhaustive check, from brute_quasi."""
+    names = law_names(qe)
+    found = brute_quasi(D, qe)
+    if found is None:
+        return "holds-exhaustive", None, 1 << D.size * len(names)
+    index, _, combo = found
+    return "fails", {nm: Elem(D, b) for nm, b in zip(names, combo)}, index + 1
+
+
+def one_point(D, qe):
+    """termlang._one_point on qe's compiled hypotheses."""
+    names, ops, (*hypotheses, _), _ = termlang._compile(qe, D.n)
+    return termlang._one_point(D, ops, len(names), hypotheses)
+
+
+SIGMA_U3 = print_quasi(termlang.sigma(3, theorems.forward_cycle(3), theorems.backward_cycle(3)))
+
+
+@hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.given(one_point_laws(), strat.integers(1, 30), strat.integers(0, 1 << 31))
+@hypothesis.example((theorems.unit_carrier(3), law_of(SIGMA_U3)), 20, 1)
+@hypothesis.example((carrier_from_seqs(2, 3, [(0, 1), (1, 0)]), law_of("s[0,1] x = ~x => 0 = 1")), 20, 1)
+@hypothesis.example((full_carrier(3, 2), law_of("s[0,1] x = 0, s[1,2] x = 1 => x = y")), 20, 1)
+def test_one_point_step_matches_the_brute_oracle(case, trials, seed):
+    # the step decides exactly where the definitions say it should; what it
+    # decides breaks under no assignment; and check_quasi gives with the
+    # step what it gives without it, exhaustive and sampled
+    D, qe = case
+    stepped = one_point(D, qe)
+    assert stepped == one_point_expected(D, qe)
+    expected = brute_verdict(D, qe)
+    assert not stepped or expected[0] == "holds-exhaustive"
+    same_verdict(check_quasi(D, qe, Exhaustive()), expected)
+    modes = (Random(trials, seed), Exhaustive())
+    with mock.patch.object(termlang, "_one_point", return_value=False):
+        without = [verdict_of(check_quasi(D, qe, mode)) for mode in modes]
+    assert [verdict_of(check_quasi(D, qe, mode)) for mode in modes] == without
+
+
+BIG = 1 << 300
+
+
+@pytest.mark.parametrize("D,text,stepped", [
+    (full_carrier(0, 2), "s{} x = ~x => 0 = 1", True),  # () is constant
+    (carrier_from_seqs(0, 2, []), "s{} x = ~x => 0 = 1", False),
+    (carrier_from_seqs(1, 3, [(0,), (2,)]), "s{0} x = ~x => y = 0", True),  # every member is constant
+    (carrier_from_seqs(1, 3, [(2,)]), "x = ~y => x = 0", False),  # solved at a constant, and fails
+    (full_carrier(3, 1), "s[0,2] x = ~x => 0 = 1", True),  # u = 1
+    (carrier_from_seqs(2, 2, []), "s[0,1] x = ~x => 0 = 1", False),
+    # base 2^300, |D| <= u: members tested; (0,1) and (1,0) fail, (1,1) holds
+    (Carrier(2, BIG, [1, BIG]), "s[0,1] x = ~x => 0 = 1", False),
+    (Carrier(2, BIG, [1, BIG + 1]), "s[0,1] x = ~x => 0 = 1", True),
+    # |D| > u: constants looked up; (2,1) pairs with (1,2), (2,2) is fixed
+    (carrier_from_seqs(2, 3, [(0, 1), (1, 0), (1, 2), (2, 1)]), "s[0,1] x = ~x => 0 = 1", False),
+    (carrier_from_seqs(2, 3, [(0, 1), (1, 0), (1, 2), (2, 2)]), "s[0,1] x = ~x => 0 = 1", True),
+])
+def test_one_point_step_at_its_edges(D, text, stepped):
+    # n = 0, n = 1, u = 1, empty carriers, and a base whose range no
+    # search may walk: each check answers well under a second
+    qe = law_of(text)
+    start = time.perf_counter()
+    assert one_point(D, qe) == one_point_expected(D, qe) == stepped
+    v = check_quasi(D, qe, Exhaustive())
+    assert time.perf_counter() - start < 1
+    same_verdict(v, brute_verdict(D, qe))
+
+
+HOLES700 = carrier_from_seqs(10, 2, lex_sequences(10, 2)[:700])
+
+
+@pytest.mark.parametrize("D", [full_carrier(20, 2), full_carrier(16, 2), HOLES700])
+@pytest.mark.parametrize("text", ["s[0,9] x | s[1,2] x = ~x => 0 = 1", "s[0,9] x = 0, s[1,2] x = 1 => 0 = 1"])
+def test_the_one_point_step_reads_no_member(D, text):
+    # the first law is sigma-like, the second's hypotheses each have a
+    # solution at a constant but not both: no gather, no network, no draw
+    # and no leaf step, where the first 700 members of ^10 2 hold (0,...,0)
+    # but are closed under no s they name; the verdict a holding law gets
+    qe = parse_quasi(text)
+    with mock.patch.object(Carrier, "_gather_for", side_effect=AssertionError("gather built")), \
+            mock.patch.object(Carrier, "_network_for", side_effect=AssertionError("network built")), \
+            mock.patch.object(termlang, "_draws", side_effect=AssertionError("trials drawn")), \
+            mock.patch.object(termlang, "_leaf_identity", side_effect=AssertionError("leaf step taken")):
+        sampled = check_quasi(D, qe, Random(100000, 1))
+        exhaustive = check_quasi(D, qe, Exhaustive(1 << D.size))
+    assert (sampled.outcome, sampled.trials, sampled.seed, sampled.assignments_tested) == \
+        ("holds-sampled", 100000, 1, 100000)
+    assert (exhaustive.outcome, exhaustive.assignments_tested) == ("holds-exhaustive", 1 << D.size)
+
+
+def test_the_one_point_step_follows_the_mode_and_spec_checks():
+    # over budget and an unfit spec are refused as before
+    qe = parse_quasi("s[0,1] x = ~x => 0 = 1")
+    with pytest.raises(termlang.BudgetExceeded):
+        check_quasi(full_carrier(3, 2), qe, Exhaustive(255))
+    with pytest.raises(DimensionMismatch):
+        check_quasi(full_carrier(1, 2), qe, Exhaustive())
+
+
+@pytest.mark.parametrize("n,u", [(2, 2), (2, 3), (3, 2)])
+def test_sigma_for_every_pair_by_enumeration(n, u):
+    # the one-point step reads the constants that sigma_holds_small's
+    # certificate reads, so here the brute oracle, and least_violation with
+    # the step patched out, enumerate every assignment of every pair
+    D = full_carrier(n, u)
+    for f, g in itertools.product(itertools.permutations(range(n)), repeat=2):
+        qe = termlang.sigma(n, Perm(f), Perm(g))
+        assert one_point(D, qe)
+        with mock.patch.object(termlang, "_one_point", return_value=False):
+            enumerated = verdict_of(check_quasi(D, qe, Exhaustive()))
+        assert verdict_of(check_quasi(D, qe, Exhaustive())) == enumerated == brute_verdict(D, qe) == \
+            ("holds-exhaustive", None, 1 << D.size)
 
 
 # --- chunk boundaries --------------------------------------------------------
@@ -669,10 +843,12 @@ def test_row_flags_see_every_bit_of_a_row(nbytes):
 @pytest.mark.parametrize("text", ["s[0,1] (x & y) = s[0,1] x & s[0,1] y", "x & y = x",
                                   "x = y => s{2,0,1,3,4,5,6,7,8,9,10,11} x = s[0,2] s[1,2] y",
                                   print_quasi(termlang.sigma(12, theorems.forward_cycle(12),
-                                                             theorems.backward_cycle(12)))])
+                                                             theorems.backward_cycle(12))),
+                                  SYMMETRIC_012])
 def test_sampled_wide_carrier_one_trial_per_chunk(text):
-    # a leaf identity (the first) draws no trial; sigma holds on full
-    # carriers without being one, and runs every trial
+    # a leaf identity (the first) draws no trial, nor does sigma, whose
+    # hypothesis has no solution at a constant; the last law holds on full
+    # carriers without being either, and runs every trial
     D = full_carrier(12, 2)
     assert D.size >= termlang.WIDE_ROW_BITS
     qe = parse_quasi(text) if "=>" in text else QuasiEquation((), parse_equation(text))
@@ -680,31 +856,33 @@ def test_sampled_wide_carrier_one_trial_per_chunk(text):
     expected = tree_walk(D, qe, row_wise(D, names, 12, 9), "holds-sampled")
     with mock.patch.object(termlang, "_run_rows", wraps=termlang._run_rows) as run:
         same_verdict(check_quasi(D, qe, Random(12, 9)), expected)
-    assert run.call_count == (0 if by_leaves(D, qe) else expected[2])
+    assert run.call_count == (0 if by_leaves(D, qe) or one_point(D, qe) else expected[2])
     assert by_leaves(D, qe) == (text == "s[0,1] (x & y) = s[0,1] x & s[0,1] y")
 
 
 def test_sampled_chunks_narrow_on_wide_carriers():
-    # rows of 2192 bits (2187 members, whole bytes), 59 to a chunk: sigma
-    # holds on full carriers and is no identity of its leaf instances
+    # rows of 2192 bits (2187 members, whole bytes), 59 to a chunk: the law
+    # holds on full carriers, is no identity of its leaf instances, and its
+    # hypothesis has a solution at a constant
     D = full_carrier(7, 3)
     assert D.size < termlang.WIDE_ROW_BITS
-    qe = termlang.sigma(7, theorems.forward_cycle(7), theorems.backward_cycle(7))
+    qe = parse_quasi(SYMMETRIC_012)
     with mock.patch.object(termlang, "_run_rows", wraps=termlang._run_rows) as run:
         v = check_quasi(D, qe, Random(1000, 1))
     assert v.outcome == "holds-sampled" and run.call_count == -(-1000 // 59)
 
 
 def test_tiles_are_kept_one_per_mask_and_row_width():
-    # sigma with the 6-cycles at 400 trial counts on one full (6,2) asks
-    # for tiles of 400 heights: each (mask, nbytes) keeps one tile, rebuilt
-    # at another height, and each verdict is that of a carrier with no
-    # tiles yet
-    qe = termlang.sigma(6, theorems.forward_cycle(6), theorems.backward_cycle(6))
+    # a law sampled on packed rows, at 400 trial counts on one full (6,2),
+    # asks for tiles of 400 heights: each (mask, nbytes) keeps one tile,
+    # rebuilt at another height, and each verdict is that of a carrier with
+    # no tiles yet
+    qe = parse_quasi(SYMMETRIC_012)
     D = full_carrier(6, 2)
     for t in range(1, 401):
         assert check_quasi(D, qe, Random(t, 1)) == check_quasi(full_carrier(6, 2), qe, Random(t, 1))
     assert len(D._tiles) == len({key[:2] for key in D._tiles}) <= 11
+    assert D._tiles
 
 
 @pytest.mark.parametrize("text", ["x & y = y & x", "x & y = x", "x = ~y => x | y = 0"])

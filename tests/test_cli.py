@@ -419,11 +419,16 @@ def test_closed_stdout_exits_two_without_traceback(argv):
     # s[0,1] pairs the members off; the least witness is x = {rank 16,
     # rank 32}, y = {rank 16}
     (6, 2, "s[0,1] x = x => s[0,1] (x & y) = x & y", 1, 2**96 + 2**80 + 2**16 + 1),
-    # sigma with the 4-cycles: the constant sequences have no solution
+    # sigma with the 4-cycles: the constant sequences have no solution, so
+    # the one-point step decides it
     (4, 3, "s{1,2,3,0} x | s{3,0,1,2} x = ~x => 0 = 1", 0, 2**81),
+    # a set fixed by s[0,1] and s[1,2] is fixed by s[0,2]; each component,
+    # an orbit of theirs, has a solution
+    (4, 3, "x = s[0,1] x & s[1,2] x => x = s[0,2] x", 0, 2**81),
 ])
 def test_wide_exhaustive_quasi_equations_end(tmp_path, n, base, quasi, status, tested):
-    # 2^128 and 2^81 assignments, decided component by component
+    # 2^128 and 2^81 assignments, decided component by component but for
+    # sigma
     spec = tmp_path / "full.alg"
     spec.write_text(f"n = {n}\nbase = {base}\ncarrier = full\n")
     done = subprocess.run([sys.executable, "-m", "tsalg.cli", "check", "--spec", str(spec), "--quasi", quasi,
