@@ -59,15 +59,16 @@ and the hypotheses have no solution there, none has one on D, holes or
 not, and the law holds.  Next a sampled check, or an exhaustive one past
 one chunk, tries the law's leaves (_leaf_identity).  On a D closed under
 each s_f it names, s_f is a Boolean automorphism: s_f s_g x = s_(f.g) x,
-and s_f passes through '~', '&', '|', 0 and 1.  A law that no valuation of
-its leaves (each a variable under one composed permutation, at most 16)
-breaks holds on D.
+and s_f passes through '~', '&', '|', 0 and 1.  A law whose conclusion's
+sides are one term of its leaves (each a variable under one composed
+permutation) holds on D, as does one that no valuation of at most 16
+leaves breaks.
 
 check_quasi walks the law once (_compile) for its sorted variable names
 and ops, names[j] read as ("var", j) and each spec resolved to a Perm, and
 weighs the work (resolve_mode) before it reports a spec that does not fit
-D; the leaf step walks it once more, under a pending permutation, for its
-leaf law.  Every decider runs those ops and binds each s_f itself:
+D; no decider walks it again, as the leaf step reads its leaf law off
+the ops.  Every decider runs those ops and binds each s_f itself:
 least_violation to D's gather table, _first_row_violation to a tiled
 network on rows.  check_quasi alone picks the decider (the one-point or
 leaf step, least_violation or _first_row_violation), and re-checks the
@@ -195,12 +196,13 @@ class Transposition:
 
 @dataclass(frozen=True)
 class Images:
-    """Operator spec: the permutation with this image list."""
+    """Operator spec: the permutation with this image list, validated and
+    kept once (outside the fields, so ==, hash and repr read images alone)."""
 
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        Perm(self.images)  # validates bijection
+        object.__setattr__(self, "_perm", Perm(self.images))  # validates bijection
 
 
 PermSpec = Transposition | Images
@@ -450,7 +452,7 @@ def spec_perm(spec: PermSpec, n: int) -> Perm:
         raise DimensionMismatch(
             f"image list of length {len(spec.images)} does not fit dimension {n}"
         )
-    return Perm(spec.images)
+    return spec._perm
 
 
 def eval_term(t: Term, D: Carrier, assignment: Mapping[str, Elem]) -> Elem:
@@ -589,37 +591,33 @@ ROW_CHUNK_BITS = 1 << 17
 WIDE_ROW_BITS = 1 << 12
 
 
-def _compile(qe: QuasiEquation, n: int, leaves: bool = False) -> tuple[list, list[tuple], list[tuple[int, int]],
-                                                                   DimensionMismatch | None]:
+def _compile(qe: QuasiEquation, n: int) -> tuple[list, list[tuple], list[tuple[int, int]],
+                                              DimensionMismatch | None]:
     """qe in one walk: its variables' names, sorted; its ops, each over its
     children's slots, ("var", j) for the variable names[j] and ("subst", a, f)
     for s_f, with f its spec resolved once against dimension n; the (lhs, rhs)
     slots of each equation, the conclusion last; and the DimensionMismatch
     of the first spec that does not fit n, or None.  Equal ops share one
     slot, as do s[0,1] and s{1,0}, and no lookup hashes a whole subtree.
-
-    With leaves, every spec must fit n, and the ops are qe's leaf law (see
-    the module docstring): each s_f becomes a permutation pending over its
-    operand, composed on the right of the one pending over it, and a
-    variable x under pending images g the leaf named (x, g)."""
+    The leaf step reads its leaf law off these ops (_leaf_identity)."""
     slots: dict[tuple, int] = {}
     perms: dict[PermSpec, Perm | DimensionMismatch] = {}
     unfit: list[DimensionMismatch] = []  # in the order met
 
-    def emit(t: Term, under: tuple[int, ...] | None) -> int:  # under: the pending images with leaves, else None
+    def emit(t: Term) -> int:
         kind = type(t)
         if kind is Var:
-            op = ("var", t.name if under is None else (t.name, under))
+            op = ("var", t.name)
         elif kind is And or kind is Or:
             # folded from the left: each partial chain takes a slot of its own
             name = "and" if kind is And else "or"
             args = t.args
-            op = (name, emit(args[0], under), emit(args[1], under))
+            op = (name, emit(args[0]), emit(args[1]))
             if len(args) > 2:  # a two-operand chain makes no slice
                 for arg in args[2:]:
-                    op = (name, slots.setdefault(op, len(slots)), emit(arg, under))
+                    op = (name, slots.setdefault(op, len(slots)), emit(arg))
         elif kind is Not:
-            op = ("not", emit(t.arg, under))
+            op = ("not", emit(t.arg))
         elif kind is Subst:
             f = perms.get(t.perm)
             if f is None:
@@ -629,9 +627,7 @@ def _compile(qe: QuasiEquation, n: int, leaves: bool = False) -> tuple[list, lis
                     f = exc
                     unfit.append(exc)
                 perms[t.perm] = f
-            if under is not None:  # under . f
-                return emit(t.arg, tuple(map(under.__getitem__, f.images)))
-            op = ("subst", emit(t.arg, None), f)
+            op = ("subst", emit(t.arg), f)
         elif kind is Zero or kind is One:
             op = ("zero",) if kind is Zero else ("one",)
         else:
@@ -639,8 +635,7 @@ def _compile(qe: QuasiEquation, n: int, leaves: bool = False) -> tuple[list, lis
         # a new op takes the next slot; the keys are the ops in slot order
         return slots.setdefault(op, len(slots))
 
-    top = tuple(range(n)) if leaves else None
-    equations = [(emit(eq.lhs, top), emit(eq.rhs, top)) for eq in (*qe.hypotheses, qe.conclusion)]
+    equations = [(emit(eq.lhs), emit(eq.rhs)) for eq in (*qe.hypotheses, qe.conclusion)]
     names = sorted([op[1] for op in slots if op[0] == "var"])
     index = {name: j for j, name in enumerate(names)}
     ops = [("var", index[op[1]]) if op[0] == "var" else op for op in slots]
@@ -962,16 +957,59 @@ def _one_point(D: Carrier, ops: list[tuple], nvars: int, hypotheses: list[tuple[
     return not functools.reduce(operator.and_, [~(vals[a][0] ^ vals[b][0]) for a, b in hypotheses], full)
 
 
-def _leaf_identity(qe: QuasiEquation, D: Carrier, ops: list[tuple]) -> bool:
-    """Whether qe, with _compile's ops, holds on D as a Boolean identity of
-    its leaf instances (see the module docstring), scanned on one member."""
+def _leaf_identity(D: Carrier, ops: list[tuple], equations: list[tuple[int, int]]) -> bool:
+    """Whether the law with _compile's ops and equations holds on D as a
+    Boolean identity of its leaf instances (see the module docstring).
+
+    The leaf law is read off the ops: each slot under a pending image
+    tuple, the identity at each equation side, takes one leaf slot.  s_f
+    hands its operand under . f, a variable under g is the leaf (x, g), and
+    '~', '&', '|', 0 and 1 keep their shape over their operands' leaf slots.
+    Equal leaf ops share a slot, so the law holds where the conclusion's
+    two sides are one slot; else one member is scanned, up to 16 leaves."""
     if not D.full and any(None in D._gather_for(op[2]) for op in ops if op[0] == "subst"):
         return False
-    names, ops, equations, _ = _compile(qe, D.n, leaves=True)
+    leaf: dict[tuple, int] = {}  # (slot, pending images) -> leaf slot
+    slots: dict[tuple, int] = {}  # the leaf law's ops, in slot order
+    names: dict[tuple, int] = {}  # (variable, pending images) -> leaf variable
+
+    def push(s: int, under: tuple[int, ...]) -> int:
+        key = (s, under)
+        got = leaf.get(key)
+        if got is not None:
+            return got
+        op = ops[s]
+        kind = op[0]
+        if kind == "subst":  # under . f
+            got = push(op[1], tuple(map(under.__getitem__, op[2].images)))
+        elif kind == "and" or kind == "or":
+            # a chain's left spine in a loop, so a frame per nesting level
+            spine = [s]
+            s = op[1]
+            while ops[s][0] == kind and (s, under) not in leaf:
+                spine.append(s)
+                s = ops[s][1]
+            got = push(s, under)
+            for s in reversed(spine):
+                got = leaf[s, under] = slots.setdefault((kind, got, push(ops[s][2], under)), len(slots))
+            return got
+        elif kind == "not":
+            got = slots.setdefault(("not", push(op[1], under)), len(slots))
+        elif kind == "var":
+            got = slots.setdefault(("var", names.setdefault((op[1], under), len(names))), len(slots))
+        else:
+            got = slots.setdefault(op, len(slots))
+        leaf[key] = got
+        return got
+
+    top = tuple(range(D.n))
+    sides = [(push(a, top), push(b, top)) for a, b in equations]
+    *hypotheses, law = sides
+    if law[0] == law[1]:
+        return True
     if len(names) > EXHAUSTIVE_CHUNK_BITS:
         return False
-    return least_violation(ops, 1, len(names), None, equations[:-1], equations[-1],
-                           EXHAUSTIVE_CHUNK_BITS) is None
+    return least_violation(list(slots), 1, len(names), None, hypotheses, law, EXHAUSTIVE_CHUNK_BITS) is None
 
 
 def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Verdict:
@@ -996,7 +1034,7 @@ def check_quasi(D: Carrier, qe: QuasiEquation, mode: Mode = Exhaustive()) -> Ver
     *hypotheses, law = equations
     wide = size * nvars > EXHAUSTIVE_CHUNK_BITS
     if (hypotheses and _one_point(D, ops, nvars, hypotheses)
-            or (sampled or wide) and _leaf_identity(qe, D, ops)):
+            or (sampled or wide) and _leaf_identity(D, ops, equations)):
         found = None
     elif sampled:
         found = _first_row_violation(D, ops, nvars, hypotheses, law, mode)

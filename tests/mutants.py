@@ -31,6 +31,7 @@ TIMEOUT_S = 600  # per pytest run
 
 LEAF_TESTS = (
     "tests/test_check_columns.py::test_leaf_step_decides_only_identities_on_closed_carriers",
+    "tests/test_check_columns.py::test_leaf_step_matches_the_pushed_down_reference",
     "tests/test_check_columns.py::test_leaf_identities_hold_and_keep_every_verdict",
 )
 COMPONENT_TESTS = (
@@ -69,19 +70,24 @@ class Mutant:
 
 
 MUTANTS = [
-    # termlang._leaf_identity and the leaf walk of termlang._compile
+    # termlang._leaf_identity: the leaf law read off the ops, its shared
+    # slot and its scan
     Mutant("leaf-composition-reversed", "tsalg/termlang.py",
-           "tuple(map(under.__getitem__, f.images))",
-           "tuple(map(f.images.__getitem__, under))", LEAF_TESTS),
+           "tuple(map(under.__getitem__, op[2].images))",
+           "tuple(map(op[2].images.__getitem__, under))", LEAF_TESTS),
     Mutant("leaf-closure-skipped", "tsalg/termlang.py",
            "if not D.full and any(None in D._gather_for(op[2])",
            "if False and any(None in D._gather_for(op[2])", LEAF_TESTS),
     Mutant("leaf-keyed-without-permutation", "tsalg/termlang.py",
-           '("var", t.name if under is None else (t.name, under))',
-           '("var", t.name)', LEAF_TESTS),
+           "names.setdefault((op[1], under), len(names))",
+           "names.setdefault(op[1], len(names))", LEAF_TESTS),
+    Mutant("leaf-memo-keyed-by-slot-alone", "tsalg/termlang.py",
+           "key = (s, under)", "key = s", LEAF_TESTS),
+    Mutant("leaf-shared-slot-read-on-a-hypothesis", "tsalg/termlang.py",
+           "if law[0] == law[1]:", "if sides[0][0] == sides[0][1]:", LEAF_TESTS),
     Mutant("leaf-hypotheses-dropped", "tsalg/termlang.py",
-           "least_violation(ops, 1, len(names), None, equations[:-1], equations[-1],",
-           "least_violation(ops, 1, len(names), None, [], equations[-1],", LEAF_TESTS),
+           "least_violation(list(slots), 1, len(names), None, hypotheses, law,",
+           "least_violation(list(slots), 1, len(names), None, [], law,", LEAF_TESTS),
     # termlang._one_point: the constant sought by lookup (|D| > u) or by
     # member test, n = 2 taken as n <= 1, and the hypotheses' agreement
     Mutant("one-point-lookup-finds-a-nonconstant", "tsalg/termlang.py",

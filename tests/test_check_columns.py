@@ -11,6 +11,7 @@ oracles.brute_first_violation over every pair."""
 import copy
 import functools
 import itertools
+import operator
 import random
 import subprocess
 import sys
@@ -123,7 +124,8 @@ def row_wise(D, names, trials, seed):
 
 def by_leaves(D, qe):
     """Whether check_quasi's leaf step, where it runs, decides qe on D."""
-    return termlang._leaf_identity(qe, D, termlang._compile(qe, D.n)[1])
+    _, ops, equations, _ = termlang._compile(qe, D.n)
+    return termlang._leaf_identity(D, ops, equations)
 
 
 def same_verdict(verdict, expected):
@@ -514,15 +516,110 @@ def test_leaf_identities_hold_and_keep_every_verdict(case, trials, seed):
     (HOLED, "~s[0,1] x = s[0,1] ~x", False, "fails"),
     (full_carrier(4, 2), SIGMA_F42, False, "holds-sampled"),
     (full_carrier(3, 2), "s[0,1] x = x => s[0,1] ~x = ~x", True, "holds-sampled"),
+    (full_carrier(2, 2), "s[0,1] (x & y) = s[0,1] x & s[0,1] y => s[0,1] x = x", False, "fails"),
 ])
 def test_leaf_step_decides_only_identities_on_closed_carriers(D, text, leafed, outcome):
     # s[0,1] s[1,2] is s{1,2,0}; ~s[0,1] x = s[0,1] ~x is a leaf identity
     # that fails where s[0,1] leaves the carrier; sigma holds on full (4,2)
     # though its leaves do not force it; s[0,1] ~x = ~x follows from its
-    # hypothesis only, so the leaf scan must read the hypotheses
+    # hypothesis only, so the leaf scan must read the hypotheses; the last
+    # law's hypothesis has one leaf slot on both sides, but its conclusion
+    # fails, so only the conclusion's sides may decide
     qe = law_of(text)
     assert by_leaves(D, qe) == leafed
     assert check_quasi(D, qe, Random(200, 1)).outcome == outcome
+
+
+def pushed_leaves(t):
+    """The leaves of a pushed-down term: each x, or s_g x with g its images."""
+    if isinstance(t, (Var, Subst)):
+        yield t
+    elif isinstance(t, Not):
+        yield from pushed_leaves(t.arg)
+    elif isinstance(t, (And, Or)):
+        for arg in t.args:
+            yield from pushed_leaves(arg)
+
+
+def spec_images(t, n):
+    """The image list of every s in t."""
+    if isinstance(t, Subst):
+        yield swap_images(n, t.perm.i, t.perm.j) if isinstance(t.perm, Transposition) else t.perm.images
+    for arg in t.args if isinstance(t, (And, Or)) else (t.arg,) if isinstance(t, (Not, Subst)) else ():
+        yield from spec_images(arg, n)
+
+
+def leaf_reference(D, qe):
+    """(whether the leaf step decides qe on D, whether its conclusion's
+    pushed-down sides are one term), from the definitions: D is closed
+    under every s of qe (brute_subst of D into D is D), and no valuation of
+    the leaves of the pushed-down sides, each its own truth-table column,
+    that meets the hypotheses breaks the conclusion; past 16 leaves only
+    one term decides."""
+    members = frozenset(D.seqs)
+    sides = [(eq.lhs, eq.rhs) for eq in (*qe.hypotheses, qe.conclusion)]
+    closed = all(brute_subst(members, images, members) == members
+                 for side in sides for t in side for images in spec_images(t, D.n))
+    pushed = [tuple(pushed_down(t, D.n) for t in side) for side in sides]
+    shared = pushed[-1][0] == pushed[-1][1]
+    leaves = sorted({leaf for side in pushed for t in side for leaf in pushed_leaves(t)}, key=repr)
+    count = 1 << len(leaves)
+    full = (1 << count) - 1
+    # leaf k's column: bit a set where bit k of a is
+    column = {leaf: (((1 << (1 << k)) - 1) << (1 << k)) * full // ((1 << (2 << k)) - 1)
+              for k, leaf in enumerate(leaves)}
+
+    def truth(t):
+        if isinstance(t, (Var, Subst)):
+            return column[t]
+        if isinstance(t, (Zero, One)):
+            return 0 if isinstance(t, Zero) else full
+        if isinstance(t, Not):
+            return truth(t.arg) ^ full
+        values = [truth(arg) for arg in t.args]
+        return functools.reduce(operator.and_ if isinstance(t, And) else operator.or_, values)
+
+    agree = full
+    for lhs, rhs in pushed[:-1]:
+        agree &= ~(truth(lhs) ^ truth(rhs))
+    lhs, rhs = pushed[-1]
+    identity = shared or len(leaves) <= 16 and not agree & (truth(lhs) ^ truth(rhs))
+    return closed and identity, shared
+
+
+@hypothesis.settings(deadline=None, max_examples=150)
+@hypothesis.given(leaf_laws())
+# s[0,1] (x & y) is read under (1,0) and (x & y) under (0,1): one op, two leaf slots
+@hypothesis.example((full_carrier(2, 2), law_of("s[0,1] (x & y) | (x & y) = (x & y) | s[0,1] (y & x)")))
+@hypothesis.example((full_carrier(3, 2), law_of("s{1,2,0} s{2,0,1} x = x")))
+@hypothesis.example((full_carrier(3, 2), law_of("s[0,1] x = x => s[0,1] ~x = ~x")))
+@hypothesis.example((full_carrier(2, 2), law_of("s[0,1] (x & y) = s[0,1] x & s[0,1] y => s[0,1] x = x")))
+@hypothesis.example((full_carrier(0, 2), law_of("s{} (x & y) = s{} x & s{} y")))
+@hypothesis.example((full_carrier(1, 3), law_of("s{0} ~x = ~s{0} x")))
+def test_leaf_step_matches_the_pushed_down_reference(case):
+    # the leaf law read off the compiled ops against each side pushed down
+    # from the definitions; where the conclusion's pushed-down sides are one
+    # term, on a closed carrier, no member is scanned
+    D, qe = case
+    expected, shared = leaf_reference(D, qe)
+    with mock.patch.object(termlang, "least_violation", wraps=termlang.least_violation) as scan:
+        assert by_leaves(D, qe) == expected
+    if shared and expected:
+        assert not scan.called
+
+
+@pytest.mark.parametrize("text,scans", [("s[0,1] (x & y) = s[0,1] x & s[0,1] y", 0),
+                                        ("s[0,1] (x | ~x) = 1", 1)])
+def test_leaf_step_scans_one_member_only_where_the_leaf_sides_differ(text, scans):
+    # on full (20,2): the first law's leaf sides are one slot, the second's
+    # are (x,01) | ~(x,01) and 1, scanned on one member; either way the law
+    # is walked once, by _compile
+    with mock.patch.object(termlang, "least_violation", wraps=termlang.least_violation) as scan, \
+            mock.patch.object(termlang, "_compile", wraps=termlang._compile) as walk:
+        v = check_equation(full_carrier(20, 2), parse_equation(text), Random(100000, 1))
+    assert (v.outcome, v.trials, v.seed, v.assignments_tested) == ("holds-sampled", 100000, 1, 100000)
+    assert scan.call_count == scans and all(call.args[1] == 1 for call in scan.call_args_list)
+    assert walk.call_count == 1
 
 
 def test_a_leaf_identity_reads_no_member():

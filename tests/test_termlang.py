@@ -1,4 +1,5 @@
 import sys
+from unittest import mock
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -231,7 +232,9 @@ def test_equation_round_trip(lhs, rhs):
 
 def test_term_at_the_nesting_limit_parses_and_checks_in_400_frames():
     # parsing takes three frames per '(' level (unary, the '|' chain and the
-    # '&' chain), so the caller keeps most of Python's default limit of 1000
+    # '&' chain), so the caller keeps most of Python's default limit of 1000;
+    # a sampled check takes the leaf step too, which reads the ops two
+    # frames per level
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -239,10 +242,13 @@ def test_term_at_the_nesting_limit_parses_and_checks_in_400_frames():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 400)
     try:
-        verdict = check_equation(full_carrier(2, 2), parse_equation(f"{text} = x"))
+        eq = parse_equation(f"{text} = x")
+        verdict = check_equation(full_carrier(2, 2), eq)
+        with mock.patch.object(termlang, "_leaf_identity", wraps=termlang._leaf_identity) as leaf:
+            sampled = check_equation(full_carrier(2, 2), eq, Random(10, 1))
     finally:
         sys.setrecursionlimit(old)
-    assert verdict.outcome == "holds-exhaustive"
+    assert (verdict.outcome, sampled.outcome, leaf.call_count) == ("holds-exhaustive", "holds-sampled", 1)
 
 
 #: name -> (a term equal to x, in canonical form, and its compiled op count)
@@ -264,7 +270,8 @@ LONG_TERMS = {
 def test_long_and_deep_terms_are_walked(name):
     # every walk of a term under pytest's own frames: the dataclass ==, repr
     # and hash, the printer, the compile walk and eval_term; and the leaf
-    # step's walk, sampled and past one chunk (2**32 assignments)
+    # step's walk of the ops (a chain's left spine in a loop), which decides
+    # the law, sampled and past one chunk (2**32 assignments)
     text, nops = LONG_TERMS[name]
     t, again = parse_term(text), parse_term(text)
     assert t == again and t is not again
@@ -275,8 +282,11 @@ def test_long_and_deep_terms_are_walked(name):
     D = full_carrier(2, 2)
     x = elem_from_seqs(D, [(0, 1), (1, 1)])
     assert eval_term(t, D, {"x": x}) == x
+    assert termlang._leaf_identity(D, ops, equations)
     assert check_equation(D, Equation(t, Var("x"))).outcome == "holds-exhaustive"
-    assert check_equation(D, Equation(t, Var("x")), Random(10, 1)).outcome == "holds-sampled"
+    with mock.patch.object(termlang, "_leaf_identity", wraps=termlang._leaf_identity) as leaf:
+        assert check_equation(D, Equation(t, Var("x")), Random(10, 1)).outcome == "holds-sampled"
+    assert leaf.call_count == 1
     assert check_equation(full_carrier(5, 2), Equation(t, Var("x")), Exhaustive(1 << 40)).outcome == \
         "holds-exhaustive"
 
